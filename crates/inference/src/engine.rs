@@ -2,24 +2,30 @@
 //! with salience, recency and refraction. A small, faithful subset of the
 //! CLIPS shell the paper's prototype embedded in its QoS Host Manager.
 //!
-//! Matching is **incremental** (Rete-lite): rather than re-joining every
-//! rule against every fact on every cycle, the engine keeps a persistent
-//! agenda and updates it from the *delta* of each assert/retract —
-//! template-triggered seeded joins for positive condition elements,
-//! per-rule re-evaluation when a negated template changes. The original
-//! full-rematch algorithm is retained behind
-//! [`Engine::use_naive_matcher`] as a differential-testing oracle (and
-//! as the "before" arm of the scale benchmark); both matchers produce
-//! identical firing sequences.
+//! Matching is **incremental**: rather than re-joining every rule against
+//! every fact on every cycle, the engine keeps a persistent agenda and
+//! updates it from the *delta* of each assert/retract — template-triggered
+//! seeded joins for positive condition elements, per-rule re-evaluation
+//! when a negated template changes. Rules are **compiled** at
+//! [`Engine::add_rule`] ([`CompiledRule`]): a partial match is the ids of
+//! the facts matched so far and variables are read from those facts, so
+//! seeding a rule with a new fact, agenda and refraction bookkeeping, and
+//! firing allocate nothing in steady state beyond the facts and
+//! invocations a firing hands out. The original full-rematch algorithm,
+//! over the rules' source form and string-keyed bindings, is retained
+//! behind [`Engine::use_naive_matcher`] as a differential-testing oracle
+//! (and as the "before" arm of the scale benchmark); both matchers
+//! produce identical firing sequences.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 use crate::fact::{Fact, FactId, FactStore, TemplateId};
 use crate::idvec::IdVec;
-use crate::pattern::{Bindings, Pattern, SlotTest};
-use crate::rule::{Action, Ce, Invocation, Rule};
-use crate::value::{CmpOp, Value};
+use crate::pattern::{CTerm, Row};
+use crate::rule::{CAction, CCe, CompiledRule, Invocation, Rule};
+use crate::value::Value;
 
 /// Default bound on the diagnostic firing trace (ring buffer): a
 /// long-lived host manager keeps only the most recent entries.
@@ -69,14 +75,14 @@ pub struct PhaseProfile {
     pub fire_ns: u64,
 }
 
-/// Reusable join buffers: the intermediate partial-match vectors the
-/// join allocates are engine-owned and cleared between calls, so a
-/// steady stream of violation asserts reuses the same heap spines
-/// instead of allocating per propagation.
+/// Reusable join buffers: the intermediate partial-match vectors are
+/// engine-owned and cleared between calls, so a steady stream of
+/// violation asserts reuses the same heap spines instead of allocating
+/// per propagation.
 #[derive(Debug, Default)]
 struct JoinScratch {
-    partial: Vec<(IdVec, Bindings)>,
-    next: Vec<(IdVec, Bindings)>,
+    partial: Vec<IdVec>,
+    next: Vec<IdVec>,
 }
 
 /// Interned rule identifier: the rule's stable definition index. Stable
@@ -85,11 +91,11 @@ struct JoinScratch {
 type RuleIx = u32;
 
 /// Agenda ordering key. Field order gives the conflict-resolution total
-/// order lexicographically, so `BTreeMap::last_key_value` is exactly the
+/// order lexicographically, so `BTreeSet::last` is exactly the
 /// activation the naive matcher's `max_by_key` picks: highest salience,
 /// then most recent matched fact, then earliest-defined rule, then
 /// smallest fact-id vector.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 struct AgendaKey {
     salience: i32,
     recency: FactId,
@@ -97,21 +103,38 @@ struct AgendaKey {
     ids: Reverse<IdVec>,
 }
 
-/// Per-rule matching metadata resolved once at rule-add time.
-#[derive(Clone, Debug, Default)]
-struct CompiledRule {
-    /// Template symbol per condition element (`None` for `test` CEs).
-    ce_tids: Vec<Option<TemplateId>>,
-    /// Distinct templates of positive CEs (assert-delta triggers).
-    pos_tmpls: Vec<TemplateId>,
-    /// Distinct templates of negated CEs (re-evaluation triggers).
-    neg_tmpls: Vec<TemplateId>,
+impl AgendaKey {
+    fn new(ix: RuleIx, salience: i32, ids: IdVec) -> Self {
+        AgendaKey {
+            salience,
+            recency: ids.recency(),
+            rule: Reverse(ix),
+            ids: Reverse(ids),
+        }
+    }
+
+    /// A key no activation sorts below (no rule has index `u32::MAX`):
+    /// the start of a by-fact range scan.
+    fn floor() -> Self {
+        AgendaKey {
+            salience: i32::MIN,
+            recency: FactId(0),
+            rule: Reverse(RuleIx::MAX),
+            ids: Reverse(IdVec::new()),
+        }
+    }
 }
 
+/// Refraction entries of an activation with no facts (an empty-LHS rule)
+/// are filed under this id, which no fact ever has.
+const NO_FACT: FactId = FactId(u64::MAX);
+
 /// Bounded diagnostic trace: a ring buffer of the most recent entries.
+/// Entries are shared strings so a firing records its rule's name by
+/// cloning a pointer.
 #[derive(Debug)]
 struct TraceBuffer {
-    buf: VecDeque<String>,
+    buf: VecDeque<Arc<str>>,
     capacity: usize,
     dropped: u64,
 }
@@ -127,7 +150,7 @@ impl Default for TraceBuffer {
 }
 
 impl TraceBuffer {
-    fn push(&mut self, entry: String) {
+    fn push(&mut self, entry: Arc<str>) {
         while self.buf.len() >= self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -145,43 +168,53 @@ impl TraceBuffer {
 
     fn take(&mut self) -> Vec<String> {
         self.dropped = 0;
-        std::mem::take(&mut self.buf).into_iter().collect()
+        self.buf.drain(..).map(|s| s.to_string()).collect()
     }
+}
+
+/// A fired rule's right-hand side with every term resolved, ready to run.
+#[derive(Debug)]
+enum Effect {
+    Assert(Fact),
+    Retract(FactId),
+    Modify(FactId, Vec<(String, Value)>),
+    Call(Invocation),
 }
 
 /// The inference engine: rule base + fact repository + persistent agenda.
 #[derive(Debug, Default)]
 pub struct Engine {
     facts: FactStore,
-    /// Rule slots by stable index; removal tombstones (`None`) so
-    /// indices — and the definition-order tie-break — never shift.
+    /// Rule slots by stable index, in source form (what the naive oracle
+    /// matches); removal tombstones (`None`) so indices — and the
+    /// definition-order tie-break — never shift.
     rules: Vec<Option<Rule>>,
+    /// The same slots compiled (what the incremental matcher runs).
     compiled: Vec<CompiledRule>,
     /// Rule name → stable index (O(1) add/remove/replace by name).
     ix_by_name: HashMap<String, RuleIx>,
     live_rules: usize,
     /// Template → rules with a positive CE on it: which rules to re-seed
-    /// when a fact of that template is asserted.
-    pos_triggers: HashMap<TemplateId, Vec<RuleIx>>,
+    /// when a fact of that template is asserted. Indexed by `TemplateId`.
+    pos_triggers: Vec<Vec<RuleIx>>,
     /// Template → rules with a negated CE on it: which rules to
     /// re-evaluate when a fact of that template changes either way.
-    neg_triggers: HashMap<TemplateId, Vec<RuleIx>>,
+    neg_triggers: Vec<Vec<RuleIx>>,
     /// The persistent agenda: pending activations in conflict-resolution
-    /// order. `last_key_value` is the next rule to fire.
-    agenda: BTreeMap<AgendaKey, Bindings>,
-    /// Fact → agenda entries matching it, so a retract removes exactly
-    /// the affected activations.
-    agenda_by_fact: HashMap<FactId, HashSet<AgendaKey>>,
+    /// order. `last` is the next rule to fire.
+    agenda: BTreeSet<AgendaKey>,
+    /// (fact, agenda entry matching it), so a retract removes exactly
+    /// the affected activations with a range scan.
+    agenda_by_fact: BTreeSet<(FactId, AgendaKey)>,
     /// Refraction memory: (rule, positive fact ids) combinations that
-    /// already fired. Cleared per-fact on retraction so re-asserted
-    /// facts re-activate rules, as in CLIPS.
-    fired: HashSet<(RuleIx, IdVec)>,
-    /// Fact → refraction entries mentioning it (retraction cleanup
-    /// without walking the whole `fired` set).
-    fired_by_fact: HashMap<FactId, Vec<(RuleIx, IdVec)>>,
-    /// Firings per rule, so removing a never-fired rule skips the
-    /// refraction sweep entirely.
-    fired_per_rule: HashMap<RuleIx, u64>,
+    /// already fired, filed once under each of their facts (under
+    /// [`NO_FACT`] when there are none) so a retraction drops exactly
+    /// the entries mentioning the fact — re-asserted facts re-activate
+    /// rules, as in CLIPS.
+    fired: BTreeSet<(FactId, RuleIx, IdVec)>,
+    /// Live refraction entries per rule, so removing a never-fired rule
+    /// skips the refraction sweep entirely.
+    fired_per_rule: Vec<u64>,
     /// Commands emitted by fired rules, awaiting the embedding component.
     outbox: Vec<Invocation>,
     /// Bounded diagnostic trace of fired rule names (plus warnings).
@@ -198,10 +231,17 @@ pub struct Engine {
     /// Reusable join buffers (see [`JoinScratch`]).
     scratch: JoinScratch,
     /// Reusable activation buffer for seeded joins and reconciliation.
-    acts_buf: Vec<(IdVec, Bindings)>,
+    acts_buf: Vec<IdVec>,
+    /// Reusable buffer for a firing's resolved right-hand side.
+    effects_buf: Vec<Effect>,
     /// Per-phase wall-clock accumulators; `None` when profiling is off
     /// (the default — no clock reads on the hot path).
     profile: Option<PhaseProfile>,
+}
+
+/// The trigger list of one template (empty for a template no rule names).
+fn triggers(by_tmpl: &[Vec<RuleIx>], tid: TemplateId) -> &[RuleIx] {
+    by_tmpl.get(tid.0 as usize).map_or(&[], Vec::as_slice)
 }
 
 impl Engine {
@@ -213,47 +253,47 @@ impl Engine {
     /// Add a rule. Replaces any existing rule with the same name in
     /// place (dynamic rule distribution: managers receive updated rules
     /// at run time), keeping its definition order and refraction history.
+    /// The rule is compiled here, once; equality-join indexes for slots
+    /// it is the first to probe are built from the facts already present.
     pub fn add_rule(&mut self, rule: Rule) {
-        match self.ix_by_name.get(&rule.name).copied() {
+        let compiled = CompiledRule::compile(&rule, &mut self.facts);
+        let ix = match self.ix_by_name.get(&rule.name).copied() {
             Some(ix) => {
-                self.unregister_triggers(ix);
+                self.set_triggers(ix, false);
                 self.clear_rule_agenda(ix);
-                let compiled = self.compile(&rule);
                 self.rules[ix as usize] = Some(rule);
                 self.compiled[ix as usize] = compiled;
-                self.register_triggers(ix);
-                if !self.naive {
-                    self.reconcile_rule(ix);
-                }
+                ix
             }
             None => {
                 let ix = self.rules.len() as RuleIx;
-                let compiled = self.compile(&rule);
                 self.ix_by_name.insert(rule.name.clone(), ix);
                 self.rules.push(Some(rule));
                 self.compiled.push(compiled);
+                self.fired_per_rule.push(0);
                 self.live_rules += 1;
-                self.register_triggers(ix);
-                if !self.naive {
-                    self.reconcile_rule(ix);
-                }
+                ix
             }
+        };
+        self.set_triggers(ix, true);
+        if !self.naive {
+            self.reconcile_rule(ix);
         }
     }
 
     /// Remove a rule by name; true if it existed. O(name lookup +
     /// pending activations); the refraction memory is swept only if the
-    /// rule ever fired.
+    /// rule has live refraction entries.
     pub fn remove_rule(&mut self, name: &str) -> bool {
         let Some(ix) = self.ix_by_name.remove(name) else {
             return false;
         };
-        self.unregister_triggers(ix);
+        self.set_triggers(ix, false);
         self.clear_rule_agenda(ix);
         self.rules[ix as usize] = None;
         self.live_rules -= 1;
-        if self.fired_per_rule.remove(&ix).is_some_and(|n| n > 0) {
-            self.fired.retain(|(r, _)| *r != ix);
+        if std::mem::take(&mut self.fired_per_rule[ix as usize]) > 0 {
+            self.fired.retain(|(_, r, _)| *r != ix);
         }
         true
     }
@@ -287,29 +327,30 @@ impl Engine {
     /// negation).
     pub fn retract(&mut self, id: FactId) -> Option<Fact> {
         let (fact, tid) = self.facts.retract_interned(id)?;
-        if let Some(keys) = self.fired_by_fact.remove(&id) {
-            for key in keys {
-                if self.fired.remove(&key) {
-                    if let Some(n) = self.fired_per_rule.get_mut(&key.0) {
-                        *n = n.saturating_sub(1);
-                    }
-                }
+        while let Some((_, ix, ids)) = self
+            .fired
+            .range((id, 0, IdVec::new())..)
+            .next()
+            .filter(|e| e.0 == id)
+            .cloned()
+        {
+            for &other in ids.as_slice() {
+                self.fired.remove(&(other, ix, ids.clone()));
             }
+            self.fired_per_rule[ix as usize] -= 1;
         }
         if !self.naive {
-            if let Some(keys) = self.agenda_by_fact.remove(&id) {
-                for key in keys {
-                    self.agenda.remove(&key);
-                    for &other in key.ids.0.as_slice() {
-                        if other != id {
-                            self.unindex_agenda_fact(other, &key);
-                        }
-                    }
-                }
+            while let Some((_, key)) = self
+                .agenda_by_fact
+                .range((id, AgendaKey::floor())..)
+                .next()
+                .filter(|e| e.0 == id)
+                .cloned()
+            {
+                self.agenda_remove(&key);
             }
-            let neg: Vec<RuleIx> = self.neg_triggers.get(&tid).cloned().unwrap_or_default();
-            for ix in neg {
-                self.reconcile_rule(ix);
+            for i in 0..triggers(&self.neg_triggers, tid).len() {
+                self.reconcile_rule(self.neg_triggers[tid.0 as usize][i]);
             }
         }
         Some(fact)
@@ -328,19 +369,26 @@ impl Engine {
 
     /// Retract all facts of `template` whose `slot` equals `value`
     /// (e.g. clearing a process's stale telemetry before asserting a
-    /// fresh report). Returns how many facts were retracted.
+    /// fresh report). Returns how many facts were retracted. Looks the
+    /// facts up in the equality-join index, so calling this registers
+    /// `(template, slot)` as probed.
     pub fn retract_matching(&mut self, template: &str, slot: &str, value: &Value) -> usize {
-        let ids: Vec<FactId> = self
-            .facts
-            .by_template(template)
-            .filter(|(_, f)| f.get(slot).is_some_and(|v| v.loose_eq(value)))
-            .map(|(id, _)| id)
-            .collect();
-        let n = ids.len();
-        for id in ids {
+        let Some(tid) = self.facts.template_id(template) else {
+            return 0;
+        };
+        let index = self.facts.probe_slot(tid, slot);
+        let mut ids = IdVec::new();
+        for &id in self.facts.ids_with_slot(tid, index, value) {
+            let fact = self.facts.get(id).expect("index ids are live");
+            // The bucket is keyed by hash: re-verify.
+            if fact.get(slot).is_some_and(|v| v.loose_eq(value)) {
+                ids.push(id);
+            }
+        }
+        for &id in ids.as_slice() {
             self.retract(id);
         }
-        n
+        ids.as_slice().len()
     }
 
     /// Working-memory access.
@@ -356,7 +404,7 @@ impl Engine {
     /// The retained diagnostic trace (most recent
     /// [`DEFAULT_TRACE_CAPACITY`] entries unless resized), oldest first.
     pub fn trace(&self) -> impl Iterator<Item = &str> {
-        self.trace.buf.iter().map(String::as_str)
+        self.trace.buf.iter().map(|s| &**s)
     }
 
     /// Drain the retained trace, resetting the dropped-entry counter.
@@ -458,13 +506,13 @@ impl Engine {
     /// triggered by the rule's own asserts/retracts lands in those
     /// counters while firing, so it is subtracted from the wall time
     /// charged to the fire phase.
-    fn fire_timed(&mut self, ix: RuleIx, fact_ids: &[FactId], bindings: &Bindings) {
+    fn fire_timed(&mut self, ix: RuleIx, fact_ids: &[FactId]) {
         let Some(before) = self.profile else {
-            self.fire(ix, fact_ids, bindings);
+            self.fire(ix, fact_ids);
             return;
         };
         let t = std::time::Instant::now();
-        self.fire(ix, fact_ids, bindings);
+        self.fire(ix, fact_ids);
         let elapsed = t.elapsed().as_nanos() as u64;
         if let Some(p) = self.profile.as_mut() {
             let nested = (p.match_ns - before.match_ns) + (p.agenda_ns - before.agenda_ns);
@@ -486,26 +534,16 @@ impl Engine {
             }
             stats.cycles += 1;
             let t_agenda = self.prof_now();
-            let Some((key, bindings)) = self
-                .agenda
-                .last_key_value()
-                .map(|(k, b)| (k.clone(), b.clone()))
-            else {
+            let Some(key) = self.agenda.pop_last() else {
                 break;
             };
-            self.agenda_remove(&key);
+            self.unindex_agenda(&key);
             self.prof_add_agenda(t_agenda);
             let ix = key.rule.0;
             let ids = key.ids.0;
-            self.record_fired(ix, ids.clone());
-            let name = self.rules[ix as usize]
-                .as_ref()
-                .expect("agenda entries only for live rules")
-                .name
-                .clone();
-            self.trace.push(name);
+            self.record_fired(ix, &ids);
             stats.fired += 1;
-            self.fire_timed(ix, ids.as_slice(), &bindings);
+            self.fire_timed(ix, ids.as_slice());
         }
         stats.activations = std::mem::take(&mut self.join_work);
         stats.peak_agenda = std::mem::take(&mut self.peak_agenda_acc);
@@ -526,22 +564,20 @@ impl Engine {
             let t_match = self.prof_now();
             let mut work = 0u64;
             let mut agenda = 0u64;
-            let mut best: Option<(RuleIx, Vec<FactId>, Bindings)> = None;
             type NaiveKey = (i32, FactId, Reverse<RuleIx>, Reverse<Vec<FactId>>);
-            let mut best_key: Option<NaiveKey> = None;
+            let mut best: Option<NaiveKey> = None;
             for (ix, rule) in self.rules.iter().enumerate() {
                 let Some(rule) = rule else { continue };
                 let ix = ix as RuleIx;
-                for (ids, bindings) in join_naive(rule, &self.facts, &mut work) {
-                    if self.fired.contains(&(ix, IdVec::from_slice(&ids))) {
+                for (ids, _) in rule.activations_counting(&self.facts, &mut work) {
+                    if self.has_fired(ix, &ids) {
                         continue;
                     }
                     agenda += 1;
                     let recency = ids.iter().copied().max().unwrap_or(FactId(0));
-                    let key = (rule.salience, recency, Reverse(ix), Reverse(ids.clone()));
-                    if best_key.as_ref().is_none_or(|bk| key > *bk) {
-                        best_key = Some(key);
-                        best = Some((ix, ids, bindings));
+                    let key = (rule.salience, recency, Reverse(ix), Reverse(ids));
+                    if best.as_ref().is_none_or(|bk| key > *bk) {
+                        best = Some(key);
                     }
                 }
             }
@@ -549,119 +585,62 @@ impl Engine {
             self.join_work_total += work;
             stats.activations += work;
             stats.peak_agenda = stats.peak_agenda.max(agenda);
-            let Some((ix, ids, bindings)) = best else {
+            let Some((_, _, Reverse(ix), Reverse(ids))) = best else {
                 return stats;
             };
-            self.record_fired(ix, IdVec::from_slice(&ids));
-            let name = self.rules[ix as usize]
-                .as_ref()
-                .expect("selected rule exists")
-                .name
-                .clone();
-            self.trace.push(name);
+            self.record_fired(ix, &IdVec::from_slice(&ids));
             stats.fired += 1;
-            self.fire_timed(ix, &ids, &bindings);
+            self.fire_timed(ix, &ids);
         }
     }
 
     // --- Incremental matching internals. ---
 
-    fn compile(&mut self, rule: &Rule) -> CompiledRule {
-        let mut c = CompiledRule::default();
-        for ce in &rule.ces {
-            match ce {
-                Ce::Pos(p) => {
-                    let tid = self.facts.intern_template(&p.template);
-                    c.ce_tids.push(Some(tid));
-                    if !c.pos_tmpls.contains(&tid) {
-                        c.pos_tmpls.push(tid);
-                    }
+    /// Enter (`on`) or drop rule `ix` in the trigger lists of the
+    /// templates its condition elements name.
+    fn set_triggers(&mut self, ix: RuleIx, on: bool) {
+        let c = &self.compiled[ix as usize];
+        for (tmpls, by_tmpl) in [
+            (&c.pos_tmpls, &mut self.pos_triggers),
+            (&c.neg_tmpls, &mut self.neg_triggers),
+        ] {
+            for t in tmpls {
+                let t = t.0 as usize;
+                if by_tmpl.len() <= t {
+                    by_tmpl.resize_with(t + 1, Vec::new);
                 }
-                Ce::Neg(p) => {
-                    let tid = self.facts.intern_template(&p.template);
-                    c.ce_tids.push(Some(tid));
-                    if !c.neg_tmpls.contains(&tid) {
-                        c.neg_tmpls.push(tid);
-                    }
+                by_tmpl[t].retain(|&r| r != ix);
+                if on {
+                    by_tmpl[t].push(ix);
                 }
-                Ce::Test(_) => c.ce_tids.push(None),
-            }
-        }
-        c
-    }
-
-    fn register_triggers(&mut self, ix: RuleIx) {
-        let c = self.compiled[ix as usize].clone();
-        for t in c.pos_tmpls {
-            let v = self.pos_triggers.entry(t).or_default();
-            if !v.contains(&ix) {
-                v.push(ix);
-            }
-        }
-        for t in c.neg_tmpls {
-            let v = self.neg_triggers.entry(t).or_default();
-            if !v.contains(&ix) {
-                v.push(ix);
             }
         }
     }
 
-    fn unregister_triggers(&mut self, ix: RuleIx) {
-        let c = self.compiled[ix as usize].clone();
-        for t in c.pos_tmpls {
-            if let Some(v) = self.pos_triggers.get_mut(&t) {
-                v.retain(|&r| r != ix);
-            }
-        }
-        for t in c.neg_tmpls {
-            if let Some(v) = self.neg_triggers.get_mut(&t) {
-                v.retain(|&r| r != ix);
-            }
-        }
-    }
-
-    fn make_key(&self, ix: RuleIx, salience: i32, ids: IdVec) -> AgendaKey {
-        AgendaKey {
-            salience,
-            recency: ids.recency(),
-            rule: Reverse(ix),
-            ids: Reverse(ids),
-        }
-    }
-
-    fn agenda_insert(&mut self, key: AgendaKey, bindings: Bindings) {
+    fn agenda_insert(&mut self, key: AgendaKey) {
         for &id in key.ids.0.as_slice() {
-            self.agenda_by_fact
-                .entry(id)
-                .or_default()
-                .insert(key.clone());
+            self.agenda_by_fact.insert((id, key.clone()));
         }
-        self.agenda.insert(key, bindings);
+        self.agenda.insert(key);
         self.peak_agenda_acc = self.peak_agenda_acc.max(self.agenda.len() as u64);
     }
 
     fn agenda_remove(&mut self, key: &AgendaKey) {
-        if self.agenda.remove(key).is_none() {
-            return;
-        }
-        for &id in key.ids.0.as_slice() {
-            self.unindex_agenda_fact(id, key);
+        if self.agenda.remove(key) {
+            self.unindex_agenda(key);
         }
     }
 
-    fn unindex_agenda_fact(&mut self, id: FactId, key: &AgendaKey) {
-        if let Some(set) = self.agenda_by_fact.get_mut(&id) {
-            set.remove(key);
-            if set.is_empty() {
-                self.agenda_by_fact.remove(&id);
-            }
+    fn unindex_agenda(&mut self, key: &AgendaKey) {
+        for &id in key.ids.0.as_slice() {
+            self.agenda_by_fact.remove(&(id, key.clone()));
         }
     }
 
     fn clear_rule_agenda(&mut self, ix: RuleIx) {
         let stale: Vec<AgendaKey> = self
             .agenda
-            .keys()
+            .iter()
             .filter(|k| k.rule.0 == ix)
             .cloned()
             .collect();
@@ -680,17 +659,16 @@ impl Engine {
     /// for rules with positive patterns on it — only combinations
     /// containing the new fact are examined.
     fn propagate_assert(&mut self, id: FactId, tid: TemplateId) {
-        let neg: Vec<RuleIx> = self.neg_triggers.get(&tid).cloned().unwrap_or_default();
-        for &ix in &neg {
-            self.reconcile_rule(ix);
+        let t = tid.0 as usize;
+        for i in 0..triggers(&self.neg_triggers, tid).len() {
+            self.reconcile_rule(self.neg_triggers[t][i]);
         }
-        if let Some(pos) = self.pos_triggers.get(&tid).cloned() {
-            for ix in pos {
-                if neg.contains(&ix) {
-                    continue; // already fully re-evaluated
-                }
-                self.seed_rule(ix, tid, id);
+        for i in 0..triggers(&self.pos_triggers, tid).len() {
+            let ix = self.pos_triggers[t][i];
+            if triggers(&self.neg_triggers, tid).contains(&ix) {
+                continue; // already fully re-evaluated
             }
+            self.seed_rule(ix, tid, id);
         }
     }
 
@@ -701,38 +679,33 @@ impl Engine {
     fn seed_rule(&mut self, ix: RuleIx, tid: TemplateId, seed: FactId) {
         let t_match = self.prof_now();
         let mut acts = std::mem::take(&mut self.acts_buf);
-        acts.clear();
-        let (work, salience) = {
-            let rule = self.rules[ix as usize].as_ref().expect("live rule");
-            let compiled = &self.compiled[ix as usize];
-            let mut work = 0u64;
-            let mut pos_ix = 0usize;
-            for (ce_i, ce) in rule.ces.iter().enumerate() {
-                if matches!(ce, Ce::Pos(_)) {
-                    if compiled.ce_tids[ce_i] == Some(tid) {
-                        join_compiled(
-                            rule,
-                            compiled,
-                            &self.facts,
-                            Some((pos_ix, seed)),
-                            &mut work,
-                            &mut self.scratch,
-                            &mut acts,
-                        );
-                    }
-                    pos_ix += 1;
+        let rule = &self.compiled[ix as usize];
+        let salience = rule.salience;
+        let mut work = 0u64;
+        let mut pos_ix = 0usize;
+        for ce in &rule.ces {
+            if let CCe::Pos(p) = ce {
+                if p.tid == tid {
+                    let seed = Some((pos_ix, seed));
+                    join(
+                        rule,
+                        &self.facts,
+                        seed,
+                        &mut work,
+                        &mut self.scratch,
+                        &mut acts,
+                    );
                 }
+                pos_ix += 1;
             }
-            (work, rule.salience)
-        };
+        }
         self.prof_add_match(t_match);
         self.note_work(work);
         let t_agenda = self.prof_now();
-        for (ids, bindings) in acts.drain(..) {
+        for ids in acts.drain(..) {
             // The activation contains the brand-new fact, so it can be in
             // neither the refraction memory nor the agenda already.
-            let key = self.make_key(ix, salience, ids);
-            self.agenda_insert(key, bindings);
+            self.agenda_insert(AgendaKey::new(ix, salience, ids));
         }
         self.acts_buf = acts;
         self.prof_add_agenda(t_agenda);
@@ -744,45 +717,38 @@ impl Engine {
     fn reconcile_rule(&mut self, ix: RuleIx) {
         let t_match = self.prof_now();
         let mut acts = std::mem::take(&mut self.acts_buf);
-        acts.clear();
-        let (work, salience) = {
-            let rule = self.rules[ix as usize].as_ref().expect("live rule");
-            let compiled = &self.compiled[ix as usize];
-            let mut work = 0u64;
-            join_compiled(
-                rule,
-                compiled,
-                &self.facts,
-                None,
-                &mut work,
-                &mut self.scratch,
-                &mut acts,
-            );
-            (work, rule.salience)
-        };
+        let rule = &self.compiled[ix as usize];
+        let salience = rule.salience;
+        let mut work = 0u64;
+        join(
+            rule,
+            &self.facts,
+            None,
+            &mut work,
+            &mut self.scratch,
+            &mut acts,
+        );
         self.prof_add_match(t_match);
         self.note_work(work);
         let t_agenda = self.prof_now();
-        let mut fresh: HashMap<AgendaKey, Bindings> = HashMap::with_capacity(acts.len());
-        for (ids, bindings) in acts.drain(..) {
-            fresh.insert(self.make_key(ix, salience, ids), bindings);
-        }
+        let mut fresh: Vec<AgendaKey> = acts
+            .drain(..)
+            .map(|ids| AgendaKey::new(ix, salience, ids))
+            .collect();
         self.acts_buf = acts;
+        fresh.sort_unstable();
         let stale: Vec<AgendaKey> = self
             .agenda
-            .keys()
-            .filter(|k| k.rule.0 == ix && !fresh.contains_key(k))
+            .iter()
+            .filter(|k| k.rule.0 == ix && fresh.binary_search(k).is_err())
             .cloned()
             .collect();
         for key in stale {
             self.agenda_remove(&key);
         }
-        for (key, bindings) in fresh {
-            if self.fired.contains(&(ix, key.ids.0.clone())) {
-                continue;
-            }
-            if !self.agenda.contains_key(&key) {
-                self.agenda_insert(key, bindings);
+        for key in fresh {
+            if !self.has_fired(ix, key.ids.0.as_slice()) && !self.agenda.contains(&key) {
+                self.agenda_insert(key);
             }
         }
         self.prof_add_agenda(t_agenda);
@@ -798,227 +764,174 @@ impl Engine {
         }
     }
 
-    fn record_fired(&mut self, ix: RuleIx, ids: IdVec) {
-        for &id in ids.as_slice() {
-            self.fired_by_fact
-                .entry(id)
-                .or_default()
-                .push((ix, ids.clone()));
-        }
-        *self.fired_per_rule.entry(ix).or_insert(0) += 1;
-        self.fired.insert((ix, ids));
+    fn has_fired(&self, ix: RuleIx, ids: &[FactId]) -> bool {
+        let anchor = ids.first().copied().unwrap_or(NO_FACT);
+        self.fired.contains(&(anchor, ix, IdVec::from_slice(ids)))
     }
 
-    fn fire(&mut self, ix: RuleIx, fact_ids: &[FactId], bindings: &Bindings) {
-        let rule = self.rules[ix as usize].as_ref().expect("fired rule exists");
-        let actions = rule.actions.clone();
-        debug_assert_eq!(rule.pos_ce_count(), fact_ids.len());
-        for action in actions {
+    /// Enter `(ix, ids)` in the refraction memory and the firing trace.
+    fn record_fired(&mut self, ix: RuleIx, ids: &IdVec) {
+        for &id in ids.as_slice() {
+            self.fired.insert((id, ix, ids.clone()));
+        }
+        if ids.is_empty() {
+            self.fired.insert((NO_FACT, ix, ids.clone()));
+        }
+        self.fired_per_rule[ix as usize] += 1;
+        self.trace
+            .push(Arc::clone(&self.compiled[ix as usize].name));
+    }
+
+    /// Execute a rule's right-hand side for the activation `fact_ids`.
+    /// Every term is resolved from the matched facts *before* any action
+    /// runs, so a `retract`/`modify` early in the RHS cannot unbind what
+    /// a later action reads; each value is cloned once, into the fact or
+    /// invocation that carries it out.
+    fn fire(&mut self, ix: RuleIx, fact_ids: &[FactId]) {
+        let mut effects = std::mem::take(&mut self.effects_buf);
+        let row = Row {
+            facts: &self.facts,
+            ids: fact_ids,
+            cand: None,
+        };
+        for action in &self.compiled[ix as usize].actions {
             match action {
-                Action::Assert { template, slots } => {
-                    let mut fact = Fact::new(template);
-                    for (slot, term) in slots {
-                        match term.resolve(bindings) {
+                CAction::Assert { template, slots } => {
+                    let mut fact = Fact::new(template.as_str());
+                    for (slot, v) in resolve_slots(slots, row) {
+                        match v {
                             Some(v) => {
-                                fact.slots.insert(slot, v);
+                                fact.slots.insert(slot.clone(), v);
                             }
-                            None => {
-                                // Unbound variable in RHS: record and skip
-                                // the slot rather than aborting the run.
-                                self.trace.push(format!(
-                                    "warning: unbound variable in assert of ({})",
-                                    fact.template
-                                ));
-                            }
+                            // Unbound variable in RHS: record and skip
+                            // the slot rather than aborting the run.
+                            None => self.trace.push(
+                                format!("warning: unbound variable in assert of ({template})")
+                                    .into(),
+                            ),
                         }
                     }
-                    self.assert_fact(fact);
+                    effects.push(Effect::Assert(fact));
                 }
-                Action::Retract(pos_ix) => {
-                    if let Some(&id) = fact_ids.get(pos_ix) {
-                        self.retract(id);
+                CAction::Retract(pos_ix) => {
+                    if let Some(&id) = fact_ids.get(*pos_ix) {
+                        effects.push(Effect::Retract(id));
                     }
                 }
-                Action::Modify { pos_index, slots } => {
-                    if let Some(&id) = fact_ids.get(pos_index) {
-                        if let Some(mut fact) = self.retract(id) {
-                            for (slot, term) in slots {
-                                if let Some(v) = term.resolve(bindings) {
-                                    fact.slots.insert(slot, v);
-                                }
-                            }
-                            self.assert_fact(fact);
-                        }
+                CAction::Modify { pos_index, slots } => {
+                    if let Some(&id) = fact_ids.get(*pos_index) {
+                        let slots = resolve_slots(slots, row)
+                            .filter_map(|(slot, v)| Some((slot.clone(), v?)))
+                            .collect();
+                        effects.push(Effect::Modify(id, slots));
                     }
                 }
-                Action::Call { command, args } => {
-                    let resolved: Vec<Value> =
-                        args.iter().filter_map(|t| t.resolve(bindings)).collect();
-                    self.outbox.push(Invocation {
-                        command,
-                        args: resolved,
-                    });
-                }
+                CAction::Call { command, args } => effects.push(Effect::Call(Invocation {
+                    command: command.clone(),
+                    args: args
+                        .iter()
+                        .filter_map(|t| t.resolve(row).cloned())
+                        .collect(),
+                })),
             }
         }
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Assert(fact) => {
+                    self.assert_fact(fact);
+                }
+                Effect::Retract(id) => {
+                    self.retract(id);
+                }
+                Effect::Modify(id, slots) => {
+                    if let Some(mut fact) = self.retract(id) {
+                        fact.slots.extend(slots);
+                        self.assert_fact(fact);
+                    }
+                }
+                Effect::Call(inv) => self.outbox.push(inv),
+            }
+        }
+        self.effects_buf = effects;
     }
+}
+
+/// A right-hand side's `(slot, term)` list with each term resolved.
+fn resolve_slots<'a>(
+    slots: &'a [(String, CTerm)],
+    row: Row<'a>,
+) -> impl Iterator<Item = (&'a String, Option<Value>)> {
+    slots
+        .iter()
+        .map(move |(slot, term)| (slot, term.resolve(row).cloned()))
 }
 
 /// Left-to-right join over the alpha memories, optionally pinning one
-/// positive CE position to a single seed fact. `work` counts every
-/// candidate fact examined. Appends complete matches to `out`. The
-/// intermediate partial-match vectors live in `scratch` and are reused
-/// across calls.
-/// The candidate list for one positive/negated CE under bindings `b`:
-/// probe the store's equality-join index with the first slot pinned by a
-/// constant or an already-bound variable (an indexed Rete alpha memory —
-/// the bucket holds only facts that can satisfy that slot), falling back
-/// to the full alpha memory when nothing is pinned. Candidates are
-/// always re-verified by `match_slots`, so a probe changes which facts
-/// are *examined*, never which activations result.
-fn join_candidates<'f>(
-    p: &Pattern,
-    b: &Bindings,
-    facts: &'f FactStore,
-    tid: TemplateId,
-) -> &'f [FactId] {
-    for (slot, test) in &p.tests {
-        let pinned = match test {
-            SlotTest::Const(v) | SlotTest::Cmp(CmpOp::Eq, v) => Some(v),
-            SlotTest::Var(name) => b.get(name),
-            SlotTest::Cmp(..) => None,
-        };
-        if let Some(v) = pinned {
-            return facts.ids_with_slot(tid, slot, v);
-        }
-    }
-    facts.ids_of(tid)
-}
-
-fn join_compiled(
-    rule: &Rule,
-    compiled: &CompiledRule,
+/// positive CE position to a single seed fact. A partial match is the ids
+/// matched so far; `work` counts every candidate fact examined. Appends
+/// complete matches to `out`. The intermediate partial-match vectors
+/// live in `scratch` and are reused across calls.
+fn join(
+    rule: &CompiledRule,
     facts: &FactStore,
     seed: Option<(usize, FactId)>,
     work: &mut u64,
     scratch: &mut JoinScratch,
-    out: &mut Vec<(IdVec, Bindings)>,
+    out: &mut Vec<IdVec>,
 ) {
-    let partial = &mut scratch.partial;
-    let next = &mut scratch.next;
+    let JoinScratch { partial, next } = scratch;
     partial.clear();
-    partial.push((IdVec::new(), Bindings::new()));
+    partial.push(IdVec::new());
     let mut pos_ix = 0usize;
-    for (ce_i, ce) in rule.ces.iter().enumerate() {
+    for ce in &rule.ces {
         match ce {
-            Ce::Pos(p) => {
-                let tid = compiled.ce_tids[ce_i].expect("positive CE has a template");
+            CCe::Pos(p) => {
                 let pinned = seed.and_then(|(s_pos, s_id)| (s_pos == pos_ix).then_some(s_id));
                 next.clear();
-                for (ids, b) in partial.iter() {
-                    match pinned {
-                        Some(s_id) => {
-                            *work += 1;
-                            if !ids.contains(s_id) {
-                                if let Some(fact) = facts.get(s_id) {
-                                    if let Some(nb) = p.match_slots(fact, b) {
-                                        let mut nids = ids.clone();
-                                        nids.push(s_id);
-                                        next.push((nids, nb));
-                                    }
-                                }
-                            }
+                for ids in partial.iter() {
+                    let candidates = match &pinned {
+                        Some(s_id) => std::slice::from_ref(s_id),
+                        None => p.candidates(ids.as_slice(), facts),
+                    };
+                    for &fid in candidates {
+                        *work += 1;
+                        // A fact may not be matched twice by one rule
+                        // instantiation; a pinned seed may be long gone.
+                        if ids.contains(fid) {
+                            continue;
                         }
-                        None => {
-                            for &fid in join_candidates(p, b, facts, tid) {
-                                *work += 1;
-                                if ids.contains(fid) {
-                                    // A fact may not be matched twice by
-                                    // one rule instantiation.
-                                    continue;
-                                }
-                                let fact = facts.get(fid).expect("index ids are live");
-                                if let Some(nb) = p.match_slots(fact, b) {
-                                    let mut nids = ids.clone();
-                                    nids.push(fid);
-                                    next.push((nids, nb));
-                                }
-                            }
+                        let Some(fact) = facts.get(fid) else { continue };
+                        if p.matches(fact, ids.as_slice(), facts) {
+                            let mut nids = ids.clone();
+                            nids.push(fid);
+                            next.push(nids);
                         }
                     }
                 }
                 std::mem::swap(partial, next);
                 pos_ix += 1;
             }
-            Ce::Neg(p) => {
-                let tid = compiled.ce_tids[ce_i].expect("negated CE has a template");
-                partial.retain(|(_, b)| {
-                    let mut blocked = false;
-                    for &fid in join_candidates(p, b, facts, tid) {
-                        *work += 1;
-                        let fact = facts.get(fid).expect("index ids are live");
-                        if p.match_slots(fact, b).is_some() {
-                            blocked = true;
-                            break;
-                        }
-                    }
-                    !blocked
-                });
-            }
-            Ce::Test(t) => partial.retain(|(_, b)| t.eval(b)),
+            CCe::Neg(p) => partial.retain(|ids| {
+                let ids = ids.as_slice();
+                !p.candidates(ids, facts).iter().any(|&fid| {
+                    *work += 1;
+                    let fact = facts.get(fid).expect("index ids are live");
+                    p.matches(fact, ids, facts)
+                })
+            }),
+            CCe::Test(t) => partial.retain(|ids| {
+                t.eval(Row {
+                    facts,
+                    ids: ids.as_slice(),
+                    cand: None,
+                })
+            }),
         }
         if partial.is_empty() {
             return;
         }
     }
     out.append(partial);
-}
-
-/// The seed algorithm's join: re-derives every activation from a full
-/// scan of working memory, per condition element, per partial match —
-/// `work` counts each fact visited, template matches and misses alike
-/// (that is what the original matcher examined each cycle).
-fn join_naive(rule: &Rule, facts: &FactStore, work: &mut u64) -> Vec<(Vec<FactId>, Bindings)> {
-    let mut partial: Vec<(Vec<FactId>, Bindings)> = vec![(Vec::new(), Bindings::new())];
-    for ce in &rule.ces {
-        match ce {
-            Ce::Pos(p) => {
-                let mut next = Vec::new();
-                for (ids, b) in &partial {
-                    for (fid, fact) in facts.iter() {
-                        *work += 1;
-                        if fact.template != p.template || ids.contains(&fid) {
-                            continue;
-                        }
-                        if let Some(nb) = p.match_slots(fact, b) {
-                            let mut nids = ids.clone();
-                            nids.push(fid);
-                            next.push((nids, nb));
-                        }
-                    }
-                }
-                partial = next;
-            }
-            Ce::Neg(p) => {
-                partial.retain(|(_, b)| {
-                    let mut blocked = false;
-                    for (_, fact) in facts.iter() {
-                        *work += 1;
-                        if fact.template == p.template && p.match_slots(fact, b).is_some() {
-                            blocked = true;
-                            break;
-                        }
-                    }
-                    !blocked
-                });
-            }
-            Ce::Test(t) => partial.retain(|(_, b)| t.eval(b)),
-        }
-        if partial.is_empty() {
-            break;
-        }
-    }
-    partial
 }
 
 #[cfg(test)]
@@ -1336,6 +1249,42 @@ mod tests {
         e.assert_fact(Fact::new("violation").with("pid", 3).with("buffer", 70));
         e.run(100);
         assert_eq!(e.phase_profile(), PhaseProfile::default());
+    }
+
+    /// `retract_matching` looks its facts up in the equality-join index;
+    /// the result must be exactly what a scan of the template's alpha
+    /// memory with `loose_eq` finds, Int↔Float coercion included.
+    #[test]
+    fn retract_matching_agrees_with_an_alpha_memory_scan() {
+        let values = [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(2),
+            Value::Float(2.5),
+            Value::str("1"),
+            Value::sym("1"),
+            Value::Bool(true),
+        ];
+        for probe in &values {
+            let mut e = Engine::new();
+            for (n, v) in values.iter().enumerate() {
+                e.assert_fact(Fact::new("m").with("k", v.clone()).with("n", n as i64));
+            }
+            e.assert_fact(Fact::new("m").with("n", 99)); // no `k` at all
+            e.assert_fact(Fact::new("other").with("k", probe.clone()));
+            let scan: Vec<FactId> = e
+                .facts()
+                .by_template("m")
+                .filter(|(_, f)| f.get("k").is_some_and(|v| v.loose_eq(probe)))
+                .map(|(id, _)| id)
+                .collect();
+            assert!(!scan.is_empty());
+            assert_eq!(e.retract_matching("m", "k", probe), scan.len(), "{probe}");
+            assert!(scan.iter().all(|&id| e.facts().get(id).is_none()));
+            assert_eq!(e.facts().len(), values.len() + 2 - scan.len());
+            assert_eq!(e.retract_matching("m", "k", probe), 0, "all gone");
+            assert_eq!(e.retract_matching("nothing", "k", probe), 0);
+        }
     }
 
     /// Mirror of the scenario mix in the differential proptest, as a fast

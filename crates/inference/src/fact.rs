@@ -1,38 +1,38 @@
 //! Facts and the working memory (fact repository).
 //!
-//! The store keeps an **alpha memory** per template — the interned
-//! template name maps to the ordered list of live fact ids of that
-//! template — so template-scoped access ([`FactStore::by_template`],
-//! duplicate detection, the engine's incremental matcher) touches only
-//! the facts that can possibly match instead of scanning the whole
-//! working memory.
+//! Facts live in an id-ordered map, so storage is O(live facts) whatever
+//! the age of the oldest one: ids are monotonic and **never reused** (the
+//! agenda's recency ordering depends on it), and a long-lived early fact
+//! (every manager's first is its permanent `threshold`) pins nothing.
 //!
-//! Storage is deliberately **flat**: facts live in a slab addressed by
-//! id (ids are monotonic and never reused, so the slab is an id-offset
-//! ring whose dead prefix is reclaimed as old facts are retracted), each
-//! alpha memory is a sorted `Vec<FactId>` (appending a fresh id keeps it
-//! sorted because ids are monotonic; removal is a binary search plus a
-//! contiguous shift), and duplicate detection is a per-template
-//! fingerprint index instead of a linear slot-comparison scan. A
-//! long-lived host manager asserting and retracting one violation per
-//! report therefore does no tree rebalancing on the hot path, and the
-//! per-violation cost stays flat as working memory grows.
+//! Three indexes sit beside it, all per template:
 //!
-//! On top of the alpha memories sits an **equality-join index**
-//! ([`FactStore::ids_with_slot`]): per template, per slot name, a map
-//! from a loose value key to the sorted live ids holding that value.
-//! The engine probes it when a condition element pins a slot to a
-//! constant or an already-bound variable, shrinking a join from "every
-//! fact of the template" to "facts whose slot can satisfy the test".
-//! The key hashes Int and Float through the same normalized f64 bits so
-//! it agrees with `loose_eq` (probing with `Int(3)` finds `Float(3.0)`);
-//! collisions only widen the candidate list, never narrow it, and every
-//! candidate is re-verified against the full pattern.
+//! * the **alpha memory** — the interned template name maps to the sorted
+//!   list of live ids of that template (appending a fresh id keeps it
+//!   sorted; removal is a binary search plus a contiguous shift), so
+//!   template-scoped access never scans the whole working memory;
+//! * the **duplicate index** — slot fingerprint → live ids carrying it,
+//!   so CLIPS's duplicate-fact suppression is one lookup;
+//! * the **equality-join index** ([`FactStore::probe_slot`],
+//!   [`FactStore::ids_with_slot`]) — for each `(template, slot)` pair
+//!   somebody *registered*, a map from a loose value key to the sorted
+//!   live ids holding that value. Only registered pairs are maintained:
+//!   the engine registers, at `add_rule`, the slots its compiled joins
+//!   can probe (a slot pinned to a constant or an already-bound
+//!   variable), and a pair registered late is back-filled from the alpha
+//!   memory. A `violation` therefore pays for no index it is never
+//!   looked up by. The key hashes Int and Float through the same
+//!   normalized f64 bits so it agrees with `loose_eq` (probing with
+//!   `Int(3)` finds `Float(3.0)`); collisions only widen the candidate
+//!   list, never narrow it, and every candidate is re-verified against
+//!   the full pattern.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use crate::hash::{FxHasher, FxMap};
+use crate::idvec::IdVec;
 use crate::value::Value;
 
 /// Identifies an asserted fact. Monotonically increasing; used for the
@@ -46,6 +46,12 @@ pub struct FactId(pub u64);
 /// rather than strings.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TemplateId(pub u32);
+
+/// Handle to one maintained equality-join index — a registered
+/// `(template, slot)` pair. Obtained from [`FactStore::probe_slot`];
+/// valid only with the template it was registered for.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct SlotIndex(u32);
 
 /// A structured fact: a template name plus named slots, e.g.
 /// `(violation (pid 12) (frame-rate 18.5))`.
@@ -94,7 +100,7 @@ impl fmt::Display for Fact {
 /// `-0.0` normalized to `0.0`). Distinct values may collide — the index
 /// returns candidates, and callers re-verify with a slot comparison.
 fn loose_value_key(v: &Value) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = FxHasher::default();
     match v {
         Value::Sym(s) => {
             0u8.hash(&mut h);
@@ -129,7 +135,7 @@ fn norm_f64_bits(f: f64) -> u64 {
 /// fingerprint equal. Floats need one normalization — `0.0 == -0.0`
 /// under `f64` equality, so both must hash to the same bits.
 fn slots_fingerprint(slots: &BTreeMap<String, Value>) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = FxHasher::default();
     slots.len().hash(&mut h);
     for (k, v) in slots {
         k.hash(&mut h);
@@ -160,20 +166,19 @@ fn slots_fingerprint(slots: &BTreeMap<String, Value>) -> u64 {
     h.finish()
 }
 
+/// One maintained equality-join index: the slot it covers and, per loose
+/// value key, the sorted live ids whose slot carries that value.
+type EqIndex = (String, FxMap<u64, IdVec>);
+
 /// Working memory: the engine's fact repository, indexed by template.
 #[derive(Debug, Default)]
 pub struct FactStore {
-    /// Fact slab: `slab[i]` holds the fact with id `base + i`.
-    /// Retraction tombstones the entry; dead entries at the front are
-    /// popped eagerly so memory tracks the live id span, not the
-    /// lifetime assert count.
-    slab: VecDeque<Option<Fact>>,
-    /// Id of `slab[0]`; the next fresh id is `base + slab.len()`.
-    base: u64,
-    /// Live fact count (slab entries minus tombstones).
-    live: usize,
+    /// Live facts by id. Ordered, so iteration is assertion order.
+    facts: BTreeMap<FactId, Fact>,
+    /// The next fresh id: one past the highest ever handed out.
+    next_id: u64,
     /// Interner: template name → symbol.
-    tmpl_ids: HashMap<String, TemplateId>,
+    tmpl_ids: FxMap<String, TemplateId>,
     /// Symbol → template name (reverse of `tmpl_ids`).
     tmpl_names: Vec<String>,
     /// Alpha memories: per-template live fact ids, in assertion order
@@ -183,13 +188,11 @@ pub struct FactStore {
     /// Duplicate index: per-template map from slot fingerprint to the
     /// live ids carrying it (almost always one; collisions fall back to
     /// a slot comparison). Indexed by `TemplateId`.
-    dup: Vec<HashMap<u64, Vec<FactId>>>,
-    /// Equality-join index: per-template, slot name → loose value key →
-    /// live ids whose slot carries that value. The engine's joins probe
-    /// it when a pattern pins a slot to a constant or an already-bound
-    /// variable, replacing the alpha-memory scan with a candidate-bucket
-    /// walk. Indexed by `TemplateId`.
-    eq_join: Vec<HashMap<String, HashMap<u64, Vec<FactId>>>>,
+    dup: Vec<FxMap<u64, IdVec>>,
+    /// Equality-join indexes, one per registered slot of the template
+    /// ([`SlotIndex`] is the position in the inner list; registrations
+    /// are never dropped). Indexed by `TemplateId`.
+    eq_join: Vec<Vec<EqIndex>>,
 }
 
 impl FactStore {
@@ -208,8 +211,8 @@ impl FactStore {
         self.tmpl_ids.insert(name.to_string(), tid);
         self.tmpl_names.push(name.to_string());
         self.alpha.push(Vec::new());
-        self.dup.push(HashMap::new());
-        self.eq_join.push(HashMap::new());
+        self.dup.push(FxMap::default());
+        self.eq_join.push(Vec::new());
         tid
     }
 
@@ -235,18 +238,35 @@ impl FactStore {
             .map(move |&id| (id, self.get(id).expect("alpha ids are live")))
     }
 
-    /// Candidate live ids of `tid` facts whose `slot` holds a value
-    /// loosely equal to `v` (numeric coercion applies: probing with
+    /// Register `(tid, slot)` as probed and return its index handle. The
+    /// first registration back-fills the index from the alpha memory, so
+    /// a rule added at run time can probe a slot no earlier rule did.
+    pub(crate) fn probe_slot(&mut self, tid: TemplateId, slot: &str) -> SlotIndex {
+        let t = tid.0 as usize;
+        if let Some(ix) = self.eq_join[t].iter().position(|(s, _)| s == slot) {
+            return SlotIndex(ix as u32);
+        }
+        let mut by_val: FxMap<u64, IdVec> = FxMap::default();
+        for id in &self.alpha[t] {
+            if let Some(v) = self.facts[id].get(slot) {
+                by_val.entry(loose_value_key(v)).or_default().push(*id);
+            }
+        }
+        self.eq_join[t].push((slot.to_string(), by_val));
+        SlotIndex(self.eq_join[t].len() as u32 - 1)
+    }
+
+    /// Candidate live ids of `tid` facts whose registered slot holds a
+    /// value loosely equal to `v` (numeric coercion applies: probing with
     /// `Int(3)` finds facts holding `Float(3.0)`), in assertion order.
     /// The bucket is keyed by hash, so rare collisions can surface
     /// non-matching ids — callers must re-verify each candidate against
     /// the pattern, exactly as they would after an alpha-memory scan.
-    pub fn ids_with_slot(&self, tid: TemplateId, slot: &str, v: &Value) -> &[FactId] {
-        self.eq_join
-            .get(tid.0 as usize)
-            .and_then(|ej| ej.get(slot))
-            .and_then(|by_val| by_val.get(&loose_value_key(v)))
-            .map_or(&[], Vec::as_slice)
+    pub(crate) fn ids_with_slot(&self, tid: TemplateId, slot: SlotIndex, v: &Value) -> &[FactId] {
+        self.eq_join[tid.0 as usize][slot.0 as usize]
+            .1
+            .get(&loose_value_key(v))
+            .map_or(&[], IdVec::as_slice)
     }
 
     /// Assert a fact. Duplicate facts (same template and slots) are not
@@ -263,27 +283,25 @@ impl FactStore {
     /// many facts of the template are live.
     pub fn assert_fact_interned(&mut self, fact: Fact) -> (FactId, bool, TemplateId) {
         let tid = self.intern_template(&fact.template);
+        let t = tid.0 as usize;
         let fp = slots_fingerprint(&fact.slots);
-        if let Some(ids) = self.dup[tid.0 as usize].get(&fp) {
-            for &id in ids {
-                if self.get(id).is_some_and(|f| f.slots == fact.slots) {
+        if let Some(ids) = self.dup[t].get(&fp) {
+            for &id in ids.as_slice() {
+                if self.facts[&id].slots == fact.slots {
                     return (id, false, tid);
                 }
             }
         }
-        let id = FactId(self.base + self.slab.len() as u64);
-        let ej = &mut self.eq_join[tid.0 as usize];
-        for (slot, v) in &fact.slots {
-            ej.entry(slot.clone())
-                .or_default()
-                .entry(loose_value_key(v))
-                .or_default()
-                .push(id);
+        let id = FactId(self.next_id);
+        self.next_id += 1;
+        for (slot, by_val) in &mut self.eq_join[t] {
+            if let Some(v) = fact.get(slot) {
+                by_val.entry(loose_value_key(v)).or_default().push(id);
+            }
         }
-        self.slab.push_back(Some(fact));
-        self.live += 1;
-        self.alpha[tid.0 as usize].push(id);
-        self.dup[tid.0 as usize].entry(fp).or_default().push(id);
+        self.alpha[t].push(id);
+        self.dup[t].entry(fp).or_default().push(id);
+        self.facts.insert(id, fact);
         (id, true, tid)
     }
 
@@ -295,61 +313,39 @@ impl FactStore {
     /// [`FactStore::retract`], additionally returning the template
     /// symbol of the retracted fact.
     pub fn retract_interned(&mut self, id: FactId) -> Option<(Fact, TemplateId)> {
-        let ix = self.slot_ix(id)?;
-        let fact = self.slab.get_mut(ix)?.take()?;
-        self.live -= 1;
+        let fact = self.facts.remove(&id)?;
         let tid = self.tmpl_ids[&fact.template];
-        let alpha = &mut self.alpha[tid.0 as usize];
-        if let Ok(pos) = alpha.binary_search(&id) {
-            alpha.remove(pos);
+        let t = tid.0 as usize;
+        if let Ok(pos) = self.alpha[t].binary_search(&id) {
+            self.alpha[t].remove(pos);
         }
-        let fp = slots_fingerprint(&fact.slots);
-        if let Some(ids) = self.dup[tid.0 as usize].get_mut(&fp) {
-            ids.retain(|&x| x != id);
-            if ids.is_empty() {
-                self.dup[tid.0 as usize].remove(&fp);
+        remove_from_bucket(&mut self.dup[t], slots_fingerprint(&fact.slots), id);
+        for (slot, by_val) in &mut self.eq_join[t] {
+            if let Some(v) = fact.get(slot) {
+                remove_from_bucket(by_val, loose_value_key(v), id);
             }
         }
-        let ej = &mut self.eq_join[tid.0 as usize];
-        for (slot, v) in &fact.slots {
-            if let Some(by_val) = ej.get_mut(slot.as_str()) {
-                let key = loose_value_key(v);
-                if let Some(ids) = by_val.get_mut(&key) {
-                    if let Ok(pos) = ids.binary_search(&id) {
-                        ids.remove(pos);
-                    }
-                    if ids.is_empty() {
-                        by_val.remove(&key);
-                    }
-                }
-            }
-        }
-        self.reclaim_prefix();
         Some((fact, tid))
     }
 
     /// Look up a fact.
     pub fn get(&self, id: FactId) -> Option<&Fact> {
-        self.slab.get(self.slot_ix(id)?)?.as_ref()
+        self.facts.get(&id)
     }
 
     /// Number of live facts.
     pub fn len(&self) -> usize {
-        self.live
+        self.facts.len()
     }
 
     /// True when no facts are asserted.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.facts.is_empty()
     }
 
     /// Iterate facts in assertion order.
     pub fn iter(&self) -> impl Iterator<Item = (FactId, &Fact)> {
-        let base = self.base;
-        self.slab
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, f)| f.as_ref().map(|f| (FactId(base + i as u64), f)))
+        self.facts.iter().map(|(&id, f)| (id, f))
     }
 
     /// Iterate facts of one template, in assertion order (via the
@@ -368,32 +364,25 @@ impl FactStore {
         let Some(tid) = self.template_id(template) else {
             return 0;
         };
-        let ids = std::mem::take(&mut self.alpha[tid.0 as usize]);
-        for &id in &ids {
-            if let Some(slot) = self.slot_ix(id).and_then(|ix| self.slab.get_mut(ix)) {
-                if slot.take().is_some() {
-                    self.live -= 1;
-                }
-            }
+        let t = tid.0 as usize;
+        let ids = std::mem::take(&mut self.alpha[t]);
+        for id in &ids {
+            self.facts.remove(id);
         }
-        self.dup[tid.0 as usize].clear();
-        self.eq_join[tid.0 as usize].clear();
-        self.reclaim_prefix();
+        self.dup[t].clear();
+        for (_, by_val) in &mut self.eq_join[t] {
+            by_val.clear();
+        }
         ids.len()
     }
+}
 
-    /// Slab offset of an id, if the id is at least as new as the
-    /// reclaimed prefix (ids below `base` are long retracted).
-    fn slot_ix(&self, id: FactId) -> Option<usize> {
-        id.0.checked_sub(self.base).map(|off| off as usize)
-    }
-
-    /// Pop leading tombstones so the slab's footprint follows the live
-    /// id span rather than the lifetime assert count.
-    fn reclaim_prefix(&mut self) {
-        while matches!(self.slab.front(), Some(None)) {
-            self.slab.pop_front();
-            self.base += 1;
+/// Drop `id` from the bucket under `key`, and the bucket with its last id.
+fn remove_from_bucket(buckets: &mut FxMap<u64, IdVec>, key: u64, id: FactId) {
+    if let Some(ids) = buckets.get_mut(&key) {
+        ids.remove(id);
+        if ids.is_empty() {
+            buckets.remove(&key);
         }
     }
 }
@@ -492,51 +481,65 @@ mod tests {
         // `loose_eq` coerces Int and Float, so the index key must too:
         // probing with Int(1) finds a fact whose slot holds Float(1.0).
         let mut s = FactStore::new();
-        let (a, _, tid) = s.assert_fact_interned(Fact::new("m").with("pid", 1.0).with("x", "p"));
+        let tid = s.intern_template("m");
+        let pid = s.probe_slot(tid, "pid");
+        let (a, _) = s.assert_fact(Fact::new("m").with("pid", 1.0).with("x", "p"));
         let (b, _) = s.assert_fact(Fact::new("m").with("pid", 2i64).with("x", "q"));
-        assert_eq!(s.ids_with_slot(tid, "pid", &Value::Int(1)), &[a]);
-        assert_eq!(s.ids_with_slot(tid, "pid", &Value::Float(2.0)), &[b]);
-        assert_eq!(
-            s.ids_with_slot(tid, "pid", &Value::Int(3)),
-            &[] as &[FactId]
-        );
-        assert_eq!(
-            s.ids_with_slot(tid, "nope", &Value::Int(1)),
-            &[] as &[FactId]
-        );
+        // A fact without the registered slot is in no bucket.
+        s.assert_fact(Fact::new("m").with("x", "r"));
+        assert_eq!(s.ids_with_slot(tid, pid, &Value::Int(1)), &[a]);
+        assert_eq!(s.ids_with_slot(tid, pid, &Value::Float(2.0)), &[b]);
+        assert_eq!(s.ids_with_slot(tid, pid, &Value::Int(3)), &[] as &[FactId]);
+        // Only registered slots are indexed; registering is idempotent.
+        assert_eq!(s.eq_join[tid.0 as usize].len(), 1);
+        assert_eq!(s.probe_slot(tid, "pid"), pid);
     }
 
     #[test]
     fn eq_join_index_tracks_retract() {
         let mut s = FactStore::new();
-        let (a, _, tid) = s.assert_fact_interned(violation(1, 20.0));
+        let tid = s.intern_template("violation");
+        let (fps, pid) = (s.probe_slot(tid, "fps"), s.probe_slot(tid, "pid"));
+        let (a, _) = s.assert_fact(violation(1, 20.0));
         let (b, _) = s.assert_fact(violation(2, 20.0));
-        assert_eq!(s.ids_with_slot(tid, "fps", &Value::Float(20.0)), &[a, b]);
+        assert_eq!(s.ids_with_slot(tid, fps, &Value::Float(20.0)), &[a, b]);
         s.retract(a);
-        assert_eq!(s.ids_with_slot(tid, "fps", &Value::Float(20.0)), &[b]);
-        assert_eq!(
-            s.ids_with_slot(tid, "pid", &Value::Int(1)),
-            &[] as &[FactId]
-        );
+        assert_eq!(s.ids_with_slot(tid, fps, &Value::Float(20.0)), &[b]);
+        assert_eq!(s.ids_with_slot(tid, pid, &Value::Int(1)), &[] as &[FactId]);
         s.retract(b);
         assert_eq!(
-            s.ids_with_slot(tid, "fps", &Value::Float(20.0)),
+            s.ids_with_slot(tid, fps, &Value::Float(20.0)),
             &[] as &[FactId]
         );
+        assert!(s.eq_join[tid.0 as usize].iter().all(|(_, m)| m.is_empty()));
+    }
+
+    #[test]
+    fn eq_join_index_back_fills_a_late_registration() {
+        // A rule distributed at run time may probe a slot no earlier
+        // rule did: the index is built from the facts already there.
+        let mut s = FactStore::new();
+        let (a, _, tid) = s.assert_fact_interned(violation(1, 20.0));
+        let (b, _) = s.assert_fact(violation(2, 25.0));
+        s.retract(a);
+        let pid = s.probe_slot(tid, "pid");
+        assert_eq!(s.ids_with_slot(tid, pid, &Value::Int(1)), &[] as &[FactId]);
+        assert_eq!(s.ids_with_slot(tid, pid, &Value::Int(2)), &[b]);
+        let (c, _) = s.assert_fact(violation(2, 26.0));
+        assert_eq!(s.ids_with_slot(tid, pid, &Value::Float(2.0)), &[b, c]);
     }
 
     #[test]
     fn eq_join_index_cleared_by_retract_template() {
         let mut s = FactStore::new();
-        let (_, _, tid) = s.assert_fact_interned(violation(1, 20.0));
+        let tid = s.intern_template("violation");
+        let pid = s.probe_slot(tid, "pid");
+        s.assert_fact(violation(1, 20.0));
         s.assert_fact(violation(2, 25.0));
         s.retract_template("violation");
-        assert_eq!(
-            s.ids_with_slot(tid, "pid", &Value::Int(1)),
-            &[] as &[FactId]
-        );
+        assert_eq!(s.ids_with_slot(tid, pid, &Value::Int(1)), &[] as &[FactId]);
         let (c, _) = s.assert_fact(violation(3, 30.0));
-        assert_eq!(s.ids_with_slot(tid, "pid", &Value::Int(3)), &[c]);
+        assert_eq!(s.ids_with_slot(tid, pid, &Value::Int(3)), &[c]);
     }
 
     #[test]
@@ -557,26 +560,39 @@ mod tests {
         assert_eq!(s.ids_of(tid).len(), 0);
     }
 
+    /// Entries held across the fact map and every index.
+    fn footprint(s: &FactStore) -> usize {
+        s.facts.len()
+            + s.alpha.iter().map(Vec::len).sum::<usize>()
+            + s.dup.iter().map(FxMap::len).sum::<usize>()
+            + s.eq_join
+                .iter()
+                .flatten()
+                .map(|(_, m)| m.len())
+                .sum::<usize>()
+    }
+
     #[test]
-    fn slab_reclaims_dead_prefix() {
-        // A long-lived assert/retract churn (one violation per report)
-        // must not grow the slab with the lifetime assert count.
+    fn storage_follows_live_facts_not_the_oldest_one() {
+        // Every manager's first fact is its permanent threshold; the
+        // violations churning past it must leave nothing behind, however
+        // old the oldest live fact is.
         let mut s = FactStore::new();
-        for i in 0..1_000 {
-            let (id, fresh) = s.assert_fact(violation(i, i as f64 + 0.5));
+        let tid = s.intern_template("violation");
+        s.probe_slot(tid, "pid");
+        let (keep, _) = s.assert_fact(Fact::new("threshold").with("value", 1000.0));
+        for i in 0..200_000 {
+            let (id, fresh) = s.assert_fact(violation(i % 7, i as f64 + 0.5));
             assert!(fresh);
+            assert_eq!(id, FactId(i as u64 + 1), "ids stay monotonic");
             s.retract(id);
         }
-        assert!(s.is_empty());
-        assert!(
-            s.slab.len() <= 1,
-            "dead prefix reclaimed, slab holds {} slots",
-            s.slab.len()
-        );
-        assert_eq!(s.base, 1_000, "base tracks the retired id span");
-        // Fresh ids continue monotonically after reclamation.
+        assert_eq!(s.len(), 1);
+        assert!(s.get(keep).is_some());
+        assert_eq!(footprint(&s), 3, "one fact, its alpha id, its dup bucket");
+        // Fresh ids continue past every id ever handed out.
         let (id, _) = s.assert_fact(violation(7, 7.0));
-        assert_eq!(id, FactId(1_000));
-        assert_eq!(s.get(id).unwrap().get("pid"), Some(&Value::Int(7)));
+        assert_eq!(id, FactId(200_001));
+        assert_eq!(s.iter().map(|(id, _)| id).collect::<Vec<_>>(), [keep, id]);
     }
 }

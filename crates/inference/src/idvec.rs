@@ -4,7 +4,8 @@
 //! positive condition elements — almost always 1–3 of them in the
 //! manager rule sets — so the engine keys its agenda and refraction
 //! memory on this type instead of heap-allocating a `Vec<FactId>` per
-//! entry. Equality, hashing and ordering are slice-based (padding never
+//! entry. The fact store's duplicate and equality-join buckets (almost
+//! always one id) use it for the same reason. Equality, hashing and ordering are slice-based (padding never
 //! participates), and the ordering matches `Vec<FactId>`'s lexicographic
 //! order exactly, which the conflict-resolution tie-break relies on.
 
@@ -78,6 +79,20 @@ impl IdVec {
         }
     }
 
+    /// Remove `id` if present, keeping the order of the rest.
+    pub fn remove(&mut self, id: FactId) {
+        match self {
+            IdVec::Inline { len, buf } => {
+                let n = *len as usize;
+                if let Some(pos) = buf[..n].iter().position(|&x| x == id) {
+                    buf.copy_within(pos + 1..n, pos);
+                    *len -= 1;
+                }
+            }
+            IdVec::Heap(v) => v.retain(|&x| x != id),
+        }
+    }
+
     /// Number of ids.
     #[allow(dead_code)] // exercised by tests; kept for API symmetry
     pub fn len(&self) -> usize {
@@ -85,10 +100,9 @@ impl IdVec {
     }
 
     /// True when no ids are recorded (a rule with an empty left-hand
-    /// side).
-    #[allow(dead_code)] // exercised by tests; kept for API symmetry
+    /// side, or an index bucket that lost its last fact).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.as_slice().is_empty()
     }
 
     /// Does the vector mention `id`?
@@ -171,6 +185,20 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(grown);
         assert!(set.contains(&iv(&[9, 4])));
+    }
+
+    #[test]
+    fn remove_keeps_order_inline_and_spilled() {
+        let mut short = iv(&[3, 5, 9]);
+        short.remove(FactId(5));
+        short.remove(FactId(4));
+        assert_eq!(short, iv(&[3, 9]));
+        let mut long = iv(&[1, 2, 3, 4, 5, 6]);
+        long.remove(FactId(1));
+        assert_eq!(long, iv(&[2, 3, 4, 5, 6]));
+        let mut one = iv(&[7]);
+        one.remove(FactId(7));
+        assert!(one.is_empty());
     }
 
     #[test]

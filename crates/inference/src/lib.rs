@@ -45,6 +45,7 @@
 pub mod clips;
 pub mod engine;
 pub mod fact;
+mod hash;
 mod idvec;
 pub mod pattern;
 pub mod rule;

@@ -1,12 +1,23 @@
 //! Patterns: the left-hand-side constraints of rules, matched against
 //! facts with variable binding.
+//!
+//! Two forms live here. The **source** form ([`Pattern`], [`Test`],
+//! [`Term`]) is what rules are written in; it evaluates against
+//! string-keyed [`Bindings`] and is what the naive oracle and
+//! [`crate::rule::Rule::activations`] run. The **compiled** form
+//! ([`CPattern`], [`CTest`], [`CTerm`]) is what `Engine::add_rule` lowers
+//! it to: every variable becomes a [`VarRef`] — the `(positive CE, slot)`
+//! that first bound it — so a partial match is just the ids of the facts
+//! matched so far, and a variable is read straight from those facts
+//! ([`Row`]) instead of from a cloned map.
 
 use std::collections::HashMap;
 
-use crate::fact::Fact;
+use crate::fact::{Fact, FactId, FactStore, SlotIndex, TemplateId};
 use crate::value::{CmpOp, Value};
 
-/// Variable bindings accumulated while joining a rule's patterns.
+/// Variable bindings accumulated while joining a rule's patterns (source
+/// form; the compiled matcher carries none).
 pub type Bindings = HashMap<String, Value>;
 
 /// Constraint on one slot of a fact.
@@ -59,22 +70,15 @@ impl Pattern {
 
     /// Try to match `fact` under existing `bindings`. On success, returns
     /// the extended bindings; the input is unchanged on failure.
-    pub fn match_fact(&self, fact: &Fact, bindings: &Bindings) -> Option<Bindings> {
-        if fact.template != self.template {
-            return None;
-        }
-        self.match_slots(fact, bindings)
-    }
-
-    /// [`Pattern::match_fact`] without the template comparison — for
-    /// candidates drawn from a template's alpha memory, where every fact
-    /// is already of the right template.
     ///
     /// Verification is allocation-free: joins examine many candidates
     /// and reject most, so the extended binding map is only built once
     /// every test has passed. Variables bound earlier in this same
-    /// pattern are visible to later tests, as before.
-    pub fn match_slots(&self, fact: &Fact, bindings: &Bindings) -> Option<Bindings> {
+    /// pattern are visible to later tests.
+    pub fn match_fact(&self, fact: &Fact, bindings: &Bindings) -> Option<Bindings> {
+        if fact.template != self.template {
+            return None;
+        }
         let mut fresh: Vec<(&String, &Value)> = Vec::new();
         for (slot, test) in &self.tests {
             let actual = fact.get(slot)?;
@@ -172,6 +176,140 @@ impl Test {
             Test::And(ts) => ts.iter().all(|t| t.eval(bindings)),
             Test::Or(ts) => ts.iter().any(|t| t.eval(bindings)),
             Test::Not(t) => !t.eval(bindings),
+        }
+    }
+}
+
+/// Where a variable's value lives: the `slot` of the fact matched by the
+/// rule's `pos`-th positive condition element.
+#[derive(Clone, Debug)]
+pub(crate) struct VarRef {
+    pub(crate) pos: usize,
+    pub(crate) slot: Box<str>,
+}
+
+/// What compiled terms and tests read variables from: the facts matched
+/// by the positive CEs so far, plus — while a pattern is being verified —
+/// the candidate fact, which stands at position `ids.len()`.
+#[derive(Clone, Copy)]
+pub(crate) struct Row<'a> {
+    pub(crate) facts: &'a FactStore,
+    pub(crate) ids: &'a [FactId],
+    pub(crate) cand: Option<&'a Fact>,
+}
+
+impl<'a> Row<'a> {
+    fn get(&self, var: &VarRef) -> Option<&'a Value> {
+        let fact = match self.ids.get(var.pos) {
+            Some(&id) => self.facts.get(id)?,
+            None => self.cand?,
+        };
+        fact.get(&var.slot)
+    }
+}
+
+/// Compiled [`Term`].
+#[derive(Clone, Debug)]
+pub(crate) enum CTerm {
+    Const(Value),
+    Var(VarRef),
+    /// A variable no positive CE binds at this point: resolves to nothing.
+    Unbound,
+}
+
+impl CTerm {
+    pub(crate) fn resolve<'a>(&'a self, row: Row<'a>) -> Option<&'a Value> {
+        match self {
+            CTerm::Const(v) => Some(v),
+            CTerm::Var(var) => row.get(var),
+            CTerm::Unbound => None,
+        }
+    }
+}
+
+/// Compiled [`SlotTest`]. `Const(v)` and `Cmp(Eq, v)` are the same test.
+#[derive(Clone, Debug)]
+pub(crate) enum CSlotTest {
+    Cmp(CmpOp, Value),
+    /// First occurrence of a variable: binds, so only presence is tested.
+    Bind,
+    /// Later occurrence: the slot must loosely equal the bound value.
+    EqVar(VarRef),
+}
+
+/// Compiled [`Pattern`].
+#[derive(Clone, Debug)]
+pub(crate) struct CPattern {
+    pub(crate) tid: TemplateId,
+    pub(crate) tests: Vec<(Box<str>, CSlotTest)>,
+    /// The first slot pinned to a constant or to a variable an *earlier*
+    /// CE bound, with its operand: the equality-join index to probe
+    /// instead of walking the whole alpha memory. Static, so the index
+    /// is maintained for exactly these slots.
+    pub(crate) probe: Option<(SlotIndex, CTerm)>,
+}
+
+impl CPattern {
+    /// The facts to examine under the partial match `ids`. A probe
+    /// changes which facts are *examined*, never which activations
+    /// result: every candidate is still verified by [`CPattern::matches`].
+    pub(crate) fn candidates<'a>(
+        &'a self,
+        ids: &'a [FactId],
+        facts: &'a FactStore,
+    ) -> &'a [FactId] {
+        let row = Row {
+            facts,
+            ids,
+            cand: None,
+        };
+        let probed = self.probe.as_ref().and_then(|(slot, operand)| {
+            Some(facts.ids_with_slot(self.tid, *slot, operand.resolve(row)?))
+        });
+        probed.unwrap_or_else(|| facts.ids_of(self.tid))
+    }
+
+    /// Does `cand` (already of the right template) extend the partial
+    /// match `ids`?
+    pub(crate) fn matches(&self, cand: &Fact, ids: &[FactId], facts: &FactStore) -> bool {
+        let row = Row {
+            facts,
+            ids,
+            cand: Some(cand),
+        };
+        self.tests.iter().all(|(slot, test)| {
+            let Some(actual) = cand.get(slot) else {
+                return false;
+            };
+            match test {
+                CSlotTest::Cmp(op, v) => op.apply(actual, v),
+                CSlotTest::Bind => true,
+                CSlotTest::EqVar(var) => row.get(var).is_some_and(|v| actual.loose_eq(v)),
+            }
+        })
+    }
+}
+
+/// Compiled [`Test`].
+#[derive(Clone, Debug)]
+pub(crate) enum CTest {
+    Cmp(CmpOp, CTerm, CTerm),
+    And(Vec<CTest>),
+    Or(Vec<CTest>),
+    Not(Box<CTest>),
+}
+
+impl CTest {
+    /// Evaluate; an unbound variable makes the comparison false.
+    pub(crate) fn eval(&self, row: Row<'_>) -> bool {
+        match self {
+            CTest::Cmp(op, a, b) => match (a.resolve(row), b.resolve(row)) {
+                (Some(a), Some(b)) => op.apply(a, b),
+                _ => false,
+            },
+            CTest::And(ts) => ts.iter().all(|t| t.eval(row)),
+            CTest::Or(ts) => ts.iter().any(|t| t.eval(row)),
+            CTest::Not(t) => !t.eval(row),
         }
     }
 }

@@ -1,9 +1,15 @@
 //! Rules: condition elements (patterns, negations, tests) plus right-hand
-//! side actions, and the join algorithm that produces activations.
+//! side actions, the reference join that produces activations, and the
+//! compiler that lowers a rule to the form the engine matches and fires
+//! ([`CompiledRule`]).
 
-use crate::fact::{FactId, FactStore};
-use crate::pattern::{Bindings, Pattern, Term, Test};
-use crate::value::Value;
+use std::sync::Arc;
+
+use crate::fact::{FactId, FactStore, TemplateId};
+use crate::pattern::{
+    Bindings, CPattern, CSlotTest, CTerm, CTest, Pattern, SlotTest, Term, Test, VarRef,
+};
+use crate::value::{CmpOp, Value};
 
 /// A condition element on a rule's left-hand side, in CLIPS order.
 #[derive(Clone, Debug, PartialEq)]
@@ -143,8 +149,20 @@ impl Rule {
     /// Each activation records the ids of the facts matched by positive
     /// condition elements, in order. This is the reference (full
     /// recompute) join; the engine normally matches incrementally and
-    /// uses this shape only through its naive-matcher oracle.
+    /// uses this only as its naive-matcher oracle.
     pub fn activations(&self, facts: &FactStore) -> Vec<(Vec<FactId>, Bindings)> {
+        self.activations_counting(facts, &mut 0)
+    }
+
+    /// [`Rule::activations`], re-deriving every activation from a full
+    /// scan of working memory, per condition element, per partial match:
+    /// `work` counts each fact visited, template matches and misses alike
+    /// (that is what the original matcher examined each cycle).
+    pub(crate) fn activations_counting(
+        &self,
+        facts: &FactStore,
+        work: &mut u64,
+    ) -> Vec<(Vec<FactId>, Bindings)> {
         // Left-to-right join. `partial` holds (matched positive fact ids,
         // bindings) tuples surviving all CEs so far.
         let mut partial: Vec<(Vec<FactId>, Bindings)> = vec![(Vec::new(), Bindings::new())];
@@ -153,7 +171,8 @@ impl Rule {
                 Ce::Pos(p) => {
                     let mut next = Vec::new();
                     for (ids, b) in &partial {
-                        for (fid, fact) in facts.by_template(&p.template) {
+                        for (fid, fact) in facts.iter() {
+                            *work += 1;
                             // A fact may not be matched twice by one rule
                             // instantiation.
                             if ids.contains(&fid) {
@@ -168,22 +187,200 @@ impl Rule {
                     }
                     partial = next;
                 }
-                Ce::Neg(p) => {
-                    partial.retain(|(_, b)| {
-                        !facts
-                            .by_template(&p.template)
-                            .any(|(_, fact)| p.match_fact(fact, b).is_some())
-                    });
-                }
-                Ce::Test(t) => {
-                    partial.retain(|(_, b)| t.eval(b));
-                }
+                Ce::Neg(p) => partial.retain(|(_, b)| {
+                    !facts.iter().any(|(_, fact)| {
+                        *work += 1;
+                        p.match_fact(fact, b).is_some()
+                    })
+                }),
+                Ce::Test(t) => partial.retain(|(_, b)| t.eval(b)),
             }
             if partial.is_empty() {
                 break;
             }
         }
         partial
+    }
+}
+
+/// Compiled [`Ce`].
+#[derive(Clone, Debug)]
+pub(crate) enum CCe {
+    Pos(CPattern),
+    Neg(CPattern),
+    Test(CTest),
+}
+
+/// Compiled [`Action`]: terms resolved to where their values live.
+#[derive(Clone, Debug)]
+pub(crate) enum CAction {
+    Assert {
+        template: String,
+        slots: Vec<(String, CTerm)>,
+    },
+    Retract(usize),
+    Modify {
+        pos_index: usize,
+        slots: Vec<(String, CTerm)>,
+    },
+    Call {
+        command: String,
+        args: Vec<CTerm>,
+    },
+}
+
+/// What `Engine::add_rule` knows ahead of time about a rule: template
+/// symbols, every variable resolved to the `(positive CE, slot)` that
+/// binds it, and — registered with the store as a side effect — the
+/// `(template, slot)` pairs its joins probe.
+#[derive(Clone, Debug)]
+pub(crate) struct CompiledRule {
+    /// Shared with the firing trace, so a firing clones a pointer.
+    pub(crate) name: Arc<str>,
+    pub(crate) salience: i32,
+    pub(crate) ces: Vec<CCe>,
+    pub(crate) actions: Vec<CAction>,
+    /// Distinct templates of positive CEs (assert-delta triggers).
+    pub(crate) pos_tmpls: Vec<TemplateId>,
+    /// Distinct templates of negated CEs (re-evaluation triggers).
+    pub(crate) neg_tmpls: Vec<TemplateId>,
+}
+
+/// Variables in scope while compiling, in binding order.
+type Scope<'r> = Vec<(&'r str, VarRef)>;
+
+fn lookup(scope: &Scope<'_>, name: &str) -> Option<usize> {
+    scope.iter().position(|(n, _)| *n == name)
+}
+
+fn compile_term(term: &Term, scope: &Scope<'_>) -> CTerm {
+    match term {
+        Term::Const(v) => CTerm::Const(v.clone()),
+        Term::Var(name) => match lookup(scope, name) {
+            Some(i) => CTerm::Var(scope[i].1.clone()),
+            None => CTerm::Unbound,
+        },
+    }
+}
+
+fn compile_test(test: &Test, scope: &Scope<'_>) -> CTest {
+    let all = |ts: &[Test]| ts.iter().map(|t| compile_test(t, scope)).collect();
+    match test {
+        Test::Cmp(op, a, b) => CTest::Cmp(*op, compile_term(a, scope), compile_term(b, scope)),
+        Test::And(ts) => CTest::And(all(ts)),
+        Test::Or(ts) => CTest::Or(all(ts)),
+        Test::Not(t) => CTest::Not(Box::new(compile_test(t, scope))),
+    }
+}
+
+/// Compile one pattern standing at positive position `pos` (for a negated
+/// pattern: the number of positive CEs before it, where its candidate
+/// stands while being verified). Variables it binds are pushed on
+/// `scope`; the caller pops a negated pattern's, which are local to it.
+fn compile_pattern<'r>(
+    p: &'r Pattern,
+    pos: usize,
+    scope: &mut Scope<'r>,
+    facts: &mut FactStore,
+) -> CPattern {
+    let tid = facts.intern_template(&p.template);
+    let outer = scope.len();
+    let mut probe = None;
+    let mut tests = Vec::with_capacity(p.tests.len());
+    for (slot, test) in &p.tests {
+        let (test, pinned) = match test {
+            SlotTest::Const(v) | SlotTest::Cmp(CmpOp::Eq, v) => (
+                CSlotTest::Cmp(CmpOp::Eq, v.clone()),
+                Some(CTerm::Const(v.clone())),
+            ),
+            SlotTest::Cmp(op, v) => (CSlotTest::Cmp(*op, v.clone()), None),
+            SlotTest::Var(name) => match lookup(scope, name) {
+                // Only a variable an earlier CE bound is known before
+                // this pattern's candidate is chosen.
+                Some(i) => {
+                    let var = scope[i].1.clone();
+                    let pinned = (i < outer).then(|| CTerm::Var(var.clone()));
+                    (CSlotTest::EqVar(var), pinned)
+                }
+                None => {
+                    let slot = slot.as_str().into();
+                    scope.push((name, VarRef { pos, slot }));
+                    (CSlotTest::Bind, None)
+                }
+            },
+        };
+        if let (None, Some(operand)) = (&probe, pinned) {
+            probe = Some((facts.probe_slot(tid, slot), operand));
+        }
+        tests.push((slot.as_str().into(), test));
+    }
+    CPattern { tid, tests, probe }
+}
+
+impl CompiledRule {
+    /// Lower `rule`, interning its templates and registering the slots
+    /// its joins probe with `facts` (back-filling their indexes).
+    pub(crate) fn compile(rule: &Rule, facts: &mut FactStore) -> Self {
+        let mut scope = Scope::new();
+        let (mut pos_tmpls, mut neg_tmpls) = (Vec::new(), Vec::new());
+        let note = |list: &mut Vec<TemplateId>, tid| {
+            if !list.contains(&tid) {
+                list.push(tid);
+            }
+        };
+        let mut pos = 0;
+        let mut ces = Vec::with_capacity(rule.ces.len());
+        for ce in &rule.ces {
+            ces.push(match ce {
+                Ce::Pos(p) => {
+                    let p = compile_pattern(p, pos, &mut scope, facts);
+                    note(&mut pos_tmpls, p.tid);
+                    pos += 1;
+                    CCe::Pos(p)
+                }
+                Ce::Neg(p) => {
+                    let outer = scope.len();
+                    let p = compile_pattern(p, pos, &mut scope, facts);
+                    scope.truncate(outer);
+                    note(&mut neg_tmpls, p.tid);
+                    CCe::Neg(p)
+                }
+                Ce::Test(t) => CCe::Test(compile_test(t, &scope)),
+            });
+        }
+        let terms = |slots: &[(String, Term)]| {
+            slots
+                .iter()
+                .map(|(slot, t)| (slot.clone(), compile_term(t, &scope)))
+                .collect()
+        };
+        let actions = rule
+            .actions
+            .iter()
+            .map(|action| match action {
+                Action::Assert { template, slots } => CAction::Assert {
+                    template: template.clone(),
+                    slots: terms(slots),
+                },
+                Action::Retract(pos_index) => CAction::Retract(*pos_index),
+                Action::Modify { pos_index, slots } => CAction::Modify {
+                    pos_index: *pos_index,
+                    slots: terms(slots),
+                },
+                Action::Call { command, args } => CAction::Call {
+                    command: command.clone(),
+                    args: args.iter().map(|t| compile_term(t, &scope)).collect(),
+                },
+            })
+            .collect();
+        CompiledRule {
+            name: rule.name.as_str().into(),
+            salience: rule.salience,
+            ces,
+            actions,
+            pos_tmpls,
+            neg_tmpls,
+        }
     }
 }
 

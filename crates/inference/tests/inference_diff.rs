@@ -1,9 +1,12 @@
-//! Differential property test: the incremental Rete-lite matcher must be
+//! Differential property test: the incremental compiled matcher must be
 //! observationally identical to the naive full-rematch oracle.
 //!
-//! Each case generates a randomized interleaving of asserts, retracts and
-//! `run` calls over a rule set that exercises every matcher feature —
-//! multi-CE joins, negation, salience, chained assertion, self-consuming
+//! Each case generates a randomized interleaving of asserts, retracts
+//! (by id, by slot value, by template), `run` calls and rule-base changes
+//! (a rule added late that probes slots no earlier rule probed, a rule
+//! replaced in place) over a rule set that exercises every matcher
+//! feature — multi-CE joins, a constant-probed join against a permanent
+//! fact, negation, salience, chained assertion, `modify`, self-consuming
 //! retract actions and an empty-LHS rule — applies the same script to
 //! both engines, and requires identical firing traces, invocation
 //! streams, per-run fired counts and final fact populations.
@@ -36,6 +39,28 @@ fn diff_rules() -> Vec<Rule> {
         Rule::new("marked")
             .when(Pattern::new("mark").slot_var("n", "n"))
             .then_call("marked", vec![Term::var("n")]),
+        // Join against the permanent `limit` fact through a constant
+        // probe (the shipped rules' `threshold` shape).
+        Rule::new("capped")
+            .salience(2)
+            .when(Pattern::new("task").slot_var("id", "t"))
+            .when(
+                Pattern::new("limit")
+                    .slot_const("name", "cap")
+                    .slot_var("value", "c"),
+            )
+            .test(Test::Cmp(CmpOp::Lt, Term::var("t"), Term::var("c")))
+            .then_call("capped", vec![Term::var("t"), Term::var("c")]),
+        // `modify` before the call that reads the modified fact's slots:
+        // the fact comes back under a fresh id, no longer `new`.
+        Rule::new("advance")
+            .when(
+                Pattern::new("stage")
+                    .slot_var("id", "s")
+                    .slot_const("state", "new"),
+            )
+            .then_modify(0, vec![("state", Term::val("seen"))])
+            .then_call("advanced", vec![Term::var("s")]),
         // Self-consuming: retracts its own trigger, so re-asserting the
         // same junk fact re-fires (no refraction carry-over).
         Rule::new("consume")
@@ -45,17 +70,47 @@ fn diff_rules() -> Vec<Rule> {
     ]
 }
 
+/// Rules distributed at run time, after facts exist. Both probe slots no
+/// rule in [`diff_rules`] probes — `task.id` through a variable bound by
+/// an earlier CE, `event.n` through a constant — so their equality-join
+/// indexes are back-filled from live facts.
+fn late_rules() -> Vec<Rule> {
+    vec![
+        Rule::new("late-join")
+            .salience(3)
+            .when(Pattern::new("dep").slot_var("id", "d"))
+            .when(Pattern::new("task").slot_var("id", "d"))
+            .then_call("late-join", vec![Term::var("d")]),
+        Rule::new("late-const")
+            .when(Pattern::new("event").slot_const("n", 2))
+            .then_call("late-const", vec![]),
+    ]
+}
+
+/// `marked`, redefined: replaces the original in place, keeping its
+/// definition order and refraction history.
+fn marked_v2() -> Rule {
+    Rule::new("marked")
+        .salience(1)
+        .when(Pattern::new("mark").slot_var("n", "n"))
+        .then_call("marked-v2", vec![Term::var("n")])
+}
+
 /// One scripted operation, decoded from a generated `(op, a, b)` triple.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Assert(&'static str, i64),
     Retract(usize),
+    RetractMatching(&'static str, i64),
+    RetractTemplate(&'static str),
+    AddLateRules,
+    ReplaceRule,
     Run,
 }
 
 fn decode(ops: &[(u8, u8, u8)]) -> Vec<Op> {
     ops.iter()
-        .map(|&(op, a, b)| match op % 10 {
+        .map(|&(op, a, b)| match op % 16 {
             // Small id domain (0..4) forces joins, negation overlap and
             // duplicate-fact suppression.
             0 | 1 => Op::Assert("task", (b % 4) as i64),
@@ -64,6 +119,12 @@ fn decode(ops: &[(u8, u8, u8)]) -> Vec<Op> {
             4 => Op::Assert("event", (b % 4) as i64),
             5 => Op::Assert("junk", (b % 4) as i64),
             6 | 7 => Op::Retract(a as usize),
+            8 => Op::Assert("stage", (b % 4) as i64),
+            9 => Op::RetractMatching("task", (b % 4) as i64),
+            10 => Op::RetractMatching("stage", (b % 4) as i64),
+            11 => Op::RetractTemplate(if b % 2 == 0 { "done" } else { "mark" }),
+            12 => Op::AddLateRules,
+            13 => Op::ReplaceRule,
             _ => Op::Run,
         })
         .collect()
@@ -77,6 +138,8 @@ fn run_script(ops: &[Op], naive: bool) -> (Vec<String>, Vec<Invocation>, Vec<u64
     for r in diff_rules() {
         e.add_rule(r);
     }
+    // The permanent early fact: every later fact churns past it.
+    e.assert_fact(Fact::new("limit").with("name", "cap").with("value", 2));
     // Both engines see the same deterministic script, so the FactIds
     // recorded here line up between the two runs.
     let mut live: Vec<FactId> = Vec::new();
@@ -89,7 +152,11 @@ fn run_script(ops: &[Op], naive: bool) -> (Vec<String>, Vec<Invocation>, Vec<u64
                 } else {
                     "id"
                 };
-                live.push(e.assert_fact(Fact::new(tmpl).with(slot, id)));
+                let mut fact = Fact::new(tmpl).with(slot, id);
+                if tmpl == "stage" {
+                    fact = fact.with("state", "new");
+                }
+                live.push(e.assert_fact(fact));
             }
             Op::Retract(ix) => {
                 if !live.is_empty() {
@@ -98,6 +165,15 @@ fn run_script(ops: &[Op], naive: bool) -> (Vec<String>, Vec<Invocation>, Vec<u64
                     e.retract(live[ix % live.len()]);
                 }
             }
+            Op::RetractMatching(tmpl, id) => {
+                // Int facts probed with a Float: loose equality.
+                e.retract_matching(tmpl, "id", &Value::Float(id as f64));
+            }
+            Op::RetractTemplate(tmpl) => {
+                e.retract_template(tmpl);
+            }
+            Op::AddLateRules => late_rules().into_iter().for_each(|r| e.add_rule(r)),
+            Op::ReplaceRule => e.add_rule(marked_v2()),
             Op::Run => fired.push(e.run(100).fired),
         }
     }
@@ -109,7 +185,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
     #[test]
     fn incremental_matcher_is_observationally_identical_to_naive(
-        ops in proptest::collection::vec((0u8..10, 0u8..32, 0u8..8), 4..48),
+        ops in proptest::collection::vec((0u8..16, 0u8..32, 0u8..8), 4..64),
     ) {
         let script = decode(&ops);
         let (n_trace, n_inv, n_fired, n_facts) = run_script(&script, true);
@@ -119,4 +195,35 @@ proptest! {
         prop_assert_eq!(n_fired, r_fired, "per-run fired counts diverged");
         prop_assert_eq!(n_facts, r_facts, "final fact stores diverged");
     }
+}
+
+/// A permanent early fact under long churn: thousands of facts assert,
+/// fire against it and retract while it stays, and both matchers keep
+/// agreeing — on what fires and on a working memory that is back to the
+/// one permanent fact.
+#[test]
+fn permanent_fact_survives_long_churn_identically() {
+    let churn = |naive: bool| {
+        let mut e = Engine::new();
+        e.use_naive_matcher(naive);
+        e.set_trace_capacity(1 << 16);
+        for r in diff_rules() {
+            e.add_rule(r);
+        }
+        e.assert_fact(Fact::new("limit").with("name", "cap").with("value", 2));
+        let mut fired = Vec::new();
+        for i in 0..3_000i64 {
+            let task = e.assert_fact(Fact::new("task").with("id", i % 4));
+            let dep = e.assert_fact(Fact::new("dep").with("id", (i / 3) % 4));
+            e.assert_fact(Fact::new("junk").with("n", i));
+            fired.push(e.run(100).fired);
+            e.retract(task);
+            e.retract(dep);
+        }
+        (e.take_trace(), e.take_invocations(), fired, e.facts().len())
+    };
+    let naive = churn(true);
+    assert_eq!(naive.3, 1, "only the permanent fact remains");
+    assert!(naive.2.iter().sum::<u64>() > 6_000);
+    assert_eq!(naive, churn(false));
 }

@@ -49,9 +49,7 @@ use qos_net::PeerReader;
 use qos_net::{EventSink, NetStats, OutQueueConfig, PeerSender, ReactorConfig, ReactorHandle};
 use qos_repository::prelude::*;
 use qos_telemetry::{Counter, Histogram, Stage, Telemetry, TraceEvent};
-use qos_wire::messages::{
-    LiveRegisterMsg, LiveViolationMsg, TelemetryBatchMsg, TelemetrySubscribeMsg,
-};
+use qos_wire::messages::{LiveRegisterMsg, TelemetryBatchMsg, TelemetrySubscribeMsg};
 use qos_wire::{BatchBuilder, WireMsg, WireMsgRef};
 
 use crate::rules::{host_base_facts, host_rules_fair};
@@ -956,8 +954,7 @@ impl ManagerCore {
             .fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.frames_c.inc();
         self.bytes_c.add(bytes.len() as u64);
-        // The borrowed surface validates the frame without allocating;
-        // only messages that are actually handled get materialised.
+        // The borrowed surface validates the frame without allocating.
         match WireMsgRef::decode_frame(&bytes) {
             Err(_) => {
                 self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
@@ -967,35 +964,51 @@ impl ManagerCore {
                 self.stats.batch_frames.fetch_add(1, Ordering::Relaxed);
                 self.batch_frames_c.inc();
                 self.batch_hist.record(batch.len() as u64);
-                for m in &batch {
-                    let msg = m.to_owned_msg();
-                    // Chaos: redeliver a coalesced message, as a
-                    // retrying peer's resent batch would.
-                    if qos_buggify::buggify!("live.mgr.dup_frame") {
-                        self.handle_msg(msg.clone(), None);
-                    }
-                    self.handle_msg(msg, reply.clone());
+                for view in &batch {
+                    self.handle_view(view, reply.as_ref());
                 }
             }
-            Ok(view) => {
+            Ok(view) => self.handle_view(view, reply.as_ref()),
+        }
+    }
+
+    /// Handle one decoded message. A violation — the one high-rate kind,
+    /// read once and dropped — is acted on as the borrowed view; the
+    /// kinds whose contents are kept (registration, subscription) are
+    /// materialised.
+    fn handle_view(&mut self, view: WireMsgRef<'_>, reply: Option<&ReplySink>) {
+        // Chaos: redeliver the message to the handler, as a retrying
+        // peer (or its resent batch) would. Registration must stay
+        // idempotent and sync acks harmless under this.
+        let redeliver = qos_buggify::buggify!("live.mgr.dup_frame");
+        match view {
+            WireMsgRef::LiveViolation(v) => {
+                if redeliver {
+                    self.handle_violation(v.policy, v.process, v.corr, || v.readings.iter());
+                }
+                self.handle_violation(v.policy, v.process, v.corr, || v.readings.iter());
+            }
+            view => {
                 let msg = view.to_owned_msg();
-                // Chaos: redeliver the frame to the handler, as a
-                // retrying peer would. Registration must stay
-                // idempotent and sync acks harmless under this.
-                if qos_buggify::buggify!("live.mgr.dup_frame") {
+                if redeliver {
                     self.handle_msg(msg.clone(), None);
                 }
-                self.handle_msg(msg, reply)
+                self.handle_msg(msg, reply.cloned());
             }
         }
     }
 
     /// Record a lifecycle event in the manager's own telemetry (event
-    /// buffer + attached recorder) and stage it for subscribers.
-    fn emit(&mut self, ev: TraceEvent) {
+    /// buffer + attached recorder) and stage it for subscribers. The
+    /// event is only built when one of them will keep it: with an
+    /// inactive handle and no subscriber — the builder default — a
+    /// violation's four events cost nothing.
+    fn emit(&mut self, make: impl FnOnce(&LiveClock) -> TraceEvent) {
+        let clock = &self.clock;
         if self.subs.is_empty() {
-            self.telemetry.event(|| ev);
+            self.telemetry.event(|| make(clock));
         } else {
+            let ev = make(clock);
             self.telemetry.event(|| ev.clone());
             self.staged.push(ev);
         }
@@ -1009,6 +1022,86 @@ impl ManagerCore {
         MGR_CORR_BIT | self.next_corr
     }
 
+    /// Diagnose one violation report: assert it, run the rule base, act
+    /// on what fired. `readings` yields a fresh walk of the report's
+    /// `(attribute, value)` list per call.
+    fn handle_violation<'m, I>(
+        &mut self,
+        policy: &str,
+        process: &str,
+        corr: u64,
+        readings: impl Fn() -> I,
+    ) where
+        I: Iterator<Item = (&'m str, f64)>,
+    {
+        self.stats.violations.fetch_add(1, Ordering::Relaxed);
+        // Timestamps are the *manager's* clock throughout: the
+        // reporting process's clock has a different origin, so
+        // its `at_us` would scramble per-stage latencies.
+        let corr = if corr != 0 { corr } else { self.mint_corr() };
+        let now = self.clock.now_us();
+        self.emit(|_| TraceEvent {
+            at_us: now,
+            corr,
+            stage: Stage::Detect,
+            component: process.into(),
+            name: policy.into(),
+            fields: readings().map(|(a, v)| (a.into(), v)).collect(),
+        });
+        self.emit(|_| TraceEvent {
+            at_us: now,
+            corr,
+            stage: Stage::Report,
+            component: process.into(),
+            name: policy.into(),
+            fields: Vec::new(),
+        });
+        let fps = readings().next().map_or(0.0, |(_, v)| v);
+        let buffer = readings()
+            .find(|&(a, _)| a == "buffer_size")
+            .map_or(0.0, |(_, v)| v);
+        self.engine.assert_fact(
+            Fact::new("violation")
+                .with("pid", Value::str(process))
+                .with("fps", fps)
+                .with("lo", 23.0)
+                .with("hi", 27.0)
+                .with("buffer", buffer)
+                .with("weight", 1.0)
+                .with("has-upstream", false),
+        );
+        let run = self.engine.run(100);
+        self.stats
+            .rules_fired
+            .fetch_add(run.fired, Ordering::Relaxed);
+        self.emit(|clock| TraceEvent {
+            at_us: clock.now_us(),
+            corr,
+            stage: Stage::Diagnose,
+            component: "host-manager".into(),
+            name: policy.into(),
+            fields: vec![("fired".into(), run.fired as f64)],
+        });
+        for inv in self.engine.take_invocations() {
+            let step: i64 = match inv.command.as_str() {
+                "adjust-cpu" => 10,
+                "relax-cpu" => -5,
+                _ => 0,
+            };
+            if step != 0 {
+                self.stats.boost_level.fetch_add(step, Ordering::Relaxed);
+            }
+            self.emit(|clock| TraceEvent {
+                at_us: clock.now_us(),
+                corr,
+                stage: Stage::Adapt,
+                component: "host-manager".into(),
+                name: inv.command,
+                fields: vec![("step".into(), step as f64)],
+            });
+        }
+    }
+
     fn handle_msg(&mut self, msg: WireMsg, reply: Option<ReplySink>) {
         match msg {
             // At-least-once registration (retries, reconnect greetings):
@@ -1018,9 +1111,8 @@ impl ManagerCore {
             {
                 self.stats.registrations.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.counter("live.registered", &process).inc();
-                let at_us = self.clock.now_us();
-                self.emit(TraceEvent {
-                    at_us,
+                self.emit(|clock| TraceEvent {
+                    at_us: clock.now_us(),
                     corr: 0,
                     stage: Stage::Mark,
                     component: process,
@@ -1028,82 +1120,12 @@ impl ManagerCore {
                     fields: Vec::new(),
                 });
             }
-            WireMsg::LiveViolation(report) => {
-                self.stats.violations.fetch_add(1, Ordering::Relaxed);
-                let LiveViolationMsg {
-                    policy,
-                    process,
-                    corr,
-                    readings,
-                    ..
-                } = report;
-                // Timestamps are the *manager's* clock throughout: the
-                // reporting process's clock has a different origin, so
-                // its `at_us` would scramble per-stage latencies.
-                let corr = if corr != 0 { corr } else { self.mint_corr() };
-                let now = self.clock.now_us();
-                self.emit(TraceEvent {
-                    at_us: now,
-                    corr,
-                    stage: Stage::Detect,
-                    component: process.clone(),
-                    name: policy.clone(),
-                    fields: readings.clone(),
+            // Normally handled as a view in `handle_view`; an owned one
+            // (unpacked from a nested batch) takes the same path.
+            WireMsg::LiveViolation(v) => {
+                self.handle_violation(&v.policy, &v.process, v.corr, || {
+                    v.readings.iter().map(|(a, x)| (a.as_str(), *x))
                 });
-                self.emit(TraceEvent {
-                    at_us: now,
-                    corr,
-                    stage: Stage::Report,
-                    component: process.clone(),
-                    name: policy.clone(),
-                    fields: Vec::new(),
-                });
-                let fps = readings.first().map(|&(_, v)| v).unwrap_or(0.0);
-                let buffer = readings
-                    .iter()
-                    .find(|(a, _)| a == "buffer_size")
-                    .map(|&(_, v)| v)
-                    .unwrap_or(0.0);
-                self.engine.assert_fact(
-                    Fact::new("violation")
-                        .with("pid", Value::str(&process))
-                        .with("fps", fps)
-                        .with("lo", 23.0)
-                        .with("hi", 27.0)
-                        .with("buffer", buffer)
-                        .with("weight", 1.0)
-                        .with("has-upstream", false),
-                );
-                let run = self.engine.run(100);
-                self.stats
-                    .rules_fired
-                    .fetch_add(run.fired, Ordering::Relaxed);
-                self.emit(TraceEvent {
-                    at_us: self.clock.now_us(),
-                    corr,
-                    stage: Stage::Diagnose,
-                    component: "host-manager".into(),
-                    name: policy.clone(),
-                    fields: vec![("fired".into(), run.fired as f64)],
-                });
-                for inv in self.engine.take_invocations() {
-                    let step: i64 = match inv.command.as_str() {
-                        "adjust-cpu" => 10,
-                        "relax-cpu" => -5,
-                        _ => 0,
-                    };
-                    if step != 0 {
-                        self.stats.boost_level.fetch_add(step, Ordering::Relaxed);
-                    }
-                    self.emit(TraceEvent {
-                        at_us: self.clock.now_us(),
-                        corr,
-                        stage: Stage::Adapt,
-                        component: "host-manager".into(),
-                        name: inv.command,
-                        fields: vec![("step".into(), step as f64)],
-                    });
-                }
             }
             WireMsg::TelemetrySubscribe(sub) => {
                 // A subscription needs a way back to the peer; the
