@@ -53,8 +53,8 @@ pub mod prelude {
     pub use crate::messages::{
         AdaptMsg, AdjustRequestMsg, AgentReply, AgentRequest, DomainAlertMsg, RegisterMsg,
         RuleUpdateMsg, StatsQueryMsg, StatsReplyMsg, Upstream, ViolationMsg, WireMsg,
-        CTRL_MSG_BYTES, DISCOVERY_LEASE, DISCOVERY_PORT, DOMAIN_MANAGER_PORT, HOST_MANAGER_PORT,
-        POLICY_AGENT_PORT, REGISTRATION_HEARTBEAT_PERIOD, STATS_QUERY_DEADLINE,
+        DISCOVERY_LEASE, DISCOVERY_PORT, DOMAIN_MANAGER_PORT, HOST_MANAGER_PORT, POLICY_AGENT_PORT,
+        REGISTRATION_HEARTBEAT_PERIOD, STATS_QUERY_DEADLINE,
     };
     pub use crate::protocol::{
         apply as apply_lifecycle_op, conformance_divergence, real_grace, Bugs, LifecycleAbs,
@@ -66,9 +66,8 @@ pub mod prelude {
         host_rules_fair, overload_rules, proactive_rules, BUFFER_CUTOFF,
     };
     pub use crate::transport::{
-        decode_ctrl, send_ctrl, send_ctrl_batch, set_wire_mode, wire_mode, ChannelTransport,
-        FlushPolicy, ReconnectPolicy, SockAddr, SocketTransport, SocketTransportBuilder,
-        TelemetryTap, WireMode, WireTransport,
+        decode_ctrl, send_ctrl, send_ctrl_batch, ChannelTransport, FlushPolicy, ReconnectPolicy,
+        SockAddr, SocketTransport, SocketTransportBuilder, TelemetryTap, WireTransport,
     };
 }
 

@@ -46,7 +46,7 @@ use qos_inference::prelude::*;
 use qos_instrument::prelude::*;
 use qos_net::PeerReader;
 #[cfg(target_os = "linux")]
-use qos_net::{EventSink, NetStats, OutQueueConfig, PeerSender, ReactorConfig, ReactorHandle};
+use qos_net::{EventSink, NetStats, PeerSender, ReactorConfig, ReactorHandle};
 use qos_repository::prelude::*;
 use qos_telemetry::{Counter, Histogram, Stage, Telemetry, TraceEvent};
 use qos_wire::messages::{LiveRegisterMsg, TelemetryBatchMsg, TelemetrySubscribeMsg};
@@ -54,8 +54,7 @@ use qos_wire::{BatchBuilder, WireMsg, WireMsgRef};
 
 use crate::rules::{host_base_facts, host_rules_fair};
 use crate::transport::{
-    ChannelTransport, FlushPolicy, Inbound, ReplySink, SinkSend, SockAddr, SockListener,
-    WireTransport,
+    ChannelTransport, Inbound, ReplySink, SinkSend, SockAddr, SockListener, WireTransport,
 };
 
 /// Capacity of the manager's message queue. Bounded so a violation storm
@@ -535,8 +534,6 @@ pub struct LiveBuilder {
     driver: Driver,
     workers: usize,
     telemetry: Option<Telemetry>,
-    report_batch: Option<ReportBatchPolicy>,
-    flush: Option<FlushPolicy>,
 }
 
 impl LiveBuilder {
@@ -572,23 +569,6 @@ impl LiveBuilder {
         self
     }
 
-    /// Retune the manager's publish cadence from a report-batch shape:
-    /// subscriber batches flush every `max_delay`, metrics snapshots at
-    /// 5× that, and a staged-event pile of `max_msgs` forces an early
-    /// cut. Default: the `TELEMETRY_*_INTERVAL` constants.
-    pub fn report_batch(mut self, policy: ReportBatchPolicy) -> Self {
-        self.report_batch = Some(policy);
-        self
-    }
-
-    /// Bound each reactor peer's outbound queue from a flush shape: the
-    /// queue holds roughly 16 flush batches (`16 × max_bytes`) before
-    /// back-pressuring. Default: [`qos_net::OutQueueConfig::default`].
-    pub fn flush(mut self, policy: FlushPolicy) -> Self {
-        self.flush = Some(policy);
-        self
-    }
-
     /// Spawn the manager thread (and acceptor or reactor, if listening).
     /// The rule base is parsed before any thread starts, so a bad build
     /// fails here, in the caller, rather than panicking a detached
@@ -599,14 +579,6 @@ impl LiveBuilder {
         let (tx, rx): (Sender<Inbound>, Receiver<Inbound>) = bounded(LIVE_QUEUE_CAPACITY);
         let stats = Arc::new(LiveManagerStats::default());
 
-        let core_cfg = match self.report_batch {
-            None => CoreConfig::default(),
-            Some(p) => CoreConfig {
-                publish: p.max_delay,
-                metrics: p.max_delay * 5,
-                batch_max_events: p.max_msgs.max(1),
-            },
-        };
         let thread_stats = Arc::clone(&stats);
         let thread_telemetry = self.telemetry.clone().unwrap_or_default();
         // Buggify state is thread-local; carry the spawner's config into
@@ -618,7 +590,7 @@ impl LiveBuilder {
                 if let Some(cfg) = chaos {
                     qos_buggify::adopt(cfg);
                 }
-                ManagerCore::new(thread_stats, thread_telemetry, rules, base, core_cfg).run(rx)
+                ManagerCore::new(thread_stats, thread_telemetry, rules, base).run(rx)
             })
             .map_err(LiveError::ThreadSpawn)?;
 
@@ -643,13 +615,8 @@ impl LiveBuilder {
                     }
                     #[cfg(target_os = "linux")]
                     Driver::Reactor => {
-                        let mut out = OutQueueConfig::default();
-                        if let Some(f) = self.flush {
-                            out.max_bytes = f.max_bytes.saturating_mul(16).max(out.max_bytes);
-                        }
                         let cfg = ReactorConfig {
                             workers: self.workers.max(1),
-                            out,
                             telemetry: self.telemetry.clone(),
                             ..ReactorConfig::default()
                         };
@@ -697,33 +664,12 @@ pub struct LiveHostManager {
 
 impl LiveHostManager {
     /// Start building a manager: pick a listen spec, a [`Driver`], and
-    /// optional telemetry/cadence knobs, then [`LiveBuilder::spawn`].
+    /// an optional telemetry registry, then [`LiveBuilder::spawn`].
     pub fn builder() -> LiveBuilder {
         LiveBuilder {
             workers: 4,
             ..LiveBuilder::default()
         }
-    }
-
-    /// Spawn the manager thread with the default host rules, in-proc
-    /// only.
-    #[deprecated(since = "0.1.0", note = "use LiveHostManager::builder().spawn()")]
-    pub fn spawn() -> Result<Self, LiveError> {
-        Self::builder().spawn()
-    }
-
-    /// Spawn with an explicit listen spec and optional telemetry
-    /// registry.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use LiveHostManager::builder().listen(spec).telemetry(t).spawn()"
-    )]
-    pub fn spawn_with(spec: ListenSpec, telemetry: Option<&Telemetry>) -> Result<Self, LiveError> {
-        let mut b = Self::builder().listen(spec);
-        if let Some(t) = telemetry {
-            b = b.telemetry(t);
-        }
-        b.spawn()
     }
 
     /// The reactor's shared `net.*` counters, when this manager runs
@@ -838,28 +784,6 @@ fn enqueue_batch(sub: &mut Subscriber, frame: Vec<u8>) -> bool {
     dropped
 }
 
-/// Publish-cadence knobs of the manager loop, derived by the builder
-/// from its defaults or a [`ReportBatchPolicy`] override.
-#[derive(Debug, Clone, Copy)]
-struct CoreConfig {
-    /// Subscriber-batch publish interval (also the idle tick).
-    publish: Duration,
-    /// Minimum spacing of metrics snapshots.
-    metrics: Duration,
-    /// Staged-event count that forces an early publish.
-    batch_max_events: usize,
-}
-
-impl Default for CoreConfig {
-    fn default() -> Self {
-        CoreConfig {
-            publish: TELEMETRY_PUBLISH_INTERVAL,
-            metrics: TELEMETRY_METRICS_INTERVAL,
-            batch_max_events: BATCH_MAX_EVENTS,
-        }
-    }
-}
-
 /// The manager thread's state: decode frames centrally (so malformed
 /// input is one counted statistic), run the rule engine on violations,
 /// ack syncs, and publish lifecycle events + metrics snapshots to
@@ -867,7 +791,6 @@ impl Default for CoreConfig {
 struct ManagerCore {
     stats: Arc<LiveManagerStats>,
     telemetry: Telemetry,
-    cfg: CoreConfig,
     clock: LiveClock,
     frames_c: Counter,
     batch_frames_c: Counter,
@@ -891,7 +814,6 @@ impl ManagerCore {
         telemetry: Telemetry,
         rules: qos_inference::clips::Program,
         base: qos_inference::clips::Program,
-        cfg: CoreConfig,
     ) -> Self {
         let mut engine = Engine::new();
         for r in rules.rules {
@@ -910,7 +832,6 @@ impl ManagerCore {
         ManagerCore {
             stats,
             telemetry,
-            cfg,
             clock: LiveClock::new(),
             frames_c,
             batch_frames_c,
@@ -934,7 +855,7 @@ impl ManagerCore {
     /// still gated on the interval); idle, it runs every interval.
     fn run(mut self, rx: Receiver<Inbound>) {
         loop {
-            match rx.recv_timeout(self.cfg.publish) {
+            match rx.recv_timeout(TELEMETRY_PUBLISH_INTERVAL) {
                 Ok(Inbound::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
                 Ok(Inbound::StreamCorrupt) => {
                     self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
@@ -1193,20 +1114,20 @@ impl ManagerCore {
             // allocation churn. Count the publish tick we skipped so
             // `qosctl tail`-shaped workloads are observable as cheap.
             self.staged.clear();
-            if self.last_publish.elapsed() >= self.cfg.publish {
+            if self.last_publish.elapsed() >= TELEMETRY_PUBLISH_INTERVAL {
                 self.last_publish = Instant::now();
                 self.stats.skipped_flushes.fetch_add(1, Ordering::Relaxed);
                 self.skipped_c.inc();
             }
             return;
         }
-        let interval_due = self.last_publish.elapsed() >= self.cfg.publish;
+        let interval_due = self.last_publish.elapsed() >= TELEMETRY_PUBLISH_INTERVAL;
         let metrics_stale = match self.last_metrics {
             None => true,
-            Some(t) => t.elapsed() >= self.cfg.metrics,
+            Some(t) => t.elapsed() >= TELEMETRY_METRICS_INTERVAL,
         };
         let metrics_due = metrics_stale && self.subs.iter().any(|s| s.want_metrics);
-        let force = self.staged.len() >= self.cfg.batch_max_events;
+        let force = self.staged.len() >= BATCH_MAX_EVENTS;
         if !(force || (interval_due && (!self.staged.is_empty() || metrics_due))) {
             return;
         }
@@ -1480,6 +1401,17 @@ mod tests {
             }
         }
         generated
+    }
+
+    /// A tap's subscription and a process's reports travel on separate
+    /// connections: until the manager has the subscriber, a violation's
+    /// events are staged for nobody.
+    fn wait_for_subscriber(mgr: &LiveHostManager) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while mgr.stats.subscribers.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "subscription never registered");
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     fn temp_sock(name: &str) -> std::path::PathBuf {
@@ -1855,6 +1787,7 @@ mod tests {
             .expect("spawn socket manager");
         let addr = mgr.local_addr().expect("bound");
         let mut tap = TelemetryTap::connect(&addr, "test-tap", true, true).expect("tap connects");
+        wait_for_subscriber(&mgr);
 
         let (repo, mut agent) = standard_live_repo();
         let sock = SocketTransport::connect_retry(addr, Duration::from_secs(5)).unwrap();
@@ -1906,15 +1839,7 @@ mod tests {
     fn zero_subscriber_publish_is_skipped_and_counted() {
         let (repo, mut agent) = standard_live_repo();
         let t = Telemetry::enabled();
-        // A tight publish cadence so the skip ticks accumulate fast.
-        let mgr = LiveHostManager::builder()
-            .telemetry(&t)
-            .report_batch(ReportBatchPolicy {
-                max_msgs: 256,
-                max_delay: Duration::from_millis(10),
-            })
-            .spawn()
-            .unwrap();
+        let mgr = LiveHostManager::builder().telemetry(&t).spawn().unwrap();
         let mut p = LiveProcess::start(&registration(), &repo, &mut agent, mgr.connect())
             .expect("manager running");
         assert!(force_violation_reports(&mut p) >= 1);
@@ -1937,20 +1862,6 @@ mod tests {
                 "skip counter must mirror into the registry"
             );
         }
-        mgr.shutdown();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_spawn_shims_still_work() {
-        // The pre-builder constructors stay behaviourally identical: both
-        // shims route through the builder with default knobs.
-        let mgr = LiveHostManager::spawn().expect("spawn shim");
-        assert!(mgr.sync());
-        mgr.shutdown();
-        let t = Telemetry::enabled();
-        let mgr = LiveHostManager::spawn_with(ListenSpec::InProc, Some(&t)).expect("spawn_with");
-        assert!(mgr.sync());
         mgr.shutdown();
     }
 
@@ -1997,6 +1908,7 @@ mod tests {
             .expect("spawn reactor manager");
         let addr = mgr.local_addr().expect("bound");
         let mut tap = TelemetryTap::connect(&addr, "reactor-tap", true, true).expect("tap dials");
+        wait_for_subscriber(&mgr);
 
         let (repo, mut agent) = standard_live_repo();
         let sock = SocketTransport::connect_retry(addr, Duration::from_secs(5)).unwrap();

@@ -8,8 +8,8 @@
 pub use qos_wire::messages::{
     AdaptMsg, AdjustRequestMsg, AgentReply, AgentRequest, DomainAlertMsg, LiveRegisterMsg,
     LiveViolationMsg, RegisterMsg, RuleUpdateMsg, StatsQueryMsg, StatsReplyMsg, Upstream,
-    ViolationMsg, CTRL_MSG_BYTES, DISCOVERY_LEASE, DISCOVERY_PORT, DOMAIN_MANAGER_PORT,
-    HOST_MANAGER_PORT, MANAGER_PROCESSING_COST, POLICY_AGENT_PORT, REGISTRATION_HEARTBEAT_PERIOD,
+    ViolationMsg, DISCOVERY_LEASE, DISCOVERY_PORT, DOMAIN_MANAGER_PORT, HOST_MANAGER_PORT,
+    MANAGER_PROCESSING_COST, POLICY_AGENT_PORT, REGISTRATION_HEARTBEAT_PERIOD,
     STATS_QUERY_DEADLINE,
 };
 pub use qos_wire::{BatchMsg, WireMsg};

@@ -4,7 +4,7 @@
 //!
 //! * **Simulator** — [`send_ctrl`]/[`decode_ctrl`] move encoded frames
 //!   through `qos_sim` messages, charging the network the *real* encoded
-//!   byte length of each control message (see [`WireMode`]).
+//!   byte length of each control message.
 //! * **In-proc channel** — [`ChannelTransport`] feeds a
 //!   [`LiveHostManager`](crate::live::LiveHostManager) thread over a
 //!   bounded crossbeam channel, as before, but carrying encoded frames.
@@ -37,137 +37,42 @@ use qos_wire::{FrameBuffer, WireBytes, WireError, WireMsg};
 
 pub use qos_net::{Backoff, FlushPolicy, ReconnectPolicy, SockAddr, SockListener, SockStream};
 
-use crate::messages::CTRL_MSG_BYTES;
-
 // ---------------------------------------------------------------------
 // Simulator backend
 // ---------------------------------------------------------------------
 
-/// How control messages are represented and charged inside the simulator.
-///
-/// `Typed` is the pre-wire-protocol behaviour (struct payloads, nominal
-/// [`CTRL_MSG_BYTES`] size); `EncodedFixed` runs the full encode/decode
-/// path while keeping the nominal size. The two must produce identical
-/// traces — that equivalence is what certifies the codec refactor — and
-/// `Measured` then swaps in the real encoded length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireMode {
-    /// Typed struct payloads, nominal `CTRL_MSG_BYTES` network charge
-    /// (the legacy path, kept for differential testing).
-    Typed,
-    /// Encoded frames on the wire, nominal `CTRL_MSG_BYTES` charge
-    /// (isolates the codec from the byte-accounting change).
-    EncodedFixed,
-    /// Encoded frames charged their real encoded length (the default).
-    Measured,
-}
-
-thread_local! {
-    // Thread-local, not global: experiment harnesses run worlds on
-    // parallel threads (`parallel_map`), and each world must pick its
-    // mode without racing the others. Every scenario builds and runs its
-    // world on one thread, so a thread-local is exactly world-scoped.
-    static WIRE_MODE: std::cell::Cell<WireMode> = const { std::cell::Cell::new(WireMode::Measured) };
-}
-
-/// Set the control-plane wire mode for worlds run on this thread.
-pub fn set_wire_mode(mode: WireMode) {
-    WIRE_MODE.with(|m| m.set(mode));
-}
-
-/// The current thread's control-plane wire mode.
-pub fn wire_mode() -> WireMode {
-    WIRE_MODE.with(|m| m.get())
-}
-
-/// Send a management-plane message through the simulated network,
-/// represented and charged according to the thread's [`WireMode`].
+/// Send a management-plane message through the simulated network: encode
+/// it, charge the network its real encoded length, send the frame.
 pub fn send_ctrl(ctx: &mut Ctx<'_>, dst: Endpoint, src_port: Port, msg: WireMsg) {
-    match wire_mode() {
-        WireMode::Typed => match msg {
-            WireMsg::Violation(m) => ctx.send(dst, src_port, CTRL_MSG_BYTES, m),
-            WireMsg::Register(m) => ctx.send(dst, src_port, CTRL_MSG_BYTES, m),
-            WireMsg::AgentRequest(m) => ctx.send(dst, src_port, CTRL_MSG_BYTES, m),
-            WireMsg::AgentReply(m) => ctx.send(dst, src_port, CTRL_MSG_BYTES, m),
-            WireMsg::DomainAlert(m) => ctx.send(dst, src_port, CTRL_MSG_BYTES, m),
-            WireMsg::StatsQuery(m) => ctx.send(dst, src_port, CTRL_MSG_BYTES, m),
-            WireMsg::StatsReply(m) => ctx.send(dst, src_port, CTRL_MSG_BYTES, m),
-            WireMsg::AdjustRequest(m) => ctx.send(dst, src_port, CTRL_MSG_BYTES, m),
-            WireMsg::Adapt(m) => ctx.send(dst, src_port, CTRL_MSG_BYTES, m),
-            WireMsg::RuleUpdate(m) => ctx.send(dst, src_port, CTRL_MSG_BYTES, m),
-            // Live-mode-only kinds have no typed legacy form; carry the
-            // frame (they never occur inside simulated worlds).
-            other => {
-                let b = WireBytes::encode(&other);
-                ctx.send(dst, src_port, CTRL_MSG_BYTES, b);
-            }
-        },
-        WireMode::EncodedFixed => {
-            let b = WireBytes::encode(&msg);
-            ctx.send(dst, src_port, CTRL_MSG_BYTES, b);
-        }
-        WireMode::Measured => {
-            let b = WireBytes::encode(&msg);
-            let n = b.len_bytes();
-            ctx.send(dst, src_port, n, b);
-        }
-    }
+    let b = WireBytes::encode(&msg);
+    let n = b.len_bytes();
+    ctx.send(dst, src_port, n, b);
 }
 
 /// Send several management-plane messages coalesced into one
 /// [`WireMsg::Batch`] frame — one simulated hop and one manager wake-up
-/// instead of N. In `Measured` mode the network is charged the real
-/// batch frame length, which is where coalescing pays: N−1 frame
-/// headers disappear from the wire. `Typed` mode has no legacy batch
-/// form, so it falls back to per-message sends (the two modes still
-/// deliver the same messages in the same order, which is what the
-/// equivalence suite pins).
+/// instead of N. The network is charged the real batch frame length,
+/// which is where coalescing pays: N−1 frame headers disappear from the
+/// wire.
 pub fn send_ctrl_batch(ctx: &mut Ctx<'_>, dst: Endpoint, src_port: Port, msgs: Vec<WireMsg>) {
     if msgs.is_empty() {
         return;
     }
-    match wire_mode() {
-        WireMode::Typed => {
-            for m in msgs {
-                send_ctrl(ctx, dst, src_port, m);
-            }
-        }
-        WireMode::EncodedFixed | WireMode::Measured => {
-            send_ctrl(ctx, dst, src_port, WireMsg::Batch(BatchMsg { msgs }));
-        }
-    }
+    send_ctrl(ctx, dst, src_port, WireMsg::Batch(BatchMsg { msgs }));
 }
 
-/// Interpret a simulated message as a management-plane message.
+/// Interpret a simulated message as a management-plane message: it is
+/// one iff its payload is a [`WireBytes`] frame.
 ///
-/// `Ok(Some(..))` — a control message (decoded frame or legacy typed
-/// struct). `Ok(None)` — not a control message (application payloads such
-/// as video frames pass through untouched). `Err(..)` — the payload was a
-/// wire frame but corrupt; the caller should count it, not panic.
+/// `Ok(Some(..))` — a decoded control message. `Ok(None)` — not a control
+/// message (application payloads such as video frames pass through
+/// untouched). `Err(..)` — the payload was a wire frame but corrupt; the
+/// caller should count it, not panic.
 pub fn decode_ctrl(msg: &Message) -> Result<Option<WireMsg>, WireError> {
-    if let Some(b) = msg.payload.get::<WireBytes>() {
-        return b.decode().map(Some);
-    }
-    macro_rules! typed {
-        ($($ty:ident => $variant:ident),* $(,)?) => {
-            $(if let Some(m) = msg.payload.get::<crate::messages::$ty>() {
-                return Ok(Some(WireMsg::$variant(m.clone())));
-            })*
-        };
-    }
-    typed! {
-        ViolationMsg => Violation,
-        RegisterMsg => Register,
-        AgentRequest => AgentRequest,
-        AgentReply => AgentReply,
-        DomainAlertMsg => DomainAlert,
-        StatsQueryMsg => StatsQuery,
-        StatsReplyMsg => StatsReply,
-        AdjustRequestMsg => AdjustRequest,
-        AdaptMsg => Adapt,
-        RuleUpdateMsg => RuleUpdate,
-    }
-    Ok(None)
+    msg.payload
+        .get::<WireBytes>()
+        .map(WireBytes::decode)
+        .transpose()
 }
 
 // ---------------------------------------------------------------------
@@ -353,8 +258,7 @@ impl WireTransport for ChannelTransport {
 // ---------------------------------------------------------------------
 
 /// Builds a [`SocketTransport`]: the dial address plus the
-/// [`ReconnectPolicy`] and optional [`FlushPolicy`] in one place,
-/// replacing the scattered `with_*` setters.
+/// [`ReconnectPolicy`] and optional [`FlushPolicy`] in one place.
 ///
 /// ```no_run
 /// use qos_manager::transport::{ReconnectPolicy, SocketTransport};
@@ -391,6 +295,7 @@ impl SocketTransportBuilder {
         SocketTransport {
             addr: self.addr,
             stream: Some(stream),
+            fb: FrameBuffer::new(),
             conn,
         }
     }
@@ -433,6 +338,10 @@ impl SocketTransportBuilder {
 pub struct SocketTransport {
     addr: SockAddr,
     stream: Option<SockStream>,
+    /// Reassembly state of `stream`'s read side. It lives as long as the
+    /// connection does: bytes a barrier read past its ack, or a partial
+    /// frame buffered when a barrier timed out, belong to the next read.
+    fb: FrameBuffer,
     conn: ClientConn,
 }
 
@@ -457,26 +366,6 @@ impl SocketTransport {
     /// Shorthand for `builder(addr).connect_retry(deadline)`.
     pub fn connect_retry(addr: SockAddr, deadline: Duration) -> io::Result<SocketTransport> {
         SocketTransport::builder(addr).connect_retry(deadline)
-    }
-
-    /// Buffer writes and flush on the given size/deadline policy instead
-    /// of one syscall per frame.
-    #[deprecated(note = "use SocketTransport::builder(addr).flush(policy)")]
-    pub fn with_flush_policy(mut self, policy: FlushPolicy) -> Self {
-        self.conn.set_flush_policy(Some(policy));
-        self
-    }
-
-    /// Re-seed the reconnect jitter (deterministic tests).
-    #[deprecated(
-        note = "use SocketTransport::builder(addr).reconnect(ReconnectPolicy::seeded(seed))"
-    )]
-    pub fn with_backoff_seed(self, seed: u64) -> Self {
-        // Rebuild the machine with a pinned seed; only valid in builder
-        // position (before any greeting or buffered traffic exists).
-        let mut conn = ClientConn::connected(&ReconnectPolicy::seeded(seed));
-        conn.set_flush_policy(self.conn.flush_policy());
-        SocketTransport { conn, ..self }
     }
 
     /// The peer address.
@@ -558,6 +447,7 @@ impl SocketTransport {
         if let Some(s) = self.stream.take() {
             s.shutdown();
         }
+        self.fb = FrameBuffer::new();
         self.conn.on_disconnect(Instant::now());
     }
 
@@ -645,50 +535,18 @@ impl WireTransport for SocketTransport {
         if !self.write_frame(&req) {
             return false;
         }
-        let Some(stream) = self.stream.as_ref() else {
+        let Some(stream) = self.stream.as_mut() else {
             return false;
         };
-        let Ok(mut reader) = stream.try_clone() else {
-            return false;
-        };
-        let deadline = Instant::now() + timeout;
-        let mut fb = FrameBuffer::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            loop {
-                match fb.next() {
-                    Ok(Some(WireMsg::SyncAck { token: t })) if t == token => return true,
-                    Ok(Some(_)) => continue, // stale ack or push; skip
-                    Ok(None) => break,
-                    Err(_) => {
-                        self.disconnect();
-                        return false;
-                    }
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            if reader.set_read_timeout(Some(deadline - now)).is_err() {
-                return false;
-            }
-            match reader.read(&mut chunk) {
-                Ok(0) => {
-                    self.disconnect();
-                    return false;
-                }
-                Ok(n) => fb.extend(&chunk[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return false;
-                }
-                Err(_) => {
-                    self.disconnect();
-                    return false;
-                }
+        // Stale acks and pushes sharing the stream are skipped.
+        let acked = read_until(stream, &mut self.fb, Instant::now() + timeout, |m| {
+            matches!(m, WireMsg::SyncAck { token: t } if t == token).then_some(())
+        });
+        match acked {
+            Ok(ack) => ack.is_some(),
+            Err(_) => {
+                self.disconnect();
+                false
             }
         }
     }
@@ -744,34 +602,55 @@ impl TelemetryTap {
     /// nothing arrived in time (the stream is still healthy); `Err`
     /// means the manager closed the connection or the stream corrupted.
     pub fn next_batch(&mut self, timeout: Duration) -> io::Result<Option<TelemetryBatchMsg>> {
-        let deadline = Instant::now() + timeout;
-        let mut chunk = [0u8; 4096];
-        loop {
-            loop {
-                match self.fb.next() {
-                    Ok(Some(WireMsg::TelemetryBatch(b))) => return Ok(Some(b)),
-                    // Acks and other push kinds may share the stream.
-                    Ok(Some(_)) => continue,
-                    Ok(None) => break,
-                    Err(e) => return Err(io::Error::other(format!("stream corrupt: {e}"))),
-                }
+        // Acks and other push kinds may share the stream.
+        read_until(
+            &mut self.stream,
+            &mut self.fb,
+            Instant::now() + timeout,
+            |m| match m {
+                WireMsg::TelemetryBatch(b) => Some(b),
+                _ => None,
+            },
+        )
+    }
+}
+
+/// The one deadline read loop of the blocking socket carriers: pop
+/// decoded frames off `fb` until `pick` takes one, reading more from
+/// `stream` while `deadline` allows. `Ok(None)` means the deadline passed
+/// first — whatever was read stays in `fb`, so a frame cut by the timeout
+/// completes on the next call. `Err` means the peer closed, the read
+/// failed, or the stream is corrupt beyond reframing.
+fn read_until<T>(
+    stream: &mut SockStream,
+    fb: &mut FrameBuffer,
+    deadline: Instant,
+    mut pick: impl FnMut(WireMsg) -> Option<T>,
+) -> io::Result<Option<T>> {
+    let mut chunk = [0u8; 4096];
+    loop {
+        while let Some(msg) = fb
+            .next()
+            .map_err(|e| io::Error::other(format!("stream corrupt: {e}")))?
+        {
+            if let Some(picked) = pick(msg) {
+                return Ok(Some(picked));
             }
-            let now = Instant::now();
-            if now >= deadline {
+        }
+        let now = Instant::now();
+        if now >= deadline {
+            return Ok(None);
+        }
+        stream.set_read_timeout(Some(deadline - now))?;
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => fb.extend(&chunk[..n]),
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
                 return Ok(None);
             }
-            self.stream.set_read_timeout(Some(deadline - now))?;
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => self.fb.extend(&chunk[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None);
-                }
-                Err(e) => return Err(e),
-            }
+            Err(e) => return Err(e),
         }
     }
 }
@@ -780,6 +659,88 @@ impl TelemetryTap {
 mod tests {
     use super::*;
     use crate::messages::AdaptMsg;
+
+    fn sim_message<T: std::any::Any + Send + Clone>(payload: T) -> Message {
+        let at = Endpoint::new(qos_sim::HostId(0), 1);
+        Message {
+            src: at,
+            dst: at,
+            bytes: 64,
+            sent_at: qos_sim::SimTime::ZERO,
+            payload: qos_sim::Payload::new(payload),
+        }
+    }
+
+    #[test]
+    fn decode_ctrl_takes_wire_frames_and_nothing_else() {
+        let adapt = AdaptMsg {
+            actuator: "decoder".into(),
+            command: "set-quality".into(),
+            value: 0.5,
+        };
+        let frame = WireMsg::Adapt(adapt.clone()).encode_frame();
+
+        let valid = sim_message(WireBytes::new(frame.clone()));
+        assert_eq!(decode_ctrl(&valid), Ok(Some(WireMsg::Adapt(adapt.clone()))));
+
+        let mut torn = frame;
+        torn.pop();
+        assert!(decode_ctrl(&sim_message(WireBytes::new(torn))).is_err());
+
+        // An application payload is not a control message, and is left
+        // for the application to take.
+        let app = sim_message(vec![7u8; 16]);
+        assert_eq!(decode_ctrl(&app), Ok(None));
+        assert_eq!(app.payload.get::<Vec<u8>>(), Some(&vec![7u8; 16]));
+
+        // Nor is a bare message struct: only encoded frames are control
+        // traffic.
+        assert_eq!(decode_ctrl(&sim_message(adapt)), Ok(None));
+    }
+
+    #[test]
+    fn read_until_skips_stale_frames_and_keeps_a_frame_cut_by_the_deadline() {
+        use std::os::unix::net::UnixStream;
+        let (ours, mut theirs) = UnixStream::pair().unwrap();
+        let mut stream = SockStream::Uds(ours);
+        let mut fb = FrameBuffer::new();
+        let ack = |want: u64| {
+            move |m: WireMsg| matches!(m, WireMsg::SyncAck { token } if token == want).then_some(())
+        };
+        let trickle = |to: &mut UnixStream, bytes: &[u8]| {
+            for b in bytes {
+                to.write_all(std::slice::from_ref(b)).unwrap();
+            }
+        };
+        let soon = || Instant::now() + Duration::from_secs(5);
+
+        // A stale ack ahead of the wanted one is skipped.
+        trickle(&mut theirs, &WireMsg::SyncAck { token: 1 }.encode_frame());
+        trickle(&mut theirs, &WireMsg::SyncAck { token: 2 }.encode_frame());
+        assert_eq!(
+            read_until(&mut stream, &mut fb, soon(), ack(2)).unwrap(),
+            Some(())
+        );
+        assert!(fb.is_empty());
+
+        // The deadline hits mid-frame: not an error, and the half that
+        // arrived is kept, so the next call completes the same frame.
+        let third = WireMsg::SyncAck { token: 3 }.encode_frame();
+        let (head, tail) = third.split_at(third.len() / 2);
+        trickle(&mut theirs, head);
+        let cut = Instant::now() + Duration::from_millis(30);
+        assert_eq!(read_until(&mut stream, &mut fb, cut, ack(3)).unwrap(), None);
+        assert_eq!(fb.len(), head.len());
+        trickle(&mut theirs, tail);
+        assert_eq!(
+            read_until(&mut stream, &mut fb, soon(), ack(3)).unwrap(),
+            Some(())
+        );
+
+        // A closed peer is an error, not a timeout.
+        drop(theirs);
+        assert!(read_until(&mut stream, &mut fb, soon(), ack(4)).is_err());
+    }
 
     #[test]
     fn channel_transport_delivers_frames() {

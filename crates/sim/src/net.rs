@@ -60,10 +60,9 @@ pub struct HopStats {
     pub dropped: u64,
     /// Of `dropped`, those lost to blackout/flap outage windows.
     pub blackout_dropped: u64,
-    /// Payload bytes carried by forwarded packets. With measured wire
-    /// sizes (`WireMode::Measured`) this is the real control-plane load;
-    /// under the legacy nominal size every control message counts as
-    /// `CTRL_MSG_BYTES` regardless of content.
+    /// Payload bytes carried by forwarded packets. Control messages are
+    /// charged their encoded frame length, so this is the real
+    /// control-plane load.
     pub bytes_forwarded: u64,
     /// Cumulative service time spent forwarding (occupancy). Divide by
     /// elapsed sim time for utilization.

@@ -2,10 +2,11 @@
 //!
 //! The owned decoder ([`WireMsg::decode_frame`]) allocates a `String`
 //! per text field and a `Vec` per list — fine for control-rate traffic,
-//! too expensive for the violation-report hot path. This module adds a
-//! second decode surface, [`WireMsgRef`], whose high-rate variants
-//! borrow every string and list straight out of the frame buffer:
-//! decoding a [`ViolationMsgRef`] performs **zero** heap allocations.
+//! too expensive for the live manager's violation path. [`WireMsgRef`]
+//! is the decode surface that path reads: a [`LiveViolationMsgRef`]
+//! borrows every string and its readings list straight out of the frame
+//! buffer (decoding it performs **zero** heap allocations), and a
+//! [`BatchRef`] walks coalesced reports the same way.
 //!
 //! Ownership rules (see DESIGN.md):
 //!
@@ -13,40 +14,24 @@
 //!   from and is valid only while that buffer is; it is `Copy`, so
 //!   handing one around never implies a deep copy.
 //! * Decoding validates the *entire* message eagerly — lengths, UTF-8,
-//!   enum tags, nesting — so iterating a view afterwards cannot fail.
-//!   The deferred iterators ([`ReadingsRef`], [`TraceEventsRef`]) walk
-//!   pre-validated bytes.
-//! * `to_owned()` materializes the equivalent owned message; the
-//!   differential property tests in `tests/roundtrip.rs` pin
-//!   borrowed-then-owned to be byte-identical with the owned decoder
-//!   for every message kind, valid or corrupt.
+//!   nesting — so iterating a view afterwards cannot fail.
+//!   [`ReadingsRef`] walks pre-validated bytes.
+//! * `to_owned()` materializes the equivalent owned message, and is how
+//!   the owned [`LiveViolationMsg`] decodes: a kind with a view has one
+//!   decoder.
 //!
-//! Only the four high-rate kinds get dedicated views (`ViolationMsg`,
-//! `RegisterMsg`, `LiveViolationMsg`, `TelemetryBatchMsg`) plus the
-//! batch container; every other kind falls back to the owned decoder
-//! under [`WireMsgRef::Owned`] — those messages are control-rate and
-//! the fallback keeps the two surfaces trivially consistent.
-
-use qos_sim::{Dur, Pid};
-use qos_telemetry::{MetricSnapshot, Stage, TraceEvent, HISTOGRAM_BUCKETS};
+//! Views exist only where something reads them: the live violation and
+//! the batch container. Every other kind — registration, telemetry
+//! batches, the simulated plane's `ViolationMsg` — decodes through the
+//! owned path under [`WireMsgRef::Owned`]; those messages are
+//! control-rate (or, in the simulator, decoded from `WireBytes` as owned
+//! values) and one decoder keeps the two surfaces trivially consistent.
 
 use crate::batch::BatchRef;
-use crate::codec::{Wire, WireReader};
+use crate::codec::WireReader;
 use crate::error::WireError;
 use crate::frame::{split_frame, HEADER_LEN};
-use crate::messages::{
-    BatchMsg, LiveViolationMsg, RegisterMsg, TelemetryBatchMsg, Upstream, ViolationMsg, WireMsg,
-    KIND_BATCH,
-};
-
-/// Strict `Option` presence tag, mirroring the owned codec's encoding.
-fn opt_tag(r: &mut WireReader<'_>) -> Result<bool, WireError> {
-    match r.get_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::BadValue("Option tag not 0/1")),
-    }
-}
+use crate::messages::{BatchMsg, LiveViolationMsg, WireMsg, KIND_BATCH};
 
 /// A borrowed `(name, value)` readings list: the raw encoded span,
 /// validated at decode time and walked lazily. Iterating allocates
@@ -149,10 +134,6 @@ impl<'a> Cur<'a> {
         head
     }
 
-    fn u8(&mut self) -> u8 {
-        self.bytes(1).first().copied().unwrap_or(0)
-    }
-
     fn u32(&mut self) -> u32 {
         let mut a = [0u8; 4];
         let b = self.bytes(4);
@@ -177,102 +158,6 @@ impl<'a> Cur<'a> {
     }
 }
 
-/// Borrowed view of a [`ViolationMsg`]. Decoding allocates nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct ViolationMsgRef<'a> {
-    /// The violating process.
-    pub pid: Pid,
-    /// Process/executable name.
-    pub proc_name: &'a str,
-    /// Violated policy name.
-    pub policy: &'a str,
-    /// Telemetry correlation id (0 = none).
-    pub corr: u64,
-    /// Attribute readings, iterated lazily.
-    pub readings: ReadingsRef<'a>,
-    /// Requirement bounds `(attr, lo, hi)`.
-    pub bounds: Option<(&'a str, f64, f64)>,
-    /// Upstream attribution.
-    pub upstream: Option<Upstream>,
-}
-
-impl<'a> ViolationMsgRef<'a> {
-    fn decode(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        Ok(ViolationMsgRef {
-            pid: r.get()?,
-            proc_name: r.get_str_ref()?,
-            policy: r.get_str_ref()?,
-            corr: r.get_u64()?,
-            readings: ReadingsRef::decode(r)?,
-            bounds: if opt_tag(r)? {
-                Some((r.get_str_ref()?, r.get_f64()?, r.get_f64()?))
-            } else {
-                None
-            },
-            upstream: if opt_tag(r)? { Some(r.get()?) } else { None },
-        })
-    }
-
-    /// Materialize the owned message.
-    pub fn to_owned(&self) -> ViolationMsg {
-        ViolationMsg {
-            pid: self.pid,
-            proc_name: self.proc_name.to_owned(),
-            policy: self.policy.to_owned(),
-            corr: self.corr,
-            readings: self.readings.to_vec(),
-            bounds: self.bounds.map(|(a, lo, hi)| (a.to_owned(), lo, hi)),
-            upstream: self.upstream,
-        }
-    }
-}
-
-/// Borrowed view of a [`RegisterMsg`].
-#[derive(Debug, Clone, Copy)]
-pub struct RegisterMsgRef<'a> {
-    /// The registering process.
-    pub pid: Pid,
-    /// Control port.
-    pub control_port: u16,
-    /// Executable name.
-    pub executable: &'a str,
-    /// Application name.
-    pub application: &'a str,
-    /// User role.
-    pub role: &'a str,
-    /// Relative importance.
-    pub weight: f64,
-    /// Heartbeat promise.
-    pub heartbeat: Option<Dur>,
-}
-
-impl<'a> RegisterMsgRef<'a> {
-    fn decode(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        Ok(RegisterMsgRef {
-            pid: r.get()?,
-            control_port: r.get_u16()?,
-            executable: r.get_str_ref()?,
-            application: r.get_str_ref()?,
-            role: r.get_str_ref()?,
-            weight: r.get_f64()?,
-            heartbeat: if opt_tag(r)? { Some(r.get()?) } else { None },
-        })
-    }
-
-    /// Materialize the owned message.
-    pub fn to_owned(&self) -> RegisterMsg {
-        RegisterMsg {
-            pid: self.pid,
-            control_port: self.control_port,
-            executable: self.executable.to_owned(),
-            application: self.application.to_owned(),
-            role: self.role.to_owned(),
-            weight: self.weight,
-            heartbeat: self.heartbeat,
-        }
-    }
-}
-
 /// Borrowed view of a [`LiveViolationMsg`].
 #[derive(Debug, Clone, Copy)]
 pub struct LiveViolationMsgRef<'a> {
@@ -289,7 +174,7 @@ pub struct LiveViolationMsgRef<'a> {
 }
 
 impl<'a> LiveViolationMsgRef<'a> {
-    fn decode(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+    pub(crate) fn decode(r: &mut WireReader<'a>) -> Result<Self, WireError> {
         Ok(LiveViolationMsgRef {
             policy: r.get_str_ref()?,
             process: r.get_str_ref()?,
@@ -311,238 +196,14 @@ impl<'a> LiveViolationMsgRef<'a> {
     }
 }
 
-/// Borrowed view of one [`TraceEvent`] inside a telemetry batch.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceEventRef<'a> {
-    /// Timestamp, microseconds.
-    pub at_us: u64,
-    /// Correlation id.
-    pub corr: u64,
-    /// Lifecycle stage.
-    pub stage: Stage,
-    /// Emitting component.
-    pub component: &'a str,
-    /// Event name.
-    pub name: &'a str,
-    /// Event fields, iterated lazily.
-    pub fields: ReadingsRef<'a>,
-}
-
-impl TraceEventRef<'_> {
-    /// Materialize the owned event.
-    pub fn to_owned(&self) -> TraceEvent {
-        TraceEvent {
-            at_us: self.at_us,
-            corr: self.corr,
-            stage: self.stage,
-            component: self.component.to_owned(),
-            name: self.name.to_owned(),
-            fields: self.fields.to_vec(),
-        }
-    }
-}
-
-/// Borrowed list of [`TraceEvent`]s: validated eagerly, walked lazily.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceEventsRef<'a> {
-    count: u32,
-    /// Raw encoding excluding the count prefix.
-    items: &'a [u8],
-}
-
-impl<'a> TraceEventsRef<'a> {
-    fn decode(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let count = r.get_u32()?;
-        let start = r.pos();
-        for _ in 0..count {
-            r.get_u64()?; // at_us
-            r.get_u64()?; // corr
-            Stage::from_tag(r.get_u8()?).ok_or(WireError::BadValue("Stage tag"))?;
-            r.get_str_ref()?; // component
-            r.get_str_ref()?; // name
-            ReadingsRef::decode(r)?;
-        }
-        Ok(TraceEventsRef {
-            count,
-            items: r.slice(start, r.pos()),
-        })
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Iterate the events without allocating.
-    pub fn iter(&self) -> TraceEventsIter<'a> {
-        TraceEventsIter {
-            cur: Cur::new(self.items),
-            left: self.count,
-        }
-    }
-}
-
-/// Iterator over a [`TraceEventsRef`].
-pub struct TraceEventsIter<'a> {
-    cur: Cur<'a>,
-    left: u32,
-}
-
-impl<'a> Iterator for TraceEventsIter<'a> {
-    type Item = TraceEventRef<'a>;
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        let at_us = self.cur.u64();
-        let corr = self.cur.u64();
-        let stage = Stage::from_tag(self.cur.u8()).unwrap_or(Stage::Mark);
-        let component = self.cur.str_ref();
-        let name = self.cur.str_ref();
-        // Delimit the fields span by walking it (validated already).
-        let fields_start = self.cur.b;
-        let count = self.cur.u32();
-        for _ in 0..count {
-            self.cur.str_ref();
-            self.cur.f64();
-        }
-        let span = &fields_start[..fields_start.len() - self.cur.b.len()];
-        Some(TraceEventRef {
-            at_us,
-            corr,
-            stage,
-            component,
-            name,
-            fields: ReadingsRef { count, raw: span },
-        })
-    }
-}
-
-/// Borrowed metrics snapshot inside a telemetry batch: validated
-/// structurally at decode time, materialized on demand (histogram
-/// snapshots are large; subscribers that only want events never pay
-/// for them).
-#[derive(Debug, Clone, Copy)]
-pub struct MetricsRef<'a> {
-    count: u32,
-    /// Raw encoding including the count prefix.
-    raw: &'a [u8],
-}
-
-impl<'a> MetricsRef<'a> {
-    fn decode(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let start = r.pos();
-        let count = r.get_u32()?;
-        for _ in 0..count {
-            r.get_str_ref()?; // family
-            r.get_str_ref()?; // label
-            match r.get_u8()? {
-                0 => {
-                    r.get_u64()?;
-                }
-                1 => {
-                    r.get_f64()?;
-                }
-                2 => {
-                    // Histogram: count/sum/max then sparse buckets.
-                    r.get_u64()?;
-                    r.get_u64()?;
-                    r.get_u64()?;
-                    let k = r.get_u32()? as usize;
-                    if k > HISTOGRAM_BUCKETS {
-                        return Err(WireError::BadValue("histogram bucket count"));
-                    }
-                    for _ in 0..k {
-                        if r.get_u32()? as usize >= HISTOGRAM_BUCKETS {
-                            return Err(WireError::BadValue("histogram bucket index"));
-                        }
-                        r.get_u64()?;
-                    }
-                }
-                _ => return Err(WireError::BadValue("MetricValue tag")),
-            }
-        }
-        Ok(MetricsRef {
-            count,
-            raw: r.slice(start, r.pos()),
-        })
-    }
-
-    /// Number of series in the snapshot.
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Materialize the owned series list.
-    pub fn to_vec(&self) -> Vec<MetricSnapshot> {
-        // Validated at decode time, so this cannot fail; the default is
-        // defensive, not reachable.
-        Vec::<MetricSnapshot>::decode(&mut WireReader::new(self.raw)).unwrap_or_default()
-    }
-}
-
-/// Borrowed view of a [`TelemetryBatchMsg`].
-#[derive(Debug, Clone, Copy)]
-pub struct TelemetryBatchMsgRef<'a> {
-    /// Batch sequence number.
-    pub seq: u64,
-    /// Publishing component.
-    pub source: &'a str,
-    /// Trace events, iterated lazily.
-    pub events: TraceEventsRef<'a>,
-    /// Periodic metrics snapshot `(at_us, series)`, when present.
-    pub metrics: Option<(u64, MetricsRef<'a>)>,
-}
-
-impl<'a> TelemetryBatchMsgRef<'a> {
-    fn decode(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        Ok(TelemetryBatchMsgRef {
-            seq: r.get_u64()?,
-            source: r.get_str_ref()?,
-            events: TraceEventsRef::decode(r)?,
-            metrics: if opt_tag(r)? {
-                Some((r.get_u64()?, MetricsRef::decode(r)?))
-            } else {
-                None
-            },
-        })
-    }
-
-    /// Materialize the owned message.
-    pub fn to_owned(&self) -> TelemetryBatchMsg {
-        TelemetryBatchMsg {
-            seq: self.seq,
-            source: self.source.to_owned(),
-            events: self.events.iter().map(|e| e.to_owned()).collect(),
-            metrics: self.metrics.map(|(at, m)| (at, m.to_vec())),
-        }
-    }
-}
-
-/// Borrowed twin of [`WireMsg`]: high-rate kinds decode as zero-copy
-/// views, everything else falls back to the owned decoder. One frame,
-/// either surface — the differential property tests pin them equal.
+/// Borrowed twin of [`WireMsg`]: the kinds the live manager reads at
+/// violation rate decode as zero-copy views, everything else through
+/// the owned decoder. One frame, either surface — the differential
+/// property tests pin them equal.
 #[derive(Debug, Clone)]
 pub enum WireMsgRef<'a> {
-    /// Coordinator → host manager violation report (simulated plane).
-    Violation(ViolationMsgRef<'a>),
-    /// Registration / heartbeat.
-    Register(RegisterMsgRef<'a>),
     /// Live-mode violation notification.
     LiveViolation(LiveViolationMsgRef<'a>),
-    /// Manager → subscriber telemetry batch.
-    TelemetryBatch(TelemetryBatchMsgRef<'a>),
     /// Several coalesced messages in one frame.
     Batch(BatchRef<'a>),
     /// Any control-rate kind, decoded through the owned path.
@@ -573,10 +234,7 @@ impl<'a> WireMsgRef<'a> {
         r: &mut WireReader<'a>,
     ) -> Result<WireMsgRef<'a>, WireError> {
         Ok(match kind {
-            1 => WireMsgRef::Violation(ViolationMsgRef::decode(r)?),
-            2 => WireMsgRef::Register(RegisterMsgRef::decode(r)?),
             12 => WireMsgRef::LiveViolation(LiveViolationMsgRef::decode(r)?),
-            17 => WireMsgRef::TelemetryBatch(TelemetryBatchMsgRef::decode(r)?),
             KIND_BATCH => WireMsgRef::Batch(BatchRef::decode(r)?),
             other => WireMsgRef::Owned(WireMsg::decode_body(other, r)?),
         })
@@ -585,10 +243,7 @@ impl<'a> WireMsgRef<'a> {
     /// The frame-header kind byte of this message.
     pub fn kind(&self) -> u8 {
         match self {
-            WireMsgRef::Violation(_) => 1,
-            WireMsgRef::Register(_) => 2,
             WireMsgRef::LiveViolation(_) => 12,
-            WireMsgRef::TelemetryBatch(_) => 17,
             WireMsgRef::Batch(_) => KIND_BATCH,
             WireMsgRef::Owned(m) => m.kind(),
         }
@@ -597,10 +252,7 @@ impl<'a> WireMsgRef<'a> {
     /// Materialize the equivalent owned [`WireMsg`].
     pub fn to_owned_msg(&self) -> WireMsg {
         match self {
-            WireMsgRef::Violation(m) => WireMsg::Violation(m.to_owned()),
-            WireMsgRef::Register(m) => WireMsg::Register(m.to_owned()),
             WireMsgRef::LiveViolation(m) => WireMsg::LiveViolation(m.to_owned()),
-            WireMsgRef::TelemetryBatch(m) => WireMsg::TelemetryBatch(m.to_owned()),
             WireMsgRef::Batch(b) => WireMsg::Batch(BatchMsg {
                 msgs: b.iter().map(|m| m.to_owned_msg()).collect(),
             }),

@@ -123,7 +123,7 @@ impl WireBytes {
     }
 
     /// Encoded length in bytes — what the simulated network charges for
-    /// this message in `Measured` wire mode.
+    /// this message.
     pub fn len_bytes(&self) -> u32 {
         self.0.len() as u32
     }
@@ -139,6 +139,11 @@ impl WireBytes {
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Bytes of `buf` already handed out as frames: `buf[head..]` is the
+    /// unframed remainder. Popping a frame advances this cursor rather
+    /// than shifting the buffer, so a read chunk of n small frames costs
+    /// O(bytes), not O(n × bytes).
+    head: usize,
 }
 
 impl FrameBuffer {
@@ -152,14 +157,14 @@ impl FrameBuffer {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered (complete or partial frames).
+    /// Bytes buffered but not yet framed (complete or partial frames).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
-    /// Whether the buffer is empty.
+    /// Whether no unframed bytes are buffered.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Pop the next complete frame as raw bytes (header included),
@@ -168,11 +173,19 @@ impl FrameBuffer {
     /// should be dropped (there is no way to resynchronise a
     /// length-prefixed stream after a bad header).
     pub fn next_raw(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        match split_frame(&self.buf) {
+        match split_frame(&self.buf[self.head..]) {
             Ok((_, payload)) => {
-                let total = HEADER_LEN + payload.len();
-                let frame = self.buf[..total].to_vec();
-                self.buf.drain(..total);
+                let end = self.head + HEADER_LEN + payload.len();
+                let frame = self.buf[self.head..end].to_vec();
+                self.head = end;
+                // Reclaim the consumed prefix only when that is free (the
+                // buffer is drained) or amortised (the prefix is over half
+                // the allocation, so the tail moved is smaller than what
+                // was consumed since the last move).
+                if self.head == self.buf.len() || self.head > self.buf.capacity() / 2 {
+                    self.buf.drain(..self.head);
+                    self.head = 0;
+                }
                 Ok(Some(frame))
             }
             Err(WireError::Truncated { .. }) => Ok(None),

@@ -20,7 +20,8 @@
 //!   untrusted bytes.
 //! * [`borrowed`] — the zero-copy decode surface:
 //!   [`WireMsgRef`](borrowed::WireMsgRef) views that borrow strings and
-//!   lists straight out of the frame buffer for the high-rate kinds.
+//!   lists straight out of the frame buffer for the kinds the live
+//!   manager reads at violation rate.
 //! * [`batch`] — report coalescing: [`BatchBuilder`](batch::BatchBuilder)
 //!   packs N messages into one frame, [`BatchRef`](batch::BatchRef) walks
 //!   them back out without copying.
@@ -40,10 +41,7 @@ pub mod frame;
 pub mod messages;
 
 pub use batch::{BatchBuilder, BatchRef};
-pub use borrowed::{
-    LiveViolationMsgRef, ReadingsRef, RegisterMsgRef, TelemetryBatchMsgRef, TraceEventRef,
-    ViolationMsgRef, WireMsgRef,
-};
+pub use borrowed::{LiveViolationMsgRef, ReadingsRef, WireMsgRef};
 pub use codec::{Wire, WireReader, WireWriter, MAX_NESTING};
 pub use error::WireError;
 pub use frame::{FrameBuffer, WireBytes, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION};

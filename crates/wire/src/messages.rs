@@ -18,6 +18,7 @@ use qos_telemetry::{
     HistogramSnapshot, MetricSnapshot, MetricValue, Stage, TraceEvent, HISTOGRAM_BUCKETS,
 };
 
+use crate::borrowed::LiveViolationMsgRef;
 use crate::codec::{Wire, WireReader, WireWriter};
 use crate::error::WireError;
 
@@ -34,11 +35,6 @@ pub const DISCOVERY_PORT: Port = 13;
 /// renews at half this period; the discovery server expires bindings
 /// whose lease lapses and withdraws them from the routing tables.
 pub const DISCOVERY_LEASE: Dur = Dur::from_secs(4);
-
-/// Nominal wire size of a small control message, bytes. Retained for the
-/// `Typed`/`EncodedFixed` wire modes (differential-equivalence runs); the
-/// default `Measured` mode charges each message its real encoded length.
-pub const CTRL_MSG_BYTES: u32 = 256;
 
 /// CPU cost model for manager message handling (drives simulated manager
 /// overhead).
@@ -1286,13 +1282,8 @@ impl Wire for LiveViolationMsg {
         w.put_u64(self.corr);
         self.readings.encode(w);
     }
+    // The one kind with a borrowed view has one decoder: the view's.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(LiveViolationMsg {
-            policy: r.get_str()?,
-            process: r.get_str()?,
-            at_us: r.get_u64()?,
-            corr: r.get_u64()?,
-            readings: r.get()?,
-        })
+        Ok(LiveViolationMsgRef::decode(r)?.to_owned())
     }
 }

@@ -247,7 +247,9 @@ proptest! {
     /// Differential: the borrowed decoder must agree with the owned
     /// decoder for every message kind — materializing a `WireMsgRef`
     /// yields exactly what `WireMsg::decode_frame` yields, including a
-    /// batch frame coalescing one message of each batchable kind.
+    /// batch frame coalescing one message of each batchable kind — and
+    /// on a damaged frame both surfaces must return the same result,
+    /// down to the `WireError`.
     #[test]
     fn borrowed_decode_equals_owned_decode(
         host: u32,
@@ -263,11 +265,19 @@ proptest! {
         token: u64,
     ) {
         let msgs = all_kinds(host, local, port, corr, name, text, rd, value, steps, flag, token);
+        let same_verdict = |bytes: &[u8]| {
+            WireMsgRef::decode_frame(bytes).map(|v| v.to_owned_msg()) == WireMsg::decode_frame(bytes)
+        };
         for msg in &msgs {
             let frame = msg.encode_frame();
             let view = WireMsgRef::decode_frame(&frame).unwrap();
             prop_assert_eq!(view.kind(), msg.kind());
             prop_assert_eq!(&view.to_owned_msg(), msg);
+            // One flipped byte, and one cut, anywhere in the frame.
+            let mut bad = frame.clone();
+            bad[(token % frame.len() as u64) as usize] ^= (corr % 255) as u8 + 1;
+            prop_assert!(same_verdict(&bad), "flip in {:?}", msg);
+            prop_assert!(same_verdict(&frame[..(corr % frame.len() as u64) as usize]));
         }
         // The whole set coalesced into one batch frame, decoded both ways.
         let mut b = BatchBuilder::new();
@@ -285,6 +295,9 @@ proptest! {
         prop_assert_eq!(batch.len(), msgs.len());
         let back: Vec<WireMsg> = batch.iter().map(|m| m.to_owned_msg()).collect();
         prop_assert_eq!(back, msgs);
+        let mut bad = frame.clone();
+        bad[(token % frame.len() as u64) as usize] ^= (corr % 255) as u8 + 1;
+        prop_assert!(same_verdict(&bad), "flip in the batch frame");
     }
 
     /// Batch frames split and re-merge losslessly: any cut point yields
@@ -463,15 +476,18 @@ proptest! {
         let _ = buf.next();
     }
 
+    /// Chunk sizes run from one byte (every frame split mid-header) to
+    /// several frames plus a partial one per read, so frames are popped
+    /// both off a drained buffer and off one whose consumed prefix is
+    /// compacted away under a buffered tail.
     #[test]
     fn frame_buffer_reassembles_chunked_streams(
-        host: u32,
         corr: u64,
         name in ident(),
         rd in readings(),
-        chunk in 1usize..64,
+        chunk in 1usize..512,
     ) {
-        let msgs = vec![
+        let round = [
             WireMsg::SyncReq { token: corr },
             WireMsg::LiveViolation(LiveViolationMsg {
                 policy: name.clone(),
@@ -483,19 +499,25 @@ proptest! {
             WireMsg::LiveRegister(LiveRegisterMsg { process: name }),
             WireMsg::Bye,
         ];
+        let msgs: Vec<WireMsg> = round.iter().cycle().take(round.len() * 8).cloned().collect();
         let mut stream = Vec::new();
         for m in &msgs {
             stream.extend_from_slice(&m.encode_frame());
         }
         prop_assert!(stream.len() > HEADER_LEN * msgs.len());
-        let _ = host;
         let mut buf = FrameBuffer::new();
         let mut got = Vec::new();
+        let (mut fed, mut framed) = (0, 0);
         for piece in stream.chunks(chunk) {
             buf.extend(piece);
-            while let Some(m) = buf.next().unwrap() {
-                got.push(m);
+            fed += piece.len();
+            while let Some(frame) = buf.next_raw().unwrap() {
+                framed += frame.len();
+                // `len` means unframed bytes, wherever the cursor is.
+                prop_assert_eq!(buf.len(), fed - framed);
+                got.push(WireMsg::decode_frame(&frame).unwrap());
             }
+            prop_assert_eq!(buf.len(), fed - framed);
         }
         prop_assert_eq!(got, msgs);
         prop_assert!(buf.is_empty());
