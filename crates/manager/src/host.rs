@@ -1,194 +1,66 @@
-//! The QoS Host Manager (Section 5.3): one per managed host. Receives
-//! violation notifications from coordinators, runs its inference engine
-//! (rule base + fact repository, forward chaining) to determine the cause
-//! and corrective action, and drives the resource managers — or escalates
-//! to the QoS Domain Manager when the cause is not local.
+//! The QoS Host Manager process (Section 5.3): one per managed host.
+//!
+//! All decisions live in the sans-io [`HostCore`]. [`QosHostManager`] is
+//! its simulator driver: it decodes control frames, unpacks batches,
+//! feeds the core one message (or timer) at a time, and applies the
+//! effects the core returns to the sim's [`Ctx`], in order.
 
-use std::collections::{HashMap, HashSet};
-use std::time::Duration;
+use std::ops::{Deref, DerefMut};
 
-use qos_discovery::{DiscAction, DiscClient, DiscEvent};
-use qos_inference::prelude::*;
+use qos_sim::memory::ProcMem;
 use qos_sim::prelude::*;
-use qos_telemetry::{Stage, Telemetry};
+use qos_sim::proc::HostSnapshot;
+use qos_telemetry::Telemetry;
 
-use crate::liveness::LivenessTracker;
-use crate::messages::{
-    AdaptMsg, DomainAlertMsg, RegisterMsg, StatsReplyMsg, ViolationMsg, WireMsg, HOST_MANAGER_PORT,
-    MANAGER_PROCESSING_COST,
+pub use crate::host_core::{
+    pid_from_str, pid_to_string, Effect, HostCore, HostInput, HostMgrStats, HostView,
+    OVERLOAD_PATIENCE, TAG_LIVENESS_SWEEP,
 };
-use crate::resource::{CpuManager, Direction, MemoryManager};
-use crate::rules::{host_base_facts, host_rules_fair};
-use crate::transport::{decode_ctrl, send_ctrl, Backoff};
+pub use crate::lifecycle::DUP_VIOLATION_WINDOW;
+use crate::messages::{WireMsg, HOST_MANAGER_PORT, MANAGER_PROCESSING_COST};
+use crate::resource::CpuManager;
+use crate::transport::{decode_ctrl, send_ctrl};
 
-/// Timer tag for the periodic liveness sweep.
-const TAG_LIVENESS_SWEEP: u64 = 1;
-/// Timer tag for the discovery announce-retry backoff.
-const TAG_DISC_RETRY: u64 = 2;
-/// Timer tag for the discovery lease renewal.
-const TAG_DISC_RENEW: u64 = 3;
-
-/// How often the host manager checks for silent (dead) processes.
-const LIVENESS_SWEEP_PERIOD: Dur = Dur::from_secs(1);
-
-/// Format a [`Pid`] the way rules see it.
-pub fn pid_to_string(pid: Pid) -> String {
-    format!("h{}:p{}", pid.host.0, pid.local)
-}
-
-/// Parse a rule-side pid string back into a [`Pid`].
-pub fn pid_from_str(s: &str) -> Option<Pid> {
-    let (h, p) = s.split_once(":p")?;
-    let h = h.strip_prefix('h')?.parse().ok()?;
-    let p = p.parse().ok()?;
-    Some(Pid {
-        host: HostId(h),
-        local: p,
-    })
-}
-
-/// Counters exposed for experiments.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct HostMgrStats {
-    /// Violation notifications received.
-    pub violations: u64,
-    /// CPU adjustments issued (grow).
-    pub cpu_boosts: u64,
-    /// CPU relaxations issued (shrink).
-    pub cpu_relaxations: u64,
-    /// Memory adjustments issued.
-    pub mem_adjustments: u64,
-    /// Escalations to the domain manager.
-    pub domain_alerts: u64,
-    /// Rule updates applied.
-    pub rule_updates: u64,
-    /// Registrations received.
-    pub registrations: u64,
-    /// Proactive nudges issued (trend-policy violations).
-    pub nudges: u64,
-    /// Application-adaptation requests sent (overload handling).
-    pub adaptations: u64,
-    /// Processes declared dead by the liveness sweep (facts retracted,
-    /// allocations reclaimed).
-    pub deaths: u64,
-    /// Violations no diagnosis rule matched (retracted by the
-    /// catch-all rule so they cannot accumulate).
-    pub unhandled: u64,
-    /// Control frames that failed to decode (corrupt/truncated/unknown
-    /// version). Counted, never fatal: a bad peer cannot panic the
-    /// manager.
-    pub decode_errors: u64,
-    /// Violation notifications discarded as duplicates (same report
-    /// redelivered within [`DUP_VIOLATION_WINDOW`] — at-least-once
-    /// transports may double-deliver, and one violation must not
-    /// trigger two concurrent adaptations).
-    pub dup_violations: u64,
-    /// Times this host lost its domain manager and re-entered discovery
-    /// (mirrored as `disc.rediscoveries`). Only moves when the manager
-    /// was built `with_discovery`.
-    pub rediscoveries: u64,
-    /// Violations discarded because the sender had already been
-    /// declared dead (a reordered report outliving its process). Acting
-    /// on one would leak a CPU boost no liveness sweep can reclaim.
-    pub stale_violations: u64,
-    /// Batch frames received (each carrying N coalesced control
-    /// messages). Mirrored as `wire.batch.frames`; per-frame message
-    /// counts land in the `wire.batch.msgs_per_frame` histogram.
-    pub batch_frames: u64,
-}
-
-/// The host manager process.
+/// The host manager process: a [`HostCore`] and the buffer its effects
+/// pass through. Everything readable of the manager — `stats`, rules,
+/// allocations, the engine trace — is the core's, reached through
+/// `Deref`.
 pub struct QosHostManager {
-    engine: Engine,
-    cpu: CpuManager,
-    mem: MemoryManager,
-    /// Domain manager endpoint, if this host participates in a domain.
-    /// Hand-wired by [`QosHostManager::new`]; under discovery it is
-    /// written (and cleared) by the [`DiscClient`] bind/unbind actions.
-    domain: Option<Endpoint>,
-    /// Discovery state, when the domain manager is found dynamically
-    /// instead of being configured.
-    disc: Option<DiscState>,
-    registry: HashMap<Pid, RegisterMsg>,
-    /// Consecutive at-cap violations per process (gates overload
-    /// adaptation: a transient brush with the cap must not degrade the
-    /// application).
-    overload_streak: HashMap<Pid, u32>,
-    /// Heartbeat bookkeeping for registrants that promised one.
-    liveness: LivenessTracker,
-    /// Pids the liveness tracker has declared dead whose facts and
-    /// allocations are not yet reclaimed. The reap is two-phase
-    /// (declare, then reclaim) so a heartbeat racing the sweep can
-    /// cancel the reclamation instead of leaving a half-registered
-    /// process; normally both phases run back-to-back and this is
-    /// empty between events.
-    pending_reap: Vec<Pid>,
-    /// Duplicate-violation filter: per-pid fingerprint and arrival time
-    /// of the last accepted report.
-    last_violation: HashMap<Pid, (u64, SimTime)>,
-    /// Tombstones for reaped pids. A violation that arrives *after* its
-    /// sender was declared dead is stale — acting on it would grant a
-    /// boost nobody will ever reclaim (the pid is no longer tracked).
-    /// Cleared by re-registration, which proves the pid is alive again.
-    reaped: HashSet<Pid>,
-    /// Counters for experiments.
-    pub stats: HostMgrStats,
-    /// Telemetry handle (inert by default): Diagnose/Adapt stage events
-    /// plus `hm.*` registry mirrors of [`HostMgrStats`].
-    telemetry: Telemetry,
-    /// Stats values already mirrored into the registry (delta tracking).
-    mirrored: HostMgrStats,
+    core: HostCore,
+    /// Reused across callbacks, so a violation costs no allocation here.
+    effects: Vec<Effect>,
 }
 
-/// Discovery bookkeeping for a host manager that finds its domain
-/// manager dynamically. The protocol logic is the pure
-/// [`DiscClient`]; this adds the transport-facing pieces (where the
-/// discovery server is, retry backoff).
-struct DiscState {
-    /// The discovery server's control endpoint.
-    server: Endpoint,
-    /// The pure protocol machine. Created lazily at `Start`, when the
-    /// process learns which host it runs on.
-    client: Option<DiscClient>,
-    /// Announce-retry backoff — the same jittered doubling envelope the
-    /// socket transport uses for reconnects.
-    backoff: Backoff,
+impl Deref for QosHostManager {
+    type Target = HostCore;
+    fn deref(&self) -> &HostCore {
+        &self.core
+    }
 }
 
-/// Consecutive at-allocation-cap violations before the manager asks the
-/// application itself to adapt.
-pub const OVERLOAD_PATIENCE: u32 = 3;
+impl DerefMut for QosHostManager {
+    fn deref_mut(&mut self) -> &mut HostCore {
+        &mut self.core
+    }
+}
 
-/// A violation bit-identical to the previous one from the same pid and
-/// arriving within this window is a transport duplicate, not a fresh
-/// report: coordinators renotify at a 1 s cadence, so genuine repeats
-/// are at least that far apart, while fault-layer duplicates land
-/// (near-)simultaneously.
-pub const DUP_VIOLATION_WINDOW: Dur = Dur::from_millis(500);
+impl HostView for Ctx<'_> {
+    fn proc_mem(&self, pid: Pid) -> Option<ProcMem> {
+        Ctx::proc_mem(self, pid)
+    }
+    fn host_stats(&self) -> HostSnapshot {
+        Ctx::host_stats(self)
+    }
+}
 
 impl QosHostManager {
     /// A host manager with the fair-share default rules and the
     /// prototype's TS-boost CPU strategy.
     pub fn new(domain: Option<Endpoint>) -> Self {
-        let mut hm = QosHostManager {
-            engine: Engine::new(),
-            cpu: CpuManager::ts_default(),
-            mem: MemoryManager::new(),
-            domain,
-            disc: None,
-            registry: HashMap::new(),
-            overload_streak: HashMap::new(),
-            liveness: LivenessTracker::new(),
-            pending_reap: Vec::new(),
-            last_violation: HashMap::new(),
-            reaped: HashSet::new(),
-            stats: HostMgrStats::default(),
-            telemetry: Telemetry::disabled(),
-            mirrored: HostMgrStats::default(),
-        };
-        hm.load_rules(&host_rules_fair());
-        hm.load_rules(&host_base_facts());
-        hm
+        QosHostManager {
+            core: HostCore::new(domain),
+            effects: Vec::new(),
+        }
     }
 
     /// Discover the domain manager through the discovery server at
@@ -199,28 +71,13 @@ impl QosHostManager {
     /// unacknowledged. Any endpoint passed to [`QosHostManager::new`]
     /// serves only until the first assignment arrives.
     pub fn with_discovery(mut self, server: Endpoint, seed: u64) -> Self {
-        self.disc = Some(DiscState {
-            server,
-            client: None,
-            backoff: Backoff::new(Duration::from_millis(50), Duration::from_millis(800), seed),
-        });
+        self.core.set_discovery(server, seed);
         self
-    }
-
-    /// The domain manager currently in use (configured or discovered).
-    pub fn domain_endpoint(&self) -> Option<Endpoint> {
-        self.domain
-    }
-
-    /// The discovered domain binding, if this manager runs discovery
-    /// and currently holds a lease.
-    pub fn discovered_domain(&self) -> Option<DomainId> {
-        self.disc.as_ref()?.client.as_ref()?.bound().map(|(d, _)| d)
     }
 
     /// Replace the CPU strategy (ablation: TS boosts vs RT units).
     pub fn with_cpu_manager(mut self, cpu: CpuManager) -> Self {
-        self.cpu = cpu;
+        self.core.set_cpu_manager(cpu);
         self
     }
 
@@ -228,698 +85,27 @@ impl QosHostManager {
     /// events for correlated violations and mirrors its counters into
     /// the registry under `hm.*`.
     pub fn with_telemetry(mut self, t: &Telemetry) -> Self {
-        self.telemetry = t.clone();
+        self.core.set_telemetry(t);
         self
     }
 
-    /// Replace/extend the rule base from CLIPS text. Rules with known
-    /// names are replaced in place.
-    pub fn load_rules(&mut self, text: &str) -> bool {
-        match parse_program(text) {
-            Ok(p) => {
-                for r in p.rules {
-                    self.engine.add_rule(r);
-                }
-                for f in p.facts {
-                    self.engine.assert_fact(f);
-                }
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Remove a rule by name.
-    pub fn remove_rule(&mut self, name: &str) -> bool {
-        self.engine.remove_rule(name)
-    }
-
-    /// Names of loaded rules.
-    pub fn rule_names(&self) -> Vec<String> {
-        self.engine.rule_names().map(str::to_string).collect()
-    }
-
-    /// Diagnostic: the inference engine's retained firing trace (a
-    /// bounded ring buffer — the most recent entries only).
-    pub fn engine_trace(&self) -> Vec<String> {
-        self.engine.trace().map(str::to_string).collect()
-    }
-
-    /// Drain the engine's retained firing trace.
-    pub fn take_engine_trace(&mut self) -> Vec<String> {
-        self.engine.take_trace()
-    }
-
-    /// Resize the engine's trace ring buffer (minimum 1).
-    pub fn set_engine_trace_capacity(&mut self, capacity: usize) {
-        self.engine.set_trace_capacity(capacity);
-    }
-
-    /// Switch the embedded engine between its incremental matcher
-    /// (default) and the naive full-rematch oracle — the "before" arm of
-    /// the scale benchmark; both produce identical firing sequences.
-    pub fn use_naive_matcher(&mut self, on: bool) {
-        self.engine.use_naive_matcher(on);
-    }
-
-    /// Lifetime join work performed by the embedded engine's matcher
-    /// (candidate facts examined; see `RunStats::activations`).
-    pub fn engine_join_work(&self) -> u64 {
-        self.engine.join_work_total()
-    }
-
-    /// Toggle per-phase wall-clock profiling (match / agenda / fire) in
-    /// the embedded engine. Off by default; the scale benchmark turns it
-    /// on to break a violation's budget down by phase.
-    pub fn enable_engine_phase_profile(&mut self, on: bool) {
-        self.engine.enable_phase_profile(on);
-    }
-
-    /// Drain the embedded engine's per-phase wall-clock counters.
-    pub fn take_engine_phase_profile(&mut self) -> qos_inference::PhaseProfile {
-        self.engine.take_phase_profile()
-    }
-
-    /// Diagnostic: current fact count in the engine's working memory.
-    pub fn fact_count(&self) -> usize {
-        self.engine.facts().len()
-    }
-
-    /// Diagnostic: live facts of one template.
-    pub fn facts_of(&self, template: &str) -> usize {
-        self.engine.facts().by_template(template).count()
-    }
-
-    /// Current CPU allocation of a managed process.
-    pub fn cpu_allocation(&self, pid: Pid) -> crate::resource::CpuAllocation {
-        self.cpu.allocation(pid)
-    }
-
-    fn weight_of(&self, pid: Pid) -> f64 {
-        self.registry.get(&pid).map_or(1.0, |r| r.weight)
-    }
-
-    /// Is `pid` currently registered with this manager?
-    pub fn is_registered(&self, pid: Pid) -> bool {
-        self.registry.contains_key(&pid)
-    }
-
-    /// Registration is idempotent and keyed on the process id: the
-    /// heartbeat protocol re-sends [`RegisterMsg`] at-least-once, and a
-    /// repeat must neither double-count [`HostMgrStats::registrations`]
-    /// nor disturb existing allocations. A re-registration counts as a
-    /// liveness heartbeat, refreshes the stored details, and cancels a
-    /// pending reap — a process that just proved itself alive between
-    /// the sweep's declare and reclaim phases keeps its facts and
-    /// allocations intact (the reap/re-register race).
-    pub(crate) fn handle_register(&mut self, now: SimTime, r: &RegisterMsg) {
-        self.pending_reap.retain(|&p| p != r.pid);
-        self.reaped.remove(&r.pid);
-        if self.registry.insert(r.pid, r.clone()).is_none() {
-            self.stats.registrations += 1;
-        }
-        match r.heartbeat {
-            Some(period) => self.liveness.track(r.pid, period, now),
-            None => self.liveness.forget(r.pid),
-        }
-    }
-
-    /// Declare silent heartbeat-promising processes dead: retract their
-    /// working-memory facts and reclaim every resource granted to them,
-    /// so a crashed process cannot pin a CPU boost or memory grant
-    /// forever. Two phases — declare (liveness decides who is overdue)
-    /// and reclaim (facts retracted, allocations released, registry
-    /// entry dropped) — with buggify able to lose the manager between
-    /// them, modelling a crash or preemption mid-reap.
-    pub(crate) fn reap_dead(&mut self, now: SimTime) {
-        if qos_buggify::buggify!("hm.reap.defer") {
-            // Chaos: the sweep timer fired but the manager was too busy
-            // to act — the whole sweep slides to the next period.
-            return;
-        }
-        let mut declared = self.liveness.reap(now);
-        self.pending_reap.append(&mut declared);
-        if !self.pending_reap.is_empty() && qos_buggify::buggify!("hm.reap.partial") {
-            // Chaos: declared but not reclaimed. A racing heartbeat may
-            // now legitimately cancel the reap; anything still pending
-            // is reclaimed by the next sweep.
-            return;
-        }
-        self.reclaim_pending();
-    }
-
-    /// Reap phase B: irrevocably forget every still-pending dead pid.
-    fn reclaim_pending(&mut self) {
-        for pid in std::mem::take(&mut self.pending_reap) {
-            self.stats.deaths += 1;
-            let pid_s = pid_to_string(pid);
-            self.engine
-                .retract_matching("violation", "pid", &Value::str(&pid_s));
-            self.engine
-                .retract_matching("alloc", "pid", &Value::str(&pid_s));
-            self.engine
-                .retract_matching("mem-deficit", "pid", &Value::str(&pid_s));
-            self.cpu.release(pid);
-            self.mem.release(pid);
-            self.registry.remove(&pid);
-            self.overload_streak.remove(&pid);
-            self.last_violation.remove(&pid);
-            self.reaped.insert(pid);
-        }
-    }
-
-    /// Has `pid` been reaped (and not re-registered since)? Stale
-    /// violations from such a pid are discarded.
-    pub fn is_tombstoned(&self, pid: Pid) -> bool {
-        self.reaped.contains(&pid)
-    }
-
-    /// Is `pid` owed a liveness sweep (registered with a heartbeat
-    /// promise and not yet declared dead)?
-    pub fn liveness_tracks(&self, pid: Pid) -> bool {
-        self.liveness.tracks(pid)
-    }
-
-    /// Is `pid` declared dead but not yet reclaimed (between the two
-    /// reap phases)?
-    pub fn reap_pending(&self, pid: Pid) -> bool {
-        self.pending_reap.contains(&pid)
-    }
-
-    /// Land a resource grant outside the inference path — the model
-    /// checker's conformance harness uses this to stand in for "an
-    /// adaptation granted this process a boost".
-    pub(crate) fn grant_boost(&mut self, pid: Pid) {
-        self.cpu.plan(pid, Direction::Under, 1.0, 1.0);
-    }
-
-    /// Feed one event through the discovery client and execute the
-    /// actions it decides: announces and renewals go to the discovery
-    /// server, bind/unbind rewires [`Self::domain`], and the schedule
-    /// actions arm the retry/renewal timers. A no-op when the manager
-    /// was not built `with_discovery`.
-    fn run_disc(&mut self, ctx: &mut Ctx<'_>, ev: DiscEvent) {
-        let Some(disc) = self.disc.as_mut() else {
-            return;
-        };
-        let client = disc.client.get_or_insert_with(|| {
-            DiscClient::new(
-                ctx.host_id(),
-                Endpoint::new(ctx.host_id(), HOST_MANAGER_PORT),
-            )
-        });
-        let actions = client.step(ev);
-        self.stats.rediscoveries = client.rediscoveries;
-        for act in actions {
-            match act {
-                DiscAction::Announce(a) => {
-                    send_ctrl(
-                        ctx,
-                        disc.server,
-                        HOST_MANAGER_PORT,
-                        WireMsg::DiscAnnounce(a),
-                    );
-                }
-                DiscAction::Renew(r) => {
-                    send_ctrl(
-                        ctx,
-                        disc.server,
-                        HOST_MANAGER_PORT,
-                        WireMsg::DiscLeaseRenew(r),
-                    );
-                }
-                DiscAction::Bind { manager, .. } => {
-                    disc.backoff.reset();
-                    self.domain = Some(manager);
-                }
-                DiscAction::Unbind => {
-                    self.domain = None;
-                }
-                DiscAction::ScheduleRetry => {
-                    let d = disc.backoff.next_delay();
-                    ctx.set_timer(Dur::from_micros(d.as_micros() as u64), TAG_DISC_RETRY);
-                }
-                DiscAction::ScheduleRenew(d) => {
-                    ctx.set_timer(d, TAG_DISC_RENEW);
-                }
+    /// Step the core once and carry its effects out, in order. Returns
+    /// the CPU time the core charged, for the callback to spend in one
+    /// blocking `run`.
+    fn feed(&mut self, ctx: &mut Ctx<'_>, input: HostInput) -> Dur {
+        self.core
+            .step(ctx.now(), ctx.host_id(), input, &*ctx, &mut self.effects);
+        let mut charge = Dur::ZERO;
+        for effect in self.effects.drain(..) {
+            match effect {
+                Effect::SetTimer(delay, tag) => ctx.set_timer(delay, tag),
+                Effect::Priocntl(pid, cmd) => ctx.priocntl(pid, cmd),
+                Effect::Memctl(pid, delta) => ctx.memctl(pid, delta),
+                Effect::SendCtrl(dst, msg) => send_ctrl(ctx, dst, HOST_MANAGER_PORT, msg),
+                Effect::Charge(cpu) => charge += cpu,
             }
         }
-    }
-
-    /// Fingerprint a violation for duplicate detection: pid, corr and
-    /// the full reading vector (bit-exact floats).
-    fn violation_fingerprint(v: &ViolationMsg) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        v.pid.hash(&mut h);
-        v.corr.hash(&mut h);
-        v.policy.hash(&mut h);
-        for (name, val) in &v.readings {
-            name.hash(&mut h);
-            val.to_bits().hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// At-least-once delivery (and the fault layer's duplicator) may
-    /// hand the manager the same report twice. One violation must drive
-    /// at most one adaptation, so a bit-identical redelivery inside
-    /// [`DUP_VIOLATION_WINDOW`] is dropped. Genuine renotifications
-    /// arrive a full renotify period (1 s) apart and pass.
-    fn is_duplicate_violation(&mut self, now: SimTime, v: &ViolationMsg) -> bool {
-        let fp = Self::violation_fingerprint(v);
-        if let Some(&(prev_fp, at)) = self.last_violation.get(&v.pid) {
-            if prev_fp == fp && now.since(at) < DUP_VIOLATION_WINDOW {
-                return true;
-            }
-        }
-        self.last_violation.insert(v.pid, (fp, now));
-        false
-    }
-
-    fn handle_violation(&mut self, ctx: &mut Ctx<'_>, v: &ViolationMsg) {
-        if self.reaped.contains(&v.pid) {
-            self.stats.stale_violations += 1;
-            return;
-        }
-        if self.is_duplicate_violation(ctx.now(), v) {
-            self.stats.dup_violations += 1;
-            return;
-        }
-        self.stats.violations += 1;
-        let pid_s = pid_to_string(v.pid);
-        let fps = v.readings.first().map(|&(_, val)| val).unwrap_or(0.0);
-        let (lo, hi) = v
-            .bounds
-            .as_ref()
-            .map(|&(_, lo, hi)| (lo, hi))
-            .unwrap_or((0.0, f64::INFINITY));
-        let buffer = v
-            .readings
-            .iter()
-            .find(|(a, _)| a == "buffer_size")
-            .map(|&(_, val)| val)
-            .unwrap_or(0.0);
-        // Fresh telemetry for this violation: stale facts for this
-        // process are replaced, never accumulated (a lingering fact would
-        // also suppress identical future reports via duplicate-fact
-        // elimination).
-        self.engine.retract_template("mem-deficit");
-        self.engine
-            .retract_matching("violation", "pid", &Value::str(&pid_s));
-        self.engine
-            .retract_matching("alloc", "pid", &Value::str(&pid_s));
-        let attr = v
-            .readings
-            .first()
-            .map(|(a, _)| a.as_str())
-            .unwrap_or("unknown");
-        self.engine.assert_fact(
-            Fact::new("violation")
-                .with("pid", Value::str(&pid_s))
-                .with("attr", Value::sym(attr))
-                .with("fps", fps)
-                .with("lo", lo)
-                .with("hi", hi)
-                .with("buffer", buffer)
-                .with("weight", self.weight_of(v.pid))
-                .with("has-upstream", v.upstream.is_some()),
-        );
-        // Current CPU allocation, for overload rules.
-        self.engine.assert_fact(
-            Fact::new("alloc")
-                .with("pid", Value::str(&pid_s))
-                .with("boost", self.cpu.allocation(v.pid).boost as i64),
-        );
-        if let Some(m) = ctx.proc_mem(v.pid) {
-            if m.deficit() > 0 {
-                self.engine.assert_fact(
-                    Fact::new("mem-deficit")
-                        .with("pid", Value::str(&pid_s))
-                        .with("pages", m.deficit() as i64),
-                );
-            }
-        }
-        let run = self.engine.run(200);
-        if self.telemetry.is_enabled() {
-            let facts = self.fact_count();
-            self.telemetry.stage(
-                ctx.now().as_micros(),
-                v.corr,
-                Stage::Diagnose,
-                &format!("hm:h{}", ctx.host_id().0),
-                &v.policy,
-                || {
-                    vec![
-                        ("fired".into(), run.fired as f64),
-                        ("cycles".into(), run.cycles as f64),
-                        // Delta join work since the previous run — see
-                        // `RunStats::activations` for the semantics.
-                        ("activations".into(), run.activations as f64),
-                        ("peak_agenda".into(), run.peak_agenda as f64),
-                        ("facts".into(), facts as f64),
-                    ]
-                },
-            );
-        }
-        let invocations = self.engine.take_invocations();
-        for inv in invocations {
-            self.dispatch(ctx, &inv, v);
-        }
-    }
-
-    /// Mirror [`HostMgrStats`] into the registry as `hm.*` counters
-    /// labelled with the host, adding only what changed since the last
-    /// mirror so counters stay exact under repeated calls.
-    fn mirror_stats(&mut self, host: HostId) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let label = format!("h{}", host.0);
-        let cur = self.stats;
-        let prev = self.mirrored;
-        self.mirrored = cur;
-        let deltas = [
-            ("hm.violations", cur.violations, prev.violations),
-            ("hm.cpu_boosts", cur.cpu_boosts, prev.cpu_boosts),
-            (
-                "hm.cpu_relaxations",
-                cur.cpu_relaxations,
-                prev.cpu_relaxations,
-            ),
-            (
-                "hm.mem_adjustments",
-                cur.mem_adjustments,
-                prev.mem_adjustments,
-            ),
-            ("hm.domain_alerts", cur.domain_alerts, prev.domain_alerts),
-            ("hm.rule_updates", cur.rule_updates, prev.rule_updates),
-            ("hm.registrations", cur.registrations, prev.registrations),
-            ("hm.nudges", cur.nudges, prev.nudges),
-            ("hm.adaptations", cur.adaptations, prev.adaptations),
-            ("hm.liveness_reaps", cur.deaths, prev.deaths),
-            ("hm.unhandled", cur.unhandled, prev.unhandled),
-            ("hm.decode_errors", cur.decode_errors, prev.decode_errors),
-            ("hm.dup_violations", cur.dup_violations, prev.dup_violations),
-            (
-                "hm.stale_violations",
-                cur.stale_violations,
-                prev.stale_violations,
-            ),
-            ("wire.batch.frames", cur.batch_frames, prev.batch_frames),
-            ("disc.rediscoveries", cur.rediscoveries, prev.rediscoveries),
-        ];
-        for (family, now, before) in deltas {
-            if now > before {
-                self.telemetry.counter(family, &label).add(now - before);
-            }
-        }
-    }
-
-    /// Emit an Adapt-stage event for an action that actually landed.
-    fn emit_adapt(&self, now_us: u64, host: HostId, corr: u64, action: &str, value: f64) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        self.telemetry.stage(
-            now_us,
-            corr,
-            Stage::Adapt,
-            &format!("hm:h{}", host.0),
-            action,
-            || vec![("value".into(), value)],
-        );
-    }
-
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, inv: &Invocation, v: &ViolationMsg) {
-        match inv.command.as_str() {
-            "adjust-cpu" => {
-                let (Some(pid), Some(fps), Some(lo)) = (
-                    inv.args.first().and_then(value_pid),
-                    inv.args.get(1).and_then(Value::as_f64),
-                    inv.args.get(2).and_then(Value::as_f64),
-                ) else {
-                    return;
-                };
-                let weight = inv.args.get(3).and_then(Value::as_f64).unwrap_or(1.0);
-                let severity = if lo > 0.0 {
-                    ((lo - fps) / lo).clamp(0.0, 1.0)
-                } else {
-                    1.0
-                };
-                let cmds = self.cpu.plan(pid, Direction::Under, severity, weight);
-                if !cmds.is_empty() {
-                    self.stats.cpu_boosts += 1;
-                    self.emit_adapt(
-                        ctx.now().as_micros(),
-                        ctx.host_id(),
-                        v.corr,
-                        "adjust-cpu",
-                        severity,
-                    );
-                }
-                for cmd in cmds {
-                    ctx.priocntl(pid, cmd);
-                }
-            }
-            "relax-cpu" => {
-                let Some(pid) = inv.args.first().and_then(value_pid) else {
-                    return;
-                };
-                let fps = inv.args.get(1).and_then(Value::as_f64).unwrap_or(0.0);
-                let hi = inv
-                    .args
-                    .get(2)
-                    .and_then(Value::as_f64)
-                    .unwrap_or(f64::INFINITY);
-                let severity = if hi > 0.0 && hi.is_finite() {
-                    ((fps - hi) / hi).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let cmds = self.cpu.plan(pid, Direction::Over, severity, 1.0);
-                if !cmds.is_empty() {
-                    self.stats.cpu_relaxations += 1;
-                    self.emit_adapt(
-                        ctx.now().as_micros(),
-                        ctx.host_id(),
-                        v.corr,
-                        "relax-cpu",
-                        severity,
-                    );
-                }
-                for cmd in cmds {
-                    ctx.priocntl(pid, cmd);
-                }
-            }
-            "adjust-memory" => {
-                let (Some(pid), Some(pages)) = (
-                    inv.args.first().and_then(value_pid),
-                    inv.args.get(1).and_then(Value::as_f64),
-                ) else {
-                    return;
-                };
-                if let Some(delta) = self.mem.plan(pid, pages as i64) {
-                    self.stats.mem_adjustments += 1;
-                    self.emit_adapt(
-                        ctx.now().as_micros(),
-                        ctx.host_id(),
-                        v.corr,
-                        "adjust-memory",
-                        delta as f64,
-                    );
-                    ctx.memctl(pid, delta);
-                }
-            }
-            "nudge-cpu" => {
-                // Proactive: a small, fixed-size allocation increase
-                // before the user-visible requirement breaks.
-                let Some(pid) = inv.args.first().and_then(value_pid) else {
-                    return;
-                };
-                let weight = inv.args.get(1).and_then(Value::as_f64).unwrap_or(1.0);
-                let cmds = self.cpu.plan(pid, Direction::Under, 0.25, weight);
-                if !cmds.is_empty() {
-                    self.stats.nudges += 1;
-                    self.emit_adapt(
-                        ctx.now().as_micros(),
-                        ctx.host_id(),
-                        v.corr,
-                        "nudge-cpu",
-                        0.25,
-                    );
-                }
-                for cmd in cmds {
-                    ctx.priocntl(pid, cmd);
-                }
-            }
-            "adapt-app" => {
-                // Overload: the allocation is maxed and the requirement
-                // still fails; after OVERLOAD_PATIENCE consecutive such
-                // reports, ask the application to degrade itself.
-                let Some(pid) = inv.args.first().and_then(value_pid) else {
-                    return;
-                };
-                let streak = self.overload_streak.entry(pid).or_insert(0);
-                *streak += 1;
-                if *streak < OVERLOAD_PATIENCE {
-                    return;
-                }
-                *streak = 0;
-                let Some(reg) = self.registry.get(&pid) else {
-                    return;
-                };
-                self.stats.adaptations += 1;
-                self.emit_adapt(
-                    ctx.now().as_micros(),
-                    ctx.host_id(),
-                    v.corr,
-                    "adapt-app",
-                    1.0,
-                );
-                send_ctrl(
-                    ctx,
-                    Endpoint::new(pid.host, reg.control_port),
-                    HOST_MANAGER_PORT,
-                    WireMsg::Adapt(AdaptMsg {
-                        actuator: "quality_actuator".into(),
-                        command: "degrade".into(),
-                        value: 1.0,
-                    }),
-                );
-            }
-            "notify-domain" => {
-                let (Some(domain), Some(up)) = (self.domain, v.upstream) else {
-                    return;
-                };
-                let Some(fps) = inv.args.get(1).and_then(Value::as_f64) else {
-                    return;
-                };
-                self.stats.domain_alerts += 1;
-                if self.telemetry.is_enabled() {
-                    self.telemetry.stage(
-                        ctx.now().as_micros(),
-                        v.corr,
-                        Stage::Escalate,
-                        &format!("hm:h{}", ctx.host_id().0),
-                        &v.policy,
-                        || vec![("observed".into(), fps)],
-                    );
-                }
-                send_ctrl(
-                    ctx,
-                    domain,
-                    HOST_MANAGER_PORT,
-                    WireMsg::DomainAlert(DomainAlertMsg {
-                        from_host: ctx.host_id(),
-                        client: v.pid,
-                        upstream: up,
-                        observed: fps,
-                        corr: v.corr,
-                    }),
-                );
-            }
-            "unhandled-violation" => {
-                self.stats.unhandled += 1;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Read a pid string out of a rule value.
-fn value_pid(v: &Value) -> Option<Pid> {
-    match v {
-        Value::Str(s) | Value::Sym(s) => pid_from_str(s),
-        _ => None,
-    }
-}
-
-impl QosHostManager {
-    /// Handle one decoded control message. Shared by the single-frame
-    /// and batch ingest paths so a coalesced message behaves exactly
-    /// like one that travelled alone.
-    fn handle_ctrl(&mut self, ctx: &mut Ctx<'_>, msg: WireMsg) {
-        match msg {
-            WireMsg::Violation(v) => {
-                if qos_buggify::buggify!("hm.violation.drop") {
-                    // Chaos: the manager loses the notification
-                    // after receipt (queue overflow, preemption).
-                    // The coordinator's renotify cadence must
-                    // re-deliver it.
-                } else {
-                    self.handle_violation(ctx, &v);
-                }
-            }
-            WireMsg::Register(r) => {
-                self.handle_register(ctx.now(), &r);
-                if qos_buggify::buggify!("hm.register.duplicate") {
-                    // Chaos: at-least-once delivery hands the
-                    // manager the same registration twice;
-                    // idempotency must hold.
-                    self.handle_register(ctx.now(), &r);
-                }
-            }
-            WireMsg::StatsQuery(q) => {
-                let snap = ctx.host_stats();
-                send_ctrl(
-                    ctx,
-                    q.reply_to,
-                    HOST_MANAGER_PORT,
-                    WireMsg::StatsReply(StatsReplyMsg {
-                        host: ctx.host_id(),
-                        load_avg: snap.load_avg,
-                        mem_utilization: snap.mem_utilization,
-                        correlation: q.correlation,
-                    }),
-                );
-            }
-            WireMsg::AdjustRequest(a) => {
-                // A domain-directed boost: the server is starved
-                // on a host full of interactive work, so a TS
-                // nudge cannot reliably help — promote it to the
-                // real-time class (the `priocntl -c RT` move on
-                // the prototype's Solaris host), falling back to
-                // a TS boost for small steps.
-                self.stats.cpu_boosts += 1;
-                self.emit_adapt(
-                    ctx.now().as_micros(),
-                    ctx.host_id(),
-                    a.corr,
-                    "adjust-request",
-                    a.steps as f64,
-                );
-                if a.steps >= 20 {
-                    ctx.priocntl(
-                        a.pid,
-                        PriocntlCmd::SetClass(SchedClass::RealTime {
-                            rtpri: 5,
-                            budget: None,
-                        }),
-                    );
-                } else {
-                    ctx.priocntl(a.pid, PriocntlCmd::AdjustUpri(a.steps));
-                }
-            }
-            WireMsg::DiscAssign(a) => {
-                self.run_disc(ctx, DiscEvent::Assign(a));
-            }
-            WireMsg::DiscLeaseAck(k) => {
-                self.run_disc(ctx, DiscEvent::Ack(k));
-            }
-            WireMsg::RuleUpdate(u) => {
-                self.stats.rule_updates += 1;
-                for name in &u.remove {
-                    self.remove_rule(name);
-                }
-                if let Some(text) = &u.add {
-                    self.load_rules(text);
-                }
-            }
-            // Control kinds this process does not serve: ignored (the
-            // processing cost is still charged — the manager did look).
-            _ => {}
-        }
+        charge
     }
 }
 
@@ -928,67 +114,48 @@ impl ProcessLogic for QosHostManager {
         match ev {
             ProcEvent::Readable(port) => {
                 let Some(msg) = ctx.recv(port) else { return };
-                // One decode point for the whole control plane: frames
-                // (or legacy typed structs) become WireMsg here; corrupt
+                // One decode point for the whole control plane: corrupt
                 // frames are counted, never panicked on; non-control
-                // payloads fall through untouched.
-                match decode_ctrl(&msg) {
+                // payloads cost a look and nothing else.
+                let charge = match decode_ctrl(&msg) {
                     Ok(Some(WireMsg::Batch(b))) => {
-                        self.stats.batch_frames += 1;
-                        if self.telemetry.is_enabled() {
-                            let label = format!("h{}", ctx.host_id().0);
-                            self.telemetry
-                                .histogram("wire.batch.msgs_per_frame", &label)
-                                .record(b.msgs.len() as u64);
-                        }
-                        // The per-message processing cost is charged for
-                        // every coalesced message: batching saves wire
-                        // bytes and wake-ups, not rule-engine work.
+                        self.core.note_batch_frame(ctx.host_id(), b.msgs.len());
+                        let mut charge = Dur::ZERO;
                         for m in b.msgs {
-                            self.handle_ctrl(ctx, m);
-                            ctx.run(MANAGER_PROCESSING_COST);
+                            charge += self.feed(ctx, HostInput::Msg(m));
                         }
+                        charge
                     }
-                    Ok(Some(m)) => {
-                        self.handle_ctrl(ctx, m);
-                        // Model the manager's own CPU consumption.
-                        ctx.run(MANAGER_PROCESSING_COST);
-                    }
-                    Ok(None) => {
-                        ctx.run(MANAGER_PROCESSING_COST);
-                    }
+                    Ok(Some(m)) => self.feed(ctx, HostInput::Msg(m)),
+                    Ok(None) => MANAGER_PROCESSING_COST,
                     Err(_) => {
-                        self.stats.decode_errors += 1;
-                        ctx.run(MANAGER_PROCESSING_COST);
+                        self.core.stats.decode_errors += 1;
+                        MANAGER_PROCESSING_COST
                     }
+                };
+                // `Ctx` allows one blocking syscall per callback, so a
+                // frame's messages are charged as one burst.
+                if !charge.is_zero() {
+                    ctx.run(charge);
                 }
-                self.mirror_stats(ctx.host_id());
             }
             ProcEvent::Start => {
-                ctx.set_timer(LIVENESS_SWEEP_PERIOD, TAG_LIVENESS_SWEEP);
-                self.run_disc(ctx, DiscEvent::Kick);
+                self.feed(ctx, HostInput::Start);
             }
-            ProcEvent::Timer(TAG_LIVENESS_SWEEP) => {
-                self.reap_dead(ctx.now());
-                self.mirror_stats(ctx.host_id());
-                ctx.set_timer(LIVENESS_SWEEP_PERIOD, TAG_LIVENESS_SWEEP);
+            ProcEvent::Timer(tag) => {
+                self.feed(ctx, HostInput::Timer(tag));
             }
-            ProcEvent::Timer(TAG_DISC_RETRY) => {
-                self.run_disc(ctx, DiscEvent::RetryDue);
-                self.mirror_stats(ctx.host_id());
-            }
-            ProcEvent::Timer(TAG_DISC_RENEW) => {
-                self.run_disc(ctx, DiscEvent::RenewDue);
-                self.mirror_stats(ctx.host_id());
-            }
-            ProcEvent::BurstDone | ProcEvent::Timer(_) => {}
+            // The end of a burst charged above: nothing has moved.
+            ProcEvent::BurstDone => return,
         }
+        self.core.mirror_stats(ctx.host_id());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::{RegisterMsg, RuleUpdateMsg, ViolationMsg};
 
     #[test]
     fn pid_string_roundtrip() {
@@ -1001,8 +168,52 @@ mod tests {
         assert_eq!(pid_from_str("h1:px"), None);
     }
 
-    fn reg(pid: Pid, heartbeat: Option<Dur>) -> RegisterMsg {
-        RegisterMsg {
+    /// A machine on which every process is this many pages short of its
+    /// working set.
+    struct Short(u32);
+
+    impl HostView for Short {
+        fn proc_mem(&self, _: Pid) -> Option<ProcMem> {
+            Some(ProcMem {
+                working_set: self.0,
+                resident: 0,
+                faults: 0,
+            })
+        }
+        fn host_stats(&self) -> HostSnapshot {
+            HostSnapshot {
+                load_avg: 0.0,
+                mem_utilization: 0.0,
+                runnable: 0,
+                cpu_busy: Dur::ZERO,
+            }
+        }
+    }
+
+    const SEC: u64 = 1_000_000;
+
+    fn pid(local: u32) -> Pid {
+        Pid {
+            host: HostId(0),
+            local,
+        }
+    }
+
+    /// Everything below goes in through the core's one entry point.
+    fn step(hm: &mut HostCore, at_us: u64, view: &Short, input: HostInput) -> Vec<Effect> {
+        let mut out = Vec::new();
+        hm.step(
+            SimTime::from_micros(at_us),
+            HostId(0),
+            input,
+            view,
+            &mut out,
+        );
+        out
+    }
+
+    fn register(hm: &mut HostCore, at_us: u64, pid: Pid, heartbeat: Option<Dur>) {
+        let reg = RegisterMsg {
             pid,
             control_port: 100,
             executable: "vidplayer".into(),
@@ -1010,60 +221,102 @@ mod tests {
             role: "student".into(),
             weight: 1.0,
             heartbeat,
+        };
+        step(hm, at_us, &Short(0), HostInput::Msg(WireMsg::Register(reg)));
+    }
+
+    fn sweep(hm: &mut HostCore, at_us: u64) {
+        let out = step(hm, at_us, &Short(0), HostInput::Timer(TAG_LIVENESS_SWEEP));
+        assert!(
+            matches!(out[..], [Effect::SetTimer(_, TAG_LIVENESS_SWEEP)]),
+            "a sweep re-arms itself and does nothing else: {out:?}"
+        );
+    }
+
+    /// A sweep stopped between its declare and reclaim phases.
+    fn sweep_partial(hm: &mut HostCore, at_us: u64) {
+        qos_buggify::force("hm.reap.partial", 1);
+        sweep(hm, at_us);
+        // The point only evaluates when something was declared; an
+        // unspent force must not leak into the next sweep.
+        qos_buggify::clear("hm.reap.partial");
+    }
+
+    fn violation(pid: Pid, corr: u64, fps: f64) -> ViolationMsg {
+        ViolationMsg {
+            pid,
+            proc_name: "vidplayer".into(),
+            policy: "fps".into(),
+            corr,
+            readings: vec![("frame_rate".into(), fps)],
+            bounds: Some(("frame_rate".into(), 23.0, 27.0)),
+            upstream: None,
         }
+    }
+
+    fn violate(hm: &mut HostCore, at_us: u64, view: &Short, v: &ViolationMsg) -> Vec<Effect> {
+        step(
+            hm,
+            at_us,
+            view,
+            HostInput::Msg(WireMsg::Violation(v.clone())),
+        )
     }
 
     #[test]
     fn registration_is_idempotent_per_pid() {
-        let mut hm = QosHostManager::new(None);
-        let p = Pid {
-            host: HostId(0),
-            local: 5,
-        };
-        let t0 = SimTime::ZERO;
-        hm.handle_register(t0, &reg(p, None));
-        hm.handle_register(t0, &reg(p, None));
-        hm.handle_register(t0, &reg(p, None));
+        let mut hm = HostCore::new(None);
+        let p = pid(5);
+        register(&mut hm, 0, p, None);
+        register(&mut hm, 0, p, None);
+        register(&mut hm, 0, p, None);
         assert_eq!(hm.stats.registrations, 1, "at-least-once delivery safe");
         assert!(hm.is_registered(p));
     }
 
     #[test]
     fn silent_heartbeat_process_is_reaped_and_reclaimed() {
-        let mut hm = QosHostManager::new(None);
-        let p = Pid {
-            host: HostId(0),
-            local: 5,
+        let mut hm = HostCore::new(None);
+        let p = pid(5);
+        register(&mut hm, 0, p, Some(Dur::from_secs(1)));
+        // Give it state a crash would otherwise leak: a boost driven to
+        // its cap and a memory grant, then two at-cap reports on the
+        // overload streak, then a report no rule consumes.
+        let update = RuleUpdateMsg {
+            add: Some(crate::rules::overload_rules().into()),
+            remove: vec!["unhandled-violation".into()],
         };
-        hm.handle_register(SimTime::ZERO, &reg(p, Some(Dur::from_secs(1))));
-        // Give it state a crash would otherwise leak.
-        hm.cpu.plan(p, Direction::Under, 1.0, 1.0);
-        hm.mem.plan(p, 32);
-        hm.overload_streak.insert(p, 2);
-        let pid_s = pid_to_string(p);
-        hm.engine
-            .assert_fact(Fact::new("violation").with("pid", Value::str(&pid_s)));
+        step(
+            &mut hm,
+            0,
+            &Short(0),
+            HostInput::Msg(WireMsg::RuleUpdate(update)),
+        );
+        for corr in 1..=5 {
+            violate(&mut hm, SEC / 10, &Short(32), &violation(p, corr, 0.0));
+        }
+        violate(&mut hm, SEC / 10, &Short(0), &violation(p, 6, 25.0));
         assert!(hm.cpu_allocation(p).boost > 0);
+        assert!(hm.mem_granted(p) > 0);
+        assert_eq!(hm.overload_streak(p), Some(2));
+        assert_eq!(hm.facts_of("violation"), 1);
 
         // Heartbeats keep it alive...
-        hm.handle_register(
-            SimTime::from_micros(1_000_000),
-            &reg(p, Some(Dur::from_secs(1))),
-        );
-        hm.reap_dead(SimTime::from_micros(2_000_000));
+        register(&mut hm, SEC, p, Some(Dur::from_secs(1)));
+        sweep(&mut hm, 2 * SEC);
         assert!(hm.is_registered(p));
 
         // ...silence past the grace period kills it.
-        hm.reap_dead(SimTime::from_micros(60_000_000));
+        sweep(&mut hm, 60 * SEC);
         assert_eq!(hm.stats.deaths, 1);
         assert!(!hm.is_registered(p));
         assert_eq!(hm.cpu_allocation(p).boost, 0, "CPU boost reclaimed");
-        assert_eq!(hm.mem.granted(p), 0, "memory grant reclaimed");
+        assert_eq!(hm.mem_granted(p), 0, "memory grant reclaimed");
         assert_eq!(hm.facts_of("violation"), 0, "stale facts retracted");
-        assert!(!hm.overload_streak.contains_key(&p));
+        assert_eq!(hm.overload_streak(p), None);
 
         // Reap is one-shot.
-        hm.reap_dead(SimTime::from_micros(120_000_000));
+        sweep(&mut hm, 120 * SEC);
         assert_eq!(hm.stats.deaths, 1);
     }
 
@@ -1077,31 +330,24 @@ mod tests {
             return;
         }
         qos_buggify::disable();
-        let mut hm = QosHostManager::new(None);
-        let p = Pid {
-            host: HostId(0),
-            local: 9,
-        };
-        hm.handle_register(SimTime::ZERO, &reg(p, Some(Dur::from_secs(1))));
-        hm.cpu.plan(p, Direction::Under, 1.0, 1.0);
+        let mut hm = HostCore::new(None);
+        let p = pid(9);
+        register(&mut hm, 0, p, Some(Dur::from_secs(1)));
+        violate(&mut hm, 0, &Short(0), &violation(p, 1, 0.0));
         assert!(hm.cpu_allocation(p).boost > 0);
 
         // Freeze the sweep between its declare and reclaim phases.
-        qos_buggify::force("hm.reap.partial", 1);
-        hm.reap_dead(SimTime::from_micros(60_000_000));
-        assert!(!hm.liveness.tracks(p), "declared dead");
-        assert_eq!(hm.pending_reap, vec![p], "reclamation still pending");
+        sweep_partial(&mut hm, 60 * SEC);
+        assert!(!hm.lifecycle().tracks(p), "declared dead");
+        assert_eq!(hm.lifecycle().pending_reap(), [p], "reclamation pending");
         assert!(hm.is_registered(p), "not yet reclaimed");
 
         // The racing heartbeat lands before the next sweep...
-        hm.handle_register(
-            SimTime::from_micros(60_500_000),
-            &reg(p, Some(Dur::from_secs(1))),
-        );
+        register(&mut hm, 60 * SEC + SEC / 2, p, Some(Dur::from_secs(1)));
         // ...so the sweep that follows must not touch the process.
-        hm.reap_dead(SimTime::from_micros(61_000_000));
+        sweep(&mut hm, 61 * SEC);
         assert!(hm.is_registered(p), "fully registered, not a zombie");
-        assert!(hm.liveness.tracks(p), "liveness re-armed");
+        assert!(hm.lifecycle().tracks(p), "liveness re-armed");
         assert_eq!(hm.stats.deaths, 0, "a live process is no death");
         assert!(hm.cpu_allocation(p).boost > 0, "allocation survives");
         qos_buggify::disable();
@@ -1113,73 +359,161 @@ mod tests {
             return;
         }
         qos_buggify::disable();
-        let mut hm = QosHostManager::new(None);
-        let p = Pid {
-            host: HostId(0),
-            local: 11,
-        };
-        hm.handle_register(SimTime::ZERO, &reg(p, Some(Dur::from_secs(1))));
-        hm.cpu.plan(p, Direction::Under, 1.0, 1.0);
-        qos_buggify::force("hm.reap.partial", 1);
-        hm.reap_dead(SimTime::from_micros(60_000_000));
+        let mut hm = HostCore::new(None);
+        let p = pid(11);
+        register(&mut hm, 0, p, Some(Dur::from_secs(1)));
+        violate(&mut hm, 0, &Short(0), &violation(p, 1, 0.0));
+        sweep_partial(&mut hm, 60 * SEC);
         assert!(hm.is_registered(p), "phase B deferred");
         // Still silent: the next sweep finishes the job exactly once.
-        hm.reap_dead(SimTime::from_micros(61_000_000));
+        sweep(&mut hm, 61 * SEC);
         assert!(!hm.is_registered(p));
         assert_eq!(hm.stats.deaths, 1);
         assert_eq!(hm.cpu_allocation(p).boost, 0, "boost reclaimed once");
-        assert!(hm.pending_reap.is_empty());
+        assert!(hm.lifecycle().pending_reap().is_empty());
         qos_buggify::disable();
     }
 
     #[test]
     fn identical_redelivery_within_window_is_a_duplicate() {
-        let mut hm = QosHostManager::new(None);
-        let p = Pid {
-            host: HostId(0),
-            local: 3,
-        };
-        let v = ViolationMsg {
-            pid: p,
-            proc_name: "vidplayer".into(),
-            policy: "fps".into(),
-            corr: 7,
-            readings: vec![("frame_rate".into(), 19.5)],
-            bounds: Some(("frame_rate".into(), 23.0, 27.0)),
-            upstream: None,
-        };
-        let t0 = SimTime::from_micros(1_000_000);
-        assert!(
-            !hm.is_duplicate_violation(t0, &v),
-            "first delivery is fresh"
-        );
-        assert!(
-            hm.is_duplicate_violation(SimTime::from_micros(1_200_000), &v),
+        let mut hm = HostCore::new(None);
+        let v = violation(pid(3), 7, 19.5);
+        let fresh_and_dup = |hm: &HostCore| (hm.stats.violations, hm.stats.dup_violations);
+        violate(&mut hm, SEC, &Short(0), &v);
+        assert_eq!(fresh_and_dup(&hm), (1, 0), "first delivery is fresh");
+        violate(&mut hm, SEC + SEC / 5, &Short(0), &v);
+        assert_eq!(
+            fresh_and_dup(&hm),
+            (1, 1),
             "bit-identical redelivery 200 ms later is a transport dup"
         );
-        assert!(
-            !hm.is_duplicate_violation(SimTime::from_micros(2_100_000), &v),
+        violate(&mut hm, 2 * SEC + SEC / 10, &Short(0), &v);
+        assert_eq!(
+            fresh_and_dup(&hm),
+            (2, 1),
             "a renotify one second later is a genuine repeat"
         );
         let mut changed = v.clone();
         changed.readings[0].1 = 20.5;
-        assert!(
-            !hm.is_duplicate_violation(SimTime::from_micros(2_150_000), &changed),
+        violate(&mut hm, 2 * SEC + SEC / 10 + SEC / 20, &Short(0), &changed);
+        assert_eq!(
+            fresh_and_dup(&hm),
+            (3, 1),
             "different readings are never a dup, however close"
         );
     }
 
     #[test]
     fn one_shot_registrant_is_never_reaped() {
-        let mut hm = QosHostManager::new(None);
-        let p = Pid {
-            host: HostId(0),
-            local: 7,
-        };
-        hm.handle_register(SimTime::ZERO, &reg(p, None));
-        hm.reap_dead(SimTime::from_micros(3_600_000_000));
+        let mut hm = HostCore::new(None);
+        let p = pid(7);
+        register(&mut hm, 0, p, None);
+        sweep(&mut hm, 3_600 * SEC);
         assert!(hm.is_registered(p), "no heartbeat promise, no reaping");
         assert_eq!(hm.stats.deaths, 0);
+    }
+
+    /// The lifecycle scripts the deleted hand model was replayed
+    /// against, with the state each step must leave: `R`egistered,
+    /// `T`racked, reap `P`ending, holds a `G`rant, tombstoned (`X`).
+    #[test]
+    fn scripted_lifecycle_scenarios_reach_their_states() {
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Register,
+            Grant,
+            Advance,
+            Sweep,
+            SweepPartial,
+            Crash,
+        }
+        use Op::*;
+        if !qos_buggify::compiled_in() {
+            return; // SweepPartial needs the buggify point
+        }
+        let scripts: [&[(Op, &str)]; 5] = [
+            &[
+                (Register, "RT---"),
+                (Grant, "RT-G-"),
+                (Advance, "RT-G-"),
+                (Sweep, "RT-G-"),
+            ],
+            &[
+                (Register, "RT---"),
+                (Grant, "RT-G-"),
+                (Advance, "RT-G-"),
+                (Advance, "RT-G-"),
+                (Advance, "RT-G-"),
+                (Advance, "RT-G-"),
+                (Advance, "RT-G-"),
+                (Sweep, "----X"),
+                (Register, "RT---"),
+            ],
+            &[
+                (Register, "RT---"),
+                (Advance, "RT---"),
+                (Advance, "RT---"),
+                (Advance, "RT---"),
+                (Advance, "RT---"),
+                (Advance, "RT---"),
+                (SweepPartial, "R-P--"),
+                (Register, "RT---"),
+                (Sweep, "RT---"),
+            ],
+            &[
+                (Register, "RT---"),
+                (Grant, "RT-G-"),
+                (Crash, "-----"),
+                (Register, "RT---"),
+                (Sweep, "RT---"),
+            ],
+            &[
+                (Grant, "---G-"),
+                (Sweep, "---G-"),
+                (SweepPartial, "---G-"),
+                (Register, "RT-G-"),
+                (Crash, "-----"),
+                (Advance, "-----"),
+                (Sweep, "-----"),
+            ],
+        ];
+        let p = pid(1);
+        for (i, script) in scripts.iter().enumerate() {
+            qos_buggify::disable();
+            let mut hm = HostCore::new(None);
+            let mut now = 0;
+            for (n, &(op, want)) in script.iter().enumerate() {
+                match op {
+                    Register => register(&mut hm, now, p, Some(Dur::from_secs(1))),
+                    Grant => {
+                        violate(&mut hm, now, &Short(0), &violation(p, n as u64, 0.0));
+                    }
+                    Advance => now += SEC,
+                    Sweep => sweep(&mut hm, now),
+                    SweepPartial => sweep_partial(&mut hm, now),
+                    // A replacement manager takes over with empty
+                    // volatile state; the clock keeps running.
+                    Crash => hm = HostCore::new(None),
+                }
+                let l = hm.lifecycle();
+                let got: String = [
+                    (hm.is_registered(p), 'R'),
+                    (l.tracks(p), 'T'),
+                    (l.pending_reap().contains(&p), 'P'),
+                    (l.holds_grant(p), 'G'),
+                    (l.is_tombstoned(p), 'X'),
+                ]
+                .map(|(set, c)| if set { c } else { '-' })
+                .iter()
+                .collect();
+                assert_eq!(got, want, "script {i}, after step {n} ({op:?})");
+                assert_eq!(
+                    l.holds_grant(p),
+                    hm.cpu_allocation(p).boost > 0,
+                    "script {i}, step {n}: the grant bit is the resource ledger's"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //! * [`rules`] — the default CLIPS-format rule sets (Section 5.3),
 //!   including the fair-share vs differentiated administrative variants
 //!   and the domain manager's server/network discrimination rules;
-//! * [`host`] — the QoS Host Manager process: violations in, inference,
-//!   resource-manager actions or domain escalation out;
+//! * [`host_core`] — the QoS Host Manager's decisions, sans-io:
+//!   violations in, inference, resource-manager actions or domain
+//!   escalation out, as effects for a driver to carry;
+//! * [`lifecycle`] — the registration/heartbeat/reap half of that core,
+//!   small and hashable: the explicit-state checker explores this very
+//!   type, so there is no separate model to keep in step;
+//! * [`host`] — the simulator's driver of the core: the QoS Host
+//!   Manager process;
 //! * [`domain`] — the QoS Domain Manager process: cross-host fault
 //!   localization (query server-side statistics; boost the server or
 //!   reroute around a congested switch);
-//! * [`protocol`] — the registration/heartbeat/reap lifecycle behind a
-//!   pure state-machine trait: a small model the explicit-state checker
-//!   explores exhaustively, and a real-manager adapter that conformance
-//!   tests replay the same action sequences against;
 //! * [`live`] — the same components on real threads with real clocks,
 //!   used to reproduce the paper's instrumentation-overhead measurements;
 //! * [`transport`] — the carriers moving `qos_wire` frames: simulated
@@ -31,10 +33,11 @@
 pub mod agent_proc;
 pub mod domain;
 pub mod host;
+pub mod host_core;
+pub mod lifecycle;
 pub mod live;
 pub mod liveness;
 pub mod messages;
-pub mod protocol;
 pub mod resource;
 pub mod rules;
 pub mod transport;
@@ -43,7 +46,10 @@ pub mod transport;
 pub mod prelude {
     pub use crate::agent_proc::{AgentProcStats, PolicyAgentProcess};
     pub use crate::domain::{DomainAction, DomainStats, QosDomainManager, RouteError};
-    pub use crate::host::{pid_from_str, pid_to_string, HostMgrStats, QosHostManager};
+    pub use crate::host::QosHostManager;
+    pub use crate::host_core::{
+        pid_from_str, pid_to_string, Effect, HostCore, HostInput, HostMgrStats, HostView,
+    };
     pub use crate::live::{
         standard_live_repo, Driver, ListenSpec, LiveBuilder, LiveClock, LiveError, LiveHostManager,
         LiveManagerStats, LiveProcess, ReportBatchPolicy, SUBSCRIBER_QUEUE_CAPACITY,
@@ -56,18 +62,14 @@ pub mod prelude {
         DISCOVERY_LEASE, DISCOVERY_PORT, DOMAIN_MANAGER_PORT, HOST_MANAGER_PORT, POLICY_AGENT_PORT,
         REGISTRATION_HEARTBEAT_PERIOD, STATS_QUERY_DEADLINE,
     };
-    pub use crate::protocol::{
-        apply as apply_lifecycle_op, conformance_divergence, real_grace, Bugs, LifecycleAbs,
-        LifecycleHost, LifecycleOp, PureHost, RealLifecycleHost, LIFECYCLE_OPS, MAX_REPORTS,
-    };
     pub use crate::resource::{CpuAllocation, CpuManager, CpuStrategy, Direction, MemoryManager};
     pub use crate::rules::{
         domain_base_facts, domain_rules, host_base_facts, host_rules_differentiated,
         host_rules_fair, overload_rules, proactive_rules, BUFFER_CUTOFF,
     };
     pub use crate::transport::{
-        decode_ctrl, send_ctrl, send_ctrl_batch, ChannelTransport, FlushPolicy, ReconnectPolicy,
-        SockAddr, SocketTransport, SocketTransportBuilder, TelemetryTap, WireTransport,
+        decode_ctrl, send_ctrl, ChannelTransport, FlushPolicy, ReconnectPolicy, SockAddr,
+        SocketTransport, SocketTransportBuilder, TelemetryTap, WireTransport,
     };
 }
 

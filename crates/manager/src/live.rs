@@ -467,6 +467,16 @@ pub struct LiveManagerStats {
     pub violations: AtomicU64,
     /// Rules fired across all violations.
     pub rules_fired: AtomicU64,
+    /// Violations discarded as transport duplicates. Reads 0 until the
+    /// live manager drives [`crate::host_core::HostCore`] (ROADMAP 1c);
+    /// declared now so the benchmark's conservation checks (1b) compile
+    /// against both sides of that change.
+    pub dup_violations: AtomicU64,
+    /// Violations discarded because their sender had been reaped. Reads
+    /// 0 until 1c, as above.
+    pub stale_violations: AtomicU64,
+    /// Adaptations that landed. Reads 0 until 1c, as above.
+    pub adaptations: AtomicU64,
     /// Net CPU-boost level decided (sum of adjust minus relax steps) —
     /// stands in for priocntl in live mode, where we will not actually
     /// renice the benchmark process.

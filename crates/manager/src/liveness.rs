@@ -13,7 +13,7 @@
 //! registrant (a web server, a game session) must not be declared dead
 //! just because it has nothing to say.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use qos_sim::{Dur, Pid, SimTime};
 
@@ -22,16 +22,18 @@ use qos_sim::{Dur, Pid, SimTime};
 /// loss, the false-positive probability per check is p^GRACE_PERIODS.
 pub const GRACE_PERIODS: u32 = 4;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Expectation {
     period: Dur,
     last_beat: SimTime,
 }
 
 /// Tracks which processes owe heartbeats and when they last delivered.
-#[derive(Debug, Default)]
+/// Ordered and hashable: it is part of the [`crate::lifecycle::Lifecycle`]
+/// state the model checker explores.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 pub struct LivenessTracker {
-    expected: HashMap<Pid, Expectation>,
+    expected: BTreeMap<Pid, Expectation>,
 }
 
 impl LivenessTracker {
@@ -75,16 +77,19 @@ impl LivenessTracker {
         self.expected.len()
     }
 
-    /// Processes overdue by more than [`GRACE_PERIODS`] periods, removed
-    /// from tracking and returned for cleanup (deterministic order).
-    pub fn reap(&mut self, now: SimTime) -> Vec<Pid> {
-        let mut dead: Vec<Pid> = self
-            .expected
+    /// Processes overdue by more than [`GRACE_PERIODS`] periods, in pid
+    /// order.
+    pub fn overdue(&self, now: SimTime) -> impl Iterator<Item = Pid> + '_ {
+        self.expected
             .iter()
-            .filter(|(_, e)| now.since(e.last_beat) > e.period.mul_f64(GRACE_PERIODS as f64))
+            .filter(move |(_, e)| now.since(e.last_beat) > e.period.mul_f64(GRACE_PERIODS as f64))
             .map(|(&pid, _)| pid)
-            .collect();
-        dead.sort();
+    }
+
+    /// The [`LivenessTracker::overdue`] processes, removed from tracking
+    /// and returned for cleanup.
+    pub fn reap(&mut self, now: SimTime) -> Vec<Pid> {
+        let dead: Vec<Pid> = self.overdue(now).collect();
         for pid in &dead {
             self.expected.remove(pid);
         }

@@ -32,7 +32,7 @@ use crossbeam::channel::{bounded, Sender, TrySendError};
 use parking_lot::Mutex;
 use qos_net::ClientConn;
 use qos_sim::{Ctx, Endpoint, Message, Port};
-use qos_wire::messages::{BatchMsg, TelemetryBatchMsg, TelemetrySubscribeMsg};
+use qos_wire::messages::{TelemetryBatchMsg, TelemetrySubscribeMsg};
 use qos_wire::{FrameBuffer, WireBytes, WireError, WireMsg};
 
 pub use qos_net::{Backoff, FlushPolicy, ReconnectPolicy, SockAddr, SockListener, SockStream};
@@ -47,18 +47,6 @@ pub fn send_ctrl(ctx: &mut Ctx<'_>, dst: Endpoint, src_port: Port, msg: WireMsg)
     let b = WireBytes::encode(&msg);
     let n = b.len_bytes();
     ctx.send(dst, src_port, n, b);
-}
-
-/// Send several management-plane messages coalesced into one
-/// [`WireMsg::Batch`] frame — one simulated hop and one manager wake-up
-/// instead of N. The network is charged the real batch frame length,
-/// which is where coalescing pays: N−1 frame headers disappear from the
-/// wire.
-pub fn send_ctrl_batch(ctx: &mut Ctx<'_>, dst: Endpoint, src_port: Port, msgs: Vec<WireMsg>) {
-    if msgs.is_empty() {
-        return;
-    }
-    send_ctrl(ctx, dst, src_port, WireMsg::Batch(BatchMsg { msgs }));
 }
 
 /// Interpret a simulated message as a management-plane message: it is

@@ -5,6 +5,7 @@
 
 use qos_core::prelude::*;
 use qos_core::sim::memory::PAGE_FAULT_COST;
+use qos_core::wire::BatchMsg;
 
 #[test]
 fn host_manager_processes_violations_in_sim() {
@@ -77,6 +78,120 @@ fn rule_update_message_changes_running_manager() {
     tb.world.run_for(Dur::from_secs(2));
     let hm: &QosHostManager = tb.world.logic(hm_pid).unwrap();
     assert_eq!(hm.stats.rule_updates, 1);
+    let names = hm.rule_names();
+    assert!(names.iter().any(|n| n == "custom-rule"));
+    assert!(!names.iter().any(|n| n == "over-achieving"));
+}
+
+/// Spawn a process on the client host that sends `msgs` to the client's
+/// host manager, one frame each, then exits.
+fn send_to_client_hm(tb: &mut Testbed, msgs: Vec<WireMsg>) {
+    struct Sender {
+        hm: Endpoint,
+        msgs: Vec<WireMsg>,
+    }
+    impl ProcessLogic for Sender {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: ProcEvent) {
+            if let ProcEvent::Start = ev {
+                for m in self.msgs.drain(..) {
+                    send_ctrl(ctx, self.hm, 98, m);
+                }
+                ctx.exit();
+            }
+        }
+    }
+    let hm = Endpoint::new(tb.client_host, HOST_MANAGER_PORT);
+    tb.world.spawn(
+        tb.client_host,
+        ProcConfig::new("sender"),
+        Sender { hm, msgs },
+    );
+}
+
+fn rule_update(add: Option<&str>, remove: &[&str]) -> WireMsg {
+    WireMsg::RuleUpdate(RuleUpdateMsg {
+        add: add.map(str::to_string),
+        remove: remove.iter().map(|s| s.to_string()).collect(),
+    })
+}
+
+/// A peer cannot panic the manager: a frame coalescing two messages is
+/// two messages' work and one blocking `run`, not two.
+#[test]
+fn two_message_batch_frame_is_handled_in_one_callback() {
+    let mut tb = Testbed::build(&TestbedConfig {
+        seed: 63,
+        managed: true,
+        ..TestbedConfig::default()
+    });
+    let batch = WireMsg::Batch(BatchMsg {
+        msgs: vec![
+            rule_update(None, &["over-achieving"]),
+            rule_update(
+                Some("(defrule second (never (matches ?x)) => (call noop ?x))"),
+                &[],
+            ),
+        ],
+    });
+    send_to_client_hm(&mut tb, vec![batch]);
+    tb.world.run_for(Dur::from_secs(2));
+    let hm: &QosHostManager = tb.world.logic(tb.client_hm.unwrap()).unwrap();
+    assert_eq!(hm.stats.batch_frames, 1);
+    assert_eq!(hm.stats.rule_updates, 2, "both coalesced messages applied");
+    let names = hm.rule_names();
+    assert!(names.iter().any(|n| n == "second"));
+    assert!(!names.iter().any(|n| n == "over-achieving"));
+}
+
+/// A rule update is applied whole or not at all: text that does not
+/// parse must not leave the removals done and nothing added, and the
+/// refusal is counted rather than dropped.
+#[test]
+fn unparsable_rule_update_is_rejected_whole_and_counted() {
+    let telemetry = Telemetry::enabled();
+    let mut tb = Testbed::build(&TestbedConfig {
+        seed: 64,
+        managed: true,
+        telemetry: telemetry.clone(),
+        ..TestbedConfig::default()
+    });
+    let hm_pid = tb.client_hm.unwrap();
+    let before = tb
+        .world
+        .logic::<QosHostManager>(hm_pid)
+        .unwrap()
+        .rule_names();
+    send_to_client_hm(
+        &mut tb,
+        vec![rule_update(
+            Some("(this is (not valid"),
+            &["over-achieving"],
+        )],
+    );
+    tb.world.run_for(Dur::from_secs(2));
+    let hm: &QosHostManager = tb.world.logic(hm_pid).unwrap();
+    assert_eq!(hm.rule_names(), before, "nothing removed, nothing added");
+    assert_eq!(hm.stats.rule_rejects, 1);
+    assert_eq!(
+        hm.stats.rule_updates, 0,
+        "a refused update is not an update"
+    );
+    if telemetry.is_enabled() {
+        assert_eq!(telemetry.counter_value("hm.rule_rejects", "h0"), 1);
+    }
+
+    // The manager is not wedged: the same removal with text that parses
+    // goes through.
+    send_to_client_hm(
+        &mut tb,
+        vec![rule_update(
+            Some("(defrule custom-rule (never (matches ?x)) => (call noop ?x))"),
+            &["over-achieving"],
+        )],
+    );
+    tb.world.run_for(Dur::from_secs(2));
+    let hm: &QosHostManager = tb.world.logic(hm_pid).unwrap();
+    assert_eq!((hm.stats.rule_updates, hm.stats.rule_rejects), (1, 1));
     let names = hm.rule_names();
     assert!(names.iter().any(|n| n == "custom-rule"));
     assert!(!names.iter().any(|n| n == "over-achieving"));

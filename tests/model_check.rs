@@ -1,90 +1,135 @@
-//! Explicit-state model checking of the registration/heartbeat/reap
-//! protocol.
+//! Explicit-state model checking of the shipped protocol machines.
 //!
-//! The model under check is [`PureHost`] (the small-model abstraction of
-//! one process's lifecycle inside `host.rs`) embedded in an adversarial
-//! environment: an unreliable control channel with bounded loss and
-//! duplication budgets, a process that may crash silently, and a manager
-//! that may crash and restart with empty volatile state. A breadth-first
-//! search over every reachable state proves two properties the paper's
-//! enforcement architecture depends on:
+//! Nothing here is a model of the code: the checker's state holds the
+//! production types themselves — [`Lifecycle`], the registration /
+//! heartbeat / reap half of the host manager's core (real
+//! `LivenessTracker`, real [`GRACE_PERIODS`], real
+//! [`DUP_VIOLATION_WINDOW`]), and further down the discovery plane's
+//! [`DiscClient`] — each embedded in an adversarial environment. For the
+//! lifecycle that is a control channel that loses and duplicates, a
+//! process that may crash silently or reconnect, and a manager that may
+//! crash and restart with empty volatile state — any [`FAULTS`] of those
+//! per run. A breadth-first search over every reachable state proves
+//! four properties the paper's enforcement architecture depends on:
 //!
 //! - **No lost resource** (quiescent): once the dust settles — budgets
-//!   spent, messages drained, reaps done — every resource grant in the
-//!   manager's ledger belongs to a registered process. Nothing leaks.
+//!   spent, messages drained, reaps done — every resource grant the
+//!   manager holds belongs to a registered process. Nothing leaks.
 //! - **No double adaptation** (safety): one violation report never
-//!   triggers two adaptations within a grant epoch, no matter how the
-//!   transport duplicates or reorders it.
+//!   triggers two adaptations within a grant epoch, however the
+//!   transport duplicates it (given [`Protocol::dups_trail_closely`]).
+//! - **Tracked implies registered** (safety): no half-registered zombie
+//!   survives the reap / re-register race.
+//! - **Reaped grants are released** (safety): a tombstoned pid holds
+//!   nothing.
 //!
-//! Seeded-bug tests re-introduce three historical/candidate defects via
-//! [`Bugs`] and assert the checker catches each with a shortest, printed
-//! counterexample trace. Conformance tests replay op sequences against
-//! the pure model and a real `QosHostManager` in lockstep so the model
-//! cannot drift from the code it abstracts.
+//! Seeded-bug tests switch on one of the three [`Bugs`] the shipped
+//! machine carries (inert wherever buggify is compiled out) and assert
+//! the checker catches each with a shortest, printed counterexample.
 //!
 //! ## Channel fidelity
 //!
 //! The environment encodes what the real carriers actually guarantee,
 //! not an arbitrarily hostile network: registrations travel as
 //! connection greetings on a reliable FIFO stream (they are never lost
-//! independently — only a manager crash kills them, along with every
-//! other in-flight frame on the connection), and a violation can only
-//! arrive after the current manager incarnation has seen a greeting
-//! (`LiveProcess` replays its greeting on every reconnect). Violations
-//! themselves are fire-and-forget: they can be lost (full queue, dead
-//! connection) and duplicated (re-notify, frame redelivery).
+//! independently — only a manager crash or a reconnect kills them,
+//! along with every other in-flight frame on the connection), and a
+//! violation can only arrive after the current connection has delivered
+//! its greeting (`LiveProcess` replays its greeting on every reconnect).
+//! Violations themselves are fire-and-forget: they can be lost (full
+//! queue, dead connection) and duplicated, in flight (the sim's fault
+//! layer) or at the handler (`live.mgr.dup_frame`).
 
 use qos_check::{check, CheckConfig, Invariant, Model, Outcome};
+use qos_core::manager::lifecycle::{Admit, Bugs, Lifecycle};
 use qos_core::prelude::*;
 use qos_core::wire::messages::{DiscAssignMsg, DiscLeaseAckMsg};
 
-/// Grace periods in the checked model (small-model parameter; the
-/// conformance suite separately pins the pure model to the real
-/// tracker's [`real_grace`]).
-const GRACE: u8 = 2;
-/// Heartbeat periods the environment may let elapse.
-const PERIODS: u8 = 5;
+/// The one modelled process; it promises a heartbeat every [`PERIOD`].
+const P: Pid = Pid {
+    host: HostId(0),
+    local: 1,
+};
+const PERIOD: Dur = Dur::from_secs(1);
+/// One tick of the environment's clock: two heartbeat periods, the
+/// coarsest grain that still lands on both sides of each threshold the
+/// machine has — on the grace exactly (two ticks, [`GRACE_PERIODS`]
+/// periods: alive), past it (three: overdue), past the duplicate window
+/// (any tick). At one period per tick the same search is 82 890 states
+/// and twice the `model-check` job's time budget.
+const TICK: Dur = Dur::from_secs(2);
+/// Ticks the environment may let elapse: enough to out-wait the grace,
+/// with two to spare.
+const TICKS: u8 = 5;
+/// Faults the adversary may spend in one run, of any kind and in any
+/// mix: a lost report, a duplicated frame (in flight or at the
+/// handler), a manager crash, a connection reset.
+const FAULTS: u8 = 3;
 /// In-flight copies of any one message the channel can hold.
 const MAX_INFLIGHT: u8 = 2;
+/// Distinct violation reports the process sends.
+const MAX_REPORTS: usize = 2;
 
 /// The lifecycle protocol embedded in its adversarial environment.
-struct Lifecycle {
+struct Protocol {
     bugs: Bugs,
     /// When false, the "reaped-grants-are-released" safety net is
     /// removed so a release leak is caught only by the quiescent
     /// no-lost-resource invariant (used to demonstrate that the
     /// quiescent machinery finds leaks on its own).
     release_safety_net: bool,
+    /// The one assumption the proof of no-double-adaptation makes about
+    /// the carriers: **a transport duplicate trails its original
+    /// closely** — the clock does not tick and no other report from the
+    /// process is handled (or duplicated) while a duplicated report still
+    /// has a copy in flight. It rests on how duplicates arise: the sim's
+    /// fault layer queues the copy back to back with its original on the
+    /// same FIFO route (`qos-sim`'s `Syscall::Send`), and
+    /// `live.mgr.dup_frame` hands the frame to the handler twice in a
+    /// row. The shipped filter needs it: it remembers one fingerprint
+    /// per pid for `DUP_VIOLATION_WINDOW` (500 ms, half a heartbeat
+    /// period). `duplicate_outliving_the_window_adapts_twice` switches
+    /// it off and prints what then goes wrong.
+    dups_trail_closely: bool,
 }
 
-impl Lifecycle {
-    fn nominal() -> Self {
-        Lifecycle {
-            bugs: Bugs::default(),
-            release_safety_net: true,
-        }
-    }
-
+impl Protocol {
     fn with_bugs(bugs: Bugs) -> Self {
-        Lifecycle {
+        Protocol {
             bugs,
             release_safety_net: true,
+            dups_trail_closely: true,
         }
+    }
+
+    fn nominal() -> Self {
+        Protocol::with_bugs(Bugs::default())
+    }
+
+    /// A manager incarnation's empty volatile state.
+    fn fresh_host(&self) -> Lifecycle {
+        let mut host = Lifecycle::default();
+        host.bugs = self.bugs;
+        host
     }
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq)]
 struct S {
-    host: PureHost,
+    /// The shipped machine.
+    host: Lifecycle,
     /// The instrumented process is alive (sends heartbeats/violations).
     proc_up: bool,
-    /// The current manager incarnation has seen a registration — the
-    /// FIFO greeting guarantee: no violation delivery before this.
+    /// The current connection has delivered its greeting to the current
+    /// manager incarnation — the FIFO guarantee: no violation delivery
+    /// before this.
     greeting_seen: bool,
     /// Registration/heartbeat frames in flight.
     reg_inflight: u8,
     /// Violation report copies in flight, per report id.
     vio_inflight: [u8; MAX_REPORTS],
+    /// The channel duplicated this report and a copy is still in flight.
+    duplicated: [bool; MAX_REPORTS],
     /// Next fresh violation report id.
     next_report: u8,
     /// Ghost: reports the manager adapted to in this grant epoch.
@@ -92,10 +137,66 @@ struct S {
     /// Ghost: some report triggered two adaptations in one epoch.
     double_adapt: bool,
     /// Remaining nondeterminism budgets.
-    periods_left: u8,
-    losses_left: u8,
-    dups_left: u8,
-    mgr_crashes_left: u8,
+    ticks_left: u8,
+    faults_left: u8,
+}
+
+/// One write for the environment's scalars: the derived impl's write per
+/// field is a fifth of the run in a debug build. (Leaving a field out
+/// would cost collisions, not correctness.)
+impl std::hash::Hash for S {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        self.host.hash(h);
+        h.write(&[
+            self.proc_up as u8,
+            self.greeting_seen as u8,
+            self.reg_inflight,
+            self.vio_inflight[0],
+            self.vio_inflight[1],
+            self.duplicated[0] as u8,
+            self.duplicated[1] as u8,
+            self.next_report,
+            self.adapted[0] as u8,
+            self.adapted[1] as u8,
+            self.double_adapt as u8,
+            self.ticks_left,
+            self.faults_left,
+        ]);
+    }
+}
+
+impl S {
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(u64::from(TICKS - self.ticks_left) * TICK.as_micros())
+    }
+
+    fn deliver_register(&mut self) {
+        self.host.register(self.now(), P, Some(PERIOD));
+        self.greeting_seen = true;
+    }
+
+    /// Hand report `r` to the manager. Every report it admits is
+    /// diagnosed and lands a grant (the worst case for leaks).
+    fn deliver_violation(&mut self, r: usize) {
+        if self.host.admit_violation(self.now(), P, r as u64) == Admit::Fresh {
+            self.host.grant(P);
+            self.double_adapt |= self.adapted[r];
+            self.adapted[r] = true;
+        }
+    }
+
+    fn take_violation(&mut self, r: usize) {
+        self.vio_inflight[r] -= 1;
+        self.duplicated[r] &= self.vio_inflight[r] > 0;
+    }
+
+    /// Everything in flight dies with its connection.
+    fn drop_connection(&mut self) {
+        self.reg_inflight = 0;
+        self.vio_inflight = [0; MAX_REPORTS];
+        self.duplicated = [false; MAX_REPORTS];
+        self.greeting_seen = false;
+    }
 }
 
 impl std::fmt::Debug for S {
@@ -104,14 +205,14 @@ impl std::fmt::Debug for S {
         let flag = |b: bool, c: char| if b { c } else { '-' };
         write!(
             f,
-            "host[{}{}{}{}{} od={}] proc={} greet={} reg>{} vio>{:?} sent={} adapted={:?}{} \
-             budget[t={} loss={} dup={} crash={}]",
-            flag(h.registered, 'R'),
-            flag(h.tracked, 'T'),
-            flag(h.pending_reap, 'P'),
-            flag(h.holds_grant, 'G'),
-            flag(h.tombstoned, 'X'),
-            h.overdue,
+            "host[{}{}{}{}{}] t={} proc={} greet={} reg>{} vio>{:?} sent={} adapted={:?}{} \
+             budget[t={} faults={}]",
+            flag(h.is_registered(P), 'R'),
+            flag(h.tracks(P), 'T'),
+            flag(!h.pending_reap().is_empty(), 'P'),
+            flag(h.holds_grant(P), 'G'),
+            flag(h.is_tombstoned(P), 'X'),
+            self.now(),
             if self.proc_up { "up" } else { "dead" },
             if self.greeting_seen { "y" } else { "n" },
             self.reg_inflight,
@@ -119,10 +220,8 @@ impl std::fmt::Debug for S {
             self.next_report,
             self.adapted,
             if self.double_adapt { " DOUBLE" } else { "" },
-            self.periods_left,
-            self.losses_left,
-            self.dups_left,
-            self.mgr_crashes_left,
+            self.ticks_left,
+            self.faults_left,
         )
     }
 }
@@ -131,8 +230,7 @@ impl std::fmt::Debug for S {
 enum A {
     /// The process sends a registration/heartbeat frame.
     SendRegister,
-    /// The channel duplicates an in-flight registration (greeting
-    /// replay / frame redelivery).
+    /// The channel duplicates an in-flight registration.
     DupRegister,
     /// The manager receives a registration.
     DeliverRegister,
@@ -144,7 +242,10 @@ enum A {
     DupViolation(usize),
     /// The manager receives a violation copy.
     DeliverViolation(usize),
-    /// A heartbeat period elapses with no registration processed.
+    /// `live.mgr.dup_frame`: the manager handles one violation frame
+    /// twice in a row.
+    DeliverViolationTwice(usize),
+    /// One [`TICK`] elapses with no registration processed.
     AdvancePeriod,
     /// A full liveness sweep: declare overdue dead, then reclaim.
     Sweep,
@@ -152,39 +253,48 @@ enum A {
     SweepPartial,
     /// The process dies silently.
     ProcCrash,
+    /// The process's connection resets; it reconnects and replays its
+    /// greeting. Whatever was in flight on the old connection is gone.
+    Reconnect,
     /// The manager crashes and restarts empty; in-flight frames die
     /// with the connections.
     MgrCrash,
 }
 
-impl Model for Lifecycle {
+impl Model for Protocol {
     type State = S;
     type Action = A;
 
     fn init_states(&self) -> Vec<S> {
         vec![S {
-            host: PureHost::with_bugs(GRACE, self.bugs),
+            host: self.fresh_host(),
             proc_up: true,
             greeting_seen: false,
             reg_inflight: 0,
             vio_inflight: [0; MAX_REPORTS],
+            duplicated: [false; MAX_REPORTS],
             next_report: 0,
             adapted: [false; MAX_REPORTS],
             double_adapt: false,
-            periods_left: PERIODS,
-            losses_left: 1,
-            dups_left: 1,
-            mgr_crashes_left: 1,
+            ticks_left: TICKS,
+            faults_left: FAULTS,
         }]
     }
 
     fn actions(&self, s: &S, out: &mut Vec<A>) {
+        // The named guard: see `Protocol::dups_trail_closely`.
+        let trailing = self
+            .dups_trail_closely
+            .then(|| s.duplicated.iter().position(|&d| d))
+            .flatten();
         if s.proc_up && s.reg_inflight < MAX_INFLIGHT {
             out.push(A::SendRegister);
         }
-        if s.dups_left > 0 && s.reg_inflight > 0 && s.reg_inflight < MAX_INFLIGHT {
+        if s.faults_left > 0 && s.reg_inflight > 0 && s.reg_inflight < MAX_INFLIGHT {
             out.push(A::DupRegister);
         }
+        // (`live.mgr.dup_frame` on a registration is no move of its own:
+        // two deliveries in one instant leave the state of one.)
         if s.reg_inflight > 0 {
             out.push(A::DeliverRegister);
         }
@@ -193,31 +303,42 @@ impl Model for Lifecycle {
         }
         for r in 0..MAX_REPORTS {
             if s.vio_inflight[r] > 0 {
-                if s.losses_left > 0 {
+                if s.faults_left > 0 {
                     out.push(A::LoseViolation(r));
                 }
-                if s.dups_left > 0 && s.vio_inflight[r] < MAX_INFLIGHT {
+                if s.faults_left > 0 && s.vio_inflight[r] < MAX_INFLIGHT && trailing.is_none() {
                     out.push(A::DupViolation(r));
                 }
-                if s.greeting_seen {
+                if s.greeting_seen && trailing.is_none_or(|t| t == r) {
                     out.push(A::DeliverViolation(r));
+                    if s.faults_left > 0 {
+                        out.push(A::DeliverViolationTwice(r));
+                    }
                 }
             }
         }
-        if s.periods_left > 0 {
+        // Time matters to the machine only while it waits on a heartbeat.
+        let overdue = s.host.any_overdue(s.now());
+        if s.ticks_left > 0 && trailing.is_none() && s.host.tracks(P) && !overdue {
             out.push(A::AdvancePeriod);
         }
-        let declarable = s.host.tracked && s.host.overdue > s.host.grace;
-        if declarable || s.host.pending_reap {
+        if overdue || !s.host.pending_reap().is_empty() {
             out.push(A::Sweep);
         }
-        if declarable && !s.host.pending_reap {
+        if overdue {
             out.push(A::SweepPartial);
         }
+        // A connection reset or a manager crash is a move only where
+        // there is something for it to destroy (with nothing in flight a
+        // reset is a `SendRegister` that allows less).
+        let in_flight = s.reg_inflight > 0 || s.vio_inflight != [0; MAX_REPORTS];
         if s.proc_up {
             out.push(A::ProcCrash);
+            if s.faults_left > 0 && in_flight {
+                out.push(A::Reconnect);
+            }
         }
-        if s.mgr_crashes_left > 0 {
+        if s.faults_left > 0 && (in_flight || s.host != self.fresh_host()) {
             out.push(A::MgrCrash);
         }
     }
@@ -228,57 +349,57 @@ impl Model for Lifecycle {
             A::SendRegister => n.reg_inflight += 1,
             A::DupRegister => {
                 n.reg_inflight += 1;
-                n.dups_left -= 1;
+                n.faults_left -= 1;
             }
             A::DeliverRegister => {
                 n.reg_inflight -= 1;
-                n.host.deliver_register();
-                n.greeting_seen = true;
+                n.deliver_register();
             }
             A::SendViolation => {
                 n.vio_inflight[n.next_report as usize] += 1;
                 n.next_report += 1;
             }
             A::LoseViolation(r) => {
-                n.vio_inflight[r] -= 1;
-                n.losses_left -= 1;
+                n.take_violation(r);
+                n.faults_left -= 1;
             }
             A::DupViolation(r) => {
                 n.vio_inflight[r] += 1;
-                n.dups_left -= 1;
+                n.duplicated[r] = true;
+                n.faults_left -= 1;
             }
             A::DeliverViolation(r) => {
-                n.vio_inflight[r] -= 1;
-                if n.host.deliver_violation(r) {
-                    if n.adapted[r] {
-                        n.double_adapt = true;
-                    }
-                    n.adapted[r] = true;
-                }
+                n.take_violation(r);
+                n.deliver_violation(r);
             }
-            A::AdvancePeriod => {
-                n.periods_left -= 1;
-                n.host.advance_period();
+            A::DeliverViolationTwice(r) => {
+                n.take_violation(r);
+                n.faults_left -= 1;
+                n.deliver_violation(r);
+                n.deliver_violation(r);
             }
+            A::AdvancePeriod => n.ticks_left -= 1,
             A::Sweep => {
-                n.host.sweep();
-                if n.host.tombstoned {
+                n.host.declare(n.now());
+                if !n.host.reclaim().is_empty() {
                     // A reclaim ended the grant epoch: adapting again
                     // after a future re-registration is legitimate.
                     n.adapted = [false; MAX_REPORTS];
                 }
             }
-            A::SweepPartial => n.host.sweep_partial(),
+            A::SweepPartial => n.host.declare(n.now()),
             A::ProcCrash => n.proc_up = false,
+            A::Reconnect => {
+                n.faults_left -= 1;
+                n.drop_connection();
+                n.reg_inflight = 1;
+            }
             A::MgrCrash => {
-                n.mgr_crashes_left -= 1;
-                n.host.crash_restart();
-                // Connections die with the manager process; so does
-                // everything in flight on them. The next incarnation
-                // sees a greeting before any violation.
-                n.reg_inflight = 0;
-                n.vio_inflight = [0; MAX_REPORTS];
-                n.greeting_seen = false;
+                n.faults_left -= 1;
+                n.host = self.fresh_host();
+                // Connections die with the manager process. The next
+                // incarnation sees a greeting before any violation.
+                n.drop_connection();
                 n.adapted = [false; MAX_REPORTS];
             }
         }
@@ -287,27 +408,26 @@ impl Model for Lifecycle {
 
     fn invariants(&self) -> Vec<Invariant<Self>> {
         let mut invs = vec![
-            Invariant::new("tracked-implies-registered", |_: &Lifecycle, s: &S| {
-                !s.host.tracked || s.host.registered
+            Invariant::new("tracked-implies-registered", |_: &Protocol, s: &S| {
+                !s.host.tracks(P) || s.host.is_registered(P)
             }),
-            Invariant::new("no-double-adaptation", |_: &Lifecycle, s: &S| {
+            Invariant::new("no-double-adaptation", |_: &Protocol, s: &S| {
                 !s.double_adapt
             }),
         ];
         if self.release_safety_net {
             invs.push(Invariant::new(
                 "reaped-grants-are-released",
-                |_: &Lifecycle, s: &S| !s.host.tombstoned || !s.host.holds_grant,
+                |_: &Protocol, s: &S| !s.host.is_tombstoned(P) || !s.host.holds_grant(P),
             ));
         }
         invs
     }
 
     fn quiescent_invariants(&self) -> Vec<Invariant<Self>> {
-        vec![Invariant::new(
-            "no-lost-resource",
-            |_: &Lifecycle, s: &S| !s.host.holds_grant || s.host.registered,
-        )]
+        vec![Invariant::new("no-lost-resource", |_: &Protocol, s: &S| {
+            !s.host.holds_grant(P) || s.host.is_registered(P)
+        })]
     }
 }
 
@@ -317,7 +437,7 @@ impl Model for Lifecycle {
 
 #[test]
 fn nominal_protocol_proves_both_invariants() {
-    let out = check(&Lifecycle::nominal(), CheckConfig::default());
+    let out = check(&Protocol::nominal(), CheckConfig::default());
     let r = out.report();
     println!(
         "model check (nominal): {} states, {} transitions, depth {}, {} quiescent states",
@@ -345,7 +465,7 @@ fn nominal_protocol_proves_both_invariants() {
 // ---------------------------------------------------------------------
 
 /// Expect a violation of `invariant` and return the printed trace.
-fn expect_violation(model: &Lifecycle, invariant: &str) -> String {
+fn expect_violation(model: &Protocol, invariant: &str) -> String {
     let out = check(model, CheckConfig::default());
     match &out {
         Outcome::Pass(r) => panic!("seeded bug went undetected: {r:?}"),
@@ -363,8 +483,11 @@ fn expect_violation(model: &Lifecycle, invariant: &str) -> String {
 
 #[test]
 fn seeded_reap_register_race_is_caught() {
+    if !qos_buggify::compiled_in() {
+        return; // the switches are constant false in this build
+    }
     let trace = expect_violation(
-        &Lifecycle::with_bugs(Bugs {
+        &Protocol::with_bugs(Bugs {
             register_ignores_pending: true,
             ..Bugs::default()
         }),
@@ -378,8 +501,11 @@ fn seeded_reap_register_race_is_caught() {
 
 #[test]
 fn seeded_release_leak_is_caught_by_safety_net() {
+    if !qos_buggify::compiled_in() {
+        return;
+    }
     let trace = expect_violation(
-        &Lifecycle::with_bugs(Bugs {
+        &Protocol::with_bugs(Bugs {
             skip_release_on_reap: true,
             ..Bugs::default()
         }),
@@ -390,105 +516,50 @@ fn seeded_release_leak_is_caught_by_safety_net() {
 
 #[test]
 fn seeded_release_leak_is_caught_at_quiescence_without_the_net() {
+    if !qos_buggify::compiled_in() {
+        return;
+    }
     // Remove the safety net: only the quiescent no-lost-resource
     // invariant is left to notice that a reaped process's grant is
-    // still in the ledger when everything has run dry.
-    let model = Lifecycle {
-        bugs: Bugs {
+    // still held when everything has run dry.
+    let model = Protocol {
+        release_safety_net: false,
+        ..Protocol::with_bugs(Bugs {
             skip_release_on_reap: true,
             ..Bugs::default()
-        },
-        release_safety_net: false,
+        })
     };
     let trace = expect_violation(&model, "no-lost-resource");
     assert!(trace.contains("DeliverViolation"), "{trace}");
 }
 
+/// What the guard stands for. Without it the adversary may hold a
+/// duplicate back for a whole heartbeat period, and the shipped filter —
+/// which forgets after [`DUP_VIOLATION_WINDOW`] — adapts to it again.
+#[test]
+fn duplicate_outliving_the_window_adapts_twice() {
+    let model = Protocol {
+        dups_trail_closely: false,
+        ..Protocol::nominal()
+    };
+    let trace = expect_violation(&model, "no-double-adaptation");
+    assert!(trace.contains("DupViolation"), "{trace}");
+    assert!(trace.contains("AdvancePeriod"), "{trace}");
+}
+
 #[test]
 fn seeded_missing_dedup_is_caught() {
+    if !qos_buggify::compiled_in() {
+        return;
+    }
     let trace = expect_violation(
-        &Lifecycle::with_bugs(Bugs {
+        &Protocol::with_bugs(Bugs {
             no_violation_dedup: true,
             ..Bugs::default()
         }),
         "no-double-adaptation",
     );
-    assert!(trace.contains("DupViolation"), "{trace}");
-}
-
-// ---------------------------------------------------------------------
-// Conformance: the pure model tracks the real QosHostManager
-// ---------------------------------------------------------------------
-
-/// All op sequences over the lifecycle alphabet up to length 4,
-/// replayed against pure model and real manager in lockstep.
-#[test]
-fn conformance_exhaustive_short_sequences() {
-    if !qos_buggify::compiled_in() {
-        return; // sweep_partial needs the buggify point
-    }
-    let mut checked = 0usize;
-    let mut seq: Vec<LifecycleOp> = Vec::new();
-    // Iterative odometer over sequences of length 1..=4 (6^1+..+6^4 =
-    // 1554 sequences).
-    for len in 1..=4usize {
-        let mut digits = vec![0usize; len];
-        loop {
-            seq.clear();
-            seq.extend(digits.iter().map(|&d| LIFECYCLE_OPS[d]));
-            if let Some((step, pure, real)) = conformance_divergence(&seq) {
-                panic!(
-                    "model/code divergence after step {step} of {seq:?}:\n  \
-                     pure: {pure:?}\n  real: {real:?}"
-                );
-            }
-            checked += 1;
-            // Increment the odometer.
-            let mut i = 0;
-            loop {
-                if i == len {
-                    break;
-                }
-                digits[i] += 1;
-                if digits[i] < LIFECYCLE_OPS.len() {
-                    break;
-                }
-                digits[i] = 0;
-                i += 1;
-            }
-            if i == len {
-                break;
-            }
-        }
-    }
-    println!("conformance: {checked} exhaustive short sequences agreed");
-    assert_eq!(checked, 6 + 36 + 216 + 1296);
-}
-
-#[test]
-fn conformance_seeded_random_walks() {
-    if !qos_buggify::compiled_in() {
-        return;
-    }
-    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut step = move || {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    for walk in 0..200 {
-        let ops: Vec<LifecycleOp> = (0..12)
-            .map(|_| LIFECYCLE_OPS[(step() % LIFECYCLE_OPS.len() as u64) as usize])
-            .collect();
-        if let Some((at, pure, real)) = conformance_divergence(&ops) {
-            panic!(
-                "walk {walk} diverged after step {at} of {ops:?}:\n  \
-                 pure: {pure:?}\n  real: {real:?}"
-            );
-        }
-    }
+    assert!(trace.contains("DeliverViolationTwice"), "{trace}");
 }
 
 // ---------------------------------------------------------------------
@@ -498,7 +569,7 @@ fn conformance_seeded_random_walks() {
 #[test]
 fn bounded_smoke_check_stays_fast() {
     let out = check(
-        &Lifecycle::nominal(),
+        &Protocol::nominal(),
         CheckConfig {
             max_depth: 12,
             max_states: 100_000,
