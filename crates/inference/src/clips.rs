@@ -343,7 +343,7 @@ fn parse_fact(e: &Sexpr) -> Result<Fact, ClipsError> {
         let v = sl
             .get(1)
             .ok_or_else(|| ClipsError(format!("slot {slot} needs a value")))?;
-        fact.slots.insert(slot.to_string(), sexpr_value(v)?);
+        fact = fact.with(slot, sexpr_value(v)?);
     }
     Ok(fact)
 }
@@ -417,7 +417,7 @@ mod tests {
         assert_eq!(p.rules[0].name, "local-cpu-cause");
         assert_eq!(p.rules[0].salience, 10);
         assert_eq!(p.facts.len(), 1);
-        assert_eq!(p.facts[0].template, "threshold");
+        assert_eq!(p.facts[0].template().name(), "threshold");
     }
 
     #[test]

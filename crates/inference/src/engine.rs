@@ -21,7 +21,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::fact::{Fact, FactId, FactStore, TemplateId};
+use crate::fact::{Fact, FactId, FactStore, Slot, Template, TemplateId};
 use crate::idvec::IdVec;
 use crate::pattern::{CTerm, Row};
 use crate::rule::{CAction, CCe, CompiledRule, Invocation, Rule};
@@ -177,7 +177,7 @@ impl TraceBuffer {
 enum Effect {
     Assert(Fact),
     Retract(FactId),
-    Modify(FactId, Vec<(String, Value)>),
+    Modify(FactId, Vec<(Slot, Value)>),
     Call(Invocation),
 }
 
@@ -369,19 +369,23 @@ impl Engine {
 
     /// Retract all facts of `template` whose `slot` equals `value`
     /// (e.g. clearing a process's stale telemetry before asserting a
-    /// fresh report). Returns how many facts were retracted. Looks the
-    /// facts up in the equality-join index, so calling this registers
-    /// `(template, slot)` as probed.
-    pub fn retract_matching(&mut self, template: &str, slot: &str, value: &Value) -> usize {
-        let Some(tid) = self.facts.template_id(template) else {
+    /// fresh report). Returns how many facts were retracted. Costs
+    /// nothing while the template has no live fact; otherwise looks the
+    /// facts up in the equality-join index, registering `(template,
+    /// slot)` as probed.
+    pub fn retract_where(&mut self, template: Template, slot: Slot, value: &Value) -> usize {
+        let Some(tid) = self.facts.id_of(template) else {
             return 0;
         };
+        if self.facts.ids_of(tid).is_empty() {
+            return 0;
+        }
         let index = self.facts.probe_slot(tid, slot);
         let mut ids = IdVec::new();
         for &id in self.facts.ids_with_slot(tid, index, value) {
             let fact = self.facts.get(id).expect("index ids are live");
             // The bucket is keyed by hash: re-verify.
-            if fact.get(slot).is_some_and(|v| v.loose_eq(value)) {
+            if fact.at(slot).is_some_and(|v| v.loose_eq(value)) {
                 ids.push(id);
             }
         }
@@ -389,6 +393,27 @@ impl Engine {
             self.retract(id);
         }
         ids.as_slice().len()
+    }
+
+    /// [`Engine::retract_where`], by name.
+    pub fn retract_matching(&mut self, template: &str, slot: &str, value: &Value) -> usize {
+        let Some(template) = Template::lookup(template) else {
+            return 0;
+        };
+        // A slot nobody has named is one no fact carries.
+        template
+            .find_slot(slot)
+            .map_or(0, |slot| self.retract_where(template, slot, value))
+    }
+
+    /// Does a loaded rule have a positive or negated condition element
+    /// on `template`? While none does, no assert or retract of its facts
+    /// can change what fires.
+    pub fn reads(&self, template: Template) -> bool {
+        self.facts.id_of(template).is_some_and(|tid| {
+            !triggers(&self.pos_triggers, tid).is_empty()
+                || !triggers(&self.neg_triggers, tid).is_empty()
+        })
     }
 
     /// Working-memory access.
@@ -797,17 +822,18 @@ impl Engine {
         for action in &self.compiled[ix as usize].actions {
             match action {
                 CAction::Assert { template, slots } => {
-                    let mut fact = Fact::new(template.as_str());
+                    let mut fact = Fact::of(*template);
                     for (slot, v) in resolve_slots(slots, row) {
                         match v {
-                            Some(v) => {
-                                fact.slots.insert(slot.clone(), v);
-                            }
+                            Some(v) => fact.set(slot, v),
                             // Unbound variable in RHS: record and skip
                             // the slot rather than aborting the run.
                             None => self.trace.push(
-                                format!("warning: unbound variable in assert of ({template})")
-                                    .into(),
+                                format!(
+                                    "warning: unbound variable in assert of ({})",
+                                    template.name()
+                                )
+                                .into(),
                             ),
                         }
                     }
@@ -821,7 +847,7 @@ impl Engine {
                 CAction::Modify { pos_index, slots } => {
                     if let Some(&id) = fact_ids.get(*pos_index) {
                         let slots = resolve_slots(slots, row)
-                            .filter_map(|(slot, v)| Some((slot.clone(), v?)))
+                            .filter_map(|(slot, v)| Some((slot, v?)))
                             .collect();
                         effects.push(Effect::Modify(id, slots));
                     }
@@ -845,7 +871,9 @@ impl Engine {
                 }
                 Effect::Modify(id, slots) => {
                     if let Some(mut fact) = self.retract(id) {
-                        fact.slots.extend(slots);
+                        for (slot, v) in slots {
+                            fact.set(slot, v);
+                        }
                         self.assert_fact(fact);
                     }
                 }
@@ -858,12 +886,12 @@ impl Engine {
 
 /// A right-hand side's `(slot, term)` list with each term resolved.
 fn resolve_slots<'a>(
-    slots: &'a [(String, CTerm)],
+    slots: &'a [(Slot, CTerm)],
     row: Row<'a>,
-) -> impl Iterator<Item = (&'a String, Option<Value>)> {
+) -> impl Iterator<Item = (Slot, Option<Value>)> + 'a {
     slots
         .iter()
-        .map(move |(slot, term)| (slot, term.resolve(row).cloned()))
+        .map(move |(slot, term)| (*slot, term.resolve(row).cloned()))
 }
 
 /// Left-to-right join over the alpha memories, optionally pinning one

@@ -1,5 +1,15 @@
 //! Facts and the working memory (fact repository).
 //!
+//! Nothing on the assert → match → fire → retract path is addressed by
+//! name. A template name is resolved once to a [`Template`] and each of
+//! its slot names once to a [`Slot`] — a position that is the same for
+//! every fact of the template, whichever slots it carries and whenever it
+//! was built: at `add_rule` for a rule's patterns, variables, probes and
+//! right-hand sides, at `Fact::new(..).with(..)` for a fact built by
+//! name, ahead of time for a component that keeps the handles. A [`Fact`]
+//! is one flat row of values in slot order; names come back only to
+//! print it or to answer a by-name read.
+//!
 //! Facts live in an id-ordered map, so storage is O(live facts) whatever
 //! the age of the oldest one: ids are monotonic and **never reused** (the
 //! agenda's recency ordering depends on it), and a long-lived early fact
@@ -7,11 +17,11 @@
 //!
 //! Three indexes sit beside it, all per template:
 //!
-//! * the **alpha memory** — the interned template name maps to the sorted
+//! * the **alpha memory** — the template's symbol maps to the sorted
 //!   list of live ids of that template (appending a fresh id keeps it
 //!   sorted; removal is a binary search plus a contiguous shift), so
 //!   template-scoped access never scans the whole working memory;
-//! * the **duplicate index** — slot fingerprint → live ids carrying it,
+//! * the **duplicate index** — row fingerprint → live ids carrying it,
 //!   so CLIPS's duplicate-fact suppression is one lookup;
 //! * the **equality-join index** ([`FactStore::probe_slot`],
 //!   [`FactStore::ids_with_slot`]) — for each `(template, slot)` pair
@@ -27,9 +37,11 @@
 //!   list, never narrow it, and every candidate is re-verified against
 //!   the full pattern.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 use crate::hash::{FxHasher, FxMap};
 use crate::idvec::IdVec;
@@ -40,10 +52,10 @@ use crate::value::Value;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FactId(pub u64);
 
-/// An interned template name: a small integer symbol, stable for the
-/// life of the store (templates are never un-interned, even when their
-/// last fact is retracted). Rules cache these so matching compares u32s
-/// rather than strings.
+/// A store's symbol for a template: a small dense integer, stable for
+/// the life of the store (never dropped, even when the template's last
+/// fact is retracted). Alpha memories and trigger lists are indexed by
+/// it.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TemplateId(pub u32);
 
@@ -53,44 +65,228 @@ pub struct TemplateId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct SlotIndex(u32);
 
-/// A structured fact: a template name plus named slots, e.g.
-/// `(violation (pid 12) (frame-rate 18.5))`.
-#[derive(Clone, Debug, PartialEq)]
+/// What is known of one template name, process-wide: the slot names seen
+/// so far, each at the position it was first seen at and keeps.
+struct TemplateDef {
+    name: &'static str,
+    /// Registration order, for keying store-side tables without a string.
+    uid: u32,
+    /// Append-only. Read only by name-addressed calls; positions, once
+    /// handed out, need no lock.
+    slots: RwLock<Vec<&'static str>>,
+    /// `slots.len()`, as a capacity hint for a fresh row.
+    width: AtomicUsize,
+}
+
+/// A template name resolved once: the handle facts, compiled patterns and
+/// embedding components hold instead of the string.
+///
+/// Names are interned process-wide and never dropped (as CLIPS's symbol
+/// table is), so memory grows with the number of *distinct* template and
+/// slot names ever used — the vocabulary of the loaded rule text — not
+/// with facts.
+#[derive(Clone, Copy)]
+pub struct Template(&'static TemplateDef);
+
+/// The position of one named slot in the rows of its [`Template`]. Only
+/// meaningful with the template it was resolved from.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct Slot(u32);
+
+type Registry = RwLock<HashMap<&'static str, &'static TemplateDef>>;
+
+/// Keyed with the default hasher: template names arrive in rule text
+/// from outside the program.
+fn registry() -> &'static Registry {
+    static REGISTRY: OnceLock<Registry> = OnceLock::new();
+    REGISTRY.get_or_init(Registry::default)
+}
+
+impl Template {
+    /// The handle of `name`, interning it on first sight.
+    pub fn named(name: &str) -> Template {
+        if let Some(t) = Template::lookup(name) {
+            return t;
+        }
+        // Every update under these locks is a single insert or push, so
+        // a poisoned lock still guards valid data.
+        let mut reg = registry().write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&def) = reg.get(name) {
+            return Template(def);
+        }
+        let name: &'static str = Box::leak(name.into());
+        let def: &'static TemplateDef = Box::leak(Box::new(TemplateDef {
+            name,
+            uid: reg.len() as u32,
+            slots: RwLock::default(),
+            width: AtomicUsize::new(0),
+        }));
+        reg.insert(name, def);
+        Template(def)
+    }
+
+    /// The handle of `name` if anything has named it yet.
+    pub fn lookup(name: &str) -> Option<Template> {
+        let reg = registry().read().unwrap_or_else(PoisonError::into_inner);
+        reg.get(name).map(|&def| Template(def))
+    }
+
+    /// The template's name.
+    pub fn name(self) -> &'static str {
+        self.0.name
+    }
+
+    /// The position of slot `name`, giving it the next free one on first
+    /// sight.
+    pub fn slot(self, name: &str) -> Slot {
+        if let Some(slot) = self.find_slot(name) {
+            return slot;
+        }
+        let mut slots = self.0.slots.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(pos) = slots.iter().position(|&s| s == name) {
+            return Slot(pos as u32);
+        }
+        slots.push(Box::leak(name.into()));
+        self.0.width.store(slots.len(), Ordering::Relaxed);
+        Slot(slots.len() as u32 - 1)
+    }
+
+    /// The position of slot `name` if any fact or rule has named it.
+    pub fn find_slot(self, name: &str) -> Option<Slot> {
+        let slots = self.0.slots.read().unwrap_or_else(PoisonError::into_inner);
+        slots
+            .iter()
+            .position(|&s| s == name)
+            .map(|pos| Slot(pos as u32))
+    }
+}
+
+impl PartialEq for Template {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Template {}
+
+impl fmt::Debug for Template {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Template({})", self.0.name)
+    }
+}
+
+/// A structured fact: a template plus named slots, e.g.
+/// `(violation (pid 12) (frame-rate 18.5))`, held as one row of values
+/// addressed by the template's slot positions. A slot the fact does not
+/// carry is an empty (or missing trailing) cell.
+#[derive(Clone)]
 pub struct Fact {
-    /// Template (relation) name.
-    pub template: String,
-    /// Named slot values, kept sorted for deterministic display.
-    pub slots: BTreeMap<String, Value>,
+    template: Template,
+    row: Vec<Option<Value>>,
 }
 
 impl Fact {
-    /// Start building a fact for a template.
-    pub fn new(template: impl Into<String>) -> Self {
+    /// Start building a fact for a template, by name.
+    pub fn new(template: impl AsRef<str>) -> Self {
+        Fact::of(Template::named(template.as_ref()))
+    }
+
+    /// Start building a fact for a template already resolved.
+    pub fn of(template: Template) -> Self {
         Fact {
-            template: template.into(),
-            slots: BTreeMap::new(),
+            template,
+            row: Vec::new(),
         }
     }
 
-    /// Builder-style slot insertion.
-    pub fn with(mut self, slot: impl Into<String>, value: impl Into<Value>) -> Self {
-        self.slots.insert(slot.into(), value.into());
+    /// Builder-style slot insertion, by name.
+    pub fn with(self, slot: impl AsRef<str>, value: impl Into<Value>) -> Self {
+        let slot = self.template.slot(slot.as_ref());
+        self.with_slot(slot, value)
+    }
+
+    /// Builder-style slot insertion, by position.
+    pub fn with_slot(mut self, slot: Slot, value: impl Into<Value>) -> Self {
+        self.set(slot, value.into());
         self
     }
 
-    /// Read a slot.
+    /// Write a slot in place; `slot` must be one of this fact's template.
+    pub fn set(&mut self, slot: Slot, value: Value) {
+        let pos = slot.0 as usize;
+        if pos >= self.row.len() {
+            let width = self.template.0.width.load(Ordering::Relaxed);
+            debug_assert!(pos < width, "slot {pos} of another template");
+            if self.row.capacity() == 0 {
+                self.row.reserve_exact(width.max(pos + 1));
+            }
+            self.row.resize_with(pos + 1, || None);
+        }
+        self.row[pos] = Some(value);
+    }
+
+    /// The fact's template.
+    pub fn template(&self) -> Template {
+        self.template
+    }
+
+    /// Read a slot by name.
     pub fn get(&self, slot: &str) -> Option<&Value> {
-        self.slots.get(slot)
+        self.at(self.template.find_slot(slot)?)
+    }
+
+    /// Read a slot by position.
+    #[inline]
+    pub fn at(&self, slot: Slot) -> Option<&Value> {
+        self.row.get(slot.0 as usize)?.as_ref()
+    }
+
+    /// The slots the fact carries, sorted by name.
+    pub fn slots(&self) -> Vec<(&'static str, &Value)> {
+        let names = self.template.0.slots.read();
+        let names = names.unwrap_or_else(PoisonError::into_inner);
+        let mut slots: Vec<_> = self
+            .row
+            .iter()
+            .enumerate()
+            .filter_map(|(pos, v)| Some((*names.get(pos)?, v.as_ref()?)))
+            .collect();
+        drop(names);
+        slots.sort_unstable_by_key(|&(name, _)| name);
+        slots
+    }
+}
+
+/// Slot-for-slot equality of two rows of one template: a missing
+/// trailing cell is an empty one.
+fn same_slots(a: &[Option<Value>], b: &[Option<Value>]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    short == &long[..short.len()] && long[short.len()..].iter().all(Option::is_none)
+}
+
+impl PartialEq for Fact {
+    fn eq(&self, other: &Self) -> bool {
+        self.template == other.template && same_slots(&self.row, &other.row)
     }
 }
 
 impl fmt::Display for Fact {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}", self.template)?;
-        for (k, v) in &self.slots {
+        write!(f, "({}", self.template.name())?;
+        for (k, v) in self.slots() {
             write!(f, " ({k} {v})")?;
         }
         write!(f, ")")
+    }
+}
+
+impl fmt::Debug for Fact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = f.debug_struct(self.template.name());
+        for (k, v) in self.slots() {
+            s.field(k, v);
+        }
+        s.finish()
     }
 }
 
@@ -130,15 +326,16 @@ fn norm_f64_bits(f: f64) -> u64 {
     (if f == 0.0 { 0.0 } else { f }).to_bits()
 }
 
-/// Hash a fact's slots for the duplicate index. Consistent with the
-/// derived slot equality used by duplicate suppression: equal slot maps
-/// fingerprint equal. Floats need one normalization — `0.0 == -0.0`
-/// under `f64` equality, so both must hash to the same bits.
-fn slots_fingerprint(slots: &BTreeMap<String, Value>) -> u64 {
+/// Hash a fact's row for the duplicate index. Consistent with
+/// [`same_slots`]: equal rows fingerprint equal, so only the cells that
+/// hold a value are hashed, each with its position. Floats need one
+/// normalization — `0.0 == -0.0` under `f64` equality, so both must hash
+/// to the same bits.
+fn slots_fingerprint(row: &[Option<Value>]) -> u64 {
     let mut h = FxHasher::default();
-    slots.len().hash(&mut h);
-    for (k, v) in slots {
-        k.hash(&mut h);
+    for (pos, v) in row.iter().enumerate() {
+        let Some(v) = v else { continue };
+        pos.hash(&mut h);
         match v {
             Value::Sym(s) => {
                 0u8.hash(&mut h);
@@ -154,8 +351,7 @@ fn slots_fingerprint(slots: &BTreeMap<String, Value>) -> u64 {
             }
             Value::Float(f) => {
                 3u8.hash(&mut h);
-                let f = if *f == 0.0 { 0.0 } else { *f };
-                f.to_bits().hash(&mut h);
+                norm_f64_bits(*f).hash(&mut h);
             }
             Value::Bool(b) => {
                 4u8.hash(&mut h);
@@ -168,7 +364,7 @@ fn slots_fingerprint(slots: &BTreeMap<String, Value>) -> u64 {
 
 /// One maintained equality-join index: the slot it covers and, per loose
 /// value key, the sorted live ids whose slot carries that value.
-type EqIndex = (String, FxMap<u64, IdVec>);
+type EqIndex = (Slot, FxMap<u64, IdVec>);
 
 /// Working memory: the engine's fact repository, indexed by template.
 #[derive(Debug, Default)]
@@ -177,17 +373,17 @@ pub struct FactStore {
     facts: BTreeMap<FactId, Fact>,
     /// The next fresh id: one past the highest ever handed out.
     next_id: u64,
-    /// Interner: template name → symbol.
-    tmpl_ids: FxMap<String, TemplateId>,
-    /// Symbol → template name (reverse of `tmpl_ids`).
-    tmpl_names: Vec<String>,
+    /// Template (by registration number) → this store's symbol for it.
+    tmpl_ids: FxMap<u32, TemplateId>,
+    /// Symbol → template (reverse of `tmpl_ids`).
+    tmpls: Vec<Template>,
     /// Alpha memories: per-template live fact ids, in assertion order
     /// (fact ids are monotonic, so each list stays sorted). Indexed by
     /// `TemplateId`.
     alpha: Vec<Vec<FactId>>,
-    /// Duplicate index: per-template map from slot fingerprint to the
+    /// Duplicate index: per-template map from row fingerprint to the
     /// live ids carrying it (almost always one; collisions fall back to
-    /// a slot comparison). Indexed by `TemplateId`.
+    /// a row comparison). Indexed by `TemplateId`.
     dup: Vec<FxMap<u64, IdVec>>,
     /// Equality-join indexes, one per registered slot of the template
     /// ([`SlotIndex`] is the position in the inner list; registrations
@@ -201,29 +397,34 @@ impl FactStore {
         Self::default()
     }
 
-    /// Intern a template name, creating the symbol (and an empty alpha
+    /// This store's symbol for a template, created (with an empty alpha
     /// memory) on first sight.
-    pub fn intern_template(&mut self, name: &str) -> TemplateId {
-        if let Some(&tid) = self.tmpl_ids.get(name) {
+    pub fn intern(&mut self, template: Template) -> TemplateId {
+        if let Some(&tid) = self.tmpl_ids.get(&template.0.uid) {
             return tid;
         }
-        let tid = TemplateId(self.tmpl_names.len() as u32);
-        self.tmpl_ids.insert(name.to_string(), tid);
-        self.tmpl_names.push(name.to_string());
+        let tid = TemplateId(self.tmpls.len() as u32);
+        self.tmpl_ids.insert(template.0.uid, tid);
+        self.tmpls.push(template);
         self.alpha.push(Vec::new());
         self.dup.push(FxMap::default());
         self.eq_join.push(Vec::new());
         tid
     }
 
-    /// Look up a template symbol without interning.
-    pub fn template_id(&self, name: &str) -> Option<TemplateId> {
-        self.tmpl_ids.get(name).copied()
+    /// This store's symbol for a template, if it has seen it.
+    pub fn id_of(&self, template: Template) -> Option<TemplateId> {
+        self.tmpl_ids.get(&template.0.uid).copied()
     }
 
-    /// The name behind a template symbol.
-    pub fn template_name(&self, tid: TemplateId) -> &str {
-        &self.tmpl_names[tid.0 as usize]
+    /// [`FactStore::id_of`], by name.
+    pub fn template_id(&self, name: &str) -> Option<TemplateId> {
+        self.id_of(Template::lookup(name)?)
+    }
+
+    /// The template behind a symbol.
+    pub fn template(&self, tid: TemplateId) -> Template {
+        self.tmpls[tid.0 as usize]
     }
 
     /// The alpha memory of a template: live fact ids in assertion order.
@@ -241,18 +442,18 @@ impl FactStore {
     /// Register `(tid, slot)` as probed and return its index handle. The
     /// first registration back-fills the index from the alpha memory, so
     /// a rule added at run time can probe a slot no earlier rule did.
-    pub(crate) fn probe_slot(&mut self, tid: TemplateId, slot: &str) -> SlotIndex {
+    pub(crate) fn probe_slot(&mut self, tid: TemplateId, slot: Slot) -> SlotIndex {
         let t = tid.0 as usize;
-        if let Some(ix) = self.eq_join[t].iter().position(|(s, _)| s == slot) {
+        if let Some(ix) = self.eq_join[t].iter().position(|(s, _)| *s == slot) {
             return SlotIndex(ix as u32);
         }
         let mut by_val: FxMap<u64, IdVec> = FxMap::default();
         for id in &self.alpha[t] {
-            if let Some(v) = self.facts[id].get(slot) {
+            if let Some(v) = self.facts[id].at(slot) {
                 by_val.entry(loose_value_key(v)).or_default().push(*id);
             }
         }
-        self.eq_join[t].push((slot.to_string(), by_val));
+        self.eq_join[t].push((slot, by_val));
         SlotIndex(self.eq_join[t].len() as u32 - 1)
     }
 
@@ -282,12 +483,12 @@ impl FactStore {
     /// Duplicate detection is one fingerprint lookup, independent of how
     /// many facts of the template are live.
     pub fn assert_fact_interned(&mut self, fact: Fact) -> (FactId, bool, TemplateId) {
-        let tid = self.intern_template(&fact.template);
+        let tid = self.intern(fact.template);
         let t = tid.0 as usize;
-        let fp = slots_fingerprint(&fact.slots);
+        let fp = slots_fingerprint(&fact.row);
         if let Some(ids) = self.dup[t].get(&fp) {
             for &id in ids.as_slice() {
-                if self.facts[&id].slots == fact.slots {
+                if same_slots(&self.facts[&id].row, &fact.row) {
                     return (id, false, tid);
                 }
             }
@@ -295,7 +496,7 @@ impl FactStore {
         let id = FactId(self.next_id);
         self.next_id += 1;
         for (slot, by_val) in &mut self.eq_join[t] {
-            if let Some(v) = fact.get(slot) {
+            if let Some(v) = fact.at(*slot) {
                 by_val.entry(loose_value_key(v)).or_default().push(id);
             }
         }
@@ -314,14 +515,14 @@ impl FactStore {
     /// symbol of the retracted fact.
     pub fn retract_interned(&mut self, id: FactId) -> Option<(Fact, TemplateId)> {
         let fact = self.facts.remove(&id)?;
-        let tid = self.tmpl_ids[&fact.template];
+        let tid = self.tmpl_ids[&fact.template.0.uid];
         let t = tid.0 as usize;
         if let Ok(pos) = self.alpha[t].binary_search(&id) {
             self.alpha[t].remove(pos);
         }
-        remove_from_bucket(&mut self.dup[t], slots_fingerprint(&fact.slots), id);
+        remove_from_bucket(&mut self.dup[t], slots_fingerprint(&fact.row), id);
         for (slot, by_val) in &mut self.eq_join[t] {
-            if let Some(v) = fact.get(slot) {
+            if let Some(v) = fact.at(*slot) {
                 remove_from_bucket(by_val, loose_value_key(v), id);
             }
         }
@@ -393,6 +594,11 @@ mod tests {
 
     fn violation(pid: i64, fps: f64) -> Fact {
         Fact::new("violation").with("pid", pid).with("fps", fps)
+    }
+
+    /// A slot of the `violation` template.
+    fn slot(name: &str) -> Slot {
+        Template::named("violation").slot(name)
     }
 
     #[test]
@@ -481,8 +687,9 @@ mod tests {
         // `loose_eq` coerces Int and Float, so the index key must too:
         // probing with Int(1) finds a fact whose slot holds Float(1.0).
         let mut s = FactStore::new();
-        let tid = s.intern_template("m");
-        let pid = s.probe_slot(tid, "pid");
+        let tid = s.intern(Template::named("m"));
+        let pid_slot = Template::named("m").slot("pid");
+        let pid = s.probe_slot(tid, pid_slot);
         let (a, _) = s.assert_fact(Fact::new("m").with("pid", 1.0).with("x", "p"));
         let (b, _) = s.assert_fact(Fact::new("m").with("pid", 2i64).with("x", "q"));
         // A fact without the registered slot is in no bucket.
@@ -492,14 +699,17 @@ mod tests {
         assert_eq!(s.ids_with_slot(tid, pid, &Value::Int(3)), &[] as &[FactId]);
         // Only registered slots are indexed; registering is idempotent.
         assert_eq!(s.eq_join[tid.0 as usize].len(), 1);
-        assert_eq!(s.probe_slot(tid, "pid"), pid);
+        assert_eq!(s.probe_slot(tid, pid_slot), pid);
     }
 
     #[test]
     fn eq_join_index_tracks_retract() {
         let mut s = FactStore::new();
-        let tid = s.intern_template("violation");
-        let (fps, pid) = (s.probe_slot(tid, "fps"), s.probe_slot(tid, "pid"));
+        let tid = s.intern(Template::named("violation"));
+        let (fps, pid) = (
+            s.probe_slot(tid, slot("fps")),
+            s.probe_slot(tid, slot("pid")),
+        );
         let (a, _) = s.assert_fact(violation(1, 20.0));
         let (b, _) = s.assert_fact(violation(2, 20.0));
         assert_eq!(s.ids_with_slot(tid, fps, &Value::Float(20.0)), &[a, b]);
@@ -522,7 +732,7 @@ mod tests {
         let (a, _, tid) = s.assert_fact_interned(violation(1, 20.0));
         let (b, _) = s.assert_fact(violation(2, 25.0));
         s.retract(a);
-        let pid = s.probe_slot(tid, "pid");
+        let pid = s.probe_slot(tid, slot("pid"));
         assert_eq!(s.ids_with_slot(tid, pid, &Value::Int(1)), &[] as &[FactId]);
         assert_eq!(s.ids_with_slot(tid, pid, &Value::Int(2)), &[b]);
         let (c, _) = s.assert_fact(violation(2, 26.0));
@@ -532,8 +742,8 @@ mod tests {
     #[test]
     fn eq_join_index_cleared_by_retract_template() {
         let mut s = FactStore::new();
-        let tid = s.intern_template("violation");
-        let pid = s.probe_slot(tid, "pid");
+        let tid = s.intern(Template::named("violation"));
+        let pid = s.probe_slot(tid, slot("pid"));
         s.assert_fact(violation(1, 20.0));
         s.assert_fact(violation(2, 25.0));
         s.retract_template("violation");
@@ -548,7 +758,7 @@ mod tests {
         let (a, _, tid) = s.assert_fact_interned(violation(1, 20.0));
         let (b, _) = s.assert_fact(violation(2, 25.0));
         assert_eq!(s.template_id("violation"), Some(tid));
-        assert_eq!(s.template_name(tid), "violation");
+        assert_eq!(s.template(tid).name(), "violation");
         let ids: Vec<FactId> = s.ids_of(tid).to_vec();
         assert_eq!(ids, vec![a, b], "assertion order preserved");
         s.retract(a);
@@ -578,8 +788,8 @@ mod tests {
         // violations churning past it must leave nothing behind, however
         // old the oldest live fact is.
         let mut s = FactStore::new();
-        let tid = s.intern_template("violation");
-        s.probe_slot(tid, "pid");
+        let tid = s.intern(Template::named("violation"));
+        s.probe_slot(tid, slot("pid"));
         let (keep, _) = s.assert_fact(Fact::new("threshold").with("value", 1000.0));
         for i in 0..200_000 {
             let (id, fresh) = s.assert_fact(violation(i % 7, i as f64 + 0.5));

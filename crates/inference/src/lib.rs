@@ -56,7 +56,7 @@ pub mod value;
 pub mod prelude {
     pub use crate::clips::{parse_program, parse_rule, ClipsError, Program};
     pub use crate::engine::{Engine, PhaseProfile, RunStats, DEFAULT_TRACE_CAPACITY};
-    pub use crate::fact::{Fact, FactId, FactStore, TemplateId};
+    pub use crate::fact::{Fact, FactId, FactStore, Slot, Template, TemplateId};
     pub use crate::pattern::{Bindings, Pattern, SlotTest, Term, Test};
     pub use crate::rule::{Action, Ce, Invocation, Rule};
     pub use crate::value::{CmpOp, Value};

@@ -9,11 +9,12 @@
 //! it to: every variable becomes a [`VarRef`] — the `(positive CE, slot)`
 //! that first bound it — so a partial match is just the ids of the facts
 //! matched so far, and a variable is read straight from those facts
-//! ([`Row`]) instead of from a cloned map.
+//! ([`Row`]) instead of from a cloned map. Templates and slots are
+//! resolved to handles there too, so the compiled form compares no name.
 
 use std::collections::HashMap;
 
-use crate::fact::{Fact, FactId, FactStore, SlotIndex, TemplateId};
+use crate::fact::{Fact, FactId, FactStore, Slot, SlotIndex, TemplateId};
 use crate::value::{CmpOp, Value};
 
 /// Variable bindings accumulated while joining a rule's patterns (source
@@ -76,7 +77,7 @@ impl Pattern {
     /// every test has passed. Variables bound earlier in this same
     /// pattern are visible to later tests.
     pub fn match_fact(&self, fact: &Fact, bindings: &Bindings) -> Option<Bindings> {
-        if fact.template != self.template {
+        if fact.template().name() != self.template {
             return None;
         }
         let mut fresh: Vec<(&String, &Value)> = Vec::new();
@@ -182,10 +183,10 @@ impl Test {
 
 /// Where a variable's value lives: the `slot` of the fact matched by the
 /// rule's `pos`-th positive condition element.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct VarRef {
     pub(crate) pos: usize,
-    pub(crate) slot: Box<str>,
+    pub(crate) slot: Slot,
 }
 
 /// What compiled terms and tests read variables from: the facts matched
@@ -199,12 +200,12 @@ pub(crate) struct Row<'a> {
 }
 
 impl<'a> Row<'a> {
-    fn get(&self, var: &VarRef) -> Option<&'a Value> {
+    fn get(&self, var: VarRef) -> Option<&'a Value> {
         let fact = match self.ids.get(var.pos) {
             Some(&id) => self.facts.get(id)?,
             None => self.cand?,
         };
-        fact.get(&var.slot)
+        fact.at(var.slot)
     }
 }
 
@@ -221,7 +222,7 @@ impl CTerm {
     pub(crate) fn resolve<'a>(&'a self, row: Row<'a>) -> Option<&'a Value> {
         match self {
             CTerm::Const(v) => Some(v),
-            CTerm::Var(var) => row.get(var),
+            CTerm::Var(var) => row.get(*var),
             CTerm::Unbound => None,
         }
     }
@@ -241,7 +242,7 @@ pub(crate) enum CSlotTest {
 #[derive(Clone, Debug)]
 pub(crate) struct CPattern {
     pub(crate) tid: TemplateId,
-    pub(crate) tests: Vec<(Box<str>, CSlotTest)>,
+    pub(crate) tests: Vec<(Slot, CSlotTest)>,
     /// The first slot pinned to a constant or to a variable an *earlier*
     /// CE bound, with its operand: the equality-join index to probe
     /// instead of walking the whole alpha memory. Static, so the index
@@ -278,13 +279,13 @@ impl CPattern {
             cand: Some(cand),
         };
         self.tests.iter().all(|(slot, test)| {
-            let Some(actual) = cand.get(slot) else {
+            let Some(actual) = cand.at(*slot) else {
                 return false;
             };
             match test {
                 CSlotTest::Cmp(op, v) => op.apply(actual, v),
                 CSlotTest::Bind => true,
-                CSlotTest::EqVar(var) => row.get(var).is_some_and(|v| actual.loose_eq(v)),
+                CSlotTest::EqVar(var) => row.get(*var).is_some_and(|v| actual.loose_eq(v)),
             }
         })
     }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use crate::fact::{FactId, FactStore, TemplateId};
+use crate::fact::{FactId, FactStore, Slot, Template, TemplateId};
 use crate::pattern::{
     Bindings, CPattern, CSlotTest, CTerm, CTest, Pattern, SlotTest, Term, Test, VarRef,
 };
@@ -211,17 +211,20 @@ pub(crate) enum CCe {
     Test(CTest),
 }
 
-/// Compiled [`Action`]: terms resolved to where their values live.
+/// Compiled [`Action`]: terms resolved to where their values live, slot
+/// names to positions in the fact they are written to.
 #[derive(Clone, Debug)]
 pub(crate) enum CAction {
     Assert {
-        template: String,
-        slots: Vec<(String, CTerm)>,
+        template: Template,
+        slots: Vec<(Slot, CTerm)>,
     },
     Retract(usize),
+    /// `slots` are positions in the template of the `pos_index`-th
+    /// positive CE; empty when there is no such CE (firing skips it).
     Modify {
         pos_index: usize,
-        slots: Vec<(String, CTerm)>,
+        slots: Vec<(Slot, CTerm)>,
     },
     Call {
         command: String,
@@ -230,9 +233,9 @@ pub(crate) enum CAction {
 }
 
 /// What `Engine::add_rule` knows ahead of time about a rule: template
-/// symbols, every variable resolved to the `(positive CE, slot)` that
-/// binds it, and — registered with the store as a side effect — the
-/// `(template, slot)` pairs its joins probe.
+/// symbols, every slot name resolved to its position, every variable to
+/// the `(positive CE, slot)` that binds it, and — registered with the
+/// store as a side effect — the `(template, slot)` pairs its joins probe.
 #[derive(Clone, Debug)]
 pub(crate) struct CompiledRule {
     /// Shared with the firing trace, so a firing clones a pointer.
@@ -257,7 +260,7 @@ fn compile_term(term: &Term, scope: &Scope<'_>) -> CTerm {
     match term {
         Term::Const(v) => CTerm::Const(v.clone()),
         Term::Var(name) => match lookup(scope, name) {
-            Some(i) => CTerm::Var(scope[i].1.clone()),
+            Some(i) => CTerm::Var(scope[i].1),
             None => CTerm::Unbound,
         },
     }
@@ -283,11 +286,13 @@ fn compile_pattern<'r>(
     scope: &mut Scope<'r>,
     facts: &mut FactStore,
 ) -> CPattern {
-    let tid = facts.intern_template(&p.template);
+    let template = Template::named(&p.template);
+    let tid = facts.intern(template);
     let outer = scope.len();
     let mut probe = None;
     let mut tests = Vec::with_capacity(p.tests.len());
     for (slot, test) in &p.tests {
+        let slot = template.slot(slot);
         let (test, pinned) = match test {
             SlotTest::Const(v) | SlotTest::Cmp(CmpOp::Eq, v) => (
                 CSlotTest::Cmp(CmpOp::Eq, v.clone()),
@@ -298,12 +303,11 @@ fn compile_pattern<'r>(
                 // Only a variable an earlier CE bound is known before
                 // this pattern's candidate is chosen.
                 Some(i) => {
-                    let var = scope[i].1.clone();
-                    let pinned = (i < outer).then(|| CTerm::Var(var.clone()));
+                    let var = scope[i].1;
+                    let pinned = (i < outer).then_some(CTerm::Var(var));
                     (CSlotTest::EqVar(var), pinned)
                 }
                 None => {
-                    let slot = slot.as_str().into();
                     scope.push((name, VarRef { pos, slot }));
                     (CSlotTest::Bind, None)
                 }
@@ -312,7 +316,7 @@ fn compile_pattern<'r>(
         if let (None, Some(operand)) = (&probe, pinned) {
             probe = Some((facts.probe_slot(tid, slot), operand));
         }
-        tests.push((slot.as_str().into(), test));
+        tests.push((slot, test));
     }
     CPattern { tid, tests, probe }
 }
@@ -328,6 +332,9 @@ impl CompiledRule {
                 list.push(tid);
             }
         };
+        // The template of each positive CE, in order: what a `modify` of
+        // that position writes into.
+        let mut modified: Vec<Template> = Vec::new();
         let mut pos = 0;
         let mut ces = Vec::with_capacity(rule.ces.len());
         for ce in &rule.ces {
@@ -335,6 +342,7 @@ impl CompiledRule {
                 Ce::Pos(p) => {
                     let p = compile_pattern(p, pos, &mut scope, facts);
                     note(&mut pos_tmpls, p.tid);
+                    modified.push(facts.template(p.tid));
                     pos += 1;
                     CCe::Pos(p)
                 }
@@ -348,24 +356,29 @@ impl CompiledRule {
                 Ce::Test(t) => CCe::Test(compile_test(t, &scope)),
             });
         }
-        let terms = |slots: &[(String, Term)]| {
+        let terms = |template: Template, slots: &[(String, Term)]| {
             slots
                 .iter()
-                .map(|(slot, t)| (slot.clone(), compile_term(t, &scope)))
+                .map(|(slot, t)| (template.slot(slot), compile_term(t, &scope)))
                 .collect()
         };
         let actions = rule
             .actions
             .iter()
             .map(|action| match action {
-                Action::Assert { template, slots } => CAction::Assert {
-                    template: template.clone(),
-                    slots: terms(slots),
-                },
+                Action::Assert { template, slots } => {
+                    let template = Template::named(template);
+                    CAction::Assert {
+                        template,
+                        slots: terms(template, slots),
+                    }
+                }
                 Action::Retract(pos_index) => CAction::Retract(*pos_index),
                 Action::Modify { pos_index, slots } => CAction::Modify {
                     pos_index: *pos_index,
-                    slots: terms(slots),
+                    slots: modified
+                        .get(*pos_index)
+                        .map_or_else(Vec::new, |&template| terms(template, slots)),
                 },
                 Action::Call { command, args } => CAction::Call {
                     command: command.clone(),

@@ -227,3 +227,166 @@ fn permanent_fact_survives_long_churn_identically() {
     assert!(naive.2.iter().sum::<u64>() > 6_000);
     assert_eq!(naive, churn(false));
 }
+
+/// What a position-addressed fact layout can get wrong, run through both
+/// matchers: facts of one template carrying different slot sets, slots
+/// first named after (and before) the rule that tests them, a `modify`
+/// that adds a slot, a pattern on a slot no live fact carries, and
+/// Int/Float probes. Returns every observable: trace, invocations, and
+/// the final store printed fact by fact.
+fn layout_script(naive: bool) -> (Vec<String>, Vec<Invocation>, Vec<String>) {
+    // Position 0 of `item` rows is a slot nothing ever carries, so every
+    // row is sparse from its first cell.
+    Template::named("item").slot("never-carried");
+    let mut e = Engine::new();
+    e.use_naive_matcher(naive);
+    e.set_trace_capacity(1 << 12);
+    e.add_rule(
+        // Tests `grade`, which no fact carries yet.
+        Rule::new("graded")
+            .when(
+                Pattern::new("item")
+                    .slot_var("id", "i")
+                    .slot_cmp("grade", CmpOp::Ge, 2),
+            )
+            .then_call("graded", vec![Term::var("i")]),
+    );
+    e.add_rule(
+        // Tests a slot that stays uncarried to the end.
+        Rule::new("ghost")
+            .when(Pattern::new("item").slot_var("never-carried", "x"))
+            .then_call("ghost", vec![Term::var("x")]),
+    );
+    e.add_rule(
+        // `modify` writes `seen`, a slot the matched fact does not have.
+        Rule::new("stamp")
+            .salience(5)
+            .when(
+                Pattern::new("item")
+                    .slot_var("id", "i")
+                    .slot_const("kind", "raw"),
+            )
+            .then_modify(
+                0,
+                vec![("kind", Term::val("done")), ("seen", Term::var("i"))],
+            )
+            .then_call("stamped", vec![Term::var("i")]),
+    );
+    e.add_rule(
+        // Constant probe: Int pattern, facts hold Int and Float.
+        Rule::new("third")
+            .when(
+                Pattern::new("item")
+                    .slot_const("id", 3)
+                    .slot_var("kind", "k"),
+            )
+            .then_call("third", vec![Term::var("k")]),
+    );
+    e.add_rule(
+        // Variable probe across templates: `want.id` is a Float where
+        // `item.id` is an Int.
+        Rule::new("wanted")
+            .salience(-5)
+            .when(Pattern::new("want").slot_var("id", "i"))
+            .when(
+                Pattern::new("item")
+                    .slot_var("id", "i")
+                    .slot_var("seen", "s"),
+            )
+            .then_call("wanted", vec![Term::var("i"), Term::var("s")]),
+    );
+
+    // One template, four slot sets.
+    e.assert_fact(Fact::new("item").with("id", 1));
+    e.assert_fact(Fact::new("item").with("id", 2).with("kind", "raw"));
+    e.assert_fact(Fact::new("item").with("kind", "raw").with("id", 3.0));
+    e.assert_fact(Fact::new("item").with("grade", 2).with("id", 4));
+    e.assert_fact(
+        Fact::new("item")
+            .with("grade", 1)
+            .with("id", 5)
+            .with("kind", "raw"),
+    );
+    e.assert_fact(Fact::new("want").with("id", 2.0));
+    e.assert_fact(Fact::new("want").with("id", 3));
+    e.run(100);
+
+    // A slot first named by a fact, then by a rule distributed later
+    // (its index is back-filled from rows that already hold it).
+    e.assert_fact(Fact::new("item").with("id", 6).with("origin", "late"));
+    e.assert_fact(Fact::new("item").with("id", 7));
+    e.add_rule(
+        Rule::new("late-origin")
+            .when(
+                Pattern::new("item")
+                    .slot_const("origin", "late")
+                    .slot_var("id", "i"),
+            )
+            .then_call("late-origin", vec![Term::var("i")]),
+    );
+    e.run(100);
+    e.retract_matching("item", "seen", &Value::Float(2.0));
+    e.retract_matching("item", "never-carried", &Value::Int(0));
+    e.run(100);
+
+    let store = e.facts().iter().map(|(_, f)| f.to_string()).collect();
+    (e.take_trace(), e.take_invocations(), store)
+}
+
+#[test]
+fn facts_with_different_slot_sets_match_identically() {
+    let naive = layout_script(true);
+    assert_eq!(naive, layout_script(false));
+    let (trace, invocations, store) = naive;
+    let fired = |rule: &str| trace.iter().filter(|t| *t == rule).count();
+    // Items 2, 3 and 5 are raw; 4 carries a passing grade; nothing
+    // carries `never-carried`; `stamp` outranks `third`, which so sees
+    // item 3 (a Float id) only once it is done.
+    assert_eq!(fired("stamp"), 3);
+    assert_eq!(fired("graded"), 1);
+    assert_eq!(fired("ghost"), 0);
+    assert_eq!(fired("third"), 1);
+    assert!(invocations.contains(&Invocation {
+        command: "third".into(),
+        args: vec![Value::sym("done")],
+    }));
+    assert_eq!(fired("wanted"), 2);
+    assert_eq!(fired("late-origin"), 1);
+    assert!(invocations.contains(&Invocation {
+        command: "wanted".into(),
+        args: vec![Value::Int(3), Value::Float(3.0)],
+    }));
+    assert!(invocations.contains(&Invocation {
+        command: "late-origin".into(),
+        args: vec![Value::Int(6)],
+    }));
+    // Slots print in name order whatever order they were first seen in,
+    // and item 2 (stamped, then retracted through `seen`) is gone.
+    assert!(store.contains(&"(item (id 3) (kind done) (seen 3))".to_string()));
+    assert!(store.contains(&"(item (grade 1) (id 5) (kind done) (seen 5))".to_string()));
+    assert!(store.contains(&"(item (id 6) (origin late))".to_string()));
+    assert!(!store
+        .iter()
+        .any(|f| f.contains("(id 2)") && f.starts_with("(item")));
+}
+
+#[test]
+fn a_fact_is_the_same_in_either_build_order() {
+    let ab = Fact::new("order").with("a", 1).with("b", "x");
+    let ba = Fact::new("order").with("b", "x").with("a", 1);
+    assert_eq!(ab, ba);
+    assert_eq!(ab.to_string(), "(order (a 1) (b x))");
+    assert_eq!(ba.to_string(), ab.to_string());
+    // Overwriting keeps one value per slot; a slot never written is not
+    // one written and equal.
+    assert_eq!(ab.clone().with("a", 2).with("a", 1), ba);
+    assert_ne!(ab, Fact::new("order").with("a", 1));
+    assert_ne!(ab, Fact::new("disorder").with("a", 1).with("b", "x"));
+    assert_eq!(ab.get("b"), Some(&Value::sym("x")));
+    assert_eq!(ab.get("c"), None);
+    // Both orders are one fact to the store, too.
+    let mut store = FactStore::new();
+    let (id, fresh) = store.assert_fact(ab);
+    assert!(fresh);
+    assert_eq!(store.assert_fact(ba), (id, false));
+}

@@ -320,6 +320,100 @@ mod tests {
         assert_eq!(hm.stats.deaths, 1);
     }
 
+    fn update_rules(hm: &mut HostCore, add: Option<&str>, remove: &[&str]) {
+        let update = RuleUpdateMsg {
+            add: add.map(str::to_string),
+            remove: remove.iter().map(|r| r.to_string()).collect(),
+        };
+        step(
+            hm,
+            0,
+            &Short(0),
+            HostInput::Msg(WireMsg::RuleUpdate(update)),
+        );
+    }
+
+    #[test]
+    fn one_process_violation_leaves_anothers_pending_deficit_alone() {
+        let mut hm = HostCore::new(None);
+        let (a, b) = (pid(5), pid(6));
+        register(&mut hm, 0, a, Some(Dur::from_secs(1)));
+        register(&mut hm, 0, b, None);
+        // `memory-shortfall` consumes every deficit it sees. Swap it for
+        // a rule that reads the template and never fires, so deficit
+        // facts stay pending (with no reader at all they would not be
+        // asserted in the first place).
+        update_rules(
+            &mut hm,
+            Some(
+                "(defrule deficit-watch (mem-deficit (pid ?p) (pages ?n)) (test (< ?n 0)) \
+                 => (call adjust-memory ?p ?n))",
+            ),
+            &["memory-shortfall"],
+        );
+        violate(&mut hm, SEC / 10, &Short(32), &violation(a, 1, 0.0));
+        assert_eq!(hm.facts_of("mem-deficit"), 1);
+        violate(&mut hm, SEC / 10, &Short(32), &violation(b, 2, 0.0));
+        assert_eq!(
+            hm.facts_of("mem-deficit"),
+            2,
+            "a's fact survives b's report"
+        );
+        // A fresh report replaces the reporter's own fact...
+        violate(&mut hm, SEC / 5, &Short(16), &violation(b, 3, 0.0));
+        assert_eq!(hm.facts_of("mem-deficit"), 2);
+        // ...and a reap drops the dead process's, nobody else's.
+        sweep(&mut hm, 60 * SEC);
+        assert_eq!(hm.stats.deaths, 1);
+        assert!(!hm.is_registered(a));
+        assert_eq!(hm.facts_of("mem-deficit"), 1);
+    }
+
+    #[test]
+    fn alloc_facts_exist_only_while_a_loaded_rule_reads_them() {
+        let mut hm = HostCore::new(None);
+        let p = pid(5);
+        register(&mut hm, 0, p, None);
+        let mut corr = 0;
+        let mut report = |hm: &mut HostCore| {
+            corr += 1;
+            violate(hm, corr * SEC, &Short(0), &violation(p, corr, 0.0))
+        };
+        // No default rule reads `alloc`, so none is asserted.
+        report(&mut hm);
+        assert_eq!(hm.cpu_allocation(p).boost, 20);
+        assert_eq!(hm.facts_of("alloc"), 0);
+
+        // The overload rules arrive mid-run: the next report asserts it.
+        update_rules(&mut hm, Some(crate::rules::overload_rules()), &[]);
+        report(&mut hm);
+        assert_eq!(hm.facts_of("alloc"), 1);
+        report(&mut hm);
+        assert_eq!(hm.cpu_allocation(p).boost, 60, "at the cap");
+        // E10: the application is asked to adapt on the
+        // OVERLOAD_PATIENCE-th consecutive at-cap report, not before.
+        for at_cap in 1..=OVERLOAD_PATIENCE {
+            let adapts = report(&mut hm)
+                .iter()
+                .filter(|e| matches!(e, Effect::SendCtrl(_, WireMsg::Adapt(_))))
+                .count();
+            assert_eq!(adapts, usize::from(at_cap == OVERLOAD_PATIENCE));
+        }
+        assert_eq!(hm.stats.adaptations, 1);
+        assert_eq!(hm.facts_of("alloc"), 1);
+
+        // The last reader goes: its facts go with it, at once, and
+        // violations keep being diagnosed.
+        update_rules(&mut hm, None, &["overload-adapt-application"]);
+        assert_eq!(hm.facts_of("alloc"), 0);
+        hm.take_engine_trace();
+        report(&mut hm);
+        assert_eq!(hm.facts_of("alloc"), 0);
+        assert_eq!(hm.stats.violations, u64::from(OVERLOAD_PATIENCE) + 4);
+        assert_eq!(hm.take_engine_trace(), ["local-fallback"]);
+        assert_eq!(hm.facts_of("violation"), 0);
+    }
+
     #[test]
     fn heartbeat_between_reap_phases_cancels_the_reap() {
         // The reap/re-register race: liveness has declared the process

@@ -20,7 +20,7 @@ use qos_inference::prelude::*;
 use qos_sim::memory::ProcMem;
 use qos_sim::proc::HostSnapshot;
 use qos_sim::{DomainId, Dur, Endpoint, HostId, Pid, PriocntlCmd, SchedClass, SimTime};
-use qos_telemetry::{Stage, Telemetry};
+use qos_telemetry::{Counter, Histogram, Stage, Telemetry};
 
 use crate::lifecycle::{Admit, Lifecycle};
 use crate::messages::{
@@ -28,7 +28,7 @@ use crate::messages::{
     HOST_MANAGER_PORT, MANAGER_PROCESSING_COST,
 };
 use crate::resource::{CpuManager, Direction, MemoryManager};
-use crate::rules::{host_base_facts, host_rules_fair};
+use crate::rules::{host_base_facts, host_rules_fair, HostVocabulary};
 use crate::transport::Backoff;
 
 /// Timer tag for the periodic liveness sweep.
@@ -173,18 +173,71 @@ struct DiscState {
     backoff: Backoff,
 }
 
+/// What the manager keeps of a registered process.
+struct Registered {
+    weight: f64,
+    control_port: u16,
+    /// The pid as rules see it, built once.
+    name: Value,
+}
+
 /// The heavy half of the core: what diagnosing one violation reads and
 /// writes.
 struct Diagnosis {
     engine: Engine,
+    vocab: HostVocabulary,
+    /// Per template of [`HostVocabulary::per_notification`], in its
+    /// order: does a loaded rule have a condition element on it? Its
+    /// facts are asserted and retracted only while one does — with no
+    /// reader they cannot change what fires. Derived from the rule base
+    /// whenever it changes ([`Diagnosis::rules_changed`]).
+    read: [bool; 3],
     cpu: CpuManager,
     mem: MemoryManager,
-    /// Registration details of registered pids (weight, control port).
-    details: HashMap<Pid, RegisterMsg>,
+    /// Registration details of registered pids.
+    details: HashMap<Pid, Registered>,
     /// Consecutive at-cap violations per process (gates overload
     /// adaptation: a transient brush with the cap must not degrade the
     /// application).
     overload_streak: HashMap<Pid, u32>,
+}
+
+/// Series [`HostCore::mirror_stats`] mirrors [`HostMgrStats`] into.
+const MIRRORED_SERIES: usize = 17;
+
+/// What the core's telemetry names itself by and writes to, taken once
+/// per core (the host it runs on arrives with its first step). A metric
+/// handle is resolved the first time it has something to record, so the
+/// registry holds no series that never moved.
+struct Probe {
+    host: HostId,
+    /// `h<host>`: the label of the `hm.*` series.
+    label: String,
+    /// `hm:h<host>`: the component of the stage events.
+    component: String,
+    /// One per row of [`HostCore::mirror_stats`]'s table, in its order.
+    counters: [Option<Counter>; MIRRORED_SERIES],
+    batch_msgs: Option<Histogram>,
+}
+
+impl Probe {
+    fn new(host: HostId) -> Self {
+        Probe {
+            host,
+            label: format!("h{}", host.0),
+            component: format!("hm:h{}", host.0),
+            counters: Default::default(),
+            batch_msgs: None,
+        }
+    }
+}
+
+/// The probe of `host`, made on first use.
+fn probe(slot: &mut Option<Probe>, host: HostId) -> &mut Probe {
+    if slot.as_ref().is_none_or(|p| p.host != host) {
+        *slot = Some(Probe::new(host));
+    }
+    slot.as_mut().expect("just filled")
 }
 
 /// The violation being handled: what its telemetry events carry.
@@ -213,6 +266,8 @@ pub struct HostCore {
     telemetry: Telemetry,
     /// Stats values already mirrored into the registry (delta tracking).
     mirrored: HostMgrStats,
+    /// Labels and metric handles for `telemetry`.
+    probe: Option<Probe>,
 }
 
 impl HostCore {
@@ -223,6 +278,8 @@ impl HostCore {
             lifecycle: Lifecycle::default(),
             diagnosis: Diagnosis {
                 engine: Engine::new(),
+                vocab: HostVocabulary::new(),
+                read: [false; 3],
                 cpu: CpuManager::ts_default(),
                 mem: MemoryManager::new(),
                 details: HashMap::new(),
@@ -233,6 +290,7 @@ impl HostCore {
             stats: HostMgrStats::default(),
             telemetry: Telemetry::disabled(),
             mirrored: HostMgrStats::default(),
+            probe: None,
         };
         core.load_rules(&host_rules_fair());
         core.load_rules(&host_base_facts());
@@ -256,6 +314,7 @@ impl HostCore {
     /// See [`crate::host::QosHostManager::with_telemetry`].
     pub(crate) fn set_telemetry(&mut self, t: &Telemetry) {
         self.telemetry = t.clone();
+        self.probe = None;
     }
 
     /// The discovered domain binding, if this manager runs discovery
@@ -273,7 +332,9 @@ impl HostCore {
 
     /// Remove a rule by name.
     pub fn remove_rule(&mut self, name: &str) -> bool {
-        self.diagnosis.engine.remove_rule(name)
+        let removed = self.diagnosis.engine.remove_rule(name);
+        self.diagnosis.rules_changed();
+        removed
     }
 
     /// Names of loaded rules.
@@ -388,8 +449,13 @@ impl HostCore {
     pub fn note_batch_frame(&mut self, host: HostId, msgs: usize) {
         self.stats.batch_frames += 1;
         if self.telemetry.is_enabled() {
-            self.telemetry
-                .histogram("wire.batch.msgs_per_frame", &format!("h{}", host.0))
+            let probe = probe(&mut self.probe, host);
+            probe
+                .batch_msgs
+                .get_or_insert_with(|| {
+                    self.telemetry
+                        .histogram("wire.batch.msgs_per_frame", &probe.label)
+                })
                 .record(msgs as u64);
         }
     }
@@ -421,7 +487,19 @@ impl HostCore {
                     // idempotency must hold.
                     self.register(now, &r);
                 }
-                self.diagnosis.details.insert(r.pid, r);
+                // Re-sent with every heartbeat: only the first builds
+                // the name.
+                let reg = self
+                    .diagnosis
+                    .details
+                    .entry(r.pid)
+                    .or_insert_with(|| Registered {
+                        weight: r.weight,
+                        control_port: r.control_port,
+                        name: Value::str(pid_to_string(r.pid)),
+                    });
+                reg.weight = r.weight;
+                reg.control_port = r.control_port;
             }
             WireMsg::StatsQuery(q) => {
                 let snap = view.host_stats();
@@ -486,10 +564,11 @@ impl HostCore {
         };
         self.stats.rule_updates += 1;
         for name in &u.remove {
-            self.remove_rule(name);
+            self.diagnosis.engine.remove_rule(name);
         }
-        if let Some(p) = add {
-            self.diagnosis.load(p);
+        match add {
+            Some(p) => self.diagnosis.load(p),
+            None => self.diagnosis.rules_changed(),
         }
     }
 
@@ -588,7 +667,7 @@ impl HostCore {
                 now.as_micros(),
                 v.corr,
                 Stage::Diagnose,
-                &format!("hm:h{}", host.0),
+                &probe(&mut self.probe, host).component,
                 &v.policy,
                 || {
                     vec![
@@ -620,12 +699,11 @@ impl HostCore {
         if !self.telemetry.is_enabled() {
             return;
         }
-        let label = format!("h{}", host.0);
         let cur = self.stats;
         let prev = std::mem::replace(&mut self.mirrored, cur);
         // Values, not accessors: this runs once per violation, and a
         // table of `fn` pointers read 3 % slower on `sim_federation`.
-        let deltas = [
+        let deltas: [_; MIRRORED_SERIES] = [
             ("hm.violations", cur.violations, prev.violations),
             ("hm.cpu_boosts", cur.cpu_boosts, prev.cpu_boosts),
             (
@@ -656,15 +734,18 @@ impl HostCore {
             ("wire.batch.frames", cur.batch_frames, prev.batch_frames),
             ("disc.rediscoveries", cur.rediscoveries, prev.rediscoveries),
         ];
-        for (family, now, before) in deltas {
+        let probe = probe(&mut self.probe, host);
+        for (counter, (family, now, before)) in probe.counters.iter_mut().zip(deltas) {
             if now > before {
-                self.telemetry.counter(family, &label).add(now - before);
+                counter
+                    .get_or_insert_with(|| self.telemetry.counter(family, &probe.label))
+                    .add(now - before);
             }
         }
     }
 
     /// Emit an Adapt-stage event for an action that actually landed.
-    fn emit_adapt(&self, trip: Trip, action: &str, value: f64) {
+    fn emit_adapt(&mut self, trip: Trip, action: &str, value: f64) {
         if !self.telemetry.is_enabled() {
             return;
         }
@@ -672,7 +753,7 @@ impl HostCore {
             trip.now.as_micros(),
             trip.corr,
             Stage::Adapt,
-            &format!("hm:h{}", trip.host.0),
+            &probe(&mut self.probe, trip.host).component,
             action,
             || vec![("value".into(), value)],
         );
@@ -802,7 +883,7 @@ impl HostCore {
                         trip.now.as_micros(),
                         v.corr,
                         Stage::Escalate,
-                        &format!("hm:h{}", trip.host.0),
+                        &probe(&mut self.probe, trip.host).component,
                         &v.policy,
                         || vec![("observed".into(), fps)],
                     );
@@ -848,54 +929,90 @@ impl Diagnosis {
         for f in p.facts {
             self.engine.assert_fact(f);
         }
+        self.rules_changed();
+    }
+
+    /// Re-derive which asserted templates a loaded rule reads. One that
+    /// lost its last reader has its facts retracted here, once, instead
+    /// of leaving them until each pid is reaped.
+    fn rules_changed(&mut self) {
+        for (t, read) in self
+            .vocab
+            .per_notification()
+            .into_iter()
+            .zip(&mut self.read)
+        {
+            let now = self.engine.reads(t.template);
+            if *read && !now {
+                self.engine.retract_template(t.template.name());
+            }
+            *read = now;
+        }
     }
 
     /// Assert the facts of one admitted violation (`mem_deficit` pages
     /// short of its working set) and run the rules over them.
     fn assert_and_run(&mut self, v: &ViolationMsg, mem_deficit: u32) -> RunStats {
-        let pid_s = Value::str(pid_to_string(v.pid));
-        let (attr, fps) = v
-            .readings
-            .first()
-            .map_or(("unknown", 0.0), |(a, val)| (a.as_str(), *val));
-        let (lo, hi) = v
-            .bounds
-            .as_ref()
-            .map_or((0.0, f64::INFINITY), |&(_, lo, hi)| (lo, hi));
-        let buffer = v
-            .readings
-            .iter()
-            .find(|(a, _)| a == "buffer_size")
-            .map_or(0.0, |&(_, val)| val);
+        let reg = self.details.get(&v.pid);
+        let unregistered;
+        let pid_s = match reg {
+            Some(r) => &r.name,
+            None => {
+                unregistered = Value::str(pid_to_string(v.pid));
+                &unregistered
+            }
+        };
+        let vocab = &self.vocab;
         // Fresh telemetry for this violation: stale facts for this
         // process are replaced, never accumulated (a lingering fact would
         // also suppress identical future reports via duplicate-fact
-        // elimination).
-        self.engine.retract_template("mem-deficit");
-        self.engine.retract_matching("violation", "pid", &pid_s);
-        self.engine.retract_matching("alloc", "pid", &pid_s);
-        self.engine.assert_fact(
-            Fact::new("violation")
-                .with("pid", pid_s.clone())
-                .with("attr", Value::sym(attr))
-                .with("fps", fps)
-                .with("lo", lo)
-                .with("hi", hi)
-                .with("buffer", buffer)
-                .with("weight", self.details.get(&v.pid).map_or(1.0, |r| r.weight))
-                .with("has-upstream", v.upstream.is_some()),
-        );
-        // Current CPU allocation, for overload rules.
-        self.engine.assert_fact(
-            Fact::new("alloc")
-                .with("pid", pid_s.clone())
-                .with("boost", self.cpu.allocation(v.pid).boost as i64),
-        );
-        if mem_deficit > 0 {
+        // elimination). Another process's facts are not this one's to
+        // touch.
+        for (t, read) in vocab.per_notification().into_iter().zip(self.read) {
+            if read {
+                self.engine.retract_where(t.template, t.pid, pid_s);
+            }
+        }
+        let [violation_read, alloc_read, deficit_read] = self.read;
+        if violation_read {
+            let (attr, fps) = v
+                .readings
+                .first()
+                .map_or(("unknown", 0.0), |(a, val)| (a.as_str(), *val));
+            let (lo, hi) = v
+                .bounds
+                .as_ref()
+                .map_or((0.0, f64::INFINITY), |&(_, lo, hi)| (lo, hi));
+            let buffer = v
+                .readings
+                .iter()
+                .find(|(a, _)| a == "buffer_size")
+                .map_or(0.0, |&(_, val)| val);
             self.engine.assert_fact(
-                Fact::new("mem-deficit")
-                    .with("pid", pid_s)
-                    .with("pages", mem_deficit as i64),
+                Fact::of(vocab.violation.template)
+                    .with_slot(vocab.violation.pid, pid_s.clone())
+                    .with_slot(vocab.attr, Value::sym(attr))
+                    .with_slot(vocab.fps, fps)
+                    .with_slot(vocab.lo, lo)
+                    .with_slot(vocab.hi, hi)
+                    .with_slot(vocab.buffer, buffer)
+                    .with_slot(vocab.weight, reg.map_or(1.0, |r| r.weight))
+                    .with_slot(vocab.has_upstream, v.upstream.is_some()),
+            );
+        }
+        // Current CPU allocation, for overload rules.
+        if alloc_read {
+            self.engine.assert_fact(
+                Fact::of(vocab.alloc.template)
+                    .with_slot(vocab.alloc.pid, pid_s.clone())
+                    .with_slot(vocab.boost, self.cpu.allocation(v.pid).boost as i64),
+            );
+        }
+        if deficit_read && mem_deficit > 0 {
+            self.engine.assert_fact(
+                Fact::of(vocab.mem_deficit.template)
+                    .with_slot(vocab.mem_deficit.pid, pid_s.clone())
+                    .with_slot(vocab.pages, mem_deficit as i64),
             );
         }
         self.engine.run(200)
@@ -905,15 +1022,17 @@ impl Diagnosis {
     /// details and overload streak, and — when `release` — its CPU and
     /// memory allocations.
     fn forget(&mut self, pid: Pid, release: bool) {
-        let pid_s = Value::str(pid_to_string(pid));
-        for template in ["violation", "alloc", "mem-deficit"] {
-            self.engine.retract_matching(template, "pid", &pid_s);
+        let name = match self.details.remove(&pid) {
+            Some(r) => r.name,
+            None => Value::str(pid_to_string(pid)),
+        };
+        for t in self.vocab.per_notification() {
+            self.engine.retract_where(t.template, t.pid, &name);
         }
         if release {
             self.cpu.release(pid);
             self.mem.release(pid);
         }
-        self.details.remove(&pid);
         self.overload_streak.remove(&pid);
     }
 }

@@ -52,7 +52,7 @@ use qos_telemetry::{Counter, Histogram, Stage, Telemetry, TraceEvent};
 use qos_wire::messages::{LiveRegisterMsg, TelemetryBatchMsg, TelemetrySubscribeMsg};
 use qos_wire::{BatchBuilder, WireMsg, WireMsgRef};
 
-use crate::rules::{host_base_facts, host_rules_fair};
+use crate::rules::{host_base_facts, host_rules_fair, HostVocabulary};
 use crate::transport::{
     ChannelTransport, Inbound, ReplySink, SinkSend, SockAddr, SockListener, WireTransport,
 };
@@ -810,6 +810,7 @@ struct ManagerCore {
     tdropped_c: Counter,
     skipped_c: Counter,
     engine: Engine,
+    vocab: HostVocabulary,
     registered: HashSet<String>,
     subs: Vec<Subscriber>,
     staged: Vec<TraceEvent>,
@@ -851,6 +852,7 @@ impl ManagerCore {
             tdropped_c,
             skipped_c,
             engine,
+            vocab: HostVocabulary::new(),
             registered: HashSet::new(),
             subs: Vec::new(),
             staged: Vec::new(),
@@ -991,15 +993,16 @@ impl ManagerCore {
         let buffer = readings()
             .find(|&(a, _)| a == "buffer_size")
             .map_or(0.0, |(_, v)| v);
+        let f = &self.vocab;
         self.engine.assert_fact(
-            Fact::new("violation")
-                .with("pid", Value::str(process))
-                .with("fps", fps)
-                .with("lo", 23.0)
-                .with("hi", 27.0)
-                .with("buffer", buffer)
-                .with("weight", 1.0)
-                .with("has-upstream", false),
+            Fact::of(f.violation.template)
+                .with_slot(f.violation.pid, Value::str(process))
+                .with_slot(f.fps, fps)
+                .with_slot(f.lo, 23.0)
+                .with_slot(f.hi, 27.0)
+                .with_slot(f.buffer, buffer)
+                .with_slot(f.weight, 1.0)
+                .with_slot(f.has_upstream, false),
         );
         let run = self.engine.run(100);
         self.stats

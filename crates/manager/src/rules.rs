@@ -5,12 +5,24 @@
 //!
 //! ## Host-manager fact vocabulary
 //!
-//! * `(violation (pid "h0:p2") (fps F) (lo L) (hi H) (buffer B) (weight W)
-//!   (has-upstream true|false))` — asserted per coordinator notification.
+//! * `(violation (pid "h0:p2") (attr frame_rate) (fps F) (lo L) (hi H)
+//!   (buffer B) (weight W) (has-upstream true|false))` — asserted per
+//!   coordinator notification; `attr` is the symbol of the first reading's
+//!   attribute, `fps` its value whatever the attribute.
 //! * `(mem-deficit (pid "h0:p2") (pages N))` — resident-set shortfall at
-//!   notification time.
+//!   notification time, when there is one.
+//! * `(alloc (pid "h0:p2") (boost N))` — the process's current CPU boost,
+//!   refreshed with each notification.
 //! * `(threshold (name buffer-cutoff) (value 1000))` — the Example 5
 //!   heuristic's cutoff.
+//!
+//! The three per-notification templates are keyed by `pid`: a fresh
+//! report replaces that process's facts and nobody else's. In
+//! [`crate::host_core::HostCore`] each exists only while a loaded rule
+//! has a condition element on it — `alloc`, which only
+//! [`overload_rules`] read, is not asserted under the default rule base —
+//! and is retracted when its last reader is removed. (The live manager
+//! asserts `violation` alone.)
 //!
 //! ## Host-manager commands
 //!
@@ -18,6 +30,70 @@
 //! * `relax-cpu pid` — shrink it (metric exceeded the upper bound).
 //! * `notify-domain pid fps` — escalate: the cause is not local.
 //! * `adjust-memory pid pages` — grow the resident set.
+
+use qos_inference::prelude::{Slot, Template};
+
+/// A per-notification template and the slot holding the pid it is keyed
+/// by.
+pub(crate) struct PidKeyed {
+    pub(crate) template: Template,
+    pub(crate) pid: Slot,
+}
+
+impl PidKeyed {
+    fn new(template: &str) -> Self {
+        let template = Template::named(template);
+        PidKeyed {
+            template,
+            pid: template.slot("pid"),
+        }
+    }
+}
+
+/// The host-manager fact vocabulary above as handles, resolved once by
+/// whoever asserts it: the templates and the slots a manager writes.
+pub(crate) struct HostVocabulary {
+    pub(crate) violation: PidKeyed,
+    pub(crate) attr: Slot,
+    pub(crate) fps: Slot,
+    pub(crate) lo: Slot,
+    pub(crate) hi: Slot,
+    pub(crate) buffer: Slot,
+    pub(crate) weight: Slot,
+    pub(crate) has_upstream: Slot,
+    pub(crate) alloc: PidKeyed,
+    pub(crate) boost: Slot,
+    pub(crate) mem_deficit: PidKeyed,
+    pub(crate) pages: Slot,
+}
+
+impl HostVocabulary {
+    pub(crate) fn new() -> Self {
+        let violation = PidKeyed::new("violation");
+        let alloc = PidKeyed::new("alloc");
+        let mem_deficit = PidKeyed::new("mem-deficit");
+        let v = violation.template;
+        HostVocabulary {
+            attr: v.slot("attr"),
+            fps: v.slot("fps"),
+            lo: v.slot("lo"),
+            hi: v.slot("hi"),
+            buffer: v.slot("buffer"),
+            weight: v.slot("weight"),
+            has_upstream: v.slot("has-upstream"),
+            boost: alloc.template.slot("boost"),
+            pages: mem_deficit.template.slot("pages"),
+            violation,
+            alloc,
+            mem_deficit,
+        }
+    }
+
+    /// The three templates asserted per notification.
+    pub(crate) fn per_notification(&self) -> [&PidKeyed; 3] {
+        [&self.violation, &self.alloc, &self.mem_deficit]
+    }
+}
 
 /// The buffer-occupancy cutoff distinguishing "client cannot keep up"
 /// (local CPU cause) from "frames are not arriving" (remote/network

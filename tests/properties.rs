@@ -238,11 +238,11 @@ proptest! {
         let mut f = Fact::new(&template);
         for (k, v) in &slots {
             // Duplicate keys follow map semantics: last write wins.
-            f.slots.insert(k.clone(), Value::Int(*v));
+            f = f.with(k, Value::Int(*v));
         }
         let text = format!("(deffacts x {f})");
         let prog = parse_program(&text).expect("fact display reparses");
-        prop_assert_eq!(&prog.facts[0].template, &template);
+        prop_assert_eq!(prog.facts[0].template().name(), template.as_str());
         prop_assert_eq!(&prog.facts[0], &f);
     }
 
