@@ -21,8 +21,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use qos_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry};
+use qos_telemetry::{Counter, Gauge, Histogram, Name, Stage, Telemetry, TraceEvent};
 
+use qos_manager::host::pid_name;
 use qos_manager::messages::{
     AgentRequest, RegisterMsg, Upstream, ViolationMsg, WireMsg, REGISTRATION_HEARTBEAT_PERIOD,
 };
@@ -48,6 +49,10 @@ const TAG_NEXT_FRAME: u64 = 1;
 const TAG_POLL: u64 = 2;
 const TAG_AGENT_RETRY: u64 = 3;
 const TAG_HEARTBEAT: u64 = 4;
+
+// Field keys of the client's stage events.
+const SENSOR_VALUE: Name = Name::from_static("sensor_value");
+const MTTR_US: Name = Name::from_static("mttr_us");
 
 /// First retry delay of the Policy Agent handshake; doubles per attempt.
 const AGENT_RETRY_INITIAL: Dur = Dur::from_millis(200);
@@ -435,16 +440,13 @@ impl VideoClient {
                     let corr = self.cfg.telemetry.next_corr();
                     self.coordinator.set_corr(pix, corr);
                     self.detected_at.insert(corr, now_us);
-                    let policy = self.coordinator.policy(pix).name.clone();
-                    let component = qos_manager::host::pid_to_string(ctx.pid());
-                    let value = a.value;
                     self.cfg.telemetry.stage(
                         now_us,
                         corr,
                         Stage::Detect,
-                        &component,
-                        &policy,
-                        || vec![("sensor_value".into(), value)],
+                        pid_name(ctx.pid()),
+                        &self.coordinator.policy(pix).name,
+                        &[(SENSOR_VALUE, a.value)],
                     );
                 }
             }
@@ -471,21 +473,15 @@ impl VideoClient {
             if let (Some(d), Some(p)) = (detect_us, self.probes.as_ref()) {
                 p.mttr.record(now_us.saturating_sub(d));
             }
-            let policy = self.coordinator.policy(pix).name.clone();
-            let component = qos_manager::host::pid_to_string(ctx.pid());
-            self.cfg
-                .telemetry
-                .stage(
-                    now_us,
-                    corr,
-                    Stage::BackInSpec,
-                    &component,
-                    &policy,
-                    || match detect_us {
-                        Some(d) => vec![("mttr_us".into(), now_us.saturating_sub(d) as f64)],
-                        None => Vec::new(),
-                    },
-                );
+            let mttr = detect_us.map(|d| (MTTR_US, now_us.saturating_sub(d) as f64));
+            self.cfg.telemetry.stage(
+                now_us,
+                corr,
+                Stage::BackInSpec,
+                pid_name(ctx.pid()),
+                &self.coordinator.policy(pix).name,
+                mttr.as_slice(),
+            );
         }
     }
 
@@ -521,16 +517,14 @@ impl VideoClient {
             p.reports.inc();
         }
         if self.cfg.telemetry.is_enabled() {
-            let component = qos_manager::host::pid_to_string(ctx.pid());
-            let readings = report.readings.clone();
-            self.cfg.telemetry.stage(
-                now_us,
-                report.corr,
-                Stage::Report,
-                &component,
-                &report.policy,
-                || readings,
-            );
+            self.cfg.telemetry.event(|| TraceEvent {
+                at_us: now_us,
+                corr: report.corr,
+                stage: Stage::Report,
+                component: pid_name(ctx.pid()),
+                name: (&report.policy).into(),
+                fields: report.readings.iter().map(|(a, v)| (a, *v)).collect(),
+            });
         }
         send_ctrl(
             ctx,

@@ -23,9 +23,14 @@ use qos_core::telemetry::record::DEFAULT_RING_BYTES;
 fn per_event_ns(t: &Telemetry, iters: u64) -> f64 {
     let t0 = Instant::now();
     for i in 0..iters {
-        t.stage(i, (i / 4) + 1, Stage::Detect, "h0:p1", "example1", || {
-            vec![("frame_rate".into(), 15.0)]
-        });
+        t.stage(
+            i,
+            (i / 4) + 1,
+            Stage::Detect,
+            "h0:p1",
+            "example1",
+            &[(Name::from_static("frame_rate"), 15.0)],
+        );
     }
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
@@ -66,7 +71,7 @@ fn main() {
         stage: Stage::Detect,
         component: "h0:p1".into(),
         name: "example1".into(),
-        fields: vec![("frame_rate".into(), 15.0)],
+        fields: vec![("frame_rate", 15.0)].into(),
     };
     let t0 = Instant::now();
     for _ in 0..iters {

@@ -96,9 +96,9 @@ impl ProcessLogic for StormReporter {
                         now_us,
                         corr,
                         Stage::Detect,
-                        &pid_to_string(ctx.pid()),
+                        pid_name(ctx.pid()),
                         "scale-storm",
-                        Vec::new,
+                        &[],
                     );
                     corr
                 } else {

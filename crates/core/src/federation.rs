@@ -30,6 +30,8 @@ use qos_telemetry::prelude::*;
 /// reporter `p` on a host binds `FED_REPORTER_PORT_BASE + p`).
 pub const FED_REPORTER_PORT_BASE: Port = 100;
 const TAG_REPORT: u64 = 1;
+/// The policy every [`FedReporter`] reports against.
+const FED_REPORT: Name = Name::from_static("fed-report");
 
 /// Shape of the federation to assemble.
 #[derive(Debug, Clone)]
@@ -394,9 +396,9 @@ impl ProcessLogic for FedReporter {
                         ctx.now().as_micros(),
                         corr,
                         Stage::Detect,
-                        &pid_to_string(ctx.pid()),
-                        "fed-report",
-                        Vec::new,
+                        pid_name(ctx.pid()),
+                        FED_REPORT,
+                        &[],
                     );
                     corr
                 } else {
@@ -411,7 +413,7 @@ impl ProcessLogic for FedReporter {
                     WireMsg::Violation(ViolationMsg {
                         pid: ctx.pid(),
                         proc_name: "FedReporter".into(),
-                        policy: "fed-report".into(),
+                        policy: FED_REPORT.to_string(),
                         corr,
                         readings: vec![("frame_rate".into(), 15.0), ("buffer_size".into(), 100.0)],
                         bounds: Some(("frame_rate".into(), 23.0, 27.0)),

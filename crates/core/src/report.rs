@@ -296,11 +296,11 @@ mod tests {
             return;
         }
         let c = t.next_corr();
-        t.stage(0, c, Stage::Detect, "h0:p4", "example1", Vec::new);
-        t.stage(100, c, Stage::Report, "h0:p4", "example1", Vec::new);
-        t.stage(220, c, Stage::Diagnose, "hm:h0", "example1", Vec::new);
-        t.stage(230, c, Stage::Adapt, "hm:h0", "adjust-cpu", Vec::new);
-        t.stage(5230, c, Stage::BackInSpec, "h0:p4", "example1", Vec::new);
+        t.stage(0, c, Stage::Detect, "h0:p4", "example1", &[]);
+        t.stage(100, c, Stage::Report, "h0:p4", "example1", &[]);
+        t.stage(220, c, Stage::Diagnose, "hm:h0", "example1", &[]);
+        t.stage(230, c, Stage::Adapt, "hm:h0", "adjust-cpu", &[]);
+        t.stage(5230, c, Stage::BackInSpec, "h0:p4", "example1", &[]);
         t.counter("sim.fault.msgs_dropped", "").add(7);
         let s = telemetry_summary(&t);
         assert!(s.contains("detect→report"));
@@ -358,14 +358,14 @@ mod tests {
 
     #[test]
     fn lifecycle_table_works_on_replayed_events() {
-        use qos_telemetry::{reconstruct, Stage, TraceEvent};
+        use qos_telemetry::{reconstruct, Fields, Stage, TraceEvent};
         let mk = |at_us, corr, stage| TraceEvent {
             at_us,
             corr,
             stage,
             component: "h0:p1".into(),
             name: "example1".into(),
-            fields: Vec::new(),
+            fields: Fields::new(),
         };
         let events = vec![
             mk(0, 1, Stage::Detect),

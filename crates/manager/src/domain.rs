@@ -10,10 +10,10 @@ use std::collections::HashMap;
 
 use qos_inference::prelude::*;
 use qos_sim::prelude::*;
-use qos_telemetry::{Stage, Telemetry};
+use qos_telemetry::{Name, Stage, Telemetry};
 use qos_wire::messages::{DiscDomainRegisterMsg, DiscRoutesMsg};
 
-use crate::host::{pid_from_str, pid_to_string};
+use crate::host::{pid_from_str, pid_name, pid_to_string};
 use crate::messages::{
     AdjustRequestMsg, DomainAlertMsg, StatsQueryMsg, StatsReplyMsg, WireMsg, DOMAIN_MANAGER_PORT,
     MANAGER_PROCESSING_COST, STATS_QUERY_DEADLINE,
@@ -449,15 +449,13 @@ impl QosDomainManager {
                 ctx.now().as_micros(),
                 alert.corr,
                 Stage::Diagnose,
-                &format!("dm:h{}", ctx.host_id().0),
-                &pid_to_string(alert.client),
-                || {
-                    vec![
-                        ("fired".into(), run.fired as f64),
-                        ("load".into(), reply.load_avg),
-                        ("mem".into(), reply.mem_utilization),
-                    ]
-                },
+                component(ctx),
+                pid_name(alert.client),
+                &[
+                    (FIRED, run.fired as f64),
+                    (LOAD, reply.load_avg),
+                    (MEM, reply.mem_utilization),
+                ],
             );
         }
         let invocations = self.engine.take_invocations();
@@ -484,14 +482,9 @@ impl QosDomainManager {
                 ctx.now().as_micros(),
                 alert.corr,
                 Stage::Diagnose,
-                &format!("dm:h{}", ctx.host_id().0),
-                &pid_to_string(alert.client),
-                || {
-                    vec![
-                        ("fired".into(), run.fired as f64),
-                        ("stats_timeout".into(), 1.0),
-                    ]
-                },
+                component(ctx),
+                pid_name(alert.client),
+                &[(FIRED, run.fired as f64), (STATS_TIMEOUT, 1.0)],
             );
         }
         let invocations = self.engine.take_invocations();
@@ -509,9 +502,9 @@ impl QosDomainManager {
             ctx.now().as_micros(),
             corr,
             Stage::Adapt,
-            &format!("dm:h{}", ctx.host_id().0),
+            component(ctx),
             action,
-            Vec::new,
+            &[],
         );
     }
 
@@ -569,6 +562,17 @@ impl QosDomainManager {
             _ => {}
         }
     }
+}
+
+// Field keys of the stage events.
+const FIRED: Name = Name::from_static("fired");
+const LOAD: Name = Name::from_static("load");
+const MEM: Name = Name::from_static("mem");
+const STATS_TIMEOUT: Name = Name::from_static("stats_timeout");
+
+/// `dm:h<host>`: the component of this manager's stage events.
+fn component(ctx: &Ctx<'_>) -> Name {
+    Name::from_fmt(format_args!("dm:h{}", ctx.host_id().0))
 }
 
 fn route_key(a: HostId, b: HostId) -> (HostId, HostId) {

@@ -1,9 +1,10 @@
 //! The QoS Host Manager process (Section 5.3): one per managed host.
 //!
 //! All decisions live in the sans-io [`HostCore`]. [`QosHostManager`] is
-//! its simulator driver: it decodes control frames, unpacks batches,
-//! feeds the core one message (or timer) at a time, and applies the
-//! effects the core returns to the sim's [`Ctx`], in order.
+//! its simulator driver: it decodes control frames as views of the
+//! frame it received (a violation is never materialised), unpacks
+//! batches, feeds the core one message (or timer) at a time, and applies
+//! the effects the core returns to the sim's [`Ctx`], in order.
 
 use std::ops::{Deref, DerefMut};
 
@@ -11,15 +12,16 @@ use qos_sim::memory::ProcMem;
 use qos_sim::prelude::*;
 use qos_sim::proc::HostSnapshot;
 use qos_telemetry::Telemetry;
+use qos_wire::WireMsgRef;
 
 pub use crate::host_core::{
-    pid_from_str, pid_to_string, Effect, HostCore, HostInput, HostMgrStats, HostView,
+    pid_from_str, pid_name, pid_to_string, Effect, HostCore, HostInput, HostMgrStats, HostView,
     OVERLOAD_PATIENCE, TAG_LIVENESS_SWEEP,
 };
 pub use crate::lifecycle::DUP_VIOLATION_WINDOW;
-use crate::messages::{WireMsg, HOST_MANAGER_PORT, MANAGER_PROCESSING_COST};
+use crate::messages::{HOST_MANAGER_PORT, MANAGER_PROCESSING_COST};
 use crate::resource::CpuManager;
-use crate::transport::{decode_ctrl, send_ctrl};
+use crate::transport::{decode_ctrl_ref, send_ctrl};
 
 /// The host manager process: a [`HostCore`] and the buffer its effects
 /// pass through. Everything readable of the manager — `stats`, rules,
@@ -92,7 +94,7 @@ impl QosHostManager {
     /// Step the core once and carry its effects out, in order. Returns
     /// the CPU time the core charged, for the callback to spend in one
     /// blocking `run`.
-    fn feed(&mut self, ctx: &mut Ctx<'_>, input: HostInput) -> Dur {
+    fn feed(&mut self, ctx: &mut Ctx<'_>, input: HostInput<'_>) -> Dur {
         self.core
             .step(ctx.now(), ctx.host_id(), input, &*ctx, &mut self.effects);
         let mut charge = Dur::ZERO;
@@ -117,11 +119,11 @@ impl ProcessLogic for QosHostManager {
                 // One decode point for the whole control plane: corrupt
                 // frames are counted, never panicked on; non-control
                 // payloads cost a look and nothing else.
-                let charge = match decode_ctrl(&msg) {
-                    Ok(Some(WireMsg::Batch(b))) => {
-                        self.core.note_batch_frame(ctx.host_id(), b.msgs.len());
+                let charge = match decode_ctrl_ref(&msg) {
+                    Ok(Some(WireMsgRef::Batch(b))) => {
+                        self.core.note_batch_frame(ctx.host_id(), b.len());
                         let mut charge = Dur::ZERO;
-                        for m in b.msgs {
+                        for m in &b {
                             charge += self.feed(ctx, HostInput::Msg(m));
                         }
                         charge
@@ -155,7 +157,7 @@ impl ProcessLogic for QosHostManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{RegisterMsg, RuleUpdateMsg, ViolationMsg};
+    use crate::messages::{RegisterMsg, RuleUpdateMsg, ViolationMsg, WireMsg};
 
     #[test]
     fn pid_string_roundtrip() {
@@ -222,7 +224,12 @@ mod tests {
             weight: 1.0,
             heartbeat,
         };
-        step(hm, at_us, &Short(0), HostInput::Msg(WireMsg::Register(reg)));
+        step(
+            hm,
+            at_us,
+            &Short(0),
+            HostInput::Msg(WireMsgRef::Owned(WireMsg::Register(reg))),
+        );
     }
 
     fn sweep(hm: &mut HostCore, at_us: u64) {
@@ -259,7 +266,7 @@ mod tests {
             hm,
             at_us,
             view,
-            HostInput::Msg(WireMsg::Violation(v.clone())),
+            HostInput::Msg(WireMsgRef::Violation(v.as_view())),
         )
     }
 
@@ -290,7 +297,7 @@ mod tests {
             &mut hm,
             0,
             &Short(0),
-            HostInput::Msg(WireMsg::RuleUpdate(update)),
+            HostInput::Msg(WireMsgRef::Owned(WireMsg::RuleUpdate(update))),
         );
         for corr in 1..=5 {
             violate(&mut hm, SEC / 10, &Short(32), &violation(p, corr, 0.0));
@@ -329,7 +336,7 @@ mod tests {
             hm,
             0,
             &Short(0),
-            HostInput::Msg(WireMsg::RuleUpdate(update)),
+            HostInput::Msg(WireMsgRef::Owned(WireMsg::RuleUpdate(update))),
         );
     }
 

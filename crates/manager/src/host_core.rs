@@ -20,11 +20,12 @@ use qos_inference::prelude::*;
 use qos_sim::memory::ProcMem;
 use qos_sim::proc::HostSnapshot;
 use qos_sim::{DomainId, Dur, Endpoint, HostId, Pid, PriocntlCmd, SchedClass, SimTime};
-use qos_telemetry::{Counter, Histogram, Stage, Telemetry};
+use qos_telemetry::{Counter, Histogram, Name, Stage, Telemetry};
+use qos_wire::{ViolationMsgRef, WireMsgRef};
 
 use crate::lifecycle::{Admit, Lifecycle};
 use crate::messages::{
-    AdaptMsg, DomainAlertMsg, RegisterMsg, RuleUpdateMsg, StatsReplyMsg, ViolationMsg, WireMsg,
+    AdaptMsg, DomainAlertMsg, RegisterMsg, RuleUpdateMsg, StatsReplyMsg, WireMsg,
     HOST_MANAGER_PORT, MANAGER_PROCESSING_COST,
 };
 use crate::resource::{CpuManager, Direction, MemoryManager};
@@ -48,6 +49,12 @@ pub const OVERLOAD_PATIENCE: u32 = 3;
 /// Format a [`Pid`] the way rules see it.
 pub fn pid_to_string(pid: Pid) -> String {
     format!("h{}:p{}", pid.host.0, pid.local)
+}
+
+/// [`pid_to_string`] as the component name of a telemetry event, built
+/// in place.
+pub fn pid_name(pid: Pid) -> Name {
+    Name::from_fmt(format_args!("h{}:p{}", pid.host.0, pid.local))
 }
 
 /// Parse a rule-side pid string back into a [`Pid`].
@@ -124,13 +131,15 @@ pub struct HostMgrStats {
 
 /// What [`HostCore::step`] is fed.
 #[derive(Debug)]
-pub enum HostInput {
+pub enum HostInput<'a> {
     /// The manager process started.
     Start,
-    /// One decoded control message. Batches are the driver's to unpack;
-    /// kinds the host manager does not serve are ignored (and charged —
-    /// the manager did look).
-    Msg(WireMsg),
+    /// One decoded control message: a violation as the view of the
+    /// frame the driver holds (or of an owned message,
+    /// [`WireMsgRef::Owned`]), every control-rate kind owned. Batches
+    /// are the driver's to unpack; kinds the host manager does not serve
+    /// are ignored (and charged — the manager did look).
+    Msg(WireMsgRef<'a>),
     /// A timer armed through [`Effect::SetTimer`] fired.
     Timer(u64),
 }
@@ -214,7 +223,7 @@ struct Probe {
     /// `h<host>`: the label of the `hm.*` series.
     label: String,
     /// `hm:h<host>`: the component of the stage events.
-    component: String,
+    component: Name,
     /// One per row of [`HostCore::mirror_stats`]'s table, in its order.
     counters: [Option<Counter>; MIRRORED_SERIES],
     batch_msgs: Option<Histogram>,
@@ -225,7 +234,7 @@ impl Probe {
         Probe {
             host,
             label: format!("h{}", host.0),
-            component: format!("hm:h{}", host.0),
+            component: Name::from_fmt(format_args!("hm:h{}", host.0)),
             counters: Default::default(),
             batch_msgs: None,
         }
@@ -239,6 +248,15 @@ fn probe(slot: &mut Option<Probe>, host: HostId) -> &mut Probe {
     }
     slot.as_mut().expect("just filled")
 }
+
+// Field keys of the stage events.
+const FIRED: Name = Name::from_static("fired");
+const CYCLES: Name = Name::from_static("cycles");
+const ACTIVATIONS: Name = Name::from_static("activations");
+const PEAK_AGENDA: Name = Name::from_static("peak_agenda");
+const FACTS: Name = Name::from_static("facts");
+const VALUE: Name = Name::from_static("value");
+const OBSERVED: Name = Name::from_static("observed");
 
 /// The violation being handled: what its telemetry events carry.
 #[derive(Clone, Copy)]
@@ -419,7 +437,7 @@ impl HostCore {
         &mut self,
         now: SimTime,
         host: HostId,
-        input: HostInput,
+        input: HostInput<'_>,
         view: &impl HostView,
         out: &mut Vec<Effect>,
     ) {
@@ -464,21 +482,17 @@ impl HostCore {
         &mut self,
         now: SimTime,
         host: HostId,
-        msg: WireMsg,
+        msg: WireMsgRef<'_>,
         view: &impl HostView,
         out: &mut Vec<Effect>,
     ) {
+        let msg = match msg {
+            WireMsgRef::Violation(v) => return self.handle_violation(now, host, v, view, out),
+            WireMsgRef::Owned(msg) => msg,
+            WireMsgRef::LiveViolation(_) | WireMsgRef::Batch(_) => return,
+        };
         match msg {
-            WireMsg::Violation(v) => {
-                if qos_buggify::buggify!("hm.violation.drop") {
-                    // Chaos: the manager loses the notification
-                    // after receipt (queue overflow, preemption).
-                    // The coordinator's renotify cadence must
-                    // re-deliver it.
-                } else {
-                    self.handle_violation(now, host, &v, view, out);
-                }
-            }
+            WireMsg::Violation(v) => self.handle_violation(now, host, v.as_view(), view, out),
             WireMsg::Register(r) => {
                 self.register(now, &r);
                 if qos_buggify::buggify!("hm.register.duplicate") {
@@ -641,13 +655,19 @@ impl HostCore {
         &mut self,
         now: SimTime,
         host: HostId,
-        v: &ViolationMsg,
+        v: ViolationMsgRef<'_>,
         view: &impl HostView,
         out: &mut Vec<Effect>,
     ) {
+        if qos_buggify::buggify!("hm.violation.drop") {
+            // Chaos: the manager loses the notification after receipt
+            // (queue overflow, preemption). The coordinator's renotify
+            // cadence must re-deliver it.
+            return;
+        }
         match self
             .lifecycle
-            .admit_violation(now, v.pid, violation_fingerprint(v))
+            .admit_violation(now, v.pid, violation_fingerprint(&v))
         {
             Admit::Stale => {
                 self.stats.stale_violations += 1;
@@ -660,7 +680,7 @@ impl HostCore {
             Admit::Fresh => self.stats.violations += 1,
         }
         let deficit = view.proc_mem(v.pid).map_or(0, |m| m.deficit());
-        let run = self.diagnosis.assert_and_run(v, deficit);
+        let run = self.diagnosis.assert_and_run(&v, deficit);
         if self.telemetry.is_enabled() {
             let facts = self.diagnosis.engine.facts().len();
             self.telemetry.stage(
@@ -668,18 +688,16 @@ impl HostCore {
                 v.corr,
                 Stage::Diagnose,
                 &probe(&mut self.probe, host).component,
-                &v.policy,
-                || {
-                    vec![
-                        ("fired".into(), run.fired as f64),
-                        ("cycles".into(), run.cycles as f64),
-                        // Delta join work since the previous run — see
-                        // `RunStats::activations` for the semantics.
-                        ("activations".into(), run.activations as f64),
-                        ("peak_agenda".into(), run.peak_agenda as f64),
-                        ("facts".into(), facts as f64),
-                    ]
-                },
+                v.policy,
+                &[
+                    (FIRED, run.fired as f64),
+                    (CYCLES, run.cycles as f64),
+                    // Delta join work since the previous run — see
+                    // `RunStats::activations` for the semantics.
+                    (ACTIVATIONS, run.activations as f64),
+                    (PEAK_AGENDA, run.peak_agenda as f64),
+                    (FACTS, facts as f64),
+                ],
             );
         }
         let trip = Trip {
@@ -688,7 +706,7 @@ impl HostCore {
             corr: v.corr,
         };
         for inv in self.diagnosis.engine.take_invocations() {
-            self.dispatch(trip, &inv, v, out);
+            self.dispatch(trip, &inv, &v, out);
         }
     }
 
@@ -745,7 +763,7 @@ impl HostCore {
     }
 
     /// Emit an Adapt-stage event for an action that actually landed.
-    fn emit_adapt(&mut self, trip: Trip, action: &str, value: f64) {
+    fn emit_adapt(&mut self, trip: Trip, action: &'static str, value: f64) {
         if !self.telemetry.is_enabled() {
             return;
         }
@@ -754,32 +772,38 @@ impl HostCore {
             trip.corr,
             Stage::Adapt,
             &probe(&mut self.probe, trip.host).component,
-            action,
-            || vec![("value".into(), value)],
+            Name::from_static(action),
+            &[(VALUE, value)],
         );
     }
 
     /// Carry out the CPU manager's plan for `pid`, if it planned
-    /// anything: `true` when commands landed.
+    /// anything: `true` when a command landed.
     fn land_cpu(
         &mut self,
         trip: Trip,
-        action: &str,
+        action: &'static str,
         value: f64,
         pid: Pid,
-        cmds: Vec<PriocntlCmd>,
+        cmd: Option<PriocntlCmd>,
         out: &mut Vec<Effect>,
     ) -> bool {
-        if cmds.is_empty() {
+        let Some(cmd) = cmd else {
             return false;
-        }
+        };
         self.emit_adapt(trip, action, value);
         self.lifecycle.grant(pid);
-        out.extend(cmds.into_iter().map(|cmd| Effect::Priocntl(pid, cmd)));
+        out.push(Effect::Priocntl(pid, cmd));
         true
     }
 
-    fn dispatch(&mut self, trip: Trip, inv: &Invocation, v: &ViolationMsg, out: &mut Vec<Effect>) {
+    fn dispatch(
+        &mut self,
+        trip: Trip,
+        inv: &Invocation,
+        v: &ViolationMsgRef<'_>,
+        out: &mut Vec<Effect>,
+    ) {
         let arg_f64 = |i: usize| inv.args.get(i).and_then(Value::as_f64);
         match inv.command.as_str() {
             "adjust-cpu" => {
@@ -794,11 +818,11 @@ impl HostCore {
                 } else {
                     1.0
                 };
-                let cmds = self
+                let cmd = self
                     .diagnosis
                     .cpu
                     .plan(pid, Direction::Under, severity, weight);
-                if self.land_cpu(trip, "adjust-cpu", severity, pid, cmds, out) {
+                if self.land_cpu(trip, "adjust-cpu", severity, pid, cmd, out) {
                     self.stats.cpu_boosts += 1;
                 }
             }
@@ -813,8 +837,8 @@ impl HostCore {
                 } else {
                     0.0
                 };
-                let cmds = self.diagnosis.cpu.plan(pid, Direction::Over, severity, 1.0);
-                if self.land_cpu(trip, "relax-cpu", severity, pid, cmds, out) {
+                let cmd = self.diagnosis.cpu.plan(pid, Direction::Over, severity, 1.0);
+                if self.land_cpu(trip, "relax-cpu", severity, pid, cmd, out) {
                     self.stats.cpu_relaxations += 1;
                 }
             }
@@ -837,8 +861,8 @@ impl HostCore {
                     return;
                 };
                 let weight = arg_f64(1).unwrap_or(1.0);
-                let cmds = self.diagnosis.cpu.plan(pid, Direction::Under, 0.25, weight);
-                if self.land_cpu(trip, "nudge-cpu", 0.25, pid, cmds, out) {
+                let cmd = self.diagnosis.cpu.plan(pid, Direction::Under, 0.25, weight);
+                if self.land_cpu(trip, "nudge-cpu", 0.25, pid, cmd, out) {
                     self.stats.nudges += 1;
                 }
             }
@@ -884,8 +908,8 @@ impl HostCore {
                         v.corr,
                         Stage::Escalate,
                         &probe(&mut self.probe, trip.host).component,
-                        &v.policy,
-                        || vec![("observed".into(), fps)],
+                        v.policy,
+                        &[(OBSERVED, fps)],
                     );
                 }
                 out.push(Effect::SendCtrl(
@@ -907,7 +931,7 @@ impl HostCore {
 
 /// Fingerprint a violation for duplicate detection: pid, corr, policy
 /// and the full reading vector (bit-exact floats).
-fn violation_fingerprint(v: &ViolationMsg) -> u64 {
+fn violation_fingerprint(v: &ViolationMsgRef<'_>) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     v.pid.hash(&mut h);
@@ -952,7 +976,7 @@ impl Diagnosis {
 
     /// Assert the facts of one admitted violation (`mem_deficit` pages
     /// short of its working set) and run the rules over them.
-    fn assert_and_run(&mut self, v: &ViolationMsg, mem_deficit: u32) -> RunStats {
+    fn assert_and_run(&mut self, v: &ViolationMsgRef<'_>, mem_deficit: u32) -> RunStats {
         let reg = self.details.get(&v.pid);
         let unregistered;
         let pid_s = match reg {
@@ -975,19 +999,15 @@ impl Diagnosis {
         }
         let [violation_read, alloc_read, deficit_read] = self.read;
         if violation_read {
-            let (attr, fps) = v
-                .readings
-                .first()
-                .map_or(("unknown", 0.0), |(a, val)| (a.as_str(), *val));
+            let (attr, fps) = v.readings.iter().next().unwrap_or(("unknown", 0.0));
             let (lo, hi) = v
                 .bounds
-                .as_ref()
-                .map_or((0.0, f64::INFINITY), |&(_, lo, hi)| (lo, hi));
+                .map_or((0.0, f64::INFINITY), |(_, lo, hi)| (lo, hi));
             let buffer = v
                 .readings
                 .iter()
-                .find(|(a, _)| a == "buffer_size")
-                .map_or(0.0, |&(_, val)| val);
+                .find(|&(a, _)| a == "buffer_size")
+                .map_or(0.0, |(_, val)| val);
             self.engine.assert_fact(
                 Fact::of(vocab.violation.template)
                     .with_slot(vocab.violation.pid, pid_s.clone())

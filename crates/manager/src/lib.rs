@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::domain::{DomainAction, DomainStats, QosDomainManager, RouteError};
     pub use crate::host::QosHostManager;
     pub use crate::host_core::{
-        pid_from_str, pid_to_string, Effect, HostCore, HostInput, HostMgrStats, HostView,
+        pid_from_str, pid_name, pid_to_string, Effect, HostCore, HostInput, HostMgrStats, HostView,
     };
     pub use crate::live::{
         standard_live_repo, Driver, ListenSpec, LiveBuilder, LiveClock, LiveError, LiveHostManager,

@@ -48,7 +48,7 @@ use qos_net::PeerReader;
 #[cfg(target_os = "linux")]
 use qos_net::{EventSink, NetStats, PeerSender, ReactorConfig, ReactorHandle};
 use qos_repository::prelude::*;
-use qos_telemetry::{Counter, Histogram, Stage, Telemetry, TraceEvent};
+use qos_telemetry::{Counter, Fields, Histogram, Name, Stage, Telemetry, TraceEvent};
 use qos_wire::messages::{LiveRegisterMsg, TelemetryBatchMsg, TelemetrySubscribeMsg};
 use qos_wire::{BatchBuilder, WireMsg, WireMsgRef};
 
@@ -782,6 +782,11 @@ struct Subscriber {
     gone: bool,
 }
 
+// Names of the manager's own stage events.
+const HOST_MANAGER: Name = Name::from_static("host-manager");
+const FIRED: Name = Name::from_static("fired");
+const STEP: Name = Name::from_static("step");
+
 /// Queue a batch on a subscriber, dropping its *oldest* pending batch
 /// when the budget is exceeded. Returns `true` when something was
 /// dropped — the caller counts it; the subscriber sees a gap in `seq`.
@@ -932,18 +937,18 @@ impl ManagerCore {
     }
 
     /// Record a lifecycle event in the manager's own telemetry (event
-    /// buffer + attached recorder) and stage it for subscribers. The
-    /// event is only built when one of them will keep it: with an
-    /// inactive handle and no subscriber — the builder default — a
-    /// violation's four events cost nothing.
+    /// buffer + attached recorder) and stage it for the subscribers that
+    /// asked for events. The event is only built when one of them will
+    /// keep it: with an inactive handle and nobody subscribed to events
+    /// — the builder default — a violation's four events cost nothing.
     fn emit(&mut self, make: impl FnOnce(&LiveClock) -> TraceEvent) {
         let clock = &self.clock;
-        if self.subs.is_empty() {
-            self.telemetry.event(|| make(clock));
-        } else {
+        if self.subs.iter().any(|s| s.want_events) {
             let ev = make(clock);
             self.telemetry.event(|| ev.clone());
             self.staged.push(ev);
+        } else {
+            self.telemetry.event(|| make(clock));
         }
     }
 
@@ -979,7 +984,7 @@ impl ManagerCore {
             stage: Stage::Detect,
             component: process.into(),
             name: policy.into(),
-            fields: readings().map(|(a, v)| (a.into(), v)).collect(),
+            fields: readings().collect(),
         });
         self.emit(|_| TraceEvent {
             at_us: now,
@@ -987,7 +992,7 @@ impl ManagerCore {
             stage: Stage::Report,
             component: process.into(),
             name: policy.into(),
-            fields: Vec::new(),
+            fields: Fields::new(),
         });
         let fps = readings().next().map_or(0.0, |(_, v)| v);
         let buffer = readings()
@@ -1012,9 +1017,9 @@ impl ManagerCore {
             at_us: clock.now_us(),
             corr,
             stage: Stage::Diagnose,
-            component: "host-manager".into(),
+            component: HOST_MANAGER,
             name: policy.into(),
-            fields: vec![("fired".into(), run.fired as f64)],
+            fields: [(FIRED, run.fired as f64)].into_iter().collect(),
         });
         for inv in self.engine.take_invocations() {
             let step: i64 = match inv.command.as_str() {
@@ -1029,9 +1034,9 @@ impl ManagerCore {
                 at_us: clock.now_us(),
                 corr,
                 stage: Stage::Adapt,
-                component: "host-manager".into(),
-                name: inv.command,
-                fields: vec![("step".into(), step as f64)],
+                component: HOST_MANAGER,
+                name: inv.command.into(),
+                fields: [(STEP, step as f64)].into_iter().collect(),
             });
         }
     }
@@ -1049,9 +1054,9 @@ impl ManagerCore {
                     at_us: clock.now_us(),
                     corr: 0,
                     stage: Stage::Mark,
-                    component: process,
-                    name: "live-register".into(),
-                    fields: Vec::new(),
+                    component: process.into(),
+                    name: Name::from_static("live-register"),
+                    fields: Fields::new(),
                 });
             }
             // Normally handled as a view in `handle_view`; an owned one
@@ -1073,9 +1078,9 @@ impl ManagerCore {
                         at_us,
                         corr: 0,
                         stage: Stage::Mark,
-                        component: name,
-                        name: "telemetry-subscribe".into(),
-                        fields: Vec::new(),
+                        component: name.into(),
+                        name: Name::from_static("telemetry-subscribe"),
+                        fields: Fields::new(),
                     });
                     self.subs.push(Subscriber {
                         sink,

@@ -103,7 +103,7 @@ impl CpuManager {
         self.relax_patience = n.max(1);
     }
 
-    /// Plan kernel commands for a violation of `severity` (0 = barely
+    /// Plan the kernel command, if any, for a violation of `severity` (0 = barely
     /// missed, 1 = missed by 100% of the target) in the given direction,
     /// scaled by the administrative `weight` of the process (1.0 under
     /// fair-share rules). "Additional rules are used to determine how
@@ -115,10 +115,10 @@ impl CpuManager {
         direction: Direction,
         severity: f64,
         weight: f64,
-    ) -> Vec<PriocntlCmd> {
+    ) -> Option<PriocntlCmd> {
         // Barely-over readings are ignored entirely (dead band).
         if direction == Direction::Over && severity < RELAX_DEADBAND {
-            return Vec::new();
+            return None;
         }
         let patience = self.relax_patience;
         let alloc = self.allocs.entry(pid).or_default();
@@ -141,7 +141,7 @@ impl CpuManager {
             }
         };
         if direction == Direction::Over && !relax_now {
-            return Vec::new();
+            return None;
         }
         match self.strategy {
             CpuStrategy::TsBoost { step, max_boost } => {
@@ -161,10 +161,10 @@ impl CpuManager {
                 // process whose scheduler-side priority is already high).
                 let new_boost = (alloc.boost + delta).clamp(-max_boost, max_boost);
                 if new_boost == alloc.boost {
-                    return Vec::new();
+                    return None;
                 }
                 alloc.boost = new_boost;
-                vec![PriocntlCmd::SetUpri(new_boost)]
+                Some(PriocntlCmd::SetUpri(new_boost))
             }
             CpuStrategy::RtUnits {
                 rtpri,
@@ -186,20 +186,20 @@ impl CpuManager {
                     Direction::Over => alloc.units.saturating_sub(1),
                 };
                 if new_units == alloc.units {
-                    return Vec::new();
+                    return None;
                 }
                 alloc.units = new_units;
-                if new_units == 0 {
-                    vec![PriocntlCmd::SetClass(SchedClass::TimeShare)]
+                Some(PriocntlCmd::SetClass(if new_units == 0 {
+                    SchedClass::TimeShare
                 } else {
-                    vec![PriocntlCmd::SetClass(SchedClass::RealTime {
+                    SchedClass::RealTime {
                         rtpri,
                         budget: Some(RtBudget {
                             per_window: Dur::from_micros(unit.as_micros() * new_units as u64),
                             window: Dur::from_secs(1),
                         }),
-                    })]
-                }
+                    }
+                }))
             }
         }
     }
@@ -271,15 +271,15 @@ mod tests {
     fn ts_boost_grows_with_severity_and_caps() {
         let mut m = CpuManager::ts_default();
         let c1 = m.plan(pid(1), Direction::Under, 0.1, 1.0);
-        assert_eq!(c1, vec![PriocntlCmd::SetUpri(3)], "mild miss, small step");
+        assert_eq!(c1, Some(PriocntlCmd::SetUpri(3)), "mild miss, small step");
         let c2 = m.plan(pid(1), Direction::Under, 1.0, 1.0);
-        assert_eq!(c2, vec![PriocntlCmd::SetUpri(23)], "severe miss, big step");
+        assert_eq!(c2, Some(PriocntlCmd::SetUpri(23)), "severe miss, big step");
         for _ in 0..20 {
             m.plan(pid(1), Direction::Under, 1.0, 1.0);
         }
         assert_eq!(m.allocation(pid(1)).boost, 60, "capped at +60");
         assert!(
-            m.plan(pid(1), Direction::Under, 1.0, 1.0).is_empty(),
+            m.plan(pid(1), Direction::Under, 1.0, 1.0).is_none(),
             "no command when already at cap"
         );
     }
@@ -304,7 +304,7 @@ mod tests {
         let mut m = CpuManager::ts_default();
         let fair = m.plan(pid(1), Direction::Under, 0.5, 1.0);
         let vip = m.plan(pid(2), Direction::Under, 0.5, 2.0);
-        let (PriocntlCmd::SetUpri(a), PriocntlCmd::SetUpri(b)) = (fair[0], vip[0]) else {
+        let (Some(PriocntlCmd::SetUpri(a)), Some(PriocntlCmd::SetUpri(b))) = (fair, vip) else {
             panic!("expected SetUpri");
         };
         assert!(b > a, "heavier weight, bigger boost: {a} vs {b}");
@@ -320,11 +320,11 @@ mod tests {
         });
         m.set_relax_patience(1);
         let c = m.plan(pid(1), Direction::Under, 1.0, 1.0);
-        match c[0] {
-            PriocntlCmd::SetClass(SchedClass::RealTime {
+        match c {
+            Some(PriocntlCmd::SetClass(SchedClass::RealTime {
                 rtpri: 10,
                 budget: Some(b),
-            }) => {
+            })) => {
                 assert_eq!(b.per_window, Dur::from_millis(300));
             }
             other => panic!("unexpected {other:?}"),
@@ -353,7 +353,7 @@ mod tests {
         m.set_relax_patience(1);
         m.plan(pid(1), Direction::Under, 1.0, 1.0);
         let c = m.plan(pid(1), Direction::Over, 1.0, 1.0);
-        assert_eq!(c, vec![PriocntlCmd::SetClass(SchedClass::TimeShare)]);
+        assert_eq!(c, Some(PriocntlCmd::SetClass(SchedClass::TimeShare)));
     }
 
     #[test]
@@ -370,17 +370,17 @@ mod tests {
         m.plan(pid(1), Direction::Under, 1.0, 1.0);
         // Two over-reports: nothing happens.
         for _ in 0..2 {
-            assert!(m.plan(pid(1), Direction::Over, 1.0, 1.0).is_empty());
+            assert!(m.plan(pid(1), Direction::Over, 1.0, 1.0).is_none());
         }
         // An under-report resets the streak.
         m.plan(pid(1), Direction::Under, 0.0, 1.0);
         for _ in 0..2 {
-            assert!(m.plan(pid(1), Direction::Over, 1.0, 1.0).is_empty());
+            assert!(m.plan(pid(1), Direction::Over, 1.0, 1.0).is_none());
         }
         // The third consecutive over-report finally relaxes.
         let pre_relax = m.allocation(pid(1)).boost;
-        let cmds = m.plan(pid(1), Direction::Over, 1.0, 1.0);
-        assert_eq!(cmds.len(), 1);
+        let cmd = m.plan(pid(1), Direction::Over, 1.0, 1.0);
+        assert!(cmd.is_some());
         assert!(m.allocation(pid(1)).boost < pre_relax);
     }
 

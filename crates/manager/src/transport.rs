@@ -33,7 +33,7 @@ use parking_lot::Mutex;
 use qos_net::ClientConn;
 use qos_sim::{Ctx, Endpoint, Message, Port};
 use qos_wire::messages::{TelemetryBatchMsg, TelemetrySubscribeMsg};
-use qos_wire::{FrameBuffer, WireBytes, WireError, WireMsg};
+use qos_wire::{FrameBuffer, WireBytes, WireError, WireMsg, WireMsgRef};
 
 pub use qos_net::{Backoff, FlushPolicy, ReconnectPolicy, SockAddr, SockListener, SockStream};
 
@@ -60,6 +60,17 @@ pub fn decode_ctrl(msg: &Message) -> Result<Option<WireMsg>, WireError> {
     msg.payload
         .get::<WireBytes>()
         .map(WireBytes::decode)
+        .transpose()
+}
+
+/// [`decode_ctrl`] for a receiver that reads violations at rate: the
+/// same three outcomes, with the message as a view borrowing the frame
+/// `msg` carries — a violation decodes without allocating, a batch is
+/// walked in place, control-rate kinds arrive owned inside the view.
+pub fn decode_ctrl_ref(msg: &Message) -> Result<Option<WireMsgRef<'_>>, WireError> {
+    msg.payload
+        .get::<WireBytes>()
+        .map(WireBytes::decode_ref)
         .transpose()
 }
 

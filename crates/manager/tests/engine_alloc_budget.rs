@@ -2,82 +2,50 @@
 //!
 //! Per violation the live manager runs the engine loop — build the
 //! `violation` fact, `assert_fact`, `run(100)`, `take_invocations` — and
-//! the simulated one runs [`HostCore::step`]. On a saturated manager
-//! thread their cost is the system's throughput ceiling, and heap
-//! traffic is the easiest way to raise it unnoticed (a binding map
-//! cloned per condition element and an index entry per slot once made it
-//! ≈ 82 allocations per violation; a `String` per slot name and a map
-//! per fact kept it at 14). Wall time cannot gate that on a shared
-//! runner; these counts repeat exactly, so the table below is compared
-//! with `==`. A change that moves a number edits it here and says why.
-//! (Last moved by slot-addressed facts and the read-set gate: engine
-//! loop 14 → 6, `HostCore::step` 22 → 7 and one live fact fewer.)
+//! the simulated one runs [`HostCore::step`], inside a round of the
+//! simulated plane that also reports, encodes, carries and decodes the
+//! violation and emits its stage events. On a saturated manager thread
+//! their cost is the system's throughput ceiling, and heap traffic is
+//! the easiest way to raise it unnoticed (a binding map cloned per
+//! condition element and an index entry per slot once made the engine
+//! loop ≈ 82 allocations per violation; a `String` per slot name and a
+//! map per fact kept it at 14; two `String`s, a `Vec` and a `String` per
+//! field made one stage event cost more than the match). Wall time
+//! cannot gate that on a shared runner; these counts repeat exactly, so
+//! the tables below are compared with `==`. A change that moves a number
+//! edits it here and says why. (Last moved by allocation-free stage
+//! events, the borrowed `Violation` view and the one-allocation frame:
+//! a simulated round 37.04 → 18.97 allocations and 5.21 → 0.005
+//! reallocations per violation at this file's size, 35.10 → 17.10 and
+//! 5.93 → 0.05 at the benchmark's; the engine loop and `HostCore::step`
+//! did not move.)
 //!
 //! The same loops must also hold no memory behind: one permanent fact
 //! (the threshold) plus any number of violations passing through is a
 //! constant-size working memory.
 //!
-//! Allocations are counted per thread — the test harness's own threads
-//! allocate now and then, and an exact count cannot absorb that. Live
-//! bytes are process-wide, so there is one test in this file on purpose:
-//! a concurrent test's heap would be measured too.
+//! Live bytes are process-wide, so there is one test in this file on
+//! purpose: a concurrent test's heap would be measured too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, Ordering};
+#[path = "support/counting.rs"]
+mod counting;
 
+use counting::{allocs, frees, live_bytes, reallocs};
+use qos_core::federation::{Federation, FederationConfig};
 use qos_inference::prelude::*;
-use qos_manager::host::{HostCore, HostInput, HostView};
+use qos_manager::host::{HostCore, HostInput, HostView, QosHostManager};
 use qos_manager::messages::{RegisterMsg, ViolationMsg, WireMsg};
 use qos_manager::rules::{host_base_facts, host_rules_fair};
 use qos_sim::memory::ProcMem;
 use qos_sim::proc::HostSnapshot;
 use qos_sim::{Dur, HostId, Pid, SimTime};
+use qos_telemetry::{FlightRecorder, Name, Stage, Telemetry};
+use qos_wire::WireMsgRef;
 
-struct Counting;
-
-thread_local! {
-    /// Allocations and reallocations made by this thread. No destructor,
-    /// so the allocator may touch it at any point of a thread's life.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+/// Allocator calls that can move memory: what the engine rows count.
+fn heap_calls() -> u64 {
+    allocs() + reallocs()
 }
-
-fn count_alloc() {
-    ALLOCS.with(|n| n.set(n.get() + 1));
-}
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters are side effects only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed on as they came.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Frame rate and buffer occupancy of the `i`-th report: the two
 /// local-CPU diagnoses (buffer above and below the threshold) and
@@ -128,7 +96,7 @@ impl HostView for Roomy {
 /// What a window of the loop under test did.
 #[derive(Debug, PartialEq)]
 struct Counts {
-    /// Heap allocations (and reallocations) per violation.
+    /// Heap allocations and reallocations per violation.
     allocs: u64,
     /// Candidate facts the matcher examined per violation.
     join_work: u64,
@@ -172,8 +140,8 @@ fn engine_loop() -> Counts {
     // starts and ends with it in the same state.
     engine.take_trace();
 
-    let allocs_before = allocs();
-    let bytes_before = LIVE_BYTES.load(Ordering::Relaxed);
+    let allocs_before = heap_calls();
+    let bytes_before = live_bytes();
     let (mut fired, mut join_work) = (0, 0);
     for i in 0..MEASURED {
         let (run, invocations) = violation(&mut engine, WARMUP + i);
@@ -181,12 +149,9 @@ fn engine_loop() -> Counts {
         join_work += run.activations;
         assert_eq!(invocations, 1);
     }
-    let allocs = allocs() - allocs_before;
+    let allocs = heap_calls() - allocs_before;
     engine.take_trace();
-    assert_no_growth(
-        "engine loop",
-        LIVE_BYTES.load(Ordering::Relaxed) - bytes_before,
-    );
+    assert_no_growth("engine loop", live_bytes() - bytes_before);
     Counts {
         allocs: per_violation(allocs),
         join_work: per_violation(join_work),
@@ -196,32 +161,26 @@ fn engine_loop() -> Counts {
 }
 
 /// The same three diagnoses through [`HostCore::step`], telemetry off,
-/// from one registered process. The message is the caller's (decoded
-/// off the wire), so its own allocations are counted apart and taken
-/// out.
+/// from one registered process. The core reads the violation as a view,
+/// as it does of a frame; here the view is of one message rewritten in
+/// place per report, so the loop allocates nothing of its own.
 fn host_core_loop() -> Counts {
     let host = HostId(0);
     let pid = Pid { host, local: 7 };
-    let report = |i: u64| {
-        let (fps, buffer) = readings(i);
-        ViolationMsg {
-            pid,
-            proc_name: "vidplayer".into(),
-            policy: "fps".into(),
-            corr: i + 1,
-            readings: vec![("frame_rate".into(), fps), ("buffer_size".into(), buffer)],
-            bounds: Some(("frame_rate".into(), 23.0, 27.0)),
-            upstream: None,
-        }
+    let mut report = ViolationMsg {
+        pid,
+        proc_name: "vidplayer".into(),
+        policy: "fps".into(),
+        corr: 0,
+        readings: vec![("frame_rate".into(), 0.0), ("buffer_size".into(), 0.0)],
+        bounds: Some(("frame_rate".into(), 23.0, 27.0)),
+        upstream: None,
     };
-    let before = allocs();
-    drop(report(0));
-    let allocs_per_report = allocs() - before;
 
     let mut core = HostCore::new(None);
     core.set_engine_trace_capacity(16);
     let mut out = Vec::new();
-    let mut feed = |core: &mut HostCore, at_ms: u64, msg: WireMsg| {
+    let mut feed = |core: &mut HostCore, at_ms: u64, msg: WireMsgRef<'_>| {
         out.clear();
         let now = SimTime::from_micros(at_ms * 1_000);
         core.step(now, host, HostInput::Msg(msg), &Roomy, &mut out);
@@ -229,7 +188,7 @@ fn host_core_loop() -> Counts {
     feed(
         &mut core,
         0,
-        WireMsg::Register(RegisterMsg {
+        WireMsgRef::Owned(WireMsg::Register(RegisterMsg {
             pid,
             control_port: 100,
             executable: "vidplayer".into(),
@@ -237,25 +196,29 @@ fn host_core_loop() -> Counts {
             role: "student".into(),
             weight: 1.0,
             heartbeat: None,
-        }),
+        })),
     );
+    let mut violate = |core: &mut HostCore, i: u64| {
+        let (fps, buffer) = readings(i);
+        report.corr = i + 1;
+        report.readings[0].1 = fps;
+        report.readings[1].1 = buffer;
+        feed(core, i, WireMsgRef::Violation(report.as_view()));
+    };
     for i in 0..WARMUP {
-        feed(&mut core, i, WireMsg::Violation(report(i)));
+        violate(&mut core, i);
     }
     let join_before = core.engine_join_work();
     let violations_before = core.stats.violations;
     core.take_engine_trace();
 
-    let allocs_before = allocs();
-    let bytes_before = LIVE_BYTES.load(Ordering::Relaxed);
+    let allocs_before = heap_calls();
+    let bytes_before = live_bytes();
     for i in WARMUP..WARMUP + MEASURED {
-        feed(&mut core, i, WireMsg::Violation(report(i)));
+        violate(&mut core, i);
     }
-    let allocs = allocs() - allocs_before - MEASURED * allocs_per_report;
-    assert_no_growth(
-        "HostCore::step",
-        LIVE_BYTES.load(Ordering::Relaxed) - bytes_before,
-    );
+    let allocs = heap_calls() - allocs_before;
+    assert_no_growth("HostCore::step", live_bytes() - bytes_before);
     assert_eq!(core.stats.violations - violations_before, MEASURED);
     assert_eq!(core.stats.dup_violations + core.stats.stale_violations, 0);
     // The ring holds the last 16 firings: one per violation means the
@@ -272,6 +235,113 @@ fn host_core_loop() -> Counts {
             + core.facts_of("violation")
             + core.facts_of("alloc"),
     }
+}
+
+/// What a window of simulated rounds did, as totals: at this size a
+/// round's discovery and liveness traffic is not a whole number per
+/// violation, but the totals repeat exactly.
+#[derive(Debug, PartialEq)]
+struct SimRounds {
+    violations: u64,
+    allocs: u64,
+    reallocs: u64,
+    /// `World::events_processed` over the window.
+    events: u64,
+}
+
+const SIM_WARM_ROUNDS: u64 = 50;
+const SIM_ROUNDS: u64 = 200;
+
+/// The benchmark's `sim_federation` storm at a size a test can afford:
+/// 1 domain × 2 hosts × 8 reporters, every reporter firing one violation
+/// per round at its host manager, telemetry enabled (the correlation ids
+/// keep the reports distinct) with a ring small enough to be turning
+/// over, as the benchmark's is. `None` in a `telemetry-off` build, where
+/// every report carries correlation id 0 and all but the first are
+/// folded as duplicates.
+fn sim_rounds() -> Option<SimRounds> {
+    let telemetry = Telemetry::with_capacity(1024);
+    if !telemetry.is_enabled() {
+        return None;
+    }
+    let cfg = FederationConfig {
+        seed: 11,
+        domains: 1,
+        hosts: 2,
+        reporters_per_host: 8,
+        rounds: u32::MAX / 2,
+        cross_domain_upstreams: false,
+        telemetry: telemetry.clone(),
+        ..FederationConfig::default()
+    };
+    let mut fed = Federation::build(&cfg);
+    let rounds = |n: u64| Dur::from_micros(cfg.interval.as_micros() * n);
+    let violations = |fed: &Federation| -> u64 {
+        fed.hms
+            .iter()
+            .filter_map(|&pid| fed.world.logic::<QosHostManager>(pid))
+            .map(|hm| hm.stats.violations)
+            .sum()
+    };
+    fed.world.run_for(rounds(SIM_WARM_ROUNDS));
+    assert_eq!(fed.bound_hosts(), 2);
+    assert!(telemetry.events_dropped() > 0, "the ring must be full");
+
+    let before = (
+        violations(&fed),
+        allocs(),
+        reallocs(),
+        fed.world.events_processed(),
+    );
+    fed.world.run_for(rounds(SIM_ROUNDS));
+    Some(SimRounds {
+        violations: violations(&fed) - before.0,
+        allocs: allocs() - before.1,
+        reallocs: reallocs() - before.2,
+        events: fed.world.events_processed() - before.3,
+    })
+}
+
+/// Heap calls of warmed stage events into a ring that is turning over.
+#[derive(Debug, PartialEq)]
+struct StageEvents {
+    allocs: u64,
+    reallocs: u64,
+    /// Every event evicts one, so a free here is an eviction's.
+    frees: u64,
+}
+
+const STAGE_EVENTS: u64 = 10_000;
+
+/// [`STAGE_EVENTS`] Diagnose events shaped as `HostCore` emits them —
+/// a component the emitter holds, a policy name off the wire, five
+/// fields — into a capacity-8 ring, after as many to warm it; with a
+/// ring-only flight recorder attached when `recorded`. All zeroes in a
+/// `telemetry-off` build, trivially: the same call compiles to nothing.
+fn stage_events(recorded: bool) -> StageEvents {
+    let t = Telemetry::with_capacity(8);
+    if recorded {
+        // Small enough to be evicting, like the event ring.
+        t.set_recorder(Some(FlightRecorder::new(4096)));
+    }
+    let component = Name::from_fmt(format_args!("hm:h{}", 7));
+    let keys = ["fired", "cycles", "activations", "peak_agenda", "facts"].map(Name::from_static);
+    let emit = |i: u64| {
+        let fields = keys.clone().map(|k| (k, i as f64));
+        t.stage(i, i + 1, Stage::Diagnose, &component, "fed-report", &fields);
+    };
+    (0..STAGE_EVENTS).for_each(emit);
+    let before = (allocs(), reallocs(), frees());
+    (STAGE_EVENTS..2 * STAGE_EVENTS).for_each(emit);
+    let counts = StageEvents {
+        allocs: allocs() - before.0,
+        reallocs: reallocs() - before.1,
+        frees: frees() - before.2,
+    };
+    if t.is_enabled() {
+        assert_eq!(t.events_dropped(), 2 * STAGE_EVENTS - 8);
+    }
+    counts
 }
 
 #[test]
@@ -318,4 +388,52 @@ fn violation_path_stays_within_its_allocation_budget_and_leaks_nothing() {
     for (name, got, pinned) in table {
         assert_eq!(got, pinned, "{name}");
     }
+
+    // One stage event, warmed: nothing allocated, nothing moved, and
+    // nothing freed by the event it evicts — with the flight recorder
+    // attached too, whose ring recycles the evicted record's buffer.
+    const NOTHING: StageEvents = StageEvents {
+        allocs: 0,
+        reallocs: 0,
+        frees: 0,
+    };
+    for recorded in [false, true] {
+        let got = stage_events(recorded);
+        println!("stage events (recorder attached: {recorded}): {got:?} over {STAGE_EVENTS}");
+        assert_eq!(got, NOTHING, "recorder attached: {recorded}");
+    }
+
+    let Some(got) = sim_rounds() else {
+        println!("simulated rounds: skipped (telemetry compiled out)");
+        return;
+    };
+    let per = |n: u64| n as f64 / got.violations as f64;
+    println!(
+        "simulated round   {:.2} allocations, {:.3} reallocations, {:.2} events per violation \
+         ({} violations)",
+        per(got.allocs),
+        per(got.reallocs),
+        per(got.events),
+        got.violations
+    );
+    // Per violation: the reporter's owned `ViolationMsg` (6: two names,
+    // the readings list and its two names, the bounds name), its frame's
+    // one allocation, the box the simulator carries it in and the
+    // simulator's own bookkeeping (≈ 2), and `HostCore::step` (7, above).
+    // The Detect and Diagnose events, the pid string and the manager's
+    // decode allocate nothing, and no buffer grows (the 16 reallocations
+    // are the simulator's queues settling). 17.10 / 0.05 / 6.03 per
+    // violation at the benchmark's 100 hosts × 100 reporters (EXPERIMENTS
+    // E22; 35.10 / 5.93 / 6.03 before); here discovery leases and
+    // liveness sweeps are shared by 16 reporters only, hence 18.97 (37.04
+    // / 5.21 / 6.49 before).
+    assert_eq!(
+        got,
+        SimRounds {
+            violations: SIM_ROUNDS * 16,
+            allocs: 60_699,
+            reallocs: 16,
+            events: 20_759,
+        }
+    );
 }

@@ -136,7 +136,7 @@ fn first_snapshot(tap: &mut TelemetryTap) -> Result<(u64, Vec<MetricSnapshot>), 
     Err("manager never published a metrics snapshot".into())
 }
 
-fn fields_str(fields: &[(String, f64)]) -> String {
+fn fields_str(fields: &[(Name, f64)]) -> String {
     fields
         .iter()
         .map(|(k, v)| format!("{k}={v}"))

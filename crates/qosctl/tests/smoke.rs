@@ -176,7 +176,7 @@ fn report_renders_lifecycle_table_from_recording() {
         stage,
         component: "hm:h0".into(),
         name: "example1".into(),
-        fields: Vec::new(),
+        fields: Fields::new(),
     };
     rec.record_event(&mk(0, Stage::Detect));
     rec.record_event(&mk(120, Stage::Report));

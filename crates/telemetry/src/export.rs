@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::events::{Stage, TraceEvent};
+use crate::events::{Fields, Stage, TraceEvent};
 use crate::metrics::{MetricValue, RegistrySnapshot};
 
 /// Escape a string for a JSON string literal.
@@ -249,11 +249,11 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
     let stage_name = str_of("stage")?;
     let stage =
         Stage::from_name(&stage_name).ok_or_else(|| format!("unknown stage '{stage_name}'"))?;
-    let mut fields = Vec::new();
+    let mut fields = Fields::new();
     if let Some(Json::Obj(fs)) = get("fields") {
         for (k, v) in fs {
             if let Json::Num(n) = v {
-                fields.push((k.clone(), *n));
+                fields.push(k, *n);
             }
         }
     }
@@ -261,8 +261,8 @@ pub fn parse_event(line: &str) -> Result<TraceEvent, String> {
         at_us: num_of("at_us")? as u64,
         corr: num_of("corr")? as u64,
         stage,
-        component: str_of("component")?,
-        name: str_of("name")?,
+        component: str_of("component")?.into(),
+        name: str_of("name")?.into(),
         fields,
     })
 }
@@ -342,7 +342,7 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     for e in events.iter().filter(|e| e.corr != 0) {
         let entry = spans
             .entry(e.corr)
-            .or_insert_with(|| (None, None, e.name.clone()));
+            .or_insert_with(|| (None, None, e.name.to_string()));
         match e.stage {
             Stage::Detect => entry.0 = Some(entry.0.unwrap_or(e.at_us).min(e.at_us)),
             Stage::BackInSpec => entry.1 = Some(entry.1.unwrap_or(e.at_us).max(e.at_us)),
@@ -427,7 +427,7 @@ mod tests {
                 stage: Stage::Detect,
                 component: "client-0".into(),
                 name: "example1".into(),
-                fields: vec![("fps".into(), 19.5), ("cond".into(), 2.0)],
+                fields: vec![("fps", 19.5), ("cond", 2.0)].into(),
             },
             TraceEvent {
                 at_us: 250,
@@ -435,7 +435,7 @@ mod tests {
                 stage: Stage::BackInSpec,
                 component: "client-0".into(),
                 name: "example1".into(),
-                fields: vec![],
+                fields: Fields::new(),
             },
             TraceEvent {
                 at_us: 300,
@@ -443,7 +443,7 @@ mod tests {
                 stage: Stage::Mark,
                 component: "sim".into(),
                 name: "tick \"q\"\\n".into(),
-                fields: vec![("depth".into(), 4.0)],
+                fields: vec![("depth", 4.0)].into(),
             },
         ]
     }

@@ -45,7 +45,7 @@ mod lifecycle;
 mod metrics;
 pub mod record;
 
-pub use events::{Stage, TraceEvent};
+pub use events::{Fields, Name, Stage, TraceEvent};
 pub use export::{metrics_to_json, parse_event, parse_jsonl, to_chrome_trace, to_jsonl};
 pub use lifecycle::{reconstruct, stage_latencies, Lifecycle, StageLatencies};
 pub use metrics::{
@@ -61,9 +61,9 @@ pub use record::{
 pub mod prelude {
     pub use crate::{
         metrics_to_json, parse_jsonl, read_recording, read_recording_dir, reconstruct,
-        stage_latencies, to_chrome_trace, to_jsonl, Counter, FlightRecorder, Gauge, Histogram,
-        Lifecycle, MetricValue, Record, Recording, Registry, SegmentWriter, Stage, Telemetry,
-        TraceEvent,
+        stage_latencies, to_chrome_trace, to_jsonl, Counter, Fields, FlightRecorder, Gauge,
+        Histogram, Lifecycle, MetricValue, Name, Record, Recording, Registry, SegmentWriter, Stage,
+        Telemetry, TraceEvent,
     };
 }
 
@@ -82,6 +82,8 @@ struct Inner {
     registry: Registry,
     events: Mutex<EventBuf>,
     next_corr: AtomicU64,
+    /// Evictions already written to `telemetry.events_dropped`.
+    dropped_mirrored: AtomicU64,
     /// Attached flight recorder; `has_recorder` is the hot-path gate so
     /// the common (no recorder) case costs one relaxed load.
     recorder: Mutex<Option<FlightRecorder>>,
@@ -123,6 +125,7 @@ impl Telemetry {
                     registry: Registry::new(),
                     events: Mutex::new(EventBuf::new(capacity)),
                     next_corr: AtomicU64::new(1),
+                    dropped_mirrored: AtomicU64::new(0),
                     recorder: Mutex::new(None),
                     has_recorder: AtomicBool::new(false),
                 })),
@@ -234,30 +237,33 @@ impl Telemetry {
         if let Some(i) = self.active() {
             if i.has_recorder.load(Ordering::Relaxed) {
                 if let Some(rec) = &*i.recorder.lock() {
-                    rec.record_snapshot(at_us, &i.registry.snapshot());
+                    rec.record_snapshot(at_us, &self.snapshot());
                 }
             }
         }
     }
 
-    /// Convenience: emit a lifecycle-stage event.
+    /// Convenience: emit a lifecycle-stage event. A probe site that
+    /// passes names it already holds (`&Name`, or a `&str` of up to 22
+    /// bytes) and at most six fields allocates nothing here, and the
+    /// event it evicts frees nothing.
     #[inline]
     pub fn stage(
         &self,
         at_us: u64,
         corr: u64,
         stage: Stage,
-        component: &str,
-        name: &str,
-        fields: impl FnOnce() -> Vec<(String, f64)>,
+        component: impl Into<Name>,
+        name: impl Into<Name>,
+        fields: &[(Name, f64)],
     ) {
         self.event(|| TraceEvent {
             at_us,
             corr,
             stage,
-            component: component.to_string(),
-            name: name.to_string(),
-            fields: fields(),
+            component: component.into(),
+            name: name.into(),
+            fields: fields.into(),
         });
     }
 
@@ -278,9 +284,22 @@ impl Telemetry {
     }
 
     /// Deterministically ordered snapshot of every metric series.
+    /// Events the bounded buffer has evicted are written to
+    /// `telemetry.events_dropped` here — not where they are evicted, so
+    /// the emit path pays nothing for it — and the series exists only
+    /// once something was.
     pub fn snapshot(&self) -> RegistrySnapshot {
         match &self.inner {
-            Some(i) => i.registry.snapshot(),
+            Some(i) => {
+                let dropped = i.events.lock().dropped();
+                let mirrored = i.dropped_mirrored.fetch_max(dropped, Ordering::Relaxed);
+                if dropped > mirrored {
+                    i.registry
+                        .counter("telemetry.events_dropped", "")
+                        .add(dropped - mirrored);
+                }
+                i.registry.snapshot()
+            }
             None => Vec::new(),
         }
     }
@@ -338,9 +357,14 @@ mod tests {
         let c2 = t.next_corr();
         assert!(c1 >= 1 && c2 == c1 + 1, "monotone correlation ids");
         t.counter("hm.violations", "h0").add(2);
-        t.stage(10, c1, Stage::Detect, "client-0", "example1", || {
-            vec![("fps".into(), 19.0)]
-        });
+        t.stage(
+            10,
+            c1,
+            Stage::Detect,
+            "client-0",
+            "example1",
+            &[("fps".into(), 19.0)],
+        );
         assert_eq!(t.counter_value("hm.violations", "h0"), 2);
         let evs = t.events();
         assert_eq!(evs.len(), 1);
@@ -368,7 +392,7 @@ mod tests {
         t.counter("c", "").inc();
         u.counter("c", "").inc();
         assert_eq!(t.counter_value("c", ""), 2);
-        u.stage(1, 1, Stage::Mark, "x", "y", Vec::new);
+        u.stage(1, 1, Stage::Mark, "x", "y", &[]);
         assert_eq!(t.events().len(), 1);
     }
 
@@ -379,9 +403,14 @@ mod tests {
         let rec = FlightRecorder::new(record::DEFAULT_RING_BYTES);
         t.set_recorder(Some(rec.clone()));
         t.counter("hm.violations", "h0").add(3);
-        t.stage(10, 1, Stage::Detect, "client-0", "example1", || {
-            vec![("fps".into(), 19.0)]
-        });
+        t.stage(
+            10,
+            1,
+            Stage::Detect,
+            "client-0",
+            "example1",
+            &[("fps".into(), 19.0)],
+        );
         t.record_metrics(20);
         assert_eq!(rec.records(), 2, "one event + one snapshot");
         let recs = rec.ring_records();
@@ -399,9 +428,35 @@ mod tests {
             other => panic!("expected snapshot record, got {other:?}"),
         }
         t.set_recorder(None);
-        t.stage(30, 2, Stage::Mark, "x", "y", Vec::new);
+        t.stage(30, 2, Stage::Mark, "x", "y", &[]);
         assert_eq!(rec.records(), 2, "detached recorder sees nothing");
         assert!(t.recorder().is_none());
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
+    fn evictions_surface_as_a_series_once_there_are_any() {
+        let emit = |t: &Telemetry, n: u64| {
+            for i in 0..n {
+                t.stage(i, 0, Stage::Mark, "x", "y", &[]);
+            }
+        };
+        let small = Telemetry::with_capacity(4);
+        emit(&small, 10);
+        assert_eq!(small.events_dropped(), 6);
+        assert_eq!(small.counter_value("telemetry.events_dropped", ""), 6);
+        // Snapshots add what was evicted since the last one, not the
+        // total again.
+        emit(&small, 3);
+        assert_eq!(small.counter_value("telemetry.events_dropped", ""), 9);
+        assert_eq!(small.counter_value("telemetry.events_dropped", ""), 9);
+
+        let roomy = Telemetry::with_capacity(16);
+        emit(&roomy, 10);
+        assert!(
+            roomy.snapshot().is_empty(),
+            "a buffer that never filled has no eviction series"
+        );
     }
 
     #[cfg(feature = "telemetry-off")]

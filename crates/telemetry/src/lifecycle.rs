@@ -70,7 +70,7 @@ pub fn reconstruct(events: &[TraceEvent]) -> Vec<Lifecycle> {
         });
         lc.events += 1;
         if e.stage == Stage::Detect && lc.policy.is_empty() {
-            lc.policy = e.name.clone();
+            lc.policy = e.name.to_string();
         }
         match lc.stages.iter_mut().find(|(s, _)| *s == e.stage) {
             Some((_, t)) => *t = (*t).min(e.at_us),
@@ -154,6 +154,7 @@ pub fn stage_latencies(lifecycles: &[Lifecycle]) -> StageLatencies {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::Fields;
 
     fn ev(at: u64, corr: u64, stage: Stage, name: &str) -> TraceEvent {
         TraceEvent {
@@ -162,7 +163,7 @@ mod tests {
             stage,
             component: "t".into(),
             name: name.into(),
-            fields: vec![],
+            fields: Fields::new(),
         }
     }
 

@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::events::{Stage, TraceEvent};
+use crate::events::{Fields, Name, Stage, TraceEvent};
 use crate::lifecycle::{reconstruct, Lifecycle};
 use crate::metrics::{
     HistogramSnapshot, MetricSnapshot, MetricValue, RegistrySnapshot, HISTOGRAM_BUCKETS,
@@ -108,6 +108,10 @@ impl std::fmt::Display for RecError {
 impl std::error::Error for RecError {}
 
 /// One decoded record.
+// Nearly every record of a recording is an event, and an event holds its
+// names and fields in place: boxing it would put back one allocation per
+// replayed event to slim the rare snapshot.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum Record {
     /// A single trace event.
@@ -182,10 +186,13 @@ impl<'a> RecReader<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    fn get_str(&mut self) -> Result<String, RecError> {
+    fn get_str_ref(&mut self) -> Result<&'a str, RecError> {
         let n = self.get_u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| RecError::BadUtf8)
+        std::str::from_utf8(self.take(n)?).map_err(|_| RecError::BadUtf8)
+    }
+
+    fn get_str(&mut self) -> Result<String, RecError> {
+        self.get_str_ref().map(str::to_owned)
     }
 }
 
@@ -276,15 +283,14 @@ fn decode_event(r: &mut RecReader<'_>) -> Result<TraceEvent, RecError> {
     let at_us = r.get_u64()?;
     let corr = r.get_u64()?;
     let stage = Stage::from_tag(r.get_u8()?).ok_or(RecError::BadValue("stage tag"))?;
-    let component = r.get_str()?;
-    let name = r.get_str()?;
-    let n = r.get_u32()? as usize;
-    // A field is at least 12 bytes; cap preallocation by what's left.
-    let mut fields = Vec::with_capacity(n.min(r.remaining() / 12));
+    let component = Name::new(r.get_str_ref()?);
+    let name = Name::new(r.get_str_ref()?);
+    let n = r.get_u32()?;
+    let mut fields = Fields::new();
     for _ in 0..n {
-        let k = r.get_str()?;
+        let k = r.get_str_ref()?;
         let v = r.get_f64()?;
-        fields.push((k, v));
+        fields.push(k, v);
     }
     Ok(TraceEvent {
         at_us,
@@ -840,7 +846,7 @@ mod tests {
             stage,
             component: "client-0".into(),
             name: "NotifyQoSViolation".into(),
-            fields: vec![("fps".into(), 19.5), ("budget".into(), 25.0)],
+            fields: vec![("fps", 19.5), ("budget", 25.0)].into(),
         }
     }
 

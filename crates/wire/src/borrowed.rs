@@ -2,11 +2,12 @@
 //!
 //! The owned decoder ([`WireMsg::decode_frame`]) allocates a `String`
 //! per text field and a `Vec` per list — fine for control-rate traffic,
-//! too expensive for the live manager's violation path. [`WireMsgRef`]
-//! is the decode surface that path reads: a [`LiveViolationMsgRef`]
-//! borrows every string and its readings list straight out of the frame
-//! buffer (decoding it performs **zero** heap allocations), and a
-//! [`BatchRef`] walks coalesced reports the same way.
+//! too expensive for a manager's violation path. [`WireMsgRef`] is the
+//! decode surface that path reads: a [`LiveViolationMsgRef`] (live
+//! plane) or a [`ViolationMsgRef`] (simulated plane) borrows every
+//! string and its readings list straight out of the frame buffer
+//! (decoding it performs **zero** heap allocations), and a [`BatchRef`]
+//! walks coalesced reports the same way.
 //!
 //! Ownership rules (see DESIGN.md):
 //!
@@ -17,68 +18,92 @@
 //!   nesting — so iterating a view afterwards cannot fail.
 //!   [`ReadingsRef`] walks pre-validated bytes.
 //! * `to_owned()` materializes the equivalent owned message, and is how
-//!   the owned [`LiveViolationMsg`] decodes: a kind with a view has one
-//!   decoder.
+//!   the owned [`LiveViolationMsg`] and [`ViolationMsg`] decode: a kind
+//!   with a view has one decoder.
+//! * A [`ViolationMsgRef`] can also be taken *of* an owned
+//!   [`ViolationMsg`] ([`ViolationMsg::as_view`]), so a reader written
+//!   against the view serves a driver holding a frame and a caller
+//!   holding a message alike.
 //!
-//! Views exist only where something reads them: the live violation and
-//! the batch container. Every other kind — registration, telemetry
-//! batches, the simulated plane's `ViolationMsg` — decodes through the
-//! owned path under [`WireMsgRef::Owned`]; those messages are
-//! control-rate (or, in the simulator, decoded from `WireBytes` as owned
-//! values) and one decoder keeps the two surfaces trivially consistent.
+//! Views exist only where something reads them: the two violation
+//! kinds and the batch container. Every other kind — registration,
+//! telemetry batches, discovery — decodes through the owned path under
+//! [`WireMsgRef::Owned`]; those messages are control-rate and one
+//! decoder keeps the two surfaces trivially consistent.
+
+use qos_sim::Pid;
 
 use crate::batch::BatchRef;
 use crate::codec::WireReader;
 use crate::error::WireError;
 use crate::frame::{split_frame, HEADER_LEN};
-use crate::messages::{BatchMsg, LiveViolationMsg, WireMsg, KIND_BATCH};
+use crate::messages::{BatchMsg, LiveViolationMsg, Upstream, ViolationMsg, WireMsg, KIND_BATCH};
 
-/// A borrowed `(name, value)` readings list: the raw encoded span,
-/// validated at decode time and walked lazily. Iterating allocates
-/// nothing; [`ReadingsRef::to_vec`] materializes the owned form.
+/// A borrowed `(name, value)` readings list: the encoded span of a
+/// frame, validated at decode time and walked lazily, or the list of an
+/// owned message. Iterating allocates nothing; [`ReadingsRef::to_vec`]
+/// materializes the owned form.
 #[derive(Debug, Clone, Copy)]
-pub struct ReadingsRef<'a> {
-    count: u32,
-    /// Raw encoding including the `u32` count prefix.
-    raw: &'a [u8],
+pub struct ReadingsRef<'a>(Readings<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Readings<'a> {
+    /// `count` encoded `(name, value)` pairs, the count prefix excluded.
+    Encoded {
+        count: u32,
+        items: &'a [u8],
+    },
+    Owned(&'a [(String, f64)]),
 }
 
 impl<'a> ReadingsRef<'a> {
     /// Decode and validate a readings list, keeping only a borrow.
     pub(crate) fn decode(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let start = r.pos();
         let count = r.get_u32()?;
+        let start = r.pos();
         for _ in 0..count {
             r.get_str_ref()?;
             r.get_f64()?;
         }
-        Ok(ReadingsRef {
+        Ok(ReadingsRef(Readings::Encoded {
             count,
-            raw: r.slice(start, r.pos()),
-        })
+            items: r.slice(start, r.pos()),
+        }))
     }
 
     /// Number of readings.
     pub fn len(&self) -> usize {
-        self.count as usize
+        match self.0 {
+            Readings::Encoded { count, .. } => count as usize,
+            Readings::Owned(list) => list.len(),
+        }
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.len() == 0
     }
 
     /// Iterate the readings without allocating.
     pub fn iter(&self) -> ReadingsIter<'a> {
-        ReadingsIter {
-            cur: Cur::new(&self.raw[4.min(self.raw.len())..]),
-            left: self.count,
-        }
+        ReadingsIter(match self.0 {
+            Readings::Encoded { count, items } => ReadingsWalk::Encoded {
+                cur: Cur::new(items),
+                left: count,
+            },
+            Readings::Owned(list) => ReadingsWalk::Owned(list.iter()),
+        })
     }
 
     /// Materialize the owned form.
     pub fn to_vec(&self) -> Vec<(String, f64)> {
         self.iter().map(|(s, v)| (s.to_owned(), v)).collect()
+    }
+}
+
+impl<'a> From<&'a [(String, f64)]> for ReadingsRef<'a> {
+    fn from(list: &'a [(String, f64)]) -> Self {
+        ReadingsRef(Readings::Owned(list))
     }
 }
 
@@ -91,24 +116,35 @@ impl<'a> IntoIterator for &ReadingsRef<'a> {
 }
 
 /// Iterator over a [`ReadingsRef`].
-pub struct ReadingsIter<'a> {
-    cur: Cur<'a>,
-    left: u32,
+pub struct ReadingsIter<'a>(ReadingsWalk<'a>);
+
+enum ReadingsWalk<'a> {
+    Encoded { cur: Cur<'a>, left: u32 },
+    Owned(std::slice::Iter<'a, (String, f64)>),
 }
 
 impl<'a> Iterator for ReadingsIter<'a> {
     type Item = (&'a str, f64);
     fn next(&mut self) -> Option<Self::Item> {
-        if self.left == 0 {
-            return None;
+        match &mut self.0 {
+            ReadingsWalk::Encoded { cur, left } => {
+                if *left == 0 {
+                    return None;
+                }
+                *left -= 1;
+                let s = cur.str_ref();
+                let v = cur.f64();
+                Some((s, v))
+            }
+            ReadingsWalk::Owned(it) => it.next().map(|(s, v)| (s.as_str(), *v)),
         }
-        self.left -= 1;
-        let s = self.cur.str_ref();
-        let v = self.cur.f64();
-        Some((s, v))
     }
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left as usize, Some(self.left as usize))
+        let left = match &self.0 {
+            ReadingsWalk::Encoded { left, .. } => *left as usize,
+            ReadingsWalk::Owned(it) => it.len(),
+        };
+        (left, Some(left))
     }
 }
 
@@ -196,12 +232,84 @@ impl<'a> LiveViolationMsgRef<'a> {
     }
 }
 
-/// Borrowed twin of [`WireMsg`]: the kinds the live manager reads at
-/// violation rate decode as zero-copy views, everything else through
-/// the owned decoder. One frame, either surface — the differential
-/// property tests pin them equal.
+/// Borrowed view of a [`ViolationMsg`]: what a host manager reads of a
+/// simulated-plane violation, whether it holds the frame or the owned
+/// message.
+#[derive(Debug, Clone, Copy)]
+pub struct ViolationMsgRef<'a> {
+    /// The violating process.
+    pub pid: Pid,
+    /// Process/executable name.
+    pub proc_name: &'a str,
+    /// Violated policy name.
+    pub policy: &'a str,
+    /// Telemetry correlation id (0 = none).
+    pub corr: u64,
+    /// Attribute readings, iterated lazily.
+    pub readings: ReadingsRef<'a>,
+    /// Requirement bounds on the primary attribute `(attr, lo, hi)`.
+    pub bounds: Option<(&'a str, f64, f64)>,
+    /// Where the process's stream originates, if it is a network client.
+    pub upstream: Option<Upstream>,
+}
+
+impl<'a> ViolationMsgRef<'a> {
+    pub(crate) fn decode(r: &mut WireReader<'a>) -> Result<Self, WireError> {
+        Ok(ViolationMsgRef {
+            pid: r.get()?,
+            proc_name: r.get_str_ref()?,
+            policy: r.get_str_ref()?,
+            corr: r.get_u64()?,
+            readings: ReadingsRef::decode(r)?,
+            bounds: match r.get_u8()? {
+                0 => None,
+                1 => Some((r.get_str_ref()?, r.get_f64()?, r.get_f64()?)),
+                _ => return Err(WireError::BadValue("Option tag not 0/1")),
+            },
+            upstream: r.get()?,
+        })
+    }
+
+    /// Materialize the owned message.
+    pub fn to_owned(&self) -> ViolationMsg {
+        ViolationMsg {
+            pid: self.pid,
+            proc_name: self.proc_name.to_owned(),
+            policy: self.policy.to_owned(),
+            corr: self.corr,
+            readings: self.readings.to_vec(),
+            bounds: self.bounds.map(|(a, lo, hi)| (a.to_owned(), lo, hi)),
+            upstream: self.upstream,
+        }
+    }
+}
+
+impl ViolationMsg {
+    /// This message as the view a frame of it would decode to.
+    pub fn as_view(&self) -> ViolationMsgRef<'_> {
+        ViolationMsgRef {
+            pid: self.pid,
+            proc_name: &self.proc_name,
+            policy: &self.policy,
+            corr: self.corr,
+            readings: self.readings.as_slice().into(),
+            bounds: self
+                .bounds
+                .as_ref()
+                .map(|(a, lo, hi)| (a.as_str(), *lo, *hi)),
+            upstream: self.upstream,
+        }
+    }
+}
+
+/// Borrowed twin of [`WireMsg`]: the kinds a manager reads at violation
+/// rate decode as zero-copy views, everything else through the owned
+/// decoder. One frame, either surface — the differential property tests
+/// pin them equal.
 #[derive(Debug, Clone)]
 pub enum WireMsgRef<'a> {
+    /// Simulated-plane violation notification.
+    Violation(ViolationMsgRef<'a>),
     /// Live-mode violation notification.
     LiveViolation(LiveViolationMsgRef<'a>),
     /// Several coalesced messages in one frame.
@@ -234,6 +342,7 @@ impl<'a> WireMsgRef<'a> {
         r: &mut WireReader<'a>,
     ) -> Result<WireMsgRef<'a>, WireError> {
         Ok(match kind {
+            1 => WireMsgRef::Violation(ViolationMsgRef::decode(r)?),
             12 => WireMsgRef::LiveViolation(LiveViolationMsgRef::decode(r)?),
             KIND_BATCH => WireMsgRef::Batch(BatchRef::decode(r)?),
             other => WireMsgRef::Owned(WireMsg::decode_body(other, r)?),
@@ -243,6 +352,7 @@ impl<'a> WireMsgRef<'a> {
     /// The frame-header kind byte of this message.
     pub fn kind(&self) -> u8 {
         match self {
+            WireMsgRef::Violation(_) => 1,
             WireMsgRef::LiveViolation(_) => 12,
             WireMsgRef::Batch(_) => KIND_BATCH,
             WireMsgRef::Owned(m) => m.kind(),
@@ -252,6 +362,7 @@ impl<'a> WireMsgRef<'a> {
     /// Materialize the equivalent owned [`WireMsg`].
     pub fn to_owned_msg(&self) -> WireMsg {
         match self {
+            WireMsgRef::Violation(m) => WireMsg::Violation(m.to_owned()),
             WireMsgRef::LiveViolation(m) => WireMsg::LiveViolation(m.to_owned()),
             WireMsgRef::Batch(b) => WireMsg::Batch(BatchMsg {
                 msgs: b.iter().map(|m| m.to_owned_msg()).collect(),

@@ -32,6 +32,13 @@ impl WireWriter {
         WireWriter { buf: Vec::new() }
     }
 
+    /// An empty writer with room for `bytes` before it has to grow.
+    pub fn with_capacity(bytes: usize) -> Self {
+        WireWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Bytes written so far.
     #[inline]
     pub fn len(&self) -> usize {

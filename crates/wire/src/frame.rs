@@ -16,8 +16,10 @@
 //! distinct [`WireError`], and the payload must be consumed *exactly* —
 //! a length/body mismatch is corruption, not slack.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
+use crate::borrowed::WireMsgRef;
 use crate::codec::{WireReader, WireWriter};
 use crate::error::WireError;
 use crate::messages::WireMsg;
@@ -37,19 +39,30 @@ pub const HEADER_LEN: usize = 8;
 /// a corrupt length prefix cannot make the reassembly buffer balloon.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
+/// Room a fresh frame buffer starts with: a violation report with a
+/// handful of readings is under 200 bytes, so the common frame is
+/// written without growing.
+const FRAME_CAPACITY: usize = 256;
+
 impl WireMsg {
     /// Encode this message as a complete frame (header + payload).
     pub fn encode_frame(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let mut w = WireWriter::with_capacity(FRAME_CAPACITY);
+        self.encode_frame_into(&mut w);
+        w.into_vec()
+    }
+
+    /// Append this message to `w` as a complete frame.
+    fn encode_frame_into(&self, w: &mut WireWriter) {
+        let start = w.len();
         w.put_raw(&MAGIC);
         w.put_u8(VERSION);
         w.put_u8(self.kind());
         w.put_u32(0); // length, patched below
         let body_start = w.len();
-        self.encode_body(&mut w);
+        self.encode_body(w);
         let body_len = (w.len() - body_start) as u32;
-        w.patch_u32(4, body_len);
-        w.into_vec()
+        w.patch_u32(start + 4, body_len);
     }
 
     /// Decode one complete frame. Rejects bad magic, unknown versions and
@@ -112,14 +125,30 @@ impl WireBytes {
         WireBytes(frame.into())
     }
 
-    /// Encode `msg` into a shareable frame.
+    /// Encode `msg` into a shareable frame: written through a buffer
+    /// this thread keeps, then copied once into its shared allocation —
+    /// the frame's only one.
     pub fn encode(msg: &WireMsg) -> Self {
-        WireBytes::new(msg.encode_frame())
+        thread_local! {
+            static SCRATCH: RefCell<WireWriter> =
+                RefCell::new(WireWriter::with_capacity(FRAME_CAPACITY));
+        }
+        SCRATCH.with_borrow_mut(|w| {
+            w.clear();
+            msg.encode_frame_into(w);
+            WireBytes(w.as_slice().into())
+        })
     }
 
     /// Decode the frame back into a message.
     pub fn decode(&self) -> Result<WireMsg, WireError> {
         WireMsg::decode_frame(&self.0)
+    }
+
+    /// Decode the frame as a view borrowing it: a violation without
+    /// allocating, a batch walked in place.
+    pub fn decode_ref(&self) -> Result<WireMsgRef<'_>, WireError> {
+        WireMsgRef::decode_frame(&self.0)
     }
 
     /// Encoded length in bytes — what the simulated network charges for

@@ -41,7 +41,7 @@ pub mod frame;
 pub mod messages;
 
 pub use batch::{BatchBuilder, BatchRef};
-pub use borrowed::{LiveViolationMsgRef, ReadingsRef, WireMsgRef};
+pub use borrowed::{LiveViolationMsgRef, ReadingsRef, ViolationMsgRef, WireMsgRef};
 pub use codec::{Wire, WireReader, WireWriter, MAX_NESTING};
 pub use error::WireError;
 pub use frame::{FrameBuffer, WireBytes, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION};

@@ -15,10 +15,10 @@ use qos_policy::ast::{ActionStmt, ArgExpr, CmpOp, PathExpr};
 use qos_policy::compile::{BoolExpr, CompiledCondition, CompiledPolicy};
 use qos_sim::{DomainId, Dur, Endpoint, HostId, Pid, Port};
 use qos_telemetry::{
-    HistogramSnapshot, MetricSnapshot, MetricValue, Stage, TraceEvent, HISTOGRAM_BUCKETS,
+    Fields, HistogramSnapshot, MetricSnapshot, MetricValue, Stage, TraceEvent, HISTOGRAM_BUCKETS,
 };
 
-use crate::borrowed::LiveViolationMsgRef;
+use crate::borrowed::{LiveViolationMsgRef, ViolationMsgRef};
 use crate::codec::{Wire, WireReader, WireWriter};
 use crate::error::WireError;
 
@@ -964,15 +964,7 @@ impl Wire for ViolationMsg {
         self.upstream.encode(w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ViolationMsg {
-            pid: r.get()?,
-            proc_name: r.get_str()?,
-            policy: r.get_str()?,
-            corr: r.get_u64()?,
-            readings: r.get()?,
-            bounds: r.get()?,
-            upstream: r.get()?,
-        })
+        Ok(ViolationMsgRef::decode(r)?.to_owned())
     }
 }
 
@@ -1146,17 +1138,28 @@ impl Wire for TraceEvent {
         self.stage.encode(w);
         w.put_str(&self.component);
         w.put_str(&self.name);
-        self.fields.encode(w);
+        w.put_u32(self.fields.len() as u32);
+        for (k, v) in &self.fields {
+            w.put_str(k);
+            w.put_f64(*v);
+        }
     }
+    /// Names are copied out of the frame into the event itself (in
+    /// place when short): nothing a peer sends outlives the event.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(TraceEvent {
+        let mut ev = TraceEvent {
             at_us: r.get_u64()?,
             corr: r.get_u64()?,
             stage: r.get()?,
-            component: r.get_str()?,
-            name: r.get_str()?,
-            fields: r.get()?,
-        })
+            component: r.get_str_ref()?.into(),
+            name: r.get_str_ref()?.into(),
+            fields: Fields::new(),
+        };
+        for _ in 0..r.get_u32()? {
+            let k = r.get_str_ref()?;
+            ev.fields.push(k, r.get_f64()?);
+        }
+        Ok(ev)
     }
 }
 

@@ -140,7 +140,7 @@ fn all_kinds(
                 stage: Stage::from_tag((steps.unsigned_abs() % 7) as u8).expect("tag in range"),
                 component: "client-0".into(),
                 name: "NotifyQoSViolation".into(),
-                fields: rd,
+                fields: rd.into(),
             }],
             metrics: flag.then(|| {
                 let mut h = HistogramSnapshot::empty();
@@ -273,6 +273,10 @@ proptest! {
             let view = WireMsgRef::decode_frame(&frame).unwrap();
             prop_assert_eq!(view.kind(), msg.kind());
             prop_assert_eq!(&view.to_owned_msg(), msg);
+            // The view of an owned violation reads as the view of its frame.
+            if let WireMsg::Violation(v) = msg {
+                prop_assert_eq!(&v.as_view().to_owned(), v);
+            }
             // One flipped byte, and one cut, anywhere in the frame.
             let mut bad = frame.clone();
             bad[(token % frame.len() as u64) as usize] ^= (corr % 255) as u8 + 1;

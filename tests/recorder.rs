@@ -130,7 +130,7 @@ fn segment_rotation_survives_torn_writes_under_chaos() {
         stage: Stage::Detect,
         component: "h0:p1".into(),
         name: "example1".into(),
-        fields: vec![("frame_rate".into(), 15.0)],
+        fields: vec![("frame_rate", 15.0)].into(),
     };
     for i in 0..200 {
         rec.record_event(&mk(i));
@@ -170,9 +170,9 @@ fn arb_event() -> impl Strategy<Value = TraceEvent> {
             at_us,
             corr,
             stage: Stage::from_tag(tag).expect("tag in range"),
-            component,
-            name,
-            fields,
+            component: component.into(),
+            name: name.into(),
+            fields: fields.into(),
         })
 }
 
