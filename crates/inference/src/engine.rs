@@ -11,18 +11,23 @@
 //! the facts matched so far and variables are read from those facts, so
 //! seeding a rule with a new fact, agenda and refraction bookkeeping, and
 //! firing allocate nothing in steady state beyond the facts and
-//! invocations a firing hands out. The original full-rematch algorithm,
-//! over the rules' source form and string-keyed bindings, is retained
-//! behind [`Engine::use_naive_matcher`] as a differential-testing oracle
-//! (and as the "before" arm of the scale benchmark); both matchers
-//! produce identical firing sequences.
+//! invocations a firing hands out. The conflict set is hashed, not
+//! ordered: pending activations sit in a slab, queued in a binary heap in
+//! conflict-resolution order and linked under each of their facts, so
+//! inserting, firing and dropping one touches no ordered tree. The
+//! original full-rematch algorithm, over the rules' source form and
+//! string-keyed bindings, is retained behind [`Engine::use_naive_matcher`]
+//! as a differential-testing oracle (and as the "before" arm of the scale
+//! benchmark); both matchers produce identical firing sequences.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::BTreeSet; // the refraction memory, `Engine::fired`, only
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::fact::{Fact, FactId, FactStore, Slot, Template, TemplateId};
-use crate::idvec::IdVec;
+use crate::hash::FxMap;
+use crate::idvec::{IdVec, InlineVec};
 use crate::pattern::{CTerm, Row};
 use crate::rule::{CAction, CCe, CompiledRule, Invocation, Rule};
 use crate::value::Value;
@@ -75,6 +80,22 @@ pub struct PhaseProfile {
     pub fire_ns: u64,
 }
 
+/// How much conflict-set bookkeeping the engine holds ([`Engine::conflict_set`]).
+/// Each figure is bounded by what is live — pending activations and the
+/// facts they mention — never by how many violations have passed.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct ConflictSet {
+    /// Activations waiting on the agenda.
+    pub pending: usize,
+    /// Refraction entries: `(rule, matched facts)` combinations that
+    /// fired and may not fire again while those facts live. A firing
+    /// that retracts or modifies one of its own facts files none.
+    pub refracted: u64,
+    /// Facts the agenda's by-fact index has an entry for: exactly those
+    /// some pending activation mentions.
+    pub indexed_facts: usize,
+}
+
 /// Reusable join buffers: the intermediate partial-match vectors are
 /// engine-owned and cleared between calls, so a steady stream of
 /// violation asserts reuses the same heap spines instead of allocating
@@ -91,7 +112,7 @@ struct JoinScratch {
 type RuleIx = u32;
 
 /// Agenda ordering key. Field order gives the conflict-resolution total
-/// order lexicographically, so `BTreeSet::last` is exactly the
+/// order lexicographically, so the heap's maximum is exactly the
 /// activation the naive matcher's `max_by_key` picks: highest salience,
 /// then most recent matched fact, then earliest-defined rule, then
 /// smallest fact-id vector.
@@ -112,15 +133,158 @@ impl AgendaKey {
             ids: Reverse(ids),
         }
     }
+}
 
-    /// A key no activation sorts below (no rule has index `u32::MAX`):
-    /// the start of a by-fact range scan.
-    fn floor() -> Self {
-        AgendaKey {
-            salience: i32::MIN,
-            recency: FactId(0),
-            rule: Reverse(RuleIx::MAX),
-            ids: Reverse(IdVec::new()),
+/// A pending activation, as removal needs it.
+#[derive(Debug)]
+struct Activation {
+    rule: RuleIx,
+    ids: IdVec,
+    /// `at[k]` is this activation's position in the by-fact list of
+    /// `ids[k]`, so unlinking it is a swap-remove, never a search.
+    at: InlineVec<u32>,
+}
+
+/// One slab slot. `gen` counts the slot's occupants, so a heap entry
+/// queued for an earlier one reads as a tombstone.
+#[derive(Debug, Default)]
+struct SlabSlot {
+    gen: u32,
+    act: Option<Activation>,
+}
+
+/// A by-fact index entry: the activation in `slot` mentions the fact at
+/// position `k` of its ids.
+#[derive(Clone, Copy, Default, Debug)]
+struct Link {
+    slot: u32,
+    k: u32,
+}
+
+/// A heap entry: an activation's conflict-resolution key and the slab
+/// slot and occupant it was queued for.
+#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Queued {
+    key: AgendaKey,
+    slot: u32,
+    gen: u32,
+}
+
+/// The persistent agenda: pending activations in conflict-resolution
+/// order, with O(1) removal of any of them.
+///
+/// An activation lives in a slab slot, is queued in a max-heap under its
+/// [`AgendaKey`], and is linked under each of its facts in a hashed
+/// by-fact index. Removing one frees its slot and swap-removes its links;
+/// its heap entry stays behind as a tombstone (its slot's `gen` has
+/// moved on), skipped when popped and swept once tombstones outnumber
+/// live entries — each sweep costs at most twice the removals since the
+/// last, so the heap stays O(live) and removal O(1) amortized. `live` is
+/// exact: it is the agenda size conflict resolution and `peak_agenda`
+/// see.
+#[derive(Debug, Default)]
+struct Agenda {
+    slab: Vec<SlabSlot>,
+    free: Vec<u32>,
+    heap: BinaryHeap<Queued>,
+    /// Fact → links of the pending activations that mention it; a fact
+    /// no pending activation mentions has no entry.
+    by_fact: FxMap<FactId, InlineVec<Link>>,
+    live: usize,
+}
+
+impl Agenda {
+    fn insert(&mut self, rule: RuleIx, salience: i32, ids: IdVec) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(SlabSlot::default());
+            self.slab.len() as u32 - 1
+        });
+        let mut at = InlineVec::new();
+        for (k, &id) in ids.as_slice().iter().enumerate() {
+            let links = self.by_fact.entry(id).or_default();
+            at.push(links.len() as u32);
+            links.push(Link { slot, k: k as u32 });
+        }
+        let entry = &mut self.slab[slot as usize];
+        self.heap.push(Queued {
+            key: AgendaKey::new(rule, salience, ids.clone()),
+            slot,
+            gen: entry.gen,
+        });
+        entry.act = Some(Activation { rule, ids, at });
+        self.live += 1;
+    }
+
+    /// Take the activation conflict resolution picks.
+    fn pop(&mut self) -> Option<(RuleIx, IdVec)> {
+        while let Some(Queued { key, slot, gen }) = self.heap.pop() {
+            if self.slab[slot as usize].gen == gen {
+                self.release(slot, None);
+                return Some((key.rule.0, key.ids.0));
+            }
+        }
+        None
+    }
+
+    /// Drop every activation that mentions `id`.
+    fn remove_fact(&mut self, id: FactId) {
+        let Some(links) = self.by_fact.remove(&id) else {
+            return;
+        };
+        for link in links.as_slice() {
+            self.release(link.slot, Some(id));
+        }
+        self.sweep();
+    }
+
+    /// Drop the activations of `rule` that `keep` rejects.
+    fn retain(&mut self, rule: RuleIx, mut keep: impl FnMut(&IdVec) -> bool) {
+        for slot in 0..self.slab.len() {
+            let doomed = self.slab[slot]
+                .act
+                .as_ref()
+                .is_some_and(|a| a.rule == rule && !keep(&a.ids));
+            if doomed {
+                self.release(slot as u32, None);
+            }
+        }
+        self.sweep();
+    }
+
+    /// Free `slot` and unlink it from the by-fact lists of its facts
+    /// (but `except`'s, whose whole list the caller already took).
+    fn release(&mut self, slot: u32, except: Option<FactId>) {
+        let entry = &mut self.slab[slot as usize];
+        let act = entry.act.take().expect("released slot is occupied");
+        entry.gen = entry.gen.wrapping_add(1);
+        for (&id, &at) in act.ids.as_slice().iter().zip(act.at.as_slice()) {
+            if Some(id) == except {
+                continue;
+            }
+            let links = self.by_fact.get_mut(&id).expect("linked under each fact");
+            links.swap_remove(at as usize);
+            if let Some(&moved) = links.as_slice().get(at as usize) {
+                // The list's last link filled the hole: repoint it.
+                let other = self.slab[moved.slot as usize].act.as_mut();
+                other.expect("links name occupied slots").at.as_mut_slice()[moved.k as usize] = at;
+            } else if links.is_empty() {
+                self.by_fact.remove(&id);
+            }
+        }
+        self.free.push(slot);
+        self.live -= 1;
+    }
+
+    /// Rebuild the heap without its tombstones once they outnumber the
+    /// live entries.
+    fn sweep(&mut self) {
+        if self.live == 0 {
+            // Every entry is a tombstone: the common case, after a
+            // violation's last activation goes.
+            self.heap.clear();
+        } else if self.heap.len() > 2 * self.live {
+            let slab = &self.slab;
+            self.heap.retain(|q| slab[q.slot as usize].gen == q.gen);
         }
     }
 }
@@ -200,18 +364,15 @@ pub struct Engine {
     /// Template → rules with a negated CE on it: which rules to
     /// re-evaluate when a fact of that template changes either way.
     neg_triggers: Vec<Vec<RuleIx>>,
-    /// The persistent agenda: pending activations in conflict-resolution
-    /// order. `last` is the next rule to fire.
-    agenda: BTreeSet<AgendaKey>,
-    /// (fact, agenda entry matching it), so a retract removes exactly
-    /// the affected activations with a range scan.
-    agenda_by_fact: BTreeSet<(FactId, AgendaKey)>,
+    /// The persistent agenda (see [`Agenda`]).
+    agenda: Agenda,
     /// Refraction memory: (rule, positive fact ids) combinations that
     /// already fired, filed once under each of their facts (under
     /// [`NO_FACT`] when there are none) so a retraction drops exactly
     /// the entries mentioning the fact — re-asserted facts re-activate
-    /// rules, as in CLIPS.
-    fired: BTreeSet<(FactId, RuleIx, IdVec)>,
+    /// rules, as in CLIPS. A rule that consumes its activation
+    /// ([`CompiledRule::consumes`]) files nothing here.
+    fired: BTreeSet<(FactId, RuleIx, IdVec)>, // by fact: a retract range-drops its entries
     /// Live refraction entries per rule, so removing a never-fired rule
     /// skips the refraction sweep entirely.
     fired_per_rule: Vec<u64>,
@@ -260,7 +421,7 @@ impl Engine {
         let ix = match self.ix_by_name.get(&rule.name).copied() {
             Some(ix) => {
                 self.set_triggers(ix, false);
-                self.clear_rule_agenda(ix);
+                self.agenda.retain(ix, |_| false);
                 self.rules[ix as usize] = Some(rule);
                 self.compiled[ix as usize] = compiled;
                 ix
@@ -289,7 +450,7 @@ impl Engine {
             return false;
         };
         self.set_triggers(ix, false);
-        self.clear_rule_agenda(ix);
+        self.agenda.retain(ix, |_| false);
         self.rules[ix as usize] = None;
         self.live_rules -= 1;
         if std::mem::take(&mut self.fired_per_rule[ix as usize]) > 0 {
@@ -340,15 +501,7 @@ impl Engine {
             self.fired_per_rule[ix as usize] -= 1;
         }
         if !self.naive {
-            while let Some((_, key)) = self
-                .agenda_by_fact
-                .range((id, AgendaKey::floor())..)
-                .next()
-                .filter(|e| e.0 == id)
-                .cloned()
-            {
-                self.agenda_remove(&key);
-            }
+            self.agenda.remove_fact(id);
             for i in 0..triggers(&self.neg_triggers, tid).len() {
                 self.reconcile_rule(self.neg_triggers[tid.0 as usize][i]);
             }
@@ -459,8 +612,7 @@ impl Engine {
         }
         self.naive = on;
         if on {
-            self.agenda.clear();
-            self.agenda_by_fact.clear();
+            self.agenda = Agenda::default();
             self.peak_agenda_acc = 0;
         } else {
             self.rebuild_agenda();
@@ -477,6 +629,15 @@ impl Engine {
     /// [`RunStats::activations`]).
     pub fn join_work_total(&self) -> u64 {
         self.join_work_total
+    }
+
+    /// The size of the conflict-set bookkeeping right now.
+    pub fn conflict_set(&self) -> ConflictSet {
+        ConflictSet {
+            pending: self.agenda.live,
+            refracted: self.fired_per_rule.iter().sum(),
+            indexed_facts: self.agenda.by_fact.len(),
+        }
     }
 
     /// Turn per-phase wall-clock profiling on or off. Off (the default)
@@ -551,7 +712,7 @@ impl Engine {
             return self.run_naive(max_cycles);
         }
         let mut stats = RunStats::default();
-        self.peak_agenda_acc = self.peak_agenda_acc.max(self.agenda.len() as u64);
+        self.peak_agenda_acc = self.peak_agenda_acc.max(self.agenda.live as u64);
         loop {
             if stats.cycles >= max_cycles {
                 stats.hit_limit = true;
@@ -559,13 +720,10 @@ impl Engine {
             }
             stats.cycles += 1;
             let t_agenda = self.prof_now();
-            let Some(key) = self.agenda.pop_last() else {
+            let Some((ix, ids)) = self.agenda.pop() else {
                 break;
             };
-            self.unindex_agenda(&key);
             self.prof_add_agenda(t_agenda);
-            let ix = key.rule.0;
-            let ids = key.ids.0;
             self.record_fired(ix, &ids);
             stats.fired += 1;
             self.fire_timed(ix, ids.as_slice());
@@ -642,36 +800,9 @@ impl Engine {
         }
     }
 
-    fn agenda_insert(&mut self, key: AgendaKey) {
-        for &id in key.ids.0.as_slice() {
-            self.agenda_by_fact.insert((id, key.clone()));
-        }
-        self.agenda.insert(key);
-        self.peak_agenda_acc = self.peak_agenda_acc.max(self.agenda.len() as u64);
-    }
-
-    fn agenda_remove(&mut self, key: &AgendaKey) {
-        if self.agenda.remove(key) {
-            self.unindex_agenda(key);
-        }
-    }
-
-    fn unindex_agenda(&mut self, key: &AgendaKey) {
-        for &id in key.ids.0.as_slice() {
-            self.agenda_by_fact.remove(&(id, key.clone()));
-        }
-    }
-
-    fn clear_rule_agenda(&mut self, ix: RuleIx) {
-        let stale: Vec<AgendaKey> = self
-            .agenda
-            .iter()
-            .filter(|k| k.rule.0 == ix)
-            .cloned()
-            .collect();
-        for key in stale {
-            self.agenda_remove(&key);
-        }
+    fn agenda_insert(&mut self, ix: RuleIx, salience: i32, ids: IdVec) {
+        self.agenda.insert(ix, salience, ids);
+        self.peak_agenda_acc = self.peak_agenda_acc.max(self.agenda.live as u64);
     }
 
     fn note_work(&mut self, work: u64) {
@@ -730,7 +861,7 @@ impl Engine {
         for ids in acts.drain(..) {
             // The activation contains the brand-new fact, so it can be in
             // neither the refraction memory nor the agenda already.
-            self.agenda_insert(AgendaKey::new(ix, salience, ids));
+            self.agenda_insert(ix, salience, ids);
         }
         self.acts_buf = acts;
         self.prof_add_agenda(t_agenda);
@@ -756,32 +887,27 @@ impl Engine {
         self.prof_add_match(t_match);
         self.note_work(work);
         let t_agenda = self.prof_now();
-        let mut fresh: Vec<AgendaKey> = acts
-            .drain(..)
-            .map(|ids| AgendaKey::new(ix, salience, ids))
-            .collect();
-        self.acts_buf = acts;
-        fresh.sort_unstable();
-        let stale: Vec<AgendaKey> = self
-            .agenda
-            .iter()
-            .filter(|k| k.rule.0 == ix && fresh.binary_search(k).is_err())
-            .cloned()
-            .collect();
-        for key in stale {
-            self.agenda_remove(&key);
-        }
-        for key in fresh {
-            if !self.has_fired(ix, key.ids.0.as_slice()) && !self.agenda.contains(&key) {
-                self.agenda_insert(key);
+        acts.sort_unstable();
+        // Pending activations still matched stay; the rest go.
+        let mut pending = vec![false; acts.len()];
+        self.agenda.retain(ix, |ids| match acts.binary_search(ids) {
+            Ok(i) => {
+                pending[i] = true;
+                true
+            }
+            Err(_) => false,
+        });
+        for (ids, pending) in acts.drain(..).zip(pending) {
+            if !pending && !self.has_fired(ix, ids.as_slice()) {
+                self.agenda_insert(ix, salience, ids);
             }
         }
+        self.acts_buf = acts;
         self.prof_add_agenda(t_agenda);
     }
 
     fn rebuild_agenda(&mut self) {
-        self.agenda.clear();
-        self.agenda_by_fact.clear();
+        self.agenda = Agenda::default();
         for ix in 0..self.rules.len() as RuleIx {
             if self.rules[ix as usize].is_some() {
                 self.reconcile_rule(ix);
@@ -794,8 +920,14 @@ impl Engine {
         self.fired.contains(&(anchor, ix, IdVec::from_slice(ids)))
     }
 
-    /// Enter `(ix, ids)` in the refraction memory and the firing trace.
+    /// Enter `(ix, ids)` in the firing trace and, unless the firing
+    /// consumes it, in the refraction memory.
     fn record_fired(&mut self, ix: RuleIx, ids: &IdVec) {
+        let rule = &self.compiled[ix as usize];
+        self.trace.push(Arc::clone(&rule.name));
+        if rule.consumes {
+            return;
+        }
         for &id in ids.as_slice() {
             self.fired.insert((id, ix, ids.clone()));
         }
@@ -803,8 +935,6 @@ impl Engine {
             self.fired.insert((NO_FACT, ix, ids.clone()));
         }
         self.fired_per_rule[ix as usize] += 1;
-        self.trace
-            .push(Arc::clone(&self.compiled[ix as usize].name));
     }
 
     /// Execute a rule's right-hand side for the activation `fact_ids`.
@@ -1350,5 +1480,152 @@ mod tests {
         assert_eq!(naive_trace, rete_trace);
         assert_eq!(naive_inv, rete_inv);
         assert_eq!(naive_facts, rete_facts);
+    }
+
+    /// The agenda's three views agree: every link names an occupied slot
+    /// whose activation mentions that fact at that position and points
+    /// back at the link, every occupied slot has a live heap entry, and
+    /// `live` counts exactly the occupied slots.
+    fn assert_agenda_consistent(a: &Agenda) {
+        let mut links = 0;
+        for (&id, list) in &a.by_fact {
+            assert!(!list.is_empty(), "empty list kept for {id:?}");
+            for (i, link) in list.as_slice().iter().enumerate() {
+                let act = a.slab[link.slot as usize].act.as_ref().expect("occupied");
+                assert_eq!(act.ids.as_slice()[link.k as usize], id);
+                assert_eq!(act.at.as_slice()[link.k as usize] as usize, i);
+                links += 1;
+            }
+        }
+        let occupied: Vec<_> = (0..a.slab.len())
+            .filter(|&s| a.slab[s].act.is_some())
+            .collect();
+        assert_eq!(occupied.len(), a.live);
+        let expected_links: usize = occupied
+            .iter()
+            .map(|&s| a.slab[s].act.as_ref().unwrap().ids.len())
+            .sum();
+        assert_eq!(links, expected_links);
+        for &s in &occupied {
+            let gen = a.slab[s].gen;
+            assert!(a.heap.iter().any(|q| q.slot as usize == s && q.gen == gen));
+        }
+        assert!(a.heap.len() <= 2 * a.live, "tombstones are swept");
+    }
+
+    /// Many pending activations share one permanent fact; retracting
+    /// their partners in a scrambled order swap-removes links under the
+    /// shared fact, and what is left still fires in conflict-resolution
+    /// order, as the naive oracle fires it.
+    #[test]
+    fn removals_under_a_shared_fact_keep_the_agenda_consistent() {
+        let script = |naive: bool| {
+            let mut e = Engine::new();
+            e.use_naive_matcher(naive);
+            e.set_trace_capacity(1024);
+            e.add_rule(
+                Rule::new("pair")
+                    .when(Pattern::new("anchor"))
+                    .when(Pattern::new("partner").slot_var("n", "n"))
+                    .then_call("pair", vec![Term::var("n")]),
+            );
+            e.add_rule(
+                Rule::new("solo")
+                    .salience(1)
+                    .when(Pattern::new("partner").slot_var("n", "n"))
+                    .test(Test::Cmp(CmpOp::Lt, Term::var("n"), Term::val(8)))
+                    .then_call("solo", vec![Term::var("n")])
+                    .then_retract(0),
+            );
+            let anchor = e.assert_fact(Fact::new("anchor"));
+            let ids: Vec<FactId> = (0..64)
+                .map(|n| e.assert_fact(Fact::new("partner").with("n", n)))
+                .collect();
+            if !naive {
+                assert_eq!(e.conflict_set().pending, 64 + 8);
+                assert_eq!(e.conflict_set().indexed_facts, 65);
+            }
+            for i in 0..48 {
+                e.retract(ids[(i * 37) % 64]);
+                if !naive {
+                    assert_agenda_consistent(&e.agenda);
+                }
+            }
+            let stats = e.run(1000);
+            if !naive {
+                assert_agenda_consistent(&e.agenda);
+                // `pair` does not consume: one entry per live partner it
+                // fired on. `solo` consumed what it fired on.
+                let left = e.facts().by_template("partner").count() as u64;
+                assert_eq!(e.conflict_set().refracted, left);
+                e.retract(anchor);
+                assert_eq!(e.conflict_set().refracted, 0);
+                assert_eq!(e.conflict_set(), ConflictSet::default());
+            }
+            (e.take_trace(), e.take_invocations(), stats.fired)
+        };
+        assert_eq!(script(false), script(true));
+    }
+
+    /// A firing that consumes its activation files nothing; one that
+    /// asserts a template its own rule negates before retracting must,
+    /// or the rule's mid-firing re-reconciliation would put the firing
+    /// activation back on the agenda for the rest of the firing.
+    #[test]
+    fn consumption_and_mid_firing_reconciliation() {
+        let mut e = Engine::new();
+        e.add_rule(
+            Rule::new("guarded")
+                .when(Pattern::new("req").slot_var("id", "r"))
+                .when_not(Pattern::new("seen").slot_var("id", "r"))
+                .then_assert("seen", vec![("id", Term::val(100))])
+                .then_retract(0),
+        );
+        e.add_rule(
+            Rule::new("noticed")
+                .salience(-1)
+                .when(Pattern::new("seen").slot_var("id", "s"))
+                .then_call("noticed", vec![Term::var("s")]),
+        );
+        e.assert_fact(Fact::new("req").with("id", 1));
+        let stats = e.run(100);
+        assert_eq!(stats.fired, 2);
+        // `req 1` fired and went; `seen 100` seeded `noticed`. Had the
+        // firing activation come back, the agenda would have held two.
+        assert_eq!(stats.peak_agenda, 1);
+        assert_eq!(
+            e.conflict_set(),
+            ConflictSet {
+                pending: 0,
+                refracted: 1, // `noticed` on the live `seen` fact
+                indexed_facts: 0,
+            }
+        );
+    }
+
+    /// Removing a rule, or replacing it in place, while its activations
+    /// are pending unlinks them all.
+    #[test]
+    fn rule_removal_and_replacement_unlink_pending_activations() {
+        let mut e = Engine::new();
+        let rule = |cmd: &str| {
+            Rule::new("r")
+                .when(Pattern::new("a").slot_var("x", "x"))
+                .when(Pattern::new("b"))
+                .then_call(cmd, vec![Term::var("x")])
+        };
+        e.add_rule(rule("v1"));
+        e.assert_fact(Fact::new("b"));
+        for x in 0..10 {
+            e.assert_fact(Fact::new("a").with("x", x));
+        }
+        assert_eq!(e.conflict_set().pending, 10);
+        e.add_rule(rule("v2"));
+        assert_agenda_consistent(&e.agenda);
+        assert_eq!(e.conflict_set().pending, 10, "re-derived for v2");
+        assert!(e.remove_rule("r"));
+        assert_agenda_consistent(&e.agenda);
+        assert_eq!(e.conflict_set(), ConflictSet::default());
+        assert!(e.agenda.heap.is_empty());
     }
 }

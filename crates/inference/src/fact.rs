@@ -49,7 +49,7 @@ use crate::value::Value;
 
 /// Identifies an asserted fact. Monotonically increasing; used for the
 /// agenda's recency ordering.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FactId(pub u64);
 
 /// A store's symbol for a template: a small dense integer, stable for

@@ -4,7 +4,9 @@
 //! engine computes itself, and every index bucket is re-verified against
 //! the facts it names, so a collision costs a longer candidate list,
 //! never a wrong match. That makes SipHash's flood resistance a cost
-//! without a benefit on the violation path.
+//! without a benefit on the violation path. It is public for the same
+//! trade made elsewhere on that path: a host manager fingerprints each
+//! report only to compare it with the same process's previous one.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -12,9 +14,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Word-at-a-time rotate-xor-multiply hasher (the rustc `FxHasher`
-/// recipe).
+/// recipe). Fast and deterministic; not collision-resistant against
+/// chosen input.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FxHasher(u64);
+pub struct FxHasher(u64);
 
 impl FxHasher {
     #[inline]

@@ -1,156 +1,190 @@
-//! A small vector of [`FactId`]s that stays inline for the common case.
+//! Small vectors that stay inline for the common case.
 //!
 //! Activation and refraction keys record the facts matched by a rule's
 //! positive condition elements — almost always 1–3 of them in the
 //! manager rule sets — so the engine keys its agenda and refraction
-//! memory on this type instead of heap-allocating a `Vec<FactId>` per
+//! memory on [`IdVec`] instead of heap-allocating a `Vec<FactId>` per
 //! entry. The fact store's duplicate and equality-join buckets (almost
-//! always one id) use it for the same reason. Equality, hashing and ordering are slice-based (padding never
-//! participates), and the ordering matches `Vec<FactId>`'s lexicographic
-//! order exactly, which the conflict-resolution tie-break relies on.
+//! always one id) use it for the same reason, and the agenda's by-fact
+//! index keeps its per-fact activation links, and each activation its
+//! positions in those lists, in the same [`InlineVec`]. Equality, hashing
+//! and ordering are slice-based (padding never participates), and the
+//! ordering matches `Vec`'s lexicographic order exactly, which the
+//! conflict-resolution tie-break relies on.
 
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
 use crate::fact::FactId;
 
-/// Inline capacity: rules with more positive patterns spill to the heap.
+/// Inline capacity: longer vectors spill to the heap.
 const INLINE: usize = 4;
 
-/// A fact-id vector inline up to [`INLINE`] entries.
+/// A vector of `Copy` values inline up to [`INLINE`] entries.
 #[derive(Clone, Debug)]
-pub enum IdVec {
-    /// Up to `INLINE` ids stored in place.
+pub enum InlineVec<T> {
+    /// Up to `INLINE` values stored in place.
     Inline {
         /// Number of live entries in `buf`.
         len: u8,
         /// Storage; entries past `len` are padding and never compared.
-        buf: [FactId; INLINE],
+        buf: [T; INLINE],
     },
-    /// Spilled storage for longer id vectors.
-    Heap(Vec<FactId>),
+    /// Spilled storage for longer vectors.
+    Heap(Vec<T>),
 }
 
-impl IdVec {
-    /// The empty id vector.
-    pub fn new() -> Self {
-        IdVec::Inline {
-            len: 0,
-            buf: [FactId(0); INLINE],
-        }
-    }
+/// The fact ids of an activation, a refraction entry or an index bucket.
+pub type IdVec = InlineVec<FactId>;
 
-    /// Build from a slice, inline when it fits.
-    pub fn from_slice(ids: &[FactId]) -> Self {
-        if ids.len() <= INLINE {
-            let mut buf = [FactId(0); INLINE];
-            buf[..ids.len()].copy_from_slice(ids);
-            IdVec::Inline {
-                len: ids.len() as u8,
-                buf,
-            }
-        } else {
-            IdVec::Heap(ids.to_vec())
-        }
-    }
-
+impl<T> InlineVec<T> {
     /// The live entries.
-    pub fn as_slice(&self) -> &[FactId] {
+    pub fn as_slice(&self) -> &[T] {
         match self {
-            IdVec::Inline { len, buf } => &buf[..*len as usize],
-            IdVec::Heap(v) => v,
+            InlineVec::Inline { len, buf } => &buf[..*len as usize],
+            InlineVec::Heap(v) => v,
         }
     }
 
-    /// Append an id, spilling to the heap when inline capacity runs out.
-    pub fn push(&mut self, id: FactId) {
+    /// The live entries, writable in place.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         match self {
-            IdVec::Inline { len, buf } => {
-                if (*len as usize) < INLINE {
-                    buf[*len as usize] = id;
-                    *len += 1;
-                } else {
-                    let mut v = buf.to_vec();
-                    v.push(id);
-                    *self = IdVec::Heap(v);
-                }
-            }
-            IdVec::Heap(v) => v.push(id),
+            InlineVec::Inline { len, buf } => &mut buf[..*len as usize],
+            InlineVec::Heap(v) => v,
         }
     }
 
-    /// Remove `id` if present, keeping the order of the rest.
-    pub fn remove(&mut self, id: FactId) {
-        match self {
-            IdVec::Inline { len, buf } => {
-                let n = *len as usize;
-                if let Some(pos) = buf[..n].iter().position(|&x| x == id) {
-                    buf.copy_within(pos + 1..n, pos);
-                    *len -= 1;
-                }
-            }
-            IdVec::Heap(v) => v.retain(|&x| x != id),
-        }
-    }
-
-    /// Number of ids.
-    #[allow(dead_code)] // exercised by tests; kept for API symmetry
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.as_slice().len()
     }
 
-    /// True when no ids are recorded (a rule with an empty left-hand
-    /// side, or an index bucket that lost its last fact).
+    /// True when there are no entries (a rule with an empty left-hand
+    /// side, or a bucket that lost its last fact).
     pub fn is_empty(&self) -> bool {
         self.as_slice().is_empty()
     }
+}
 
-    /// Does the vector mention `id`?
-    pub fn contains(&self, id: FactId) -> bool {
-        self.as_slice().contains(&id)
+impl<T: Copy + Default> InlineVec<T> {
+    /// The empty vector.
+    pub fn new() -> Self {
+        InlineVec::Inline {
+            len: 0,
+            buf: [T::default(); INLINE],
+        }
     }
 
+    /// Build from a slice, inline when it fits.
+    pub fn from_slice(items: &[T]) -> Self {
+        if items.len() <= INLINE {
+            let mut buf = [T::default(); INLINE];
+            buf[..items.len()].copy_from_slice(items);
+            InlineVec::Inline {
+                len: items.len() as u8,
+                buf,
+            }
+        } else {
+            InlineVec::Heap(items.to_vec())
+        }
+    }
+
+    /// Append a value, spilling to the heap when inline capacity runs out.
+    pub fn push(&mut self, item: T) {
+        match self {
+            InlineVec::Inline { len, buf } => {
+                if (*len as usize) < INLINE {
+                    buf[*len as usize] = item;
+                    *len += 1;
+                } else {
+                    let mut v = buf.to_vec();
+                    v.push(item);
+                    *self = InlineVec::Heap(v);
+                }
+            }
+            InlineVec::Heap(v) => v.push(item),
+        }
+    }
+
+    /// Remove entry `i` in O(1), moving the last entry into its place.
+    pub fn swap_remove(&mut self, i: usize) {
+        match self {
+            InlineVec::Inline { len, buf } => {
+                let n = *len as usize;
+                assert!(i < n, "swap_remove index {i} of {n}");
+                buf[i] = buf[n - 1];
+                *len -= 1;
+            }
+            InlineVec::Heap(v) => {
+                v.swap_remove(i);
+            }
+        }
+    }
+}
+
+impl<T: Copy + Default + PartialEq> InlineVec<T> {
+    /// Remove `item` if present, keeping the order of the rest.
+    pub fn remove(&mut self, item: T) {
+        match self {
+            InlineVec::Inline { len, buf } => {
+                let n = *len as usize;
+                if let Some(pos) = buf[..n].iter().position(|&x| x == item) {
+                    buf.copy_within(pos + 1..n, pos);
+                    *len -= 1;
+                }
+            }
+            InlineVec::Heap(v) => v.retain(|&x| x != item),
+        }
+    }
+
+    /// Does the vector hold `item`?
+    pub fn contains(&self, item: T) -> bool {
+        self.as_slice().contains(&item)
+    }
+}
+
+impl IdVec {
     /// Highest id — the activation's recency — or `FactId(0)` when empty.
     pub fn recency(&self) -> FactId {
         self.as_slice().iter().copied().max().unwrap_or(FactId(0))
     }
 }
 
-impl Default for IdVec {
+impl<T: Copy + Default> Default for InlineVec<T> {
     fn default() -> Self {
-        IdVec::new()
+        InlineVec::new()
     }
 }
 
-impl PartialEq for IdVec {
+impl<T: PartialEq> PartialEq for InlineVec<T> {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
-impl Eq for IdVec {}
+impl<T: Eq> Eq for InlineVec<T> {}
 
-impl Hash for IdVec {
+impl<T: Hash> Hash for InlineVec<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.as_slice().hash(state);
     }
 }
 
-impl PartialOrd for IdVec {
+impl<T: Ord> PartialOrd for InlineVec<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for IdVec {
+impl<T: Ord> Ord for InlineVec<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.as_slice().cmp(other.as_slice())
     }
 }
 
-impl From<&[FactId]> for IdVec {
-    fn from(ids: &[FactId]) -> Self {
-        IdVec::from_slice(ids)
+impl<T: Copy + Default> From<&[T]> for InlineVec<T> {
+    fn from(items: &[T]) -> Self {
+        InlineVec::from_slice(items)
     }
 }
 
@@ -199,6 +233,22 @@ mod tests {
         let mut one = iv(&[7]);
         one.remove(FactId(7));
         assert!(one.is_empty());
+    }
+
+    #[test]
+    fn swap_remove_moves_the_last_entry_into_the_hole() {
+        let mut short = iv(&[3, 5, 9]);
+        short.swap_remove(0);
+        assert_eq!(short, iv(&[9, 5]));
+        short.swap_remove(1);
+        assert_eq!(short, iv(&[9]));
+        short.swap_remove(0);
+        assert!(short.is_empty());
+        let mut long = iv(&[1, 2, 3, 4, 5, 6]);
+        long.swap_remove(1);
+        assert_eq!(long, iv(&[1, 6, 3, 4, 5]));
+        long.as_mut_slice()[0] = FactId(8);
+        assert_eq!(long, iv(&[8, 6, 3, 4, 5]));
     }
 
     #[test]

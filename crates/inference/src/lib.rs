@@ -45,7 +45,7 @@
 pub mod clips;
 pub mod engine;
 pub mod fact;
-mod hash;
+pub mod hash;
 mod idvec;
 pub mod pattern;
 pub mod rule;
@@ -55,7 +55,7 @@ pub mod value;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::clips::{parse_program, parse_rule, ClipsError, Program};
-    pub use crate::engine::{Engine, PhaseProfile, RunStats, DEFAULT_TRACE_CAPACITY};
+    pub use crate::engine::{ConflictSet, Engine, PhaseProfile, RunStats, DEFAULT_TRACE_CAPACITY};
     pub use crate::fact::{Fact, FactId, FactStore, Slot, Template, TemplateId};
     pub use crate::pattern::{Bindings, Pattern, SlotTest, Term, Test};
     pub use crate::rule::{Action, Ce, Invocation, Rule};

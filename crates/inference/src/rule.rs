@@ -247,6 +247,11 @@ pub(crate) struct CompiledRule {
     pub(crate) pos_tmpls: Vec<TemplateId>,
     /// Distinct templates of negated CEs (re-evaluation triggers).
     pub(crate) neg_tmpls: Vec<TemplateId>,
+    /// A firing retracts (or modifies) a fact of its own activation
+    /// before anything could re-evaluate this rule, so it files no
+    /// refraction entry: fact ids are never reused, the activation can
+    /// never re-form, and the entry would be dropped within the firing.
+    pub(crate) consumes: bool,
 }
 
 /// Variables in scope while compiling, in binding order.
@@ -386,6 +391,22 @@ impl CompiledRule {
                 },
             })
             .collect();
+        // The first action that retracts a matched fact consumes the
+        // activation, unless an assert before it can reach a template
+        // this rule negates: that re-reconciles the rule mid-firing, and
+        // only the refraction entry keeps the activation off the agenda.
+        let consumes = rule
+            .actions
+            .iter()
+            .find_map(|action| match action {
+                Action::Retract(i) | Action::Modify { pos_index: i, .. } if *i < pos => Some(true),
+                Action::Assert { template, .. } => Template::lookup(template)
+                    .and_then(|t| facts.id_of(t))
+                    .is_some_and(|tid| neg_tmpls.contains(&tid))
+                    .then_some(false),
+                _ => None,
+            })
+            .unwrap_or(false);
         CompiledRule {
             name: rule.name.as_str().into(),
             salience: rule.salience,
@@ -393,6 +414,7 @@ impl CompiledRule {
             actions,
             pos_tmpls,
             neg_tmpls,
+            consumes,
         }
     }
 }
@@ -482,6 +504,42 @@ mod tests {
             .when(Pattern::new("peer").slot_var("id", "b"));
         // 2 ordered pairs (1,2) and (2,1) — never (1,1) or (2,2).
         assert_eq!(r.activations(&s).len(), 2);
+    }
+
+    #[test]
+    fn consumption_is_decided_once_at_compile_time() {
+        let consumes = |r: Rule| CompiledRule::compile(&r, &mut FactStore::new()).consumes;
+        let two = || {
+            Rule::new("r")
+                .when(Pattern::new("a").slot_var("x", "x"))
+                .when_not(Pattern::new("blocked").slot_var("x", "x"))
+                .when(Pattern::new("b").slot_var("x", "x"))
+        };
+        assert!(consumes(two().then_call("c", vec![]).then_retract(0)));
+        assert!(consumes(two().then_retract(1)), "a non-first CE counts");
+        assert!(consumes(two().then_modify(1, vec![("x", Term::val(2))])));
+        assert!(!consumes(two().then_call("c", vec![])), "nothing retracted");
+        assert!(!consumes(two().then_retract(2)), "no third positive CE");
+        assert!(!consumes(Rule::new("boot").then_retract(0)));
+        // An assert that re-reconciles the rule before the retract: only
+        // a refraction entry keeps the activation off the agenda then.
+        assert!(!consumes(
+            two()
+                .then_assert("blocked", vec![("x", Term::val(9))])
+                .then_retract(0)
+        ));
+        // The same assert after the retract, or of a template the rule
+        // does not negate, is harmless.
+        assert!(consumes(
+            two()
+                .then_retract(0)
+                .then_assert("blocked", vec![("x", Term::val(9))])
+        ));
+        assert!(consumes(
+            two()
+                .then_assert("a", vec![("x", Term::val(9))])
+                .then_retract(0)
+        ));
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! retract actions and an empty-LHS rule — applies the same script to
 //! both engines, and requires identical firing traces, invocation
 //! streams, per-run fired counts and final fact populations.
+//!
+//! A second rule set ([`conflict_rules`]) aims at the conflict-set
+//! bookkeeping: which firings file refraction entries (consumed
+//! activations do not), removal of activations that share a fact,
+//! partial runs that leave activations pending under rule removal and
+//! replacement, and the conflict-resolution tie-breaks.
 
 use proptest::prelude::*;
 use qos_inference::prelude::*;
@@ -94,6 +100,13 @@ fn marked_v2() -> Rule {
         .salience(1)
         .when(Pattern::new("mark").slot_var("n", "n"))
         .then_call("marked-v2", vec![Term::var("n")])
+}
+
+/// Cases per property: 128, or `PROPTEST_CASES` when it is set (CI runs
+/// the release build with 1024).
+fn cases() -> ProptestConfig {
+    let env = std::env::var("PROPTEST_CASES").ok();
+    ProptestConfig::with_cases(env.and_then(|v| v.parse().ok()).unwrap_or(128))
 }
 
 /// One scripted operation, decoded from a generated `(op, a, b)` triple.
@@ -182,7 +195,7 @@ fn run_script(ops: &[Op], naive: bool) -> (Vec<String>, Vec<Invocation>, Vec<u64
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(cases())]
     #[test]
     fn incremental_matcher_is_observationally_identical_to_naive(
         ops in proptest::collection::vec((0u8..16, 0u8..32, 0u8..8), 4..64),
@@ -389,4 +402,318 @@ fn a_fact_is_the_same_in_either_build_order() {
     let (id, fresh) = store.assert_fact(ab);
     assert!(fresh);
     assert_eq!(store.assert_fact(ba), (id, false));
+}
+
+/// Rules for the conflict-set bookkeeping: activations consumed through
+/// a non-first CE, through a first CE while the partner persists, and by
+/// `modify`; a rule that never consumes, so refraction alone stops it
+/// re-firing; a rule that asserts a template it negates before it
+/// retracts; and equal-salience rules whose ties fall to recency, then
+/// rule index, then fact ids.
+fn conflict_rules() -> Vec<Rule> {
+    vec![
+        // Consumes its second CE; the `slot` it joins stays.
+        Rule::new("take-second")
+            .salience(4)
+            .when(Pattern::new("slot").slot_var("id", "s"))
+            .when(
+                Pattern::new("token")
+                    .slot_var("slot", "s")
+                    .slot_var("n", "n"),
+            )
+            .then_call("took", vec![Term::var("s"), Term::var("n")])
+            .then_retract(1),
+        // Consumes the job and keeps the worker: the next job re-forms
+        // the pair with the same worker.
+        Rule::new("assign")
+            .salience(2)
+            .when(Pattern::new("job").slot_var("n", "n"))
+            .when(Pattern::new("worker").slot_var("id", "w"))
+            .then_call("assign", vec![Term::var("w"), Term::var("n")])
+            .then_retract(0),
+        watch_rule(),
+        // Equal salience on one template: for one fact definition order
+        // decides, across facts recency does.
+        Rule::new("tie-a")
+            .when(Pattern::new("mark").slot_var("n", "n"))
+            .then_call("tie-a", vec![Term::var("n")]),
+        Rule::new("tie-b")
+            .when(Pattern::new("mark").slot_var("n", "n"))
+            .then_call("tie-b", vec![Term::var("n")]),
+        // One rule, one newest fact, several partners: the id vectors
+        // decide, smallest first.
+        Rule::new("cross")
+            .when(Pattern::new("left").slot_var("n", "l"))
+            .when(Pattern::new("right").slot_var("n", "r"))
+            .then_call("cross", vec![Term::var("l"), Term::var("r")]),
+        // Consumes through `modify`.
+        Rule::new("bump")
+            .salience(1)
+            .when(
+                Pattern::new("counter")
+                    .slot_var("n", "n")
+                    .slot_const("state", "fresh"),
+            )
+            .then_modify(0, vec![("state", Term::val("bumped"))])
+            .then_call("bump", vec![Term::var("n")]),
+        // Asserts a template it negates, then retracts its trigger: the
+        // mid-firing re-evaluation must not put the firing back.
+        Rule::new("guarded")
+            .salience(-2)
+            .when(Pattern::new("req").slot_var("id", "r"))
+            .when_not(Pattern::new("seen").slot_var("id", "r"))
+            .then_assert("seen", vec![("id", Term::val(0))])
+            .then_retract(0),
+    ]
+}
+
+/// Never consumes: fires once per live (worker, slot) pair.
+fn watch_rule() -> Rule {
+    Rule::new("watch")
+        .when(Pattern::new("worker").slot_var("id", "w"))
+        .when(Pattern::new("slot").slot_var("id", "w"))
+        .then_call("watch", vec![Term::var("w")])
+}
+
+/// `cross`, redefined in place while its activations may be pending.
+fn cross_v2() -> Rule {
+    Rule::new("cross")
+        .salience(3)
+        .when(Pattern::new("left").slot_var("n", "l"))
+        .when(Pattern::new("right").slot_var("n", "r"))
+        .then_call("cross-v2", vec![Term::var("r"), Term::var("l")])
+}
+
+/// `assign`, redefined in place to stop consuming its job: from then on
+/// its firings file refraction entries.
+fn assign_v2() -> Rule {
+    Rule::new("assign")
+        .salience(2)
+        .when(Pattern::new("job").slot_var("n", "n"))
+        .when(Pattern::new("worker").slot_var("id", "w"))
+        .then_call("assign-v2", vec![Term::var("w"), Term::var("n")])
+}
+
+/// A fact of one of [`conflict_rules`]' templates; `a` and `b` pick the
+/// slot values from small domains, so joins, duplicates and re-formed
+/// pairs are common.
+fn conflict_fact(tmpl: u8, a: u8, b: u8) -> Fact {
+    let (x, y) = (i64::from(a % 4), i64::from(b % 3));
+    match tmpl {
+        0 => Fact::new("slot").with("id", y),
+        1 => Fact::new("token").with("slot", y).with("n", x),
+        2 => Fact::new("job").with("n", x),
+        3 => Fact::new("worker").with("id", y),
+        4 => Fact::new("mark").with("n", y),
+        5 => Fact::new("left").with("n", y),
+        6 => Fact::new("right").with("n", y),
+        7 => Fact::new("counter").with("n", y).with("state", "fresh"),
+        _ => Fact::new("req").with("id", y),
+    }
+}
+
+/// Run `script` on a naive and an incremental engine loaded with
+/// [`conflict_rules`], require every observable to agree — the script's
+/// own result, the trace, the invocations and the final store printed
+/// fact by fact — and return the incremental engine's.
+fn on_both<T: PartialEq + std::fmt::Debug>(
+    script: impl Fn(&mut Engine) -> T,
+) -> (T, Vec<String>, Vec<Invocation>) {
+    let run = |naive: bool| {
+        let mut e = Engine::new();
+        e.use_naive_matcher(naive);
+        e.set_trace_capacity(1 << 16);
+        for r in conflict_rules() {
+            e.add_rule(r);
+        }
+        let out = script(&mut e);
+        let store: Vec<String> = e.facts().iter().map(|(_, f)| f.to_string()).collect();
+        (out, e.take_trace(), e.take_invocations(), store)
+    };
+    let naive = run(true);
+    let incremental = run(false);
+    assert_eq!(naive, incremental);
+    let (out, trace, invocations, _) = incremental;
+    (out, trace, invocations)
+}
+
+fn args(inv: &[Invocation], command: &str) -> Vec<Vec<Value>> {
+    inv.iter()
+        .filter(|i| i.command == command)
+        .map(|i| i.args.clone())
+        .collect()
+}
+
+#[test]
+fn consuming_a_non_first_ce_keeps_its_partner() {
+    let (left, _, inv) = on_both(|e| {
+        e.assert_fact(Fact::new("slot").with("id", 1));
+        for n in 0..3 {
+            e.assert_fact(Fact::new("token").with("slot", 1).with("n", n));
+        }
+        let fired = e.run(100).fired;
+        (
+            fired,
+            e.facts().by_template("token").count(),
+            e.facts().by_template("slot").count(),
+        )
+    });
+    assert_eq!(left, (3, 0, 1), "three tokens taken, the slot stays");
+    // Newest token first.
+    let took = args(&inv, "took");
+    assert_eq!(took[0], vec![Value::Int(1), Value::Int(2)]);
+    assert_eq!(took[2], vec![Value::Int(1), Value::Int(0)]);
+}
+
+#[test]
+fn a_consumed_pair_re_forms_with_a_new_partner() {
+    let (fired, _, inv) = on_both(|e| {
+        e.assert_fact(Fact::new("worker").with("id", 7));
+        e.assert_fact(Fact::new("job").with("n", 1));
+        let first = e.run(100).fired;
+        // Same worker, same job content: a fresh job id, so a fresh
+        // activation, with nothing refracted in its way.
+        e.assert_fact(Fact::new("job").with("n", 1));
+        e.assert_fact(Fact::new("job").with("n", 2));
+        (first, e.run(100).fired)
+    });
+    assert_eq!(fired, (1, 2));
+    assert_eq!(args(&inv, "assign").len(), 3);
+}
+
+#[test]
+fn refraction_holds_for_a_rule_offered_the_same_facts_again() {
+    let (fired, _, _) = on_both(|e| {
+        let w = e.assert_fact(Fact::new("worker").with("id", 1));
+        e.assert_fact(Fact::new("slot").with("id", 1));
+        let first = e.run(100).fired;
+        // The same facts again: duplicates, so the same ids.
+        let again = e.assert_fact(Fact::new("worker").with("id", 1));
+        e.assert_fact(Fact::new("slot").with("id", 1));
+        assert_eq!(again, w);
+        let repeat = e.run(100).fired;
+        // Replaced in place, the rule keeps its refraction history.
+        e.add_rule(watch_rule());
+        let replaced = e.run(100).fired;
+        // Removed and re-added, it is a new rule with none.
+        e.remove_rule("watch");
+        e.add_rule(watch_rule());
+        (first, repeat, replaced, e.run(100).fired)
+    });
+    assert_eq!(fired, (1, 0, 0, 1));
+}
+
+#[test]
+fn rule_changes_while_activations_are_pending() {
+    let (fired, _, inv) = on_both(|e| {
+        for n in 0..3 {
+            e.assert_fact(Fact::new("left").with("n", n));
+        }
+        e.assert_fact(Fact::new("right").with("n", 0));
+        e.assert_fact(Fact::new("worker").with("id", 1));
+        for n in 0..3 {
+            e.assert_fact(Fact::new("job").with("n", n));
+        }
+        // One of each left pending; then swap both rules under them.
+        let a = e.run(2).fired;
+        e.add_rule(cross_v2());
+        e.add_rule(assign_v2());
+        let b = e.run(2).fired;
+        assert!(e.remove_rule("cross"));
+        let c = e.run(100).fired;
+        e.add_rule(cross_v2());
+        (a, b, c, e.run(100).fired)
+    });
+    assert_eq!(fired, (2, 2, 1, 3));
+    // `assign` (salience 2) took two jobs before `cross` (0) fired; the
+    // replacements fired the rest, `cross-v2` again after re-adding.
+    let count = |command| args(&inv, command).len();
+    assert_eq!(
+        ["assign", "assign-v2", "cross", "cross-v2"].map(count),
+        [2, 1, 0, 5]
+    );
+}
+
+#[test]
+fn ties_fall_to_recency_then_rule_index_then_fact_ids() {
+    let (_, trace, inv) = on_both(|e| {
+        e.assert_fact(Fact::new("mark").with("n", 0));
+        e.assert_fact(Fact::new("mark").with("n", 1));
+        e.run(100);
+        e.assert_fact(Fact::new("left").with("n", 0));
+        e.assert_fact(Fact::new("left").with("n", 1));
+        e.assert_fact(Fact::new("right").with("n", 5));
+        e.run(100);
+    });
+    assert_eq!(
+        trace,
+        ["tie-a", "tie-b", "tie-a", "tie-b", "cross", "cross"]
+    );
+    let marks: Vec<Value> = inv.iter().take(4).map(|i| i.args[0].clone()).collect();
+    assert_eq!(marks, [1, 1, 0, 0].map(Value::Int));
+    assert_eq!(
+        args(&inv, "cross"),
+        [
+            vec![Value::Int(0), Value::Int(5)],
+            vec![Value::Int(1), Value::Int(5)]
+        ]
+    );
+}
+
+proptest! {
+    #![proptest_config(cases())]
+    /// Randomized interleavings over [`conflict_rules`]: asserts,
+    /// retracts, partial runs that leave activations pending, and rule
+    /// removal, re-adding and in-place replacement under them.
+    #[test]
+    fn conflict_set_bookkeeping_is_observationally_identical_to_naive(
+        ops in proptest::collection::vec((0u8..16, 0u8..32, 0u8..8), 4..64),
+    ) {
+        let per_run = |e: &mut Engine| {
+            let mut live: Vec<FactId> = Vec::new();
+            let mut fired = Vec::new();
+            for &(op, a, b) in &ops {
+                match op {
+                    0..=8 => live.push(e.assert_fact(conflict_fact(op, a, b))),
+                    9 | 10 => {
+                        if !live.is_empty() {
+                            e.retract(live[a as usize % live.len()]);
+                        }
+                    }
+                    11 => {
+                        e.retract_template(["seen", "slot", "worker"][b as usize % 3]);
+                    }
+                    12 => match b % 4 {
+                        0 => {
+                            e.remove_rule("watch");
+                        }
+                        1 => e.add_rule(watch_rule()),
+                        2 => e.add_rule(cross_v2()),
+                        _ => e.add_rule(assign_v2()),
+                    },
+                    13 => fired.push(e.run(1 + u64::from(b % 3)).fired),
+                    _ => fired.push(e.run(100).fired),
+                }
+            }
+            fired.push(e.run(200).fired);
+            fired
+        };
+        let run = |naive: bool| {
+            let mut e = Engine::new();
+            e.use_naive_matcher(naive);
+            e.set_trace_capacity(1 << 16);
+            for r in conflict_rules() {
+                e.add_rule(r);
+            }
+            let fired = per_run(&mut e);
+            let store: Vec<String> = e.facts().iter().map(|(_, f)| f.to_string()).collect();
+            (e.take_trace(), e.take_invocations(), fired, store)
+        };
+        let (n_trace, n_inv, n_fired, n_store) = run(true);
+        let (r_trace, r_inv, r_fired, r_store) = run(false);
+        prop_assert_eq!(n_trace, r_trace, "firing sequences diverged");
+        prop_assert_eq!(n_inv, r_inv, "invocation streams diverged");
+        prop_assert_eq!(n_fired, r_fired, "per-run fired counts diverged");
+        prop_assert_eq!(n_store, r_store, "final fact stores diverged");
+    }
 }

@@ -388,6 +388,11 @@ impl HostCore {
         self.diagnosis.engine.join_work_total()
     }
 
+    /// Diagnostic: the embedded engine's conflict-set bookkeeping.
+    pub fn engine_conflict_set(&self) -> ConflictSet {
+        self.diagnosis.engine.conflict_set()
+    }
+
     /// Toggle per-phase wall-clock profiling (match / agenda / fire) in
     /// the embedded engine. Off by default; the benchmark turns it on to
     /// break a violation's budget down by phase.
@@ -930,10 +935,12 @@ impl HostCore {
 }
 
 /// Fingerprint a violation for duplicate detection: pid, corr, policy
-/// and the full reading vector (bit-exact floats).
+/// and the full reading vector (bit-exact floats). Only ever compared
+/// with the same pid's previous report, so a fast hasher will do:
+/// collision resistance across processes would protect nothing.
 fn violation_fingerprint(v: &ViolationMsgRef<'_>) -> u64 {
     use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+    let mut h = qos_inference::hash::FxHasher::default();
     v.pid.hash(&mut h);
     v.corr.hash(&mut h);
     v.policy.hash(&mut h);

@@ -818,6 +818,9 @@ struct ManagerCore {
     vocab: HostVocabulary,
     registered: HashSet<String>,
     subs: Vec<Subscriber>,
+    /// Does any subscriber want events? Kept by [`ManagerCore::subs_changed`],
+    /// so `emit` does not walk `subs` four times per violation.
+    events_wanted: bool,
     staged: Vec<TraceEvent>,
     next_corr: u64,
     last_publish: Instant,
@@ -860,6 +863,7 @@ impl ManagerCore {
             vocab: HostVocabulary::new(),
             registered: HashSet::new(),
             subs: Vec::new(),
+            events_wanted: false,
             staged: Vec::new(),
             next_corr: 0,
             last_publish: Instant::now(),
@@ -943,7 +947,7 @@ impl ManagerCore {
     /// — the builder default — a violation's four events cost nothing.
     fn emit(&mut self, make: impl FnOnce(&LiveClock) -> TraceEvent) {
         let clock = &self.clock;
-        if self.subs.iter().any(|s| s.want_events) {
+        if self.events_wanted {
             let ev = make(clock);
             self.telemetry.event(|| ev.clone());
             self.staged.push(ev);
@@ -1090,9 +1094,7 @@ impl ManagerCore {
                         seq: 0,
                         gone: false,
                     });
-                    self.stats
-                        .subscribers
-                        .store(self.subs.len() as u64, Ordering::Relaxed);
+                    self.subs_changed();
                     // Snapshot promptly for the newcomer instead of
                     // waiting out the metrics cadence.
                     self.last_metrics = None;
@@ -1218,10 +1220,16 @@ impl ManagerCore {
         }
         if lost {
             self.subs.retain(|s| !s.gone);
-            self.stats
-                .subscribers
-                .store(self.subs.len() as u64, Ordering::Relaxed);
+            self.subs_changed();
         }
+    }
+
+    /// A subscriber joined or was pruned.
+    fn subs_changed(&mut self) {
+        self.events_wanted = self.subs.iter().any(|s| s.want_events);
+        self.stats
+            .subscribers
+            .store(self.subs.len() as u64, Ordering::Relaxed);
     }
 }
 
@@ -1763,6 +1771,55 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         mgr.shutdown();
+    }
+
+    /// An events subscriber that goes away stops events from being
+    /// built: a violation stages its lifecycle events while one is
+    /// attached and none once it has been pruned.
+    #[test]
+    fn departed_events_subscriber_stops_event_staging() {
+        let stats = Arc::new(LiveManagerStats::default());
+        let mut core = ManagerCore::new(
+            Arc::clone(&stats),
+            Telemetry::default(),
+            parse_program(&host_rules_fair()).unwrap(),
+            parse_program(&host_base_facts()).unwrap(),
+        );
+        let violation = |core: &mut ManagerCore| {
+            let readings = [("frame_rate", 12.0), ("buffer_size", 4000.0)];
+            core.handle_violation("fps", "live:p1", 0, || readings.into_iter());
+        };
+        violation(&mut core);
+        assert!(core.staged.is_empty(), "nobody subscribed");
+
+        let (btx, brx) = bounded(SUBSCRIBER_QUEUE_CAPACITY);
+        let subscribe = TelemetrySubscribeMsg {
+            subscriber: "tap".into(),
+            want_events: true,
+            want_metrics: false,
+        };
+        core.handle_msg(
+            WireMsg::TelemetrySubscribe(subscribe),
+            Some(ReplySink::Chan(btx)),
+        );
+        assert_eq!(stats.subscribers.load(Ordering::Relaxed), 1);
+        violation(&mut core);
+        let stages: Vec<Stage> = core.staged.iter().map(|e| e.stage).collect();
+        assert_eq!(
+            stages,
+            [Stage::Detect, Stage::Report, Stage::Diagnose, Stage::Adapt]
+        );
+
+        // The tap goes; the next publish finds its sink gone and prunes it.
+        drop(brx);
+        core.last_publish = Instant::now() - TELEMETRY_PUBLISH_INTERVAL;
+        core.pump();
+        assert_eq!(stats.telemetry_batches.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.subscribers.load(Ordering::Relaxed), 0, "pruned");
+        assert!(core.staged.is_empty());
+        violation(&mut core);
+        assert!(core.staged.is_empty(), "no event built for nobody");
+        assert_eq!(stats.violations.load(Ordering::Relaxed), 3);
     }
 
     #[test]

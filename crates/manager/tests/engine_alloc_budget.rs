@@ -18,11 +18,18 @@
 //! a simulated round 37.04 → 18.97 allocations and 5.21 → 0.005
 //! reallocations per violation at this file's size, 35.10 → 17.10 and
 //! 5.93 → 0.05 at the benchmark's; the engine loop and `HostCore::step`
-//! did not move.)
+//! did not move. The hashed conflict set moved none of the three: its
+//! slab, heap and by-fact index keep their capacity between violations,
+//! as the ordered sets it replaced kept an empty root leaf, and a
+//! consumed activation's refraction entry, now never filed, was never
+//! an allocation.)
 //!
 //! The same loops must also hold no memory behind: one permanent fact
 //! (the threshold) plus any number of violations passing through is a
-//! constant-size working memory.
+//! constant-size working memory, with an empty conflict set — no
+//! pending activation, no refraction entry, no by-fact index entry. A
+//! burst of activations pending against that permanent fact must leave
+//! nothing behind either, once its partners go.
 //!
 //! Live bytes are process-wide, so there is one test in this file on
 //! purpose: a concurrent test's heap would be measured too.
@@ -104,7 +111,16 @@ struct Counts {
     fired: u64,
     /// Facts left in working memory.
     live_facts: usize,
+    /// The engine's conflict-set bookkeeping left behind.
+    conflict_set: ConflictSet,
 }
+
+/// No pending activation, no refraction entry, no by-fact index entry.
+const EMPTY: ConflictSet = ConflictSet {
+    pending: 0,
+    refracted: 0,
+    indexed_facts: 0,
+};
 
 const WARMUP: u64 = 1_000;
 const MEASURED: u64 = 200_000;
@@ -157,6 +173,7 @@ fn engine_loop() -> Counts {
         join_work: per_violation(join_work),
         fired: per_violation(fired),
         live_facts: engine.facts().len(),
+        conflict_set: engine.conflict_set(),
     }
 }
 
@@ -234,7 +251,84 @@ fn host_core_loop() -> Counts {
         live_facts: core.facts_of("threshold")
             + core.facts_of("violation")
             + core.facts_of("alloc"),
+        conflict_set: core.engine_conflict_set(),
     }
+}
+
+/// What the conflict set held at each point of [`burst`].
+#[derive(Debug, PartialEq)]
+struct Burst {
+    /// Every partner asserted, nothing run.
+    pending: ConflictSet,
+    /// Firings of the partial run.
+    fired: u64,
+    /// Every even-numbered partner retracted.
+    halfway: ConflictSet,
+    /// Every partner retracted.
+    after: ConflictSet,
+}
+
+const BURST: i64 = 10_000;
+const BURST_FIRED: u64 = 1_000;
+
+/// [`BURST`] activations pending at once, each joining one partner fact
+/// to the permanent threshold; a run fires the newest [`BURST_FIRED`]
+/// (the rule does not consume its activation, so each firing files a
+/// refraction entry); then the partners go, evens first.
+fn burst(engine: &mut Engine) -> Burst {
+    let partners: Vec<FactId> = (0..BURST)
+        .map(|n| engine.assert_fact(Fact::new("partner").with("n", n)))
+        .collect();
+    let pending = engine.conflict_set();
+    let fired = engine.run(BURST_FIRED).fired;
+    for &id in partners.iter().step_by(2) {
+        engine.retract(id);
+    }
+    let halfway = engine.conflict_set();
+    for &id in partners.iter().skip(1).step_by(2) {
+        engine.retract(id);
+    }
+    Burst {
+        pending,
+        fired,
+        halfway,
+        after: engine.conflict_set(),
+    }
+}
+
+/// Two bursts through one engine: the first sets the high-water mark of
+/// the agenda's slab, heap and index, the second must not grow the heap.
+fn bursts() -> Burst {
+    let mut engine = Engine::new();
+    engine.add_rule(
+        Rule::new("partnered")
+            .when(Pattern::new("partner").slot_var("n", "n"))
+            .when(
+                Pattern::new("threshold")
+                    .slot_const("name", "buffer-cutoff")
+                    .slot_var("value", "t"),
+            )
+            .then_call("partnered", vec![Term::var("n")]),
+    );
+    for fact in parse_program(&host_base_facts()).unwrap().facts {
+        engine.assert_fact(fact);
+    }
+    let first = burst(&mut engine);
+    engine.take_invocations();
+    engine.take_trace();
+    let bytes_before = live_bytes();
+    let second = burst(&mut engine);
+    engine.take_invocations();
+    engine.take_trace();
+    let growth = live_bytes() - bytes_before;
+    println!("second burst of {BURST}: heap grew by {growth} B");
+    assert!(
+        growth < 16 * 1024,
+        "a second burst of {BURST} pending activations grew the heap by {growth} B"
+    );
+    assert_eq!(first, second);
+    assert_eq!(engine.facts().len(), 1, "the threshold alone");
+    second
 }
 
 /// What a window of simulated rounds did, as totals: at this size a
@@ -358,6 +452,7 @@ fn violation_path_stays_within_its_allocation_budget_and_leaks_nothing() {
                 join_work: 7,
                 fired: 1,
                 live_facts: 1,
+                conflict_set: EMPTY,
             },
         ),
         (
@@ -372,22 +467,58 @@ fn violation_path_stays_within_its_allocation_budget_and_leaks_nothing() {
                 join_work: 7,
                 fired: 1,
                 live_facts: 1,
+                conflict_set: EMPTY,
             },
         ),
     ];
     println!(
-        "{:<16} {:>12} {:>12} {:>8} {:>11}",
-        "per violation", "allocations", "join work", "fired", "live facts"
+        "{:<16} {:>12} {:>12} {:>8} {:>11} {:>26}",
+        "per violation",
+        "allocations",
+        "join work",
+        "fired",
+        "live facts",
+        "pending/refracted/indexed"
     );
     for (name, got, _) in &table {
+        let cs = got.conflict_set;
         println!(
-            "{name:<16} {:>12} {:>12} {:>8} {:>11}",
-            got.allocs, got.join_work, got.fired, got.live_facts
+            "{name:<16} {:>12} {:>12} {:>8} {:>11} {:>26}",
+            got.allocs,
+            got.join_work,
+            got.fired,
+            got.live_facts,
+            format!("{}/{}/{}", cs.pending, cs.refracted, cs.indexed_facts)
         );
     }
     for (name, got, pinned) in table {
         assert_eq!(got, pinned, "{name}");
     }
+
+    // A burst of pending activations against the permanent threshold:
+    // every one is indexed under its partner and the threshold, and the
+    // threshold's list gives each up in O(1) as its partner goes. The
+    // refraction entries follow the live facts the rule fired on (the
+    // odd-numbered of the newest thousand), not its firings.
+    let got = bursts();
+    println!("burst of {BURST}: {got:?}");
+    assert_eq!(
+        got,
+        Burst {
+            pending: ConflictSet {
+                pending: BURST as usize,
+                refracted: 0,
+                indexed_facts: BURST as usize + 1,
+            },
+            fired: BURST_FIRED,
+            halfway: ConflictSet {
+                pending: 4_500,
+                refracted: 500,
+                indexed_facts: 4_501,
+            },
+            after: EMPTY,
+        }
+    );
 
     // One stage event, warmed: nothing allocated, nothing moved, and
     // nothing freed by the event it evicts — with the flight recorder
