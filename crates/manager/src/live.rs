@@ -57,9 +57,14 @@ use crate::transport::{
     ChannelTransport, Inbound, ReplySink, SinkSend, SockAddr, SockListener, WireTransport,
 };
 
-/// Capacity of the manager's message queue. Bounded so a violation storm
-/// back-pressures into [`LiveProcess::reports_dropped`] instead of
-/// growing the queue (and the manager's lag) without limit.
+/// Capacity of the manager's message queue, in messages. Bounded so a
+/// violation storm back-pressures into [`LiveProcess::reports_dropped`]
+/// instead of growing the queue (and the manager's lag) without limit.
+/// A message is a run of frames: one frame from an in-proc peer, what
+/// one read took (≤ 4 KiB) from a thread-driver peer, what one turn
+/// took (≤ the reactor's 64 KiB read budget) from a reactor peer — each
+/// plus at most the one frame a previous read left partial. So the
+/// queue holds at most 1024 × (64 KiB + one frame) of frames.
 pub const LIVE_QUEUE_CAPACITY: usize = 1024;
 
 /// How long [`LiveHostManager::sync`] and transport syncs wait for the
@@ -600,7 +605,7 @@ impl LiveBuilder {
                 if let Some(cfg) = chaos {
                     qos_buggify::adopt(cfg);
                 }
-                ManagerCore::new(thread_stats, thread_telemetry, rules, base).run(rx)
+                ManagerCore::new(thread_stats, thread_telemetry, rules, base, rx).run()
             })
             .map_err(LiveError::ThreadSpawn)?;
 
@@ -715,8 +720,8 @@ impl LiveHostManager {
             want_metrics,
         })
         .encode_frame();
-        let _ = self.tx.send(Inbound::Frame {
-            bytes: frame,
+        let _ = self.tx.send(Inbound::Frames {
+            run: frame,
             reply: Some(ReplySink::Chan(btx)),
         });
         brx
@@ -825,6 +830,10 @@ struct ManagerCore {
     next_corr: u64,
     last_publish: Instant,
     last_metrics: Option<Instant>,
+    /// The inbound queue, and the next message when [`ManagerCore::busy`]
+    /// has already taken it off.
+    inbox: Receiver<Inbound>,
+    peeked: Option<Inbound>,
 }
 
 impl ManagerCore {
@@ -833,6 +842,7 @@ impl ManagerCore {
         telemetry: Telemetry,
         rules: qos_inference::clips::Program,
         base: qos_inference::clips::Program,
+        inbox: Receiver<Inbound>,
     ) -> Self {
         let mut engine = Engine::new();
         for r in rules.rules {
@@ -868,28 +878,51 @@ impl ManagerCore {
             next_corr: 0,
             last_publish: Instant::now(),
             last_metrics: None,
+            inbox,
+            peeked: None,
         }
     }
 
     /// The manager loop. The receive timeout doubles as the publish
     /// tick: with traffic, `pump` runs after every message (publish
     /// still gated on the interval); idle, it runs every interval.
-    fn run(mut self, rx: Receiver<Inbound>) {
+    fn run(mut self) {
         loop {
-            match rx.recv_timeout(TELEMETRY_PUBLISH_INTERVAL) {
+            let next = match self.peeked.take() {
+                Some(msg) => Ok(msg),
+                None => self.inbox.recv_timeout(TELEMETRY_PUBLISH_INTERVAL),
+            };
+            match next {
                 Ok(Inbound::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
                 Ok(Inbound::StreamCorrupt) => {
                     self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                     self.decode_c.inc();
                 }
-                Ok(Inbound::Frame { bytes, reply }) => self.handle_frame(bytes, reply),
+                Ok(Inbound::Frames { run, reply }) => self.handle_frames(&run, reply),
                 Err(RecvTimeoutError::Timeout) => {}
             }
             self.pump();
         }
     }
 
-    fn handle_frame(&mut self, bytes: Vec<u8>, reply: Option<ReplySink>) {
+    /// Is another message already waiting behind the one in hand? (It is
+    /// taken off the queue to find out, and handled next.)
+    fn busy(&mut self) -> bool {
+        if self.peeked.is_none() {
+            self.peeked = self.inbox.try_recv().ok();
+        }
+        self.peeked.is_some()
+    }
+
+    /// Handle a run of frames in order, with one reply sink for all of
+    /// them; the counters count frames, not runs.
+    fn handle_frames(&mut self, run: &[u8], reply: Option<ReplySink>) {
+        for frame in qos_wire::frames(run) {
+            self.handle_frame(frame, reply.as_ref());
+        }
+    }
+
+    fn handle_frame(&mut self, bytes: &[u8], reply: Option<&ReplySink>) {
         self.stats.frames.fetch_add(1, Ordering::Relaxed);
         self.stats
             .wire_bytes
@@ -897,7 +930,7 @@ impl ManagerCore {
         self.frames_c.inc();
         self.bytes_c.add(bytes.len() as u64);
         // The borrowed surface validates the frame without allocating.
-        match WireMsgRef::decode_frame(&bytes) {
+        match WireMsgRef::decode_frame(bytes) {
             Err(_) => {
                 self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
                 self.decode_c.inc();
@@ -907,10 +940,10 @@ impl ManagerCore {
                 self.batch_frames_c.inc();
                 self.batch_hist.record(batch.len() as u64);
                 for view in &batch {
-                    self.handle_view(view, reply.as_ref());
+                    self.handle_view(view, reply);
                 }
             }
-            Ok(view) => self.handle_view(view, reply.as_ref()),
+            Ok(view) => self.handle_view(view, reply),
         }
     }
 
@@ -1102,10 +1135,14 @@ impl ManagerCore {
             }
             WireMsg::SyncReq { token } => {
                 // Everything queued before this frame has been handled by
-                // now (single consumer, FIFO queue): ack it.
+                // now (single consumer, FIFO queue): ack it. From this
+                // thread only when nothing else waits for it: the write
+                // wakes the peer as if this thread were about to sleep,
+                // and a peer run beside a busy manager takes its CPU.
                 if let Some(sink) = reply {
                     let ack = WireMsg::SyncAck { token }.encode_frame();
-                    let _ = sink.send(&ack);
+                    let busy = self.busy();
+                    let _ = sink.send(&ack, busy);
                 }
             }
             // Batches are normally unpacked (and counted) in
@@ -1233,12 +1270,14 @@ impl ManagerCore {
     }
 }
 
-/// The reactor's delivery target: every complete frame from every peer
-/// lands on the manager's inbound queue, tagged with a [`PeerSender`]
-/// reply sink so sync acks and telemetry batches ride back through the
-/// reactor's bounded write queues. The blocking `send` is deliberate —
-/// a full manager queue back-pressures the reactor worker (and through
-/// it the peer's socket) instead of dropping frames.
+/// The reactor's delivery target: the run of frames each turn read
+/// lands on the manager's inbound queue as one message, tagged with a
+/// [`PeerSender`] reply sink, through which sync acks and telemetry
+/// batches go back — written by the manager thread itself while the
+/// peer's queue is empty (an ack only while no other message waits for
+/// the manager), by the reactor otherwise. The blocking `send`
+/// is deliberate — a full manager queue back-pressures the reactor
+/// worker (and through it the peer's socket) instead of dropping frames.
 #[cfg(target_os = "linux")]
 struct MgrSink {
     tx: Sender<Inbound>,
@@ -1246,10 +1285,10 @@ struct MgrSink {
 
 #[cfg(target_os = "linux")]
 impl EventSink for MgrSink {
-    fn on_frame(&self, bytes: Vec<u8>, peer: &PeerSender) -> bool {
+    fn on_frames(&self, run: Vec<u8>, peer: &PeerSender) -> bool {
         self.tx
-            .send(Inbound::Frame {
-                bytes,
+            .send(Inbound::Frames {
+                run,
                 reply: Some(ReplySink::Net(peer.clone())),
             })
             .is_ok()
@@ -1262,8 +1301,9 @@ impl EventSink for MgrSink {
 
 /// Accept loop for socket mode: non-blocking accept + stop-flag poll, so
 /// shutdown never hangs in `accept(2)`. Each connection gets a reader
-/// thread that reframes the byte stream and forwards raw frames to the
-/// manager queue; replies (sync acks) go back over the same connection.
+/// thread that reframes the byte stream and forwards runs of raw frames
+/// to the manager queue; replies (sync acks) go back over the same
+/// connection.
 fn accept_loop(listener: SockListener, tx: Sender<Inbound>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -1291,8 +1331,9 @@ fn accept_loop(listener: SockListener, tx: Sender<Inbound>, stop: Arc<AtomicBool
 
 /// Per-connection reader: split the stream into header-validated raw
 /// frames (no payload decode here — that is the manager thread's job, so
-/// decode errors are counted in one place). Exits when the peer closes,
-/// the stream corrupts, or the manager is gone.
+/// decode errors are counted in one place) and hand the manager one run
+/// per read. Exits when the peer closes, the stream corrupts, or the
+/// manager is gone.
 fn conn_loop(stream: crate::transport::SockStream, tx: Sender<Inbound>) {
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(parking_lot::Mutex::new(w)),
@@ -1308,29 +1349,27 @@ fn conn_loop(stream: crate::transport::SockStream, tx: Sender<Inbound>) {
             Ok(0) | Err(_) => return, // peer gone
             Ok(n) => pr.on_bytes(&chunk[..n]),
         }
-        loop {
-            match pr.next_frame() {
-                Ok(Some(bytes)) => {
-                    if tx
-                        .send(Inbound::Frame {
-                            bytes,
-                            reply: Some(ReplySink::Sock(Arc::clone(&writer))),
-                        })
-                        .is_err()
-                    {
-                        return; // manager gone
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Unreframeable stream: there is no way to find the
-                    // next frame boundary after a corrupt header. Count
-                    // and drop the connection; the peer reconnects.
-                    let _ = tx.send(Inbound::StreamCorrupt);
-                    reader.shutdown();
-                    return;
-                }
+        let mut run = Vec::new();
+        let corrupt = loop {
+            match pr.next_frames(&mut run) {
+                Ok(0) => break false,
+                Ok(_) => {}
+                Err(_) => break true,
             }
+        };
+        if !run.is_empty() {
+            let reply = Some(ReplySink::Sock(Arc::clone(&writer)));
+            if tx.send(Inbound::Frames { run, reply }).is_err() {
+                return; // manager gone
+            }
+        }
+        if corrupt {
+            // Unreframeable stream: there is no way to find the next
+            // frame boundary after a corrupt header. Count and drop the
+            // connection; the peer reconnects.
+            let _ = tx.send(Inbound::StreamCorrupt);
+            reader.shutdown();
+            return;
         }
     }
 }
@@ -1654,6 +1693,48 @@ mod tests {
         mgr.shutdown();
     }
 
+    /// A run is walked frame by frame: garbage is still one decode error,
+    /// and a sync riding in the same run as a violation is acked only
+    /// once the violation has been handled.
+    #[test]
+    fn runs_count_frames_and_ack_after_what_precedes_the_sync() {
+        let mgr = LiveHostManager::builder().spawn().expect("spawn manager");
+        let garbage = vec![0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7, 8, 9];
+        assert!(mgr.connect().try_send(&garbage));
+        assert!(mgr.sync());
+        assert_eq!(mgr.stats.decode_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            mgr.stats.frames.load(Ordering::Relaxed),
+            2,
+            "garbage + sync"
+        );
+
+        let mut run = WireMsg::LiveViolation(qos_wire::messages::LiveViolationMsg {
+            policy: "fps".into(),
+            process: "live:p1".into(),
+            at_us: 0,
+            corr: 7,
+            readings: vec![("frame_rate".into(), 12.0), ("buffer_size".into(), 10.0)],
+        })
+        .encode_frame();
+        run.extend_from_slice(&WireMsg::SyncReq { token: 9 }.encode_frame());
+        let (ack_tx, ack_rx) = bounded(1);
+        let sent = mgr.tx.send(Inbound::Frames {
+            run,
+            reply: Some(ReplySink::Chan(ack_tx)),
+        });
+        assert!(sent.is_ok(), "manager running");
+        let ack = ack_rx.recv_timeout(SYNC_TIMEOUT).expect("acked");
+        assert_eq!(
+            WireMsg::decode_frame(&ack),
+            Ok(WireMsg::SyncAck { token: 9 })
+        );
+        assert_eq!(mgr.stats.violations.load(Ordering::Relaxed), 1);
+        assert_eq!(mgr.stats.frames.load(Ordering::Relaxed), 4);
+        assert_eq!(mgr.stats.decode_errors.load(Ordering::Relaxed), 1);
+        mgr.shutdown();
+    }
+
     #[test]
     fn socket_mode_round_trip_over_uds() {
         let path = temp_sock("roundtrip");
@@ -1784,6 +1865,7 @@ mod tests {
             Telemetry::default(),
             parse_program(&host_rules_fair()).unwrap(),
             parse_program(&host_base_facts()).unwrap(),
+            bounded(1).1,
         );
         let violation = |core: &mut ManagerCore| {
             let readings = [("frame_rate", 12.0), ("buffer_size", 4000.0)];
@@ -1820,6 +1902,31 @@ mod tests {
         violation(&mut core);
         assert!(core.staged.is_empty(), "no event built for nobody");
         assert_eq!(stats.violations.load(Ordering::Relaxed), 3);
+    }
+
+    /// `busy` looks behind the message in hand without losing or
+    /// reordering what it finds: the message found is the next one run.
+    #[test]
+    fn busy_peeks_at_the_next_message_and_keeps_it_next() {
+        let (tx, rx) = bounded(4);
+        let mut core = ManagerCore::new(
+            Arc::new(LiveManagerStats::default()),
+            Telemetry::default(),
+            parse_program(&host_rules_fair()).unwrap(),
+            parse_program(&host_base_facts()).unwrap(),
+            rx,
+        );
+        assert!(!core.busy(), "nothing waiting");
+        assert!(tx.send(Inbound::StreamCorrupt).is_ok());
+        assert!(tx.send(Inbound::Shutdown).is_ok());
+        assert!(core.busy());
+        assert!(core.busy(), "asking again takes nothing more");
+        assert!(matches!(core.peeked, Some(Inbound::StreamCorrupt)));
+        // `run` handles the peeked message first, then stops at the
+        // shutdown behind it.
+        let stats = Arc::clone(&core.stats);
+        core.run();
+        assert_eq!(stats.decode_errors.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -86,9 +86,11 @@ pub enum ReplySink {
     /// Socket peer (thread-per-peer driver): the connection's write
     /// half, shared with the acceptor's bookkeeping.
     Sock(Arc<Mutex<SockStream>>),
-    /// Socket peer (epoll reactor driver): frames enter the peer's
-    /// bounded, classed outbound queue and a reactor worker writes them
-    /// on readiness.
+    /// Socket peer (epoll reactor driver): the sending thread writes the
+    /// frame itself when the peer's bounded, classed outbound queue is
+    /// empty, no reactor turn holds the socket and the sender is not
+    /// busy; otherwise the frame queues and the peer's next turn writes
+    /// it on readiness.
     #[cfg(target_os = "linux")]
     Net(qos_net::PeerSender),
 }
@@ -108,7 +110,11 @@ pub enum SinkSend {
 
 impl ReplySink {
     /// Best-effort frame delivery; a dead peer is the peer's problem.
-    pub fn send(&self, frame: &[u8]) -> bool {
+    /// `busy`: more work already waits for the calling thread, so a
+    /// reactor peer's frame is left for a reactor turn to write
+    /// ([`qos_net::PeerSender::queue_control`]); the other carriers
+    /// deliver the same way either way.
+    pub fn send(&self, frame: &[u8], busy: bool) -> bool {
         match self {
             ReplySink::Chan(tx) => tx.try_send(frame.to_vec()).is_ok(),
             ReplySink::Sock(s) => s.lock().write_all(frame).is_ok(),
@@ -116,7 +122,14 @@ impl ReplySink {
             // re-requested by the peer's next barrier, never queued
             // indefinitely by the manager).
             #[cfg(target_os = "linux")]
-            ReplySink::Net(p) => matches!(p.send_control(frame), qos_net::PeerSend::Sent),
+            ReplySink::Net(p) => {
+                let sent = if busy {
+                    p.queue_control(frame)
+                } else {
+                    p.send_control(frame)
+                };
+                sent == qos_net::PeerSend::Sent
+            }
         }
     }
 
@@ -155,10 +168,14 @@ impl ReplySink {
 /// the byte stream into raw frames; the *decode* happens centrally in the
 /// manager thread so malformed frames are counted in one place.
 pub enum Inbound {
-    /// One complete frame (header validated, payload not yet decoded).
-    Frame {
+    /// A run of one or more complete frames laid end to end (headers
+    /// validated by socket readers, payloads not yet decoded): what one
+    /// read or reactor turn produced, handed over in one message. An
+    /// in-proc peer's run is the one frame it sent; where a header does
+    /// not split, the rest of the run counts as one malformed frame.
+    Frames {
         /// The raw frame bytes.
-        bytes: Vec<u8>,
+        run: Vec<u8>,
         /// Where acks for this peer go, if the carrier supports replies.
         reply: Option<ReplySink>,
     },
@@ -220,8 +237,8 @@ impl ChannelTransport {
 impl WireTransport for ChannelTransport {
     fn try_send(&mut self, frame: &[u8]) -> bool {
         self.tx
-            .try_send(Inbound::Frame {
-                bytes: frame.to_vec(),
+            .try_send(Inbound::Frames {
+                run: frame.to_vec(),
                 reply: None,
             })
             .is_ok()
@@ -234,8 +251,8 @@ impl WireTransport for ChannelTransport {
         let req = WireMsg::SyncReq { token }.encode_frame();
         if self
             .tx
-            .send(Inbound::Frame {
-                bytes: req,
+            .send(Inbound::Frames {
+                run: req,
                 reply: Some(ReplySink::Chan(ack_tx)),
             })
             .is_err()
@@ -748,9 +765,9 @@ mod tests {
         let frame = WireMsg::Bye.encode_frame();
         assert!(t.try_send(&frame));
         match rx.recv().unwrap() {
-            Inbound::Frame { bytes, reply } => {
+            Inbound::Frames { run, reply } => {
                 assert!(reply.is_none());
-                assert_eq!(WireMsg::decode_frame(&bytes).unwrap(), WireMsg::Bye);
+                assert_eq!(WireMsg::decode_frame(&run).unwrap(), WireMsg::Bye);
             }
             _ => panic!("expected frame"),
         }
@@ -761,10 +778,10 @@ mod tests {
         let (tx, rx) = bounded(4);
         let h = std::thread::spawn(move || {
             // Minimal manager loop: ack the sync.
-            if let Ok(Inbound::Frame { bytes, reply }) = rx.recv() {
-                if let Ok(WireMsg::SyncReq { token }) = WireMsg::decode_frame(&bytes) {
+            if let Ok(Inbound::Frames { run, reply }) = rx.recv() {
+                if let Ok(WireMsg::SyncReq { token }) = WireMsg::decode_frame(&run) {
                     let ack = WireMsg::SyncAck { token }.encode_frame();
-                    assert!(reply.unwrap().send(&ack));
+                    assert!(reply.unwrap().send(&ack, false));
                 }
             }
         });

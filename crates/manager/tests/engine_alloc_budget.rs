@@ -31,6 +31,13 @@
 //! burst of activations pending against that permanent fact must leave
 //! nothing behind either, once its partners go.
 //!
+//! What a violation costs on the wire is pinned here too: the encoded
+//! length of one report shaped as the benchmark's generators send it,
+//! alone and in a batch of 64. These back `BENCHMARK.json`'s
+//! `wire.bytes_per_violation`: 129 B on `live_rtt` and `live_storm`
+//! (plus a 16-byte `SyncReq` per window) and 8 076 / 64 = 126.2 B on
+//! `live_storm_batched`.
+//!
 //! Live bytes are process-wide, so there is one test in this file on
 //! purpose: a concurrent test's heap would be measured too.
 
@@ -47,7 +54,8 @@ use qos_sim::memory::ProcMem;
 use qos_sim::proc::HostSnapshot;
 use qos_sim::{Dur, HostId, Pid, SimTime};
 use qos_telemetry::{FlightRecorder, Name, Stage, Telemetry};
-use qos_wire::WireMsgRef;
+use qos_wire::messages::LiveViolationMsg;
+use qos_wire::{BatchBuilder, WireMsgRef};
 
 /// Allocator calls that can move memory: what the engine rows count.
 fn heap_calls() -> u64 {
@@ -438,8 +446,48 @@ fn stage_events(recorded: bool) -> StageEvents {
     counts
 }
 
+/// Reports per batch frame on `live_storm_batched`.
+const BATCH: u64 = 64;
+
+/// Encoded bytes of one report as the benchmark's client 0 sends it —
+/// its policy, process name, sequence number, correlation id and three
+/// readings — as a frame of its own and as a batch frame of [`BATCH`].
+fn wire_bytes() -> (usize, usize) {
+    let report = |seq: u64| {
+        WireMsg::LiveViolation(LiveViolationMsg {
+            policy: "NotifyQoSViolation".into(),
+            process: "bench:0".into(),
+            at_us: seq,
+            corr: (1 << 40) | seq,
+            readings: vec![
+                ("frame_rate".into(), 12.5),
+                ("jitter_rate".into(), 1.5),
+                ("buffer_size".into(), 4000.0),
+            ],
+        })
+    };
+    let mut batch = BatchBuilder::new();
+    for seq in 1..=BATCH {
+        batch.push(&report(seq));
+    }
+    let mut batch_frame = Vec::new();
+    batch.append_frame_to(&mut batch_frame);
+    (report(1).encode_frame().len(), batch_frame.len())
+}
+
 #[test]
 fn violation_path_stays_within_its_allocation_budget_and_leaks_nothing() {
+    // Every field of a report is fixed-width or a name, so these do not
+    // depend on the values: 8 header + 22 policy + 11 process + 16 for
+    // the two u64s + 4 + 68 for the readings; a batch adds 12 bytes of
+    // header and count, then 5 bytes of kind and length per body.
+    let (single, batched) = wire_bytes();
+    println!(
+        "wire: {single} B per report frame, {batched} B per batch of {BATCH} ({:.1} B each)",
+        batched as f64 / BATCH as f64
+    );
+    assert_eq!((single, batched), (129, 8_076));
+
     let table = [
         (
             "engine loop",

@@ -2,8 +2,9 @@
 //! drivers feed bytes and drain bytes from.
 //!
 //! * [`PeerReader`] — reassembles the inbound byte stream into raw,
-//!   header-validated frames (decode happens centrally in the manager
-//!   thread so malformed frames are counted in one place).
+//!   header-validated frames, one at a time or as a run of every frame
+//!   buffered (decode happens centrally in the manager thread so
+//!   malformed frames are counted in one place).
 //! * [`PeerOutQueue`] — the outbound side: a bounded, *classed* queue.
 //!   Control frames (sync acks) report `Full` under pressure so the
 //!   sender can retry; telemetry frames are lossy by contract and evict
@@ -47,6 +48,16 @@ impl PeerReader {
             self.frames += 1;
         }
         r
+    }
+
+    /// Append every complete buffered frame to `run` with one copy and
+    /// return how many; `Ok(0)` means more bytes are needed. Popping
+    /// until `Ok(0)` or an `Err` yields, walked with [`qos_wire::frames`],
+    /// the frames and the error [`PeerReader::next_frame`] would have.
+    pub fn next_frames(&mut self, run: &mut Vec<u8>) -> Result<usize, WireError> {
+        let n = self.fb.next_raw_run(run)?;
+        self.frames += n as u64;
+        Ok(n)
     }
 
     /// Complete frames produced so far.
@@ -202,12 +213,14 @@ impl PeerOutQueue {
         self.q.front().map(|(_, f)| &f[self.head_off..])
     }
 
-    /// Record that the OS accepted `n` bytes of the front frame(s).
-    pub fn advance(&mut self, mut n: usize) {
+    /// Record that the OS accepted `n` bytes of the front frame(s);
+    /// returns how many frames that finished.
+    pub fn advance(&mut self, mut n: usize) -> usize {
+        let mut finished = 0;
         while n > 0 {
             let Some((class, front)) = self.q.front() else {
                 debug_assert!(false, "advance past queue end");
-                return;
+                break;
             };
             let rem = front.len() - self.head_off;
             if n >= rem {
@@ -218,11 +231,13 @@ impl PeerOutQueue {
                 }
                 self.q.pop_front();
                 self.head_off = 0;
+                finished += 1;
             } else {
                 self.head_off += n;
                 n = 0;
             }
         }
+        finished
     }
 
     /// Anything still waiting to be written?
@@ -274,6 +289,83 @@ mod tests {
         bad[0] ^= 0xff;
         r.on_bytes(&bad);
         assert!(r.next_frame().is_err());
+    }
+
+    /// Feed `stream` in `chunks` and pop after every chunk, one frame at
+    /// a time or one run at a time; what came out, the first error, and
+    /// the reader's frame count.
+    fn reassemble(
+        stream: &[u8],
+        chunks: &[usize],
+        by_run: bool,
+    ) -> (Vec<Vec<u8>>, Option<WireError>, u64) {
+        let mut r = PeerReader::new();
+        let (mut got, mut run) = (Vec::new(), Vec::new());
+        let mut rest = stream;
+        for &want in chunks.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(want.min(rest.len()));
+            rest = tail;
+            r.on_bytes(chunk);
+            loop {
+                let popped = if by_run {
+                    run.clear();
+                    r.next_frames(&mut run)
+                        .inspect(|_| got.extend(qos_wire::frames(&run).map(<[u8]>::to_vec)))
+                } else {
+                    r.next_frame().map(|f| match f {
+                        Some(f) => {
+                            got.push(f);
+                            1
+                        }
+                        None => 0,
+                    })
+                };
+                match popped {
+                    Ok(0) => break,
+                    Ok(_) => {}
+                    Err(e) => return (got, Some(e), r.frames()),
+                }
+            }
+        }
+        (got, None, r.frames())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn runs_walk_to_the_frames_next_frame_yields(
+            names in proptest::collection::vec("[a-z]{0,40}", 0..12),
+            chunks in proptest::collection::vec(1usize..64, 1..8),
+            flip in (proptest::bool::ANY, 0usize..4096, 1u8..=255),
+        ) {
+            let sent: Vec<Vec<u8>> = names
+                .iter()
+                .enumerate()
+                .map(|(i, name)| match i % 3 {
+                    0 => frame(i as u64),
+                    1 => WireMsg::Bye.encode_frame(),
+                    _ => WireMsg::LiveRegister(qos_wire::messages::LiveRegisterMsg {
+                        process: name.clone(),
+                    })
+                    .encode_frame(),
+                })
+                .collect();
+            let mut stream = sent.concat();
+            let (corrupt, at, mask) = flip;
+            if corrupt && !stream.is_empty() {
+                let at = at % stream.len();
+                stream[at] ^= mask;
+            }
+            let one_by_one = reassemble(&stream, &chunks, false);
+            let by_run = reassemble(&stream, &chunks, true);
+            proptest::prop_assert_eq!(&by_run, &one_by_one);
+            if !corrupt {
+                proptest::prop_assert_eq!(&by_run.0, &sent);
+                proptest::prop_assert_eq!(by_run.1, None);
+            }
+        }
     }
 
     #[test]

@@ -11,16 +11,23 @@
 //!   EPOLLOUT interest is armed only while writes are pending), then
 //!   read up to a byte budget, reassemble frames through
 //!   [`PeerReader`](crate::peer::PeerReader) and hand them to the
-//!   [`EventSink`]. A peer with work left over is re-queued at the
-//!   tail, so one firehose peer cannot starve a thousand quiet ones;
+//!   [`EventSink`] as one run. A peer with work left over is re-queued
+//!   at the tail, so one firehose peer cannot starve a thousand quiet
+//!   ones;
+//! * **the sender writes**: a [`PeerSender`] whose frame lands at the
+//!   head of an empty queue, while no turn holds the socket, writes it
+//!   on its own thread — a reply costs no poller or worker wakeup. Only
+//!   bytes the socket would not take (or a failed write) kick the
+//!   reactor, and the peer's turn finishes the job. Both writers run
+//!   the one write loop, under the locks in the order `out` → `stream`;
 //! * a `scheduled` flag per peer keeps a peer on the ready list at most
 //!   once (turns never run concurrently for one peer), and a `kicked`
 //!   flag re-schedules peers that received outbound frames mid-turn —
 //!   the classic lost-wakeup guard;
 //! * **backpressure**: each peer's outbound queue is bounded
 //!   ([`OutQueueConfig`]); control frames report `Full`, telemetry
-//!   batches evict oldest-first. A `WouldBlock` write parks the peer on
-//!   EPOLLOUT instead of spinning;
+//!   batches evict oldest-first, never the partly written head. A
+//!   `WouldBlock` write parks the peer on EPOLLOUT instead of spinning;
 //! * **one-shot arming**: peer fds are registered `EPOLLONESHOT`, so a
 //!   peer with a turn queued (or running) generates no further poller
 //!   wakeups; the turn re-arms the fd — with EPOLLOUT while writes are
@@ -63,9 +70,12 @@ const TOKEN_LISTENER: u64 = u64::MAX - 1;
 /// manager queue) is allowed and is how ingest backpressure propagates
 /// to the socket.
 pub trait EventSink: Send + Sync + 'static {
-    /// One complete raw frame from a peer. Return `false` to ask the
-    /// reactor to close this peer.
-    fn on_frame(&self, frame: Vec<u8>, peer: &PeerSender) -> bool;
+    /// What one turn read from a peer: a run of one or more complete,
+    /// header-validated raw frames laid end to end (walk it with
+    /// [`qos_wire::frames`]). At most [`ReactorConfig::read_budget`]
+    /// bytes plus one frame. Return `false` to ask the reactor to close
+    /// this peer.
+    fn on_frames(&self, run: Vec<u8>, peer: &PeerSender) -> bool;
 
     /// A peer's byte stream was corrupt beyond reframing; the reactor
     /// is closing it.
@@ -77,7 +87,8 @@ pub trait EventSink: Send + Sync + 'static {
 /// forget the peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerSend {
-    /// Queued for writing (possibly after evicting older telemetry).
+    /// Written, or queued for writing (possibly after evicting older
+    /// telemetry).
     Sent,
     /// The peer's control lane has no room right now.
     Full,
@@ -124,6 +135,9 @@ pub struct NetStats {
     pub wakeups: AtomicU64,
     /// Writes that hit `WouldBlock` (peer parked on EPOLLOUT).
     pub backpressure_stalls: AtomicU64,
+    /// Frames whose last byte the sending thread wrote itself, with no
+    /// turn and no wakeup.
+    pub direct_writes: AtomicU64,
     /// Telemetry frames evicted or refused by bounded peer queues.
     pub telemetry_dropped: AtomicU64,
     /// Chaos-injected spurious schedules (`net.epoll.spurious`).
@@ -137,6 +151,7 @@ struct Gauges {
     ready_depth: Gauge,
     wakeups: Counter,
     stalls: Counter,
+    direct_writes: Counter,
     spurious: Counter,
     telemetry_dropped: Counter,
 }
@@ -149,6 +164,7 @@ impl Gauges {
                 ready_depth: t.gauge("net.ready_depth", "reactor"),
                 wakeups: t.counter("net.wakeups", "reactor"),
                 stalls: t.counter("net.backpressure_stalls", "reactor"),
+                direct_writes: t.counter("net.direct_writes", "reactor"),
                 spurious: t.counter("net.spurious", "reactor"),
                 telemetry_dropped: t.counter("net.telemetry_dropped", "reactor"),
             },
@@ -157,6 +173,7 @@ impl Gauges {
                 ready_depth: Gauge::noop(),
                 wakeups: Counter::noop(),
                 stalls: Counter::noop(),
+                direct_writes: Counter::noop(),
                 spurious: Counter::noop(),
                 telemetry_dropped: Counter::noop(),
             },
@@ -206,27 +223,27 @@ impl Shared {
 
     /// Put a peer on the ready list (idempotent while scheduled).
     fn schedule(&self, id: u64) {
-        self.schedule_batch(std::slice::from_ref(&id));
+        let fresh = claim(&self.slots.lock(), id);
+        if fresh {
+            self.push_ready(std::slice::from_ref(&id));
+        }
     }
 
     /// Put many peers on the ready list under one lock pass — the
-    /// poller calls this once per `epoll_wait` batch.
-    fn schedule_batch(&self, ids: &[u64]) {
-        let mut fresh: Vec<u64> = Vec::with_capacity(ids.len());
+    /// poller calls this once per `epoll_wait` batch. `ids` is filtered
+    /// in place down to the peers that became ready, so the poller's one
+    /// buffer serves every pass.
+    fn schedule_batch(&self, ids: &mut Vec<u64>) {
         {
             let slots = self.slots.lock();
-            for &id in ids {
-                let Some(slot) = slots.get(&id) else {
-                    continue;
-                };
-                if slot.closed.load(Ordering::Acquire) {
-                    continue;
-                }
-                if !slot.scheduled.swap(true, Ordering::AcqRel) {
-                    fresh.push(id);
-                }
-            }
+            ids.retain(|&id| claim(&slots, id));
         }
+        self.push_ready(ids);
+    }
+
+    /// Append freshly claimed peers to the ready list and wake one
+    /// worker per peer, never more than there are workers.
+    fn push_ready(&self, fresh: &[u64]) {
         if fresh.is_empty() {
             return;
         }
@@ -239,10 +256,8 @@ impl Shared {
             .ready_high_water
             .fetch_max(depth, Ordering::Relaxed);
         self.gauges.ready_depth.set(depth as f64);
-        if fresh.len() == 1 {
+        for _ in 0..fresh.len().min(self.cfg.workers.max(1)) {
             self.ready.cv.notify_one();
-        } else {
-            self.ready.cv.notify_all();
         }
     }
 
@@ -267,6 +282,61 @@ impl Shared {
     }
 }
 
+/// Mark peer `id` scheduled: `true` if it is open and was not already
+/// (the caller then puts it on the ready list).
+fn claim(slots: &HashMap<u64, Arc<Slot>>, id: u64) -> bool {
+    slots.get(&id).is_some_and(|slot| {
+        !slot.closed.load(Ordering::Acquire) && !slot.scheduled.swap(true, Ordering::AcqRel)
+    })
+}
+
+/// How a [`write_queued`] drain ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Drain {
+    /// Every queued byte went to the socket.
+    Empty,
+    /// The socket took no more (`WouldBlock`); the rest stays queued.
+    Blocked,
+    /// The write failed or the peer stopped reading for good.
+    Failed,
+}
+
+/// The one write loop, run by a peer's turn and by a sender that finds
+/// the socket free: hand the queue's bytes to the socket until the
+/// queue is empty, the socket would block, or the write fails. A frame
+/// cut short stays at the head, where the queue never evicts it.
+/// Returns how the drain ended and how many frames it finished.
+fn write_queued(shared: &Shared, out: &mut PeerOutQueue, stream: &mut SockStream) -> (Drain, u64) {
+    let mut finished = 0;
+    while let Some(chunk) = out.write_chunk() {
+        let blocked = if qos_buggify::buggify!("net.write.wouldblock") {
+            // Chaos: pretend the kernel buffer is full — the frame
+            // stays queued and EPOLLOUT must finish the job.
+            true
+        } else {
+            match stream.write(chunk) {
+                Ok(0) => return (Drain::Failed, finished),
+                Ok(n) => {
+                    finished += out.advance(n) as u64;
+                    false
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => true,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => false,
+                Err(_) => return (Drain::Failed, finished),
+            }
+        };
+        if blocked {
+            shared
+                .stats
+                .backpressure_stalls
+                .fetch_add(1, Ordering::Relaxed);
+            shared.gauges.stalls.inc();
+            return (Drain::Blocked, finished);
+        }
+    }
+    (Drain::Empty, finished)
+}
+
 /// A cloneable handle the manager uses to push frames to one reactor
 /// peer (the reactor twin of the blocking driver's shared write half).
 #[derive(Clone)]
@@ -276,41 +346,73 @@ pub struct PeerSender {
 }
 
 impl PeerSender {
-    fn send(&self, class: SendClass, frame: &[u8]) -> PeerSend {
+    /// Queue `frame`; with `inline`, write it on this thread if that left
+    /// it alone at the head of the queue.
+    fn send(&self, class: SendClass, frame: &[u8], inline: bool) -> PeerSend {
         let (Some(slot), Some(shared)) = (self.slot.upgrade(), self.shared.upgrade()) else {
             return PeerSend::Gone;
         };
         if slot.closed.load(Ordering::Acquire) {
             return PeerSend::Gone;
         }
-        let r = slot.out.lock().enqueue(class, frame);
-        match r {
-            Enqueue::Queued | Enqueue::DroppedOldest | Enqueue::DroppedNew => {
-                if matches!(r, Enqueue::DroppedOldest | Enqueue::DroppedNew) {
+        let mut out = slot.out.lock();
+        let idle = !out.has_pending();
+        match out.enqueue(class, frame) {
+            Enqueue::Full => return PeerSend::Full,
+            Enqueue::DroppedOldest | Enqueue::DroppedNew => {
+                shared
+                    .stats
+                    .telemetry_dropped
+                    .fetch_add(1, Ordering::Relaxed);
+                shared.gauges.telemetry_dropped.inc();
+            }
+            // Alone at the head: write it from this thread unless a turn
+            // holds the socket (never wait for one). Only what the socket
+            // would not take, or a failed write, needs the reactor.
+            Enqueue::Queued if idle && inline => {
+                if let Some(mut stream) = slot.stream.try_lock() {
+                    let (drain, finished) = write_queued(&shared, &mut out, &mut stream);
                     shared
                         .stats
-                        .telemetry_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared.gauges.telemetry_dropped.inc();
+                        .direct_writes
+                        .fetch_add(finished, Ordering::Relaxed);
+                    shared.gauges.direct_writes.add(finished);
+                    if drain == Drain::Empty {
+                        return PeerSend::Sent;
+                    }
                 }
-                shared.kick(&slot);
-                PeerSend::Sent
             }
-            Enqueue::Full => PeerSend::Full,
+            Enqueue::Queued => {}
         }
+        drop(out);
+        shared.kick(&slot);
+        PeerSend::Sent
     }
 
-    /// Queue a protocol reply (sync ack). `Full` asks the caller to
-    /// retry later.
+    /// Send a protocol reply (sync ack): written on this thread when the
+    /// peer's queue is empty and its socket free, queued behind earlier
+    /// frames otherwise. `Full` asks the caller to retry later.
+    ///
+    /// For a caller about to wait for more work. The kernel wakes the
+    /// reading peer as if the writer were about to sleep, and may run it
+    /// on the writer's CPU; a caller with work already waiting uses
+    /// [`PeerSender::queue_control`] and keeps its CPU.
     pub fn send_control(&self, frame: &[u8]) -> PeerSend {
-        self.send(SendClass::Control, frame)
+        self.send(SendClass::Control, frame, true)
     }
 
-    /// Queue a telemetry batch (lossy lane: drop-oldest under
-    /// pressure — a drop still reports `Sent`, and is counted in
-    /// [`NetStats::telemetry_dropped`]).
+    /// Send a protocol reply that a reactor turn writes, never this
+    /// thread: [`PeerSender::send_control`] for a caller with more work
+    /// already waiting for it.
+    pub fn queue_control(&self, frame: &[u8]) -> PeerSend {
+        self.send(SendClass::Control, frame, false)
+    }
+
+    /// Send a telemetry batch, written like a reply (lossy lane:
+    /// drop-oldest under pressure — a drop still reports `Sent`, and is
+    /// counted in [`NetStats::telemetry_dropped`]).
     pub fn send_telemetry(&self, frame: &[u8]) -> PeerSend {
-        self.send(SendClass::Telemetry, frame)
+        self.send(SendClass::Telemetry, frame, true)
     }
 
     /// The reactor-assigned peer id.
@@ -428,6 +530,8 @@ impl ReactorHandle {
 fn poller_loop(shared: &Arc<Shared>, listener: SockListener, mut wake_rx: UnixStream) {
     let mut events = vec![EpollEvent { events: 0, data: 0 }; 256];
     let mut drain = [0u8; 64];
+    // Peer ids to schedule, reused by every pass.
+    let mut batch: Vec<u64> = Vec::with_capacity(events.len());
     while !shared.stop.load(Ordering::Acquire) {
         // The wake pipe bounds the wait; 250 ms is a safety net against
         // a lost wake, not the scheduling latency.
@@ -442,7 +546,7 @@ fn poller_loop(shared: &Arc<Shared>, listener: SockListener, mut wake_rx: UnixSt
             shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
             shared.gauges.wakeups.inc();
         }
-        let mut batch: Vec<u64> = Vec::with_capacity(n);
+        batch.clear();
         for ev in &events[..n] {
             let e = *ev;
             let (bits, token) = (e.events, e.data);
@@ -469,10 +573,11 @@ fn poller_loop(shared: &Arc<Shared>, listener: SockListener, mut wake_rx: UnixSt
             }
         }
         // Kicks arrive from sender threads (manager pushing acks or
-        // telemetry); drain them every pass regardless of what woke us.
-        batch.extend(std::mem::take(&mut *shared.kicks.lock()));
-        // One lock pass and at most one condvar notify per epoll batch.
-        shared.schedule_batch(&batch);
+        // telemetry the socket would not take at once); drain them every
+        // pass regardless of what woke us.
+        batch.extend(shared.kicks.lock().drain(..));
+        // One lock pass per epoll batch.
+        shared.schedule_batch(&mut batch);
     }
 }
 
@@ -545,50 +650,21 @@ fn run_turn(shared: &Arc<Shared>, slot: &Arc<Slot>) {
         slot.scheduled.store(false, Ordering::Release);
         return;
     }
-    let mut closed = false;
     let mut corrupt = false;
     let mut more = false;
 
     // --- write drain: until empty or WouldBlock ----------------------
-    {
+    let mut closed = {
         let mut out = slot.out.lock();
         let mut stream = slot.stream.lock();
-        while let Some(chunk) = out.write_chunk() {
-            if qos_buggify::buggify!("net.write.wouldblock") {
-                // Chaos: pretend the kernel buffer is full — the frame
-                // stays queued and EPOLLOUT must finish the job.
-                shared
-                    .stats
-                    .backpressure_stalls
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.gauges.stalls.inc();
-                break;
-            }
-            match stream.write(chunk) {
-                Ok(0) => {
-                    closed = true;
-                    break;
-                }
-                Ok(n) => out.advance(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    shared
-                        .stats
-                        .backpressure_stalls
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared.gauges.stalls.inc();
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    closed = true;
-                    break;
-                }
-            }
-        }
-    }
+        write_queued(shared, &mut out, &mut stream).0 == Drain::Failed
+    };
 
-    // --- read up to the fairness budget ------------------------------
-    let mut frames: Vec<Vec<u8>> = Vec::new();
+    // --- read up to the fairness budget, every complete frame appended
+    // to one run (no read goes past the budget, so the run holds at most
+    // the budget plus the one frame left partial by the last turn) -----
+    let mut run = Vec::new();
+    let mut frames = 0;
     if !closed {
         let mut reader = slot.reader.lock();
         let mut stream = slot.stream.lock();
@@ -599,18 +675,19 @@ fn run_turn(shared: &Arc<Shared>, slot: &Arc<Slot>) {
                 more = true;
                 break;
             }
-            match stream.read(&mut buf) {
+            let want = budget.min(buf.len());
+            match stream.read(&mut buf[..want]) {
                 Ok(0) => {
                     closed = true;
                     break;
                 }
                 Ok(n) => {
-                    budget = budget.saturating_sub(n);
+                    budget -= n;
                     reader.on_bytes(&buf[..n]);
                     loop {
-                        match reader.next_frame() {
-                            Ok(Some(f)) => frames.push(f),
-                            Ok(None) => break,
+                        match reader.next_frames(&mut run) {
+                            Ok(0) => break,
+                            Ok(popped) => frames += popped,
                             Err(_) => {
                                 corrupt = true;
                                 closed = true;
@@ -632,23 +709,20 @@ fn run_turn(shared: &Arc<Shared>, slot: &Arc<Slot>) {
         }
     }
 
-    // --- deliver frames with no slot locks held (the sink may block
+    // --- deliver the run with no slot locks held (the sink may block
     // on the manager's bounded queue; senders only need the out lock,
     // so backpressure propagates without deadlock) -------------------
-    if !frames.is_empty() {
+    if frames > 0 {
         shared
             .stats
             .frames_in
-            .fetch_add(frames.len() as u64, Ordering::Relaxed);
+            .fetch_add(frames as u64, Ordering::Relaxed);
         let sender = PeerSender {
             slot: Arc::downgrade(slot),
             shared: Arc::downgrade(shared),
         };
-        for f in frames {
-            if !shared.sink.on_frame(f, &sender) {
-                closed = true;
-                break;
-            }
+        if !shared.sink.on_frames(run, &sender) {
+            closed = true;
         }
     }
     if corrupt {
@@ -697,11 +771,12 @@ mod tests {
     }
 
     impl EventSink for CountSink {
-        fn on_frame(&self, frame: Vec<u8>, peer: &PeerSender) -> bool {
-            self.frames.fetch_add(1, Ordering::Relaxed);
+        fn on_frames(&self, run: Vec<u8>, peer: &PeerSender) -> bool {
+            let n = qos_wire::frames(&run).count() as u64;
+            self.frames.fetch_add(n, Ordering::Relaxed);
             if self.echo {
-                // Echo the frame back as a control reply.
-                let _ = peer.send_control(&frame);
+                // Echo the frames back as one control reply.
+                let _ = peer.send_control(&run);
             }
             true
         }
@@ -875,5 +950,186 @@ mod tests {
         );
         h.shutdown();
         assert_eq!(sender.send_telemetry(&big), PeerSend::Gone);
+    }
+
+    /// Hands the reply handle of every run it gets to the test.
+    struct HandSink(StdMutex<std::sync::mpsc::Sender<PeerSender>>);
+
+    impl EventSink for HandSink {
+        fn on_frames(&self, _run: Vec<u8>, peer: &PeerSender) -> bool {
+            let _ = self.0.lock().expect("hand lock").send(peer.clone());
+            true
+        }
+        fn on_corrupt(&self) {}
+    }
+
+    /// A reactor with one peer that has said hello: the handle, the
+    /// peer's end of the socket and the reactor's reply handle for it.
+    fn one_peer(name: &str, out: OutQueueConfig) -> (ReactorHandle, SockStream, PeerSender) {
+        let addr = uds_addr(name);
+        let listener = SockListener::bind(&addr).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let cfg = ReactorConfig {
+            workers: 2,
+            out,
+            ..ReactorConfig::default()
+        };
+        let h = ReactorHandle::spawn(listener, Arc::new(HandSink(StdMutex::new(tx))), cfg).unwrap();
+        let mut s = SockStream::connect(&addr).unwrap();
+        s.write_all(&WireMsg::Bye.encode_frame()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let sender = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("hello delivered");
+        (h, s, sender)
+    }
+
+    #[test]
+    fn reply_to_an_idle_peer_is_written_by_the_sender_with_no_wakeup() {
+        let (h, mut s, sender) = one_peer("direct.sock", OutQueueConfig::default());
+        let stats = h.stats();
+        // Every wakeup the hello caused was counted before its turn
+        // delivered it; an idle peer causes none.
+        let wakeups = stats.wakeups.load(Ordering::Relaxed);
+        let ack = WireMsg::SyncAck { token: 7 }.encode_frame();
+        assert_eq!(sender.send_control(&ack), PeerSend::Sent);
+        let mut got = vec![0u8; ack.len()];
+        s.read_exact(&mut got).unwrap();
+        assert_eq!(got, ack);
+        assert_eq!(stats.direct_writes.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.wakeups.load(Ordering::Relaxed), wakeups);
+
+        // A caller with work waiting leaves the write to a turn.
+        let ack = WireMsg::SyncAck { token: 8 }.encode_frame();
+        assert_eq!(sender.queue_control(&ack), PeerSend::Sent);
+        s.read_exact(&mut got).unwrap();
+        assert_eq!(got, ack);
+        assert_eq!(stats.direct_writes.load(Ordering::Relaxed), 1);
+        h.shutdown();
+    }
+
+    #[test]
+    fn sends_to_a_stalled_peer_queue_behind_and_arrive_in_order() {
+        let (h, mut s, sender) = one_peer(
+            "stalled.sock",
+            OutQueueConfig {
+                max_bytes: 16 * 1024,
+                max_telemetry_frames: 4,
+            },
+        );
+        // Distinct bytes per send (the queue does not read them).
+        let payload = |i: u32| i.to_le_bytes().repeat(64);
+        // The peer reads nothing: its socket fills, then its queue.
+        let mut sent = Vec::new();
+        let mut next = 0u32;
+        loop {
+            let p = payload(next);
+            match sender.send_control(&p) {
+                PeerSend::Sent => sent.extend_from_slice(&p),
+                PeerSend::Full => break,
+                PeerSend::Gone => panic!("peer closed"),
+            }
+            next += 1;
+        }
+        let stats = h.stats();
+        assert!(stats.backpressure_stalls.load(Ordering::Relaxed) > 0);
+        let later: Vec<Vec<u8>> = (next..next + 256).map(payload).collect();
+        let total = sent.len() + later.iter().map(Vec::len).sum::<usize>();
+        let reader = thread::spawn(move || {
+            let mut got = vec![0u8; total];
+            s.read_exact(&mut got).map(|()| got)
+        });
+        for p in &later {
+            loop {
+                match sender.send_control(p) {
+                    PeerSend::Sent => break,
+                    PeerSend::Full => thread::yield_now(),
+                    PeerSend::Gone => panic!("peer closed"),
+                }
+            }
+            sent.extend_from_slice(p);
+        }
+        let got = reader.join().unwrap().expect("every byte arrives");
+        assert!(
+            got == sent,
+            "the peer must read exactly the sends, in order"
+        );
+        h.shutdown();
+    }
+
+    #[test]
+    fn a_frame_cut_short_inline_holds_the_head_while_later_telemetry_drops() {
+        use qos_wire::messages::LiveRegisterMsg;
+        use qos_wire::FrameBuffer;
+        let (h, mut s, sender) = one_peer(
+            "partial.sock",
+            OutQueueConfig {
+                max_bytes: 4 << 20,
+                max_telemetry_frames: 2,
+            },
+        );
+        let stats = h.stats();
+        // Larger than any socket buffer, within one frame's limit.
+        let big = WireMsg::LiveRegister(LiveRegisterMsg {
+            process: "p".repeat(1000 * 1024),
+        });
+        let big_frame = big.encode_frame();
+        assert_eq!(sender.send_telemetry(&big_frame), PeerSend::Sent);
+        let slot = sender.slot.upgrade().unwrap();
+        let left = slot.out.lock().pending_bytes();
+        assert!(
+            left > 0 && left < big_frame.len(),
+            "{left} of {} bytes left: the sender wrote part of it",
+            big_frame.len()
+        );
+        assert_eq!(stats.direct_writes.load(Ordering::Relaxed), 0);
+
+        // Each later batch evicts the one before it, never the head.
+        for token in 0..6 {
+            let f = WireMsg::SyncAck { token }.encode_frame();
+            assert_eq!(sender.send_telemetry(&f), PeerSend::Sent);
+        }
+        assert_eq!(stats.telemetry_dropped.load(Ordering::Relaxed), 5);
+
+        let mut fb = FrameBuffer::new();
+        let mut got = Vec::new();
+        let mut chunk = vec![0u8; 64 * 1024];
+        while got.len() < 2 {
+            let n = s.read(&mut chunk).unwrap();
+            assert!(n > 0, "peer closed early");
+            fb.extend(&chunk[..n]);
+            while let Some(m) = fb.next().expect("a valid stream") {
+                got.push(m);
+            }
+        }
+        assert!(got[0] == big, "the head arrives whole");
+        assert_eq!(got[1], WireMsg::SyncAck { token: 5 });
+        h.shutdown();
+    }
+
+    /// With the sender's every write blocked (buggify forces are per
+    /// thread, so the reactor's own writes are not), each reply takes
+    /// the queued path and still arrives.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn forced_wouldblock_sends_every_reply_through_a_turn() {
+        if !qos_buggify::compiled_in() {
+            return;
+        }
+        let (h, mut s, sender) = one_peer("forced.sock", OutQueueConfig::default());
+        let stats = h.stats();
+        const REPLIES: u64 = 16;
+        qos_buggify::force("net.write.wouldblock", REPLIES);
+        for token in 0..REPLIES {
+            let ack = WireMsg::SyncAck { token }.encode_frame();
+            assert_eq!(sender.send_control(&ack), PeerSend::Sent);
+            let mut got = vec![0u8; ack.len()];
+            s.read_exact(&mut got).unwrap();
+            assert_eq!(got, ack);
+        }
+        qos_buggify::clear("net.write.wouldblock");
+        assert_eq!(stats.direct_writes.load(Ordering::Relaxed), 0);
+        assert!(!qos_buggify::points_hit().is_empty(), "the sender tried");
+        h.shutdown();
     }
 }

@@ -196,30 +196,67 @@ impl FrameBuffer {
         self.len() == 0
     }
 
+    /// Where the complete frame starting at `at` ends: `Ok(None)` if it
+    /// is not all buffered yet. The one header split both pops share.
+    fn frame_end(&self, at: usize) -> Result<Option<usize>, WireError> {
+        match split_frame(&self.buf[at..]) {
+            Ok((_, payload)) => Ok(Some(at + HEADER_LEN + payload.len())),
+            Err(WireError::Truncated { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Hand out `buf[head..end]`: append it to `out` and advance past it.
+    fn take_to(&mut self, end: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.buf[self.head..end]);
+        self.head = end;
+        // Reclaim the consumed prefix only when that is free (the buffer
+        // is drained) or amortised (the prefix is over half the
+        // allocation, so the tail moved is smaller than what was consumed
+        // since the last move).
+        if self.head == self.buf.len() || self.head > self.buf.capacity() / 2 {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
     /// Pop the next complete frame as raw bytes (header included),
     /// validating only the header. `Ok(None)` means more bytes are
     /// needed; an error means the stream is corrupt and the connection
     /// should be dropped (there is no way to resynchronise a
     /// length-prefixed stream after a bad header).
     pub fn next_raw(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        match split_frame(&self.buf[self.head..]) {
-            Ok((_, payload)) => {
-                let end = self.head + HEADER_LEN + payload.len();
-                let frame = self.buf[self.head..end].to_vec();
-                self.head = end;
-                // Reclaim the consumed prefix only when that is free (the
-                // buffer is drained) or amortised (the prefix is over half
-                // the allocation, so the tail moved is smaller than what
-                // was consumed since the last move).
-                if self.head == self.buf.len() || self.head > self.buf.capacity() / 2 {
-                    self.buf.drain(..self.head);
-                    self.head = 0;
+        let Some(end) = self.frame_end(self.head)? else {
+            return Ok(None);
+        };
+        let mut frame = Vec::with_capacity(end - self.head);
+        self.take_to(end, &mut frame);
+        Ok(Some(frame))
+    }
+
+    /// Pop every complete frame buffered, appending them to `run` with
+    /// one copy; returns how many. `Ok(0)` means more bytes are needed.
+    /// Frames ahead of a corrupt header are handed out first and the
+    /// error comes on the next call, so a caller that pops until `Ok(0)`
+    /// or an error sees exactly what [`FrameBuffer::next_raw`] would
+    /// have yielded, error included. Walk the run with [`frames`].
+    pub fn next_raw_run(&mut self, run: &mut Vec<u8>) -> Result<usize, WireError> {
+        let (mut end, mut n) = (self.head, 0);
+        loop {
+            match self.frame_end(end) {
+                Ok(Some(next)) => {
+                    end = next;
+                    n += 1;
                 }
-                Ok(Some(frame))
+                Ok(None) => break,
+                Err(e) if n == 0 => return Err(e),
+                Err(_) => break,
             }
-            Err(WireError::Truncated { .. }) => Ok(None),
-            Err(e) => Err(e),
         }
+        if n > 0 {
+            self.take_to(end, run);
+        }
+        Ok(n)
     }
 
     /// Pop and fully decode the next complete frame. `Ok(None)` means
@@ -231,6 +268,38 @@ impl FrameBuffer {
             Some(frame) => Ok(Some(WireMsg::decode_frame(&frame)?)),
             None => Ok(None),
         }
+    }
+}
+
+/// Walk a run of frames laid end to end (what
+/// [`FrameBuffer::next_raw_run`] appends): each item is one frame's
+/// bytes, header included. Where a header does not split, the rest of
+/// the run is yielded as one last item, which fails to decode with that
+/// header's error — a run of garbage is one malformed frame.
+pub fn frames(run: &[u8]) -> Frames<'_> {
+    Frames { rest: run }
+}
+
+/// Iterator returned by [`frames`].
+#[derive(Debug, Clone)]
+pub struct Frames<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let len = match split_frame(self.rest) {
+            Ok((_, payload)) => HEADER_LEN + payload.len(),
+            Err(_) => self.rest.len(),
+        };
+        let (frame, rest) = self.rest.split_at(len);
+        self.rest = rest;
+        Some(frame)
     }
 }
 
@@ -334,6 +403,49 @@ mod tests {
         assert_eq!(fb.next().unwrap(), Some(WireMsg::Bye));
         assert_eq!(fb.next().unwrap(), None);
         assert!(fb.is_empty());
+    }
+
+    #[test]
+    fn run_holds_every_complete_frame_and_walks_back_out() {
+        let a = sample().encode_frame();
+        let b = WireMsg::Bye.encode_frame();
+        let mut fb = FrameBuffer::new();
+        fb.extend(&a);
+        fb.extend(&b);
+        fb.extend(&a[..5]);
+        let mut run = Vec::new();
+        assert_eq!(fb.next_raw_run(&mut run).unwrap(), 2);
+        assert_eq!(fb.next_raw_run(&mut run).unwrap(), 0, "half a frame left");
+        assert_eq!(fb.len(), 5);
+        assert_eq!(frames(&run).collect::<Vec<_>>(), [&a[..], &b[..]]);
+
+        // Frames ahead of a bad header come out first, the error next.
+        let mut bad = b.clone();
+        bad[0] ^= 0xff;
+        fb.extend(&a[5..]);
+        fb.extend(&bad);
+        run.clear();
+        assert_eq!(fb.next_raw_run(&mut run).unwrap(), 1);
+        assert_eq!(run, a);
+        assert!(matches!(
+            fb.next_raw_run(&mut run),
+            Err(WireError::BadMagic(_))
+        ));
+    }
+
+    #[test]
+    fn a_run_whose_header_does_not_split_is_one_malformed_frame() {
+        let a = sample().encode_frame();
+        let mut run = a.clone();
+        run.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5]);
+        let walked: Vec<&[u8]> = frames(&run).collect();
+        assert_eq!(walked.len(), 2);
+        assert_eq!(walked[0], &a[..]);
+        assert!(matches!(
+            WireMsg::decode_frame(walked[1]),
+            Err(WireError::BadMagic(_))
+        ));
+        assert_eq!(frames(&[]).count(), 0);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   [`WireMsg`](messages::WireMsg).
 //! * [`frame`] — the length-prefixed frame format (magic, version,
 //!   kind, length) plus [`FrameBuffer`](frame::FrameBuffer) for stream
-//!   reassembly and [`WireBytes`](frame::WireBytes) for cheap sharing.
+//!   reassembly (one frame at a time, or every buffered frame as one
+//!   run that [`frames`](frame::frames) walks back out) and
+//!   [`WireBytes`](frame::WireBytes) for cheap sharing.
 //! * [`error`] — typed decode failures; decoders never panic on
 //!   untrusted bytes.
 //! * [`borrowed`] — the zero-copy decode surface:
@@ -44,5 +46,7 @@ pub use batch::{BatchBuilder, BatchRef};
 pub use borrowed::{LiveViolationMsgRef, ReadingsRef, ViolationMsgRef, WireMsgRef};
 pub use codec::{Wire, WireReader, WireWriter, MAX_NESTING};
 pub use error::WireError;
-pub use frame::{FrameBuffer, WireBytes, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION};
+pub use frame::{
+    frames, FrameBuffer, Frames, WireBytes, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION,
+};
 pub use messages::{BatchMsg, WireMsg, KIND_BATCH};
