@@ -148,9 +148,9 @@ pub struct Testbed {
 /// Build one QoS Host Manager as configured (shared between initial
 /// assembly and crash-restart).
 fn make_host_manager(cfg: &TestbedConfig, domain_ep: Option<Endpoint>) -> QosHostManager {
-    let mut hm = QosHostManager::new(domain_ep).with_cpu_manager(match cfg.cpu_policy {
-        CpuPolicy::TsBoost => CpuManager::ts_default(),
-        CpuPolicy::RtUnits => CpuManager::new(CpuStrategy::RtUnits {
+    let mut hm = QosHostManager::new(domain_ep).with_cpu_strategy(match cfg.cpu_policy {
+        CpuPolicy::TsBoost => CpuStrategy::default(),
+        CpuPolicy::RtUnits => CpuStrategy::RtUnits {
             // 40 ms units (two decoded frames per second of budget):
             // fine enough that a ±2 fps band always contains a
             // reachable allocation.
@@ -158,7 +158,7 @@ fn make_host_manager(cfg: &TestbedConfig, domain_ep: Option<Endpoint>) -> QosHos
             unit: Dur::from_millis(40),
             initial_units: 4,
             max_units: 22,
-        }),
+        },
     });
     if let AdminRules::Differentiated = cfg.admin {
         hm.load_rules(&host_rules_differentiated());

@@ -47,4 +47,5 @@ impl Hasher for FxHasher {
     }
 }
 
-pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+/// A `HashMap` keyed through [`FxHasher`].
+pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;

@@ -20,7 +20,7 @@ pub use crate::host_core::{
 };
 pub use crate::lifecycle::DUP_VIOLATION_WINDOW;
 use crate::messages::{HOST_MANAGER_PORT, MANAGER_PROCESSING_COST};
-use crate::resource::CpuManager;
+use crate::resource::CpuStrategy;
 use crate::transport::{decode_ctrl_ref, send_ctrl};
 
 /// The host manager process: a [`HostCore`] and the buffer its effects
@@ -78,8 +78,8 @@ impl QosHostManager {
     }
 
     /// Replace the CPU strategy (ablation: TS boosts vs RT units).
-    pub fn with_cpu_manager(mut self, cpu: CpuManager) -> Self {
-        self.core.set_cpu_manager(cpu);
+    pub fn with_cpu_strategy(mut self, cpu: CpuStrategy) -> Self {
+        self.core.set_cpu_strategy(cpu);
         self
     }
 
@@ -158,6 +158,7 @@ impl ProcessLogic for QosHostManager {
 mod tests {
     use super::*;
     use crate::messages::{RegisterMsg, RuleUpdateMsg, ViolationMsg, WireMsg};
+    use crate::rules::BUFFER_CUTOFF;
 
     #[test]
     fn pid_string_roundtrip() {
@@ -215,13 +216,24 @@ mod tests {
     }
 
     fn register(hm: &mut HostCore, at_us: u64, pid: Pid, heartbeat: Option<Dur>) {
+        register_as(hm, at_us, pid, heartbeat, 1.0, 100);
+    }
+
+    fn register_as(
+        hm: &mut HostCore,
+        at_us: u64,
+        pid: Pid,
+        heartbeat: Option<Dur>,
+        weight: f64,
+        control_port: u16,
+    ) {
         let reg = RegisterMsg {
             pid,
-            control_port: 100,
+            control_port,
             executable: "vidplayer".into(),
             application: "video".into(),
             role: "student".into(),
-            weight: 1.0,
+            weight,
             heartbeat,
         };
         step(
@@ -338,6 +350,123 @@ mod tests {
             &Short(0),
             HostInput::Msg(WireMsgRef::Owned(WireMsg::RuleUpdate(update))),
         );
+    }
+
+    #[test]
+    fn seeded_release_leak_keeps_only_the_grants() {
+        // `skip_release_on_reap`: the reap forgets the process but leaves
+        // its CPU boost and memory grant behind. Everything else kept of
+        // it must still go.
+        if !qos_buggify::COMPILED_IN {
+            return;
+        }
+        let mut hm = HostCore::new(None);
+        hm.bugs_mut().skip_release_on_reap = true;
+        let p = pid(5);
+        register(&mut hm, 0, p, Some(Dur::from_secs(1)));
+        update_rules(
+            &mut hm,
+            Some(crate::rules::overload_rules()),
+            &["unhandled-violation"],
+        );
+        for corr in 1..=5 {
+            violate(&mut hm, SEC / 10, &Short(32), &violation(p, corr, 0.0));
+        }
+        violate(&mut hm, SEC / 10, &Short(0), &violation(p, 6, 25.0));
+        let (boost, granted) = (hm.cpu_allocation(p).boost, hm.mem_granted(p));
+        assert!(boost > 0 && granted > 0);
+        assert_eq!(hm.overload_streak(p), Some(2));
+        assert_eq!(hm.facts_of("violation"), 1);
+
+        sweep(&mut hm, 60 * SEC);
+        assert_eq!(hm.stats.deaths, 1);
+        assert!(!hm.is_registered(p));
+        assert_eq!(hm.facts_of("violation"), 0, "facts still retracted");
+        assert_eq!(
+            hm.overload_streak(p).unwrap_or(0),
+            0,
+            "streak still cleared"
+        );
+        assert_eq!(hm.cpu_allocation(p).boost, boost, "boost leaked");
+        assert_eq!(hm.mem_granted(p), granted, "memory grant leaked");
+        assert!(hm.lifecycle().holds_grant(p));
+    }
+
+    #[test]
+    fn a_one_page_surplus_adapts_nothing() {
+        // Reclaiming half of a one-page surplus reclaims no page: no
+        // command, no count, no grant for the reap to release.
+        let mut hm = HostCore::new(None);
+        let p = pid(5);
+        register(&mut hm, 0, p, None);
+        update_rules(
+            &mut hm,
+            Some(
+                "(defrule shed-one-page (declare (salience 40)) (violation (pid ?p)) \
+                 => (call adjust-memory ?p -1))",
+            ),
+            &[],
+        );
+        // Inside the band: no CPU rule fires either.
+        let out = violate(&mut hm, SEC, &Short(0), &violation(p, 1, 25.0));
+        assert_eq!(hm.stats.unhandled, 1, "the rule ran: {out:?}");
+        assert!(
+            !out.iter().any(|e| matches!(e, Effect::Memctl(..))),
+            "{out:?}"
+        );
+        assert_eq!(hm.stats.mem_adjustments, 0);
+        assert_eq!(hm.mem_granted(p), 0);
+        assert!(!hm.lifecycle().holds_grant(p));
+    }
+
+    #[test]
+    fn re_registration_updates_weight_and_control_port() {
+        let mut hm = HostCore::new(None);
+        // Every rule passes the registered weight to `adjust-cpu`, and
+        // every violation also asks for an application adaptation.
+        update_rules(
+            &mut hm,
+            Some(&crate::rules::host_rules_differentiated()),
+            &[],
+        );
+        update_rules(
+            &mut hm,
+            Some(
+                "(defrule always-adapt (declare (salience 40)) (violation (pid ?p)) \
+                 => (call adapt-app ?p))",
+            ),
+            &[],
+        );
+        let (moved, light, heavy) = (pid(5), pid(6), pid(7));
+        register_as(&mut hm, 0, moved, None, 1.0, 100);
+        register_as(&mut hm, 0, light, None, 1.0, 100);
+        register_as(&mut hm, 0, heavy, None, 2.0, 100);
+        register_as(&mut hm, SEC, moved, None, 2.0, 200);
+        assert_eq!(hm.stats.registrations, 3);
+
+        // A full buffer: `local-cpu-starvation`, the rule that binds the
+        // weight, diagnoses it.
+        let starved = |p, corr| {
+            let mut v = violation(p, corr, 10.0);
+            v.readings.push(("buffer_size".into(), 2.0 * BUFFER_CUTOFF));
+            v
+        };
+        for (corr, p) in [(1, moved), (2, light), (3, heavy)] {
+            violate(&mut hm, 2 * SEC, &Short(0), &starved(p, corr));
+        }
+        let boost = |p| hm.cpu_allocation(p).boost;
+        assert_eq!(boost(moved), boost(heavy), "boosted as weight 2");
+        assert!(boost(moved) > boost(light));
+
+        let mut adapts = Vec::new();
+        for corr in 4..=u64::from(OVERLOAD_PATIENCE) + 2 {
+            let out = violate(&mut hm, corr * SEC, &Short(0), &starved(moved, corr));
+            adapts.extend(out.into_iter().filter_map(|e| match e {
+                Effect::SendCtrl(dst, WireMsg::Adapt(_)) => Some(dst),
+                _ => None,
+            }));
+        }
+        assert_eq!(adapts, [Endpoint::new(moved.host, 200)]);
     }
 
     #[test]

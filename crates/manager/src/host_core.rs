@@ -10,12 +10,13 @@
 //! time, and carries the effects out. Inside, the state is cut in two:
 //! the small hashable [`Lifecycle`] (who is registered, alive, reaped,
 //! duplicated, granted — what `tests/model_check.rs` explores) beside
-//! the heavy [`Diagnosis`] (rule engine and resource managers).
+//! the heavy [`Diagnosis`] (rule engine, and one record per pid of what
+//! the resource managers granted).
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use qos_discovery::{DiscAction, DiscClient, DiscEvent};
+use qos_inference::hash::FxMap;
 use qos_inference::prelude::*;
 use qos_sim::memory::ProcMem;
 use qos_sim::proc::HostSnapshot;
@@ -28,7 +29,7 @@ use crate::messages::{
     AdaptMsg, DomainAlertMsg, RegisterMsg, RuleUpdateMsg, StatsReplyMsg, WireMsg,
     HOST_MANAGER_PORT, MANAGER_PROCESSING_COST,
 };
-use crate::resource::{CpuManager, Direction, MemoryManager};
+use crate::resource::{plan_memory, CpuAllocation, CpuStrategy, Direction};
 use crate::rules::{host_base_facts, host_rules_fair, HostVocabulary};
 use crate::transport::Backoff;
 
@@ -190,6 +191,20 @@ struct Registered {
     name: Value,
 }
 
+/// What the diagnosis half keeps of one pid.
+#[derive(Default)]
+struct PidState {
+    /// Set while the pid is registered.
+    reg: Option<Registered>,
+    /// What the CPU manager has granted it.
+    cpu: CpuAllocation,
+    /// Net resident pages the memory manager has granted it.
+    mem_granted: i64,
+    /// Consecutive at-cap violations (gates overload adaptation: a
+    /// transient brush with the cap must not degrade the application).
+    overload_streak: u32,
+}
+
 /// The heavy half of the core: what diagnosing one violation reads and
 /// writes.
 struct Diagnosis {
@@ -201,14 +216,10 @@ struct Diagnosis {
     /// reader they cannot change what fires. Derived from the rule base
     /// whenever it changes ([`Diagnosis::rules_changed`]).
     read: [bool; 3],
-    cpu: CpuManager,
-    mem: MemoryManager,
-    /// Registration details of registered pids.
-    details: HashMap<Pid, Registered>,
-    /// Consecutive at-cap violations per process (gates overload
-    /// adaptation: a transient brush with the cap must not degrade the
-    /// application).
-    overload_streak: HashMap<Pid, u32>,
+    /// How the CPU manager adjusts allocations.
+    cpu: CpuStrategy,
+    /// Nothing iterates it, so the hasher cannot reorder any output.
+    pids: FxMap<Pid, PidState>,
 }
 
 /// Series [`HostCore::mirror_stats`] mirrors [`HostMgrStats`] into.
@@ -298,10 +309,8 @@ impl HostCore {
                 engine: Engine::new(),
                 vocab: HostVocabulary::new(),
                 read: [false; 3],
-                cpu: CpuManager::ts_default(),
-                mem: MemoryManager::new(),
-                details: HashMap::new(),
-                overload_streak: HashMap::new(),
+                cpu: CpuStrategy::default(),
+                pids: FxMap::default(),
             },
             domain,
             disc: None,
@@ -324,8 +333,8 @@ impl HostCore {
         });
     }
 
-    /// See [`crate::host::QosHostManager::with_cpu_manager`].
-    pub(crate) fn set_cpu_manager(&mut self, cpu: CpuManager) {
+    /// See [`crate::host::QosHostManager::with_cpu_strategy`].
+    pub(crate) fn set_cpu_strategy(&mut self, cpu: CpuStrategy) {
         self.diagnosis.cpu = cpu;
     }
 
@@ -411,19 +420,30 @@ impl HostCore {
     }
 
     /// Current CPU allocation of a managed process.
-    pub fn cpu_allocation(&self, pid: Pid) -> crate::resource::CpuAllocation {
-        self.diagnosis.cpu.allocation(pid)
+    pub fn cpu_allocation(&self, pid: Pid) -> CpuAllocation {
+        self.diagnosis
+            .pids
+            .get(&pid)
+            .map(|s| s.cpu)
+            .unwrap_or_default()
     }
 
     /// Net resident pages granted to a managed process.
     pub fn mem_granted(&self, pid: Pid) -> i64 {
-        self.diagnosis.mem.granted(pid)
+        self.diagnosis.pids.get(&pid).map_or(0, |s| s.mem_granted)
     }
 
-    /// Consecutive at-cap violations counted against `pid`.
+    /// Consecutive at-cap violations counted against `pid`, while the
+    /// core keeps a record of it.
     #[cfg(test)]
     pub(crate) fn overload_streak(&self, pid: Pid) -> Option<u32> {
-        self.diagnosis.overload_streak.get(&pid).copied()
+        self.diagnosis.pids.get(&pid).map(|s| s.overload_streak)
+    }
+
+    /// The seeded defects, to switch on.
+    #[cfg(test)]
+    pub(crate) fn bugs_mut(&mut self) -> &mut crate::lifecycle::Bugs {
+        &mut self.lifecycle.bugs
     }
 
     /// Is `pid` currently registered with this manager?
@@ -510,9 +530,11 @@ impl HostCore {
                 // the name.
                 let reg = self
                     .diagnosis
-                    .details
+                    .pids
                     .entry(r.pid)
-                    .or_insert_with(|| Registered {
+                    .or_default()
+                    .reg
+                    .get_or_insert_with(|| Registered {
                         weight: r.weight,
                         control_port: r.control_port,
                         name: Value::str(pid_to_string(r.pid)),
@@ -825,8 +847,7 @@ impl HostCore {
                 };
                 let cmd = self
                     .diagnosis
-                    .cpu
-                    .plan(pid, Direction::Under, severity, weight);
+                    .plan_cpu(pid, Direction::Under, severity, weight);
                 if self.land_cpu(trip, "adjust-cpu", severity, pid, cmd, out) {
                     self.stats.cpu_boosts += 1;
                 }
@@ -842,7 +863,7 @@ impl HostCore {
                 } else {
                     0.0
                 };
-                let cmd = self.diagnosis.cpu.plan(pid, Direction::Over, severity, 1.0);
+                let cmd = self.diagnosis.plan_cpu(pid, Direction::Over, severity, 1.0);
                 if self.land_cpu(trip, "relax-cpu", severity, pid, cmd, out) {
                     self.stats.cpu_relaxations += 1;
                 }
@@ -852,7 +873,8 @@ impl HostCore {
                 else {
                     return;
                 };
-                if let Some(delta) = self.diagnosis.mem.plan(pid, pages as i64) {
+                if let Some(delta) = plan_memory(pages as i64) {
+                    self.diagnosis.pids.entry(pid).or_default().mem_granted += delta;
                     self.stats.mem_adjustments += 1;
                     self.emit_adapt(trip, "adjust-memory", delta as f64);
                     self.lifecycle.grant(pid);
@@ -866,7 +888,7 @@ impl HostCore {
                     return;
                 };
                 let weight = arg_f64(1).unwrap_or(1.0);
-                let cmd = self.diagnosis.cpu.plan(pid, Direction::Under, 0.25, weight);
+                let cmd = self.diagnosis.plan_cpu(pid, Direction::Under, 0.25, weight);
                 if self.land_cpu(trip, "nudge-cpu", 0.25, pid, cmd, out) {
                     self.stats.nudges += 1;
                 }
@@ -878,13 +900,13 @@ impl HostCore {
                 let Some(pid) = inv.args.first().and_then(value_pid) else {
                     return;
                 };
-                let streak = self.diagnosis.overload_streak.entry(pid).or_insert(0);
-                *streak += 1;
-                if *streak < OVERLOAD_PATIENCE {
+                let state = self.diagnosis.pids.entry(pid).or_default();
+                state.overload_streak += 1;
+                if state.overload_streak < OVERLOAD_PATIENCE {
                     return;
                 }
-                *streak = 0;
-                let Some(reg) = self.diagnosis.details.get(&pid) else {
+                state.overload_streak = 0;
+                let Some(reg) = &state.reg else {
                     return;
                 };
                 let dst = Endpoint::new(pid.host, reg.control_port);
@@ -984,7 +1006,8 @@ impl Diagnosis {
     /// Assert the facts of one admitted violation (`mem_deficit` pages
     /// short of its working set) and run the rules over them.
     fn assert_and_run(&mut self, v: &ViolationMsgRef<'_>, mem_deficit: u32) -> RunStats {
-        let reg = self.details.get(&v.pid);
+        let state = self.pids.get(&v.pid);
+        let reg = state.and_then(|s| s.reg.as_ref());
         let unregistered;
         let pid_s = match reg {
             Some(r) => &r.name,
@@ -1032,7 +1055,7 @@ impl Diagnosis {
             self.engine.assert_fact(
                 Fact::of(vocab.alloc.template)
                     .with_slot(vocab.alloc.pid, pid_s.clone())
-                    .with_slot(vocab.boost, self.cpu.allocation(v.pid).boost as i64),
+                    .with_slot(vocab.boost, state.map_or(0, |s| s.cpu.boost) as i64),
             );
         }
         if deficit_read && mem_deficit > 0 {
@@ -1045,21 +1068,33 @@ impl Diagnosis {
         self.engine.run(200)
     }
 
+    /// The CPU manager's plan for `pid`, recorded in its allocation.
+    fn plan_cpu(
+        &mut self,
+        pid: Pid,
+        direction: Direction,
+        severity: f64,
+        weight: f64,
+    ) -> Option<PriocntlCmd> {
+        let alloc = &mut self.pids.entry(pid).or_default().cpu;
+        self.cpu.plan(alloc, direction, severity, weight)
+    }
+
     /// Drop everything kept for a reaped `pid`: its facts, registration
-    /// details and overload streak, and — when `release` — its CPU and
-    /// memory allocations.
+    /// and overload streak, and — when `release` — its CPU and memory
+    /// allocations, which is the whole record.
     fn forget(&mut self, pid: Pid, release: bool) {
-        let name = match self.details.remove(&pid) {
-            Some(r) => r.name,
-            None => Value::str(pid_to_string(pid)),
+        let reg = if release {
+            self.pids.remove(&pid).and_then(|s| s.reg)
+        } else {
+            self.pids.get_mut(&pid).and_then(|s| {
+                s.overload_streak = 0;
+                s.reg.take()
+            })
         };
+        let name = reg.map_or_else(|| Value::str(pid_to_string(pid)), |r| r.name);
         for t in self.vocab.per_notification() {
             self.engine.retract_where(t.template, t.pid, &name);
         }
-        if release {
-            self.cpu.release(pid);
-            self.mem.release(pid);
-        }
-        self.overload_streak.remove(&pid);
     }
 }

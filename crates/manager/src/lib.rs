@@ -7,7 +7,8 @@
 //!   ports;
 //! * [`resource`] — resource managers, "each managing a single system
 //!   resource": CPU (time-sharing priority boosts or real-time CPU
-//!   units) and memory (resident pages);
+//!   units) and memory (resident pages), each a stateless decision over
+//!   the per-process record the host manager's core hands it;
 //! * [`rules`] — the default CLIPS-format rule sets (Section 5.3),
 //!   including the fair-share vs differentiated administrative variants
 //!   and the domain manager's server/network discrimination rules;
@@ -15,8 +16,9 @@
 //!   violations in, inference, resource-manager actions or domain
 //!   escalation out, as effects for a driver to carry;
 //! * [`lifecycle`] — the registration/heartbeat/reap half of that core,
-//!   small and hashable: the explicit-state checker explores this very
-//!   type, so there is no separate model to keep in step;
+//!   one ordered record per process, small and hashable: the
+//!   explicit-state checker explores this very type, so there is no
+//!   separate model to keep in step;
 //! * [`host`] — the simulator's driver of the core: the QoS Host
 //!   Manager process;
 //! * [`domain`] — the QoS Domain Manager process: cross-host fault
@@ -36,7 +38,6 @@ pub mod host;
 pub mod host_core;
 pub mod lifecycle;
 pub mod live;
-pub mod liveness;
 pub mod messages;
 pub mod resource;
 pub mod rules;
@@ -50,19 +51,19 @@ pub mod prelude {
     pub use crate::host_core::{
         pid_from_str, pid_name, pid_to_string, Effect, HostCore, HostInput, HostMgrStats, HostView,
     };
+    pub use crate::lifecycle::GRACE_PERIODS;
     pub use crate::live::{
         standard_live_repo, Driver, ListenSpec, LiveBuilder, LiveClock, LiveError, LiveHostManager,
         LiveManagerStats, LiveProcess, ReportBatchPolicy, SUBSCRIBER_QUEUE_CAPACITY,
         TELEMETRY_METRICS_INTERVAL, TELEMETRY_PUBLISH_INTERVAL,
     };
-    pub use crate::liveness::{LivenessTracker, GRACE_PERIODS};
     pub use crate::messages::{
         AdaptMsg, AdjustRequestMsg, AgentReply, AgentRequest, DomainAlertMsg, RegisterMsg,
         RuleUpdateMsg, StatsQueryMsg, StatsReplyMsg, Upstream, ViolationMsg, WireMsg,
         DISCOVERY_LEASE, DISCOVERY_PORT, DOMAIN_MANAGER_PORT, HOST_MANAGER_PORT, POLICY_AGENT_PORT,
         REGISTRATION_HEARTBEAT_PERIOD, STATS_QUERY_DEADLINE,
     };
-    pub use crate::resource::{CpuAllocation, CpuManager, CpuStrategy, Direction, MemoryManager};
+    pub use crate::resource::{CpuAllocation, CpuStrategy, Direction};
     pub use crate::rules::{
         domain_base_facts, domain_rules, host_base_facts, host_rules_differentiated,
         host_rules_fair, overload_rules, proactive_rules, BUFFER_CUTOFF,

@@ -4,17 +4,31 @@
 //! [`Lifecycle`] decides who is registered, who owes a heartbeat, who has
 //! been declared dead and not yet reclaimed, whose late reports are
 //! stale, which report is a transport duplicate, and who holds a
-//! resource grant the reap must release. It is `Clone + Eq + Hash` over
-//! ordered maps, so `tests/model_check.rs` puts it straight into the
-//! checker's state: the properties are proved of this code, not of a
-//! model of it. The heavy half (rule engine, resource managers) acts on
-//! what the methods here return.
+//! resource grant the reap must release. It keeps one ordered record per
+//! pid and is `Clone + Eq + Hash`, so `tests/model_check.rs` puts it
+//! straight into the checker's state: the properties are proved of this
+//! code, not of a model of it. The heavy half (rule engine, resource
+//! managers) acts on what the methods here return.
+//!
+//! The paper's prototype assumed managed processes outlive the manager's
+//! interest in them; a crashed video client would leave its CPU boost,
+//! resident-set grant and working-memory facts behind forever. A process
+//! that registers with a heartbeat promise (see
+//! [`crate::messages::RegisterMsg::heartbeat`]) is expected to
+//! re-register at least that often, and after [`GRACE_PERIODS`] silent
+//! periods it is declared dead so the manager can retract its facts and
+//! reclaim its allocations. A registration without a heartbeat promise is
+//! never reaped: a one-shot registrant (a web server, a game session)
+//! must not be declared dead just because it has nothing to say.
 
 use std::collections::BTreeMap;
 
 use qos_sim::{Dur, Pid, SimTime};
 
-use crate::liveness::LivenessTracker;
+/// Missed heartbeat periods tolerated before a process is declared
+/// dead. Must absorb transient control-message loss: under p message
+/// loss, the false-positive probability per check is p^GRACE_PERIODS.
+pub const GRACE_PERIODS: u32 = 4;
 
 /// A violation bit-identical to the previous one from the same pid and
 /// arriving within this window is a transport duplicate, not a fresh
@@ -55,7 +69,22 @@ pub enum Admit {
     Fresh,
 }
 
-/// What the lifecycle keeps per pid, beside the heartbeat bookkeeping.
+/// A heartbeat promise: a beat every `period`, the last one at
+/// `last_beat`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Heartbeat {
+    period: Dur,
+    last_beat: SimTime,
+}
+
+impl Heartbeat {
+    /// Silent for more than [`GRACE_PERIODS`] periods at `now`?
+    fn overdue(&self, now: SimTime) -> bool {
+        now.since(self.last_beat) > self.period.mul_f64(GRACE_PERIODS as f64)
+    }
+}
+
+/// What the lifecycle keeps per pid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 struct Proc {
     registered: bool,
@@ -63,6 +92,10 @@ struct Proc {
     reaped: bool,
     /// An adaptation has granted this pid a resource.
     grant: bool,
+    /// The heartbeat owed, while the pid is tracked: set by a
+    /// registration that promises one, cleared by one that does not and
+    /// when the pid is declared dead.
+    heartbeat: Option<Heartbeat>,
     /// Fingerprint and arrival time of the last admitted report.
     last_violation: Option<(u64, SimTime)>,
 }
@@ -72,9 +105,8 @@ struct Proc {
 pub struct Lifecycle {
     /// Seeded defects (all off in production).
     pub bugs: Bugs,
+    /// Ordered, so overdue pids are declared in pid order.
     procs: BTreeMap<Pid, Proc>,
-    /// Heartbeat bookkeeping for registrants that promised one.
-    liveness: LivenessTracker,
     /// Declared dead, not yet reclaimed. The reap is two-phase so a
     /// heartbeat racing the sweep can cancel the reclamation instead of
     /// leaving a half-registered process; normally both phases run
@@ -97,11 +129,11 @@ impl Lifecycle {
         if !(qos_buggify::COMPILED_IN && self.bugs.register_ignores_pending) {
             self.pending_reap.retain(|&p| p != pid);
         }
-        match heartbeat {
-            Some(period) => self.liveness.track(pid, period, now),
-            None => self.liveness.forget(pid),
-        }
         let p = self.procs.entry(pid).or_default();
+        p.heartbeat = heartbeat.map(|period| Heartbeat {
+            period,
+            last_beat: now,
+        });
         p.reaped = false;
         !std::mem::replace(&mut p.registered, true)
     }
@@ -134,7 +166,12 @@ impl Lifecycle {
     /// Reap phase A: every tracked pid silent past its grace stops being
     /// tracked and waits for [`Lifecycle::reclaim`].
     pub fn declare(&mut self, now: SimTime) {
-        self.pending_reap.append(&mut self.liveness.reap(now));
+        for (&pid, p) in &mut self.procs {
+            if p.heartbeat.is_some_and(|h| h.overdue(now)) {
+                p.heartbeat = None;
+                self.pending_reap.push(pid);
+            }
+        }
     }
 
     /// Reap phase B: irrevocably forget every pending pid — registry
@@ -146,9 +183,12 @@ impl Lifecycle {
         let leaked = qos_buggify::COMPILED_IN && self.bugs.skip_release_on_reap;
         for &pid in &dead {
             let p = self.procs.entry(pid).or_default();
+            // A declared pid owes no heartbeat; one that re-registered
+            // and stayed pending (the seeded race) keeps its new one.
             *p = Proc {
                 reaped: true,
                 grant: p.grant && leaked,
+                heartbeat: p.heartbeat,
                 ..Proc::default()
             };
         }
@@ -162,12 +202,14 @@ impl Lifecycle {
 
     /// Is `pid` owed a liveness sweep (heartbeat promise active)?
     pub fn tracks(&self, pid: Pid) -> bool {
-        self.liveness.tracks(pid)
+        self.proc(pid).heartbeat.is_some()
     }
 
     /// Would [`Lifecycle::declare`] at `now` declare anyone dead?
     pub fn any_overdue(&self, now: SimTime) -> bool {
-        self.liveness.overdue(now).next().is_some()
+        self.procs
+            .values()
+            .any(|p| p.heartbeat.is_some_and(|h| h.overdue(now)))
     }
 
     /// Pids declared dead whose reclamation is still pending.
@@ -183,5 +225,82 @@ impl Lifecycle {
     /// Does `pid` hold a resource grant?
     pub fn holds_grant(&self, pid: Pid) -> bool {
         self.proc(pid).grant
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qos_sim::HostId;
+
+    fn pid(n: u32) -> Pid {
+        Pid {
+            host: HostId(0),
+            local: n,
+        }
+    }
+
+    fn t(secs: u64) -> SimTime {
+        SimTime::from_micros(secs * 1_000_000)
+    }
+
+    const BEAT: Option<Dur> = Some(Dur::from_secs(1));
+
+    #[test]
+    fn silent_process_is_reaped_after_grace() {
+        let mut l = Lifecycle::default();
+        l.register(t(0), pid(1), BEAT);
+        l.declare(t(GRACE_PERIODS as u64));
+        assert!(l.pending_reap().is_empty(), "at the limit");
+        assert!(!l.any_overdue(t(GRACE_PERIODS as u64)));
+        assert!(l.any_overdue(t(GRACE_PERIODS as u64 + 1)));
+        l.declare(t(GRACE_PERIODS as u64 + 1));
+        assert_eq!(l.pending_reap(), [pid(1)]);
+        assert!(!l.tracks(pid(1)), "a declared pid is no longer tracked");
+        assert_eq!(l.reclaim(), [pid(1)]);
+        l.declare(t(100));
+        assert!(l.pending_reap().is_empty(), "declaration is one-shot");
+    }
+
+    #[test]
+    fn beats_keep_a_process_alive() {
+        let mut l = Lifecycle::default();
+        l.register(t(0), pid(1), BEAT);
+        for s in 1..20 {
+            l.register(t(s), pid(1), BEAT);
+            l.declare(t(s));
+            assert!(l.pending_reap().is_empty());
+        }
+    }
+
+    #[test]
+    fn forget_stops_tracking() {
+        let mut l = Lifecycle::default();
+        l.register(t(0), pid(1), BEAT);
+        l.register(t(0), pid(1), None);
+        assert!(!l.tracks(pid(1)));
+        l.declare(t(100));
+        assert!(l.pending_reap().is_empty());
+        assert!(l.is_registered(pid(1)), "a one-shot registrant stays");
+    }
+
+    #[test]
+    fn reap_returns_only_overdue_in_order() {
+        let mut l = Lifecycle::default();
+        l.register(t(0), pid(3), BEAT);
+        l.register(t(0), pid(1), BEAT);
+        l.register(t(0), pid(2), Some(Dur::from_secs(60)));
+        l.declare(t(10));
+        assert_eq!(l.pending_reap(), [pid(1), pid(3)]);
+        assert!(l.tracks(pid(2)), "long-period process unaffected");
+    }
+
+    #[test]
+    fn re_track_counts_as_beat() {
+        let mut l = Lifecycle::default();
+        l.register(t(0), pid(1), BEAT);
+        l.register(t(10), pid(1), BEAT);
+        l.declare(t(11));
+        assert!(l.pending_reap().is_empty());
     }
 }

@@ -2,13 +2,12 @@
 //! each manage a single system resource" — CPU (time-sharing priorities or
 //! real-time CPU units) and memory (resident pages).
 //!
-//! A resource manager is pure decision logic: it receives the context of a
-//! violation and plans concrete kernel commands; the QoS Host Manager
-//! issues them. This keeps the managers testable without a simulation.
+//! A resource manager is a pure decision: it is handed a process's
+//! allocation record and the context of a violation, and plans concrete
+//! kernel commands; the QoS Host Manager keeps the records and issues the
+//! commands. This keeps the managers testable without a simulation.
 
-use std::collections::HashMap;
-
-use qos_sim::{Dur, Pid, PriocntlCmd, RtBudget, SchedClass};
+use qos_sim::{Dur, PriocntlCmd, RtBudget, SchedClass};
 
 /// Which way a metric missed its requirement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,15 +46,14 @@ pub enum CpuStrategy {
     },
 }
 
-/// Per-process CPU allocation state.
+/// Per-process CPU allocation state: what the CPU manager reads and
+/// updates.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuAllocation {
     /// Current TS boost (TsBoost strategy).
     pub boost: i16,
     /// Current RT units (RtUnits strategy; 0 = still in TS).
     pub units: u32,
-    /// Adjustments made.
-    pub adjustments: u64,
     /// Consecutive over-achievement reports (drives patient relaxation).
     pub over_streak: u32,
 }
@@ -66,52 +64,35 @@ pub struct CpuAllocation {
 /// barely-exceeded bound buys nothing and destabilises the loop).
 pub const RELAX_DEADBAND: f64 = 0.12;
 
-/// The CPU resource manager.
-#[derive(Debug)]
-pub struct CpuManager {
-    strategy: CpuStrategy,
-    allocs: HashMap<Pid, CpuAllocation>,
-    /// Consecutive over-achievement reports required before one
-    /// relaxation step. Reclaiming resources is deliberately much slower
-    /// than granting them: the scheduler's response to a boost is
-    /// strongly non-linear (a small reduction can tip the process from
-    /// fully served to starved), so eager reclamation oscillates deeply
-    /// where the paper's prototype held a steady ~28 fps.
-    relax_patience: u32,
-}
+/// Consecutive over-achievement reports required before one relaxation
+/// step. Reclaiming resources is deliberately much slower than granting
+/// them: the scheduler's response to a boost is strongly non-linear (a
+/// small reduction can tip the process from fully served to starved), so
+/// eager reclamation oscillates deeply where the paper's prototype held a
+/// steady ~28 fps.
+const RELAX_PATIENCE: u32 = 3;
 
-impl CpuManager {
-    /// Manager with the given strategy.
-    pub fn new(strategy: CpuStrategy) -> Self {
-        CpuManager {
-            strategy,
-            allocs: HashMap::new(),
-            relax_patience: 3,
-        }
-    }
-
+impl Default for CpuStrategy {
     /// The prototype's default: TS boosts of 10, capped at +60.
-    pub fn ts_default() -> Self {
-        CpuManager::new(CpuStrategy::TsBoost {
+    fn default() -> Self {
+        CpuStrategy::TsBoost {
             step: 10,
             max_boost: 60,
-        })
+        }
     }
+}
 
-    /// Change how many consecutive over-reports trigger one relaxation.
-    pub fn set_relax_patience(&mut self, n: u32) {
-        self.relax_patience = n.max(1);
-    }
-
-    /// Plan the kernel command, if any, for a violation of `severity` (0 = barely
-    /// missed, 1 = missed by 100% of the target) in the given direction,
-    /// scaled by the administrative `weight` of the process (1.0 under
-    /// fair-share rules). "Additional rules are used to determine how
-    /// much to increase CPU priority based on how close the policy is to
-    /// being satisfied."
-    pub fn plan(
-        &mut self,
-        pid: Pid,
+impl CpuStrategy {
+    /// The CPU resource manager: plan the kernel command, if any, for a
+    /// violation of `severity` (0 = barely missed, 1 = missed by 100% of
+    /// the target) in the given direction, scaled by the administrative
+    /// `weight` of the process (1.0 under fair-share rules), and record
+    /// it in the process's `alloc`. "Additional rules are used to
+    /// determine how much to increase CPU priority based on how close
+    /// the policy is to being satisfied."
+    pub(crate) fn plan(
+        &self,
+        alloc: &mut CpuAllocation,
         direction: Direction,
         severity: f64,
         weight: f64,
@@ -120,30 +101,19 @@ impl CpuManager {
         if direction == Direction::Over && severity < RELAX_DEADBAND {
             return None;
         }
-        let patience = self.relax_patience;
-        let alloc = self.allocs.entry(pid).or_default();
-        alloc.adjustments += 1;
         // Track over-achievement streaks; reclamation needs a sustained
         // streak, and any under-report resets it.
-        let relax_now = match direction {
-            Direction::Under => {
-                alloc.over_streak = 0;
-                false
-            }
+        match direction {
+            Direction::Under => alloc.over_streak = 0,
             Direction::Over => {
                 alloc.over_streak += 1;
-                if alloc.over_streak >= patience {
-                    alloc.over_streak = 0;
-                    true
-                } else {
-                    false
+                if alloc.over_streak < RELAX_PATIENCE {
+                    return None;
                 }
+                alloc.over_streak = 0;
             }
-        };
-        if direction == Direction::Over && !relax_now {
-            return None;
         }
-        match self.strategy {
+        match *self {
             CpuStrategy::TsBoost { step, max_boost } => {
                 let scale = (severity.clamp(0.0, 1.0) * 2.0).max(0.25) * weight.max(0.0);
                 let delta = match direction {
@@ -203,107 +173,76 @@ impl CpuManager {
             }
         }
     }
-
-    /// Current allocation of a process.
-    pub fn allocation(&self, pid: Pid) -> CpuAllocation {
-        self.allocs.get(&pid).copied().unwrap_or_default()
-    }
-
-    /// Forget a process (exit).
-    pub fn release(&mut self, pid: Pid) {
-        self.allocs.remove(&pid);
-    }
 }
 
-/// The memory resource manager: plans resident-set adjustments.
-#[derive(Debug, Default)]
-pub struct MemoryManager {
-    granted: HashMap<Pid, i64>,
-}
-
-impl MemoryManager {
-    /// New manager.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Plan a resident-set change for a process missing `deficit_pages`
-    /// of its working set (positive) or holding `-deficit_pages` of
-    /// surplus (negative). Grants the full deficit; reclaims surplus
-    /// conservatively (half at a time).
-    pub fn plan(&mut self, pid: Pid, deficit_pages: i64) -> Option<i64> {
-        let delta = if deficit_pages > 0 {
-            deficit_pages
-        } else if deficit_pages < 0 {
-            deficit_pages / 2
-        } else {
-            return None;
-        };
-        *self.granted.entry(pid).or_default() += delta;
-        Some(delta)
-    }
-
-    /// Net pages granted to a process so far.
-    pub fn granted(&self, pid: Pid) -> i64 {
-        self.granted.get(&pid).copied().unwrap_or(0)
-    }
-
-    /// Forget a process (exit): its resident-set grant is reclaimed by
-    /// the pageout daemon, not by us, so just drop the book-keeping.
-    pub fn release(&mut self, pid: Pid) {
-        self.granted.remove(&pid);
-    }
+/// The memory resource manager: the resident-set change, in pages, for a
+/// process missing `deficit_pages` of its working set (positive) or
+/// holding `-deficit_pages` of surplus (negative). Grants the full
+/// deficit; reclaims surplus conservatively (half at a time, so a
+/// one-page surplus is left alone).
+pub(crate) fn plan_memory(deficit_pages: i64) -> Option<i64> {
+    let delta = if deficit_pages > 0 {
+        deficit_pages
+    } else {
+        deficit_pages / 2
+    };
+    (delta != 0).then_some(delta)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qos_sim::HostId;
 
-    fn pid(n: u32) -> Pid {
-        Pid {
-            host: HostId(0),
-            local: n,
+    const TS: CpuStrategy = CpuStrategy::TsBoost {
+        step: 10,
+        max_boost: 60,
+    };
+
+    /// `RELAX_PATIENCE` over-reports: the last one relaxes, if anything
+    /// can.
+    fn relax(s: &CpuStrategy, a: &mut CpuAllocation) -> Option<PriocntlCmd> {
+        for _ in 1..RELAX_PATIENCE {
+            assert!(s.plan(a, Direction::Over, 1.0, 1.0).is_none());
         }
+        s.plan(a, Direction::Over, 1.0, 1.0)
     }
 
     #[test]
     fn ts_boost_grows_with_severity_and_caps() {
-        let mut m = CpuManager::ts_default();
-        let c1 = m.plan(pid(1), Direction::Under, 0.1, 1.0);
+        let mut a = CpuAllocation::default();
+        let c1 = TS.plan(&mut a, Direction::Under, 0.1, 1.0);
         assert_eq!(c1, Some(PriocntlCmd::SetUpri(3)), "mild miss, small step");
-        let c2 = m.plan(pid(1), Direction::Under, 1.0, 1.0);
+        let c2 = TS.plan(&mut a, Direction::Under, 1.0, 1.0);
         assert_eq!(c2, Some(PriocntlCmd::SetUpri(23)), "severe miss, big step");
         for _ in 0..20 {
-            m.plan(pid(1), Direction::Under, 1.0, 1.0);
+            TS.plan(&mut a, Direction::Under, 1.0, 1.0);
         }
-        assert_eq!(m.allocation(pid(1)).boost, 60, "capped at +60");
+        assert_eq!(a.boost, 60, "capped at +60");
         assert!(
-            m.plan(pid(1), Direction::Under, 1.0, 1.0).is_none(),
+            TS.plan(&mut a, Direction::Under, 1.0, 1.0).is_none(),
             "no command when already at cap"
         );
+        assert_eq!(CpuStrategy::default(), TS, "the prototype's default");
     }
 
     #[test]
     fn ts_boost_reduces_when_over() {
-        let mut m = CpuManager::ts_default();
-        m.set_relax_patience(1);
-        m.plan(pid(1), Direction::Under, 1.0, 1.0);
-        let b = m.allocation(pid(1)).boost;
-        m.plan(pid(1), Direction::Over, 1.0, 1.0);
-        assert!(m.allocation(pid(1)).boost < b);
+        let mut a = CpuAllocation::default();
+        TS.plan(&mut a, Direction::Under, 1.0, 1.0);
+        let b = a.boost;
+        relax(&TS, &mut a);
+        assert!(a.boost < b);
         // Bounded below by the priocntl floor.
         for _ in 0..200 {
-            m.plan(pid(1), Direction::Over, 1.0, 1.0);
+            relax(&TS, &mut a);
         }
-        assert_eq!(m.allocation(pid(1)).boost, -60);
+        assert_eq!(a.boost, -60);
     }
 
     #[test]
     fn weight_scales_the_boost() {
-        let mut m = CpuManager::ts_default();
-        let fair = m.plan(pid(1), Direction::Under, 0.5, 1.0);
-        let vip = m.plan(pid(2), Direction::Under, 0.5, 2.0);
+        let fair = TS.plan(&mut CpuAllocation::default(), Direction::Under, 0.5, 1.0);
+        let vip = TS.plan(&mut CpuAllocation::default(), Direction::Under, 0.5, 2.0);
         let (Some(PriocntlCmd::SetUpri(a)), Some(PriocntlCmd::SetUpri(b))) = (fair, vip) else {
             panic!("expected SetUpri");
         };
@@ -312,14 +251,14 @@ mod tests {
 
     #[test]
     fn rt_units_enter_grow_and_leave() {
-        let mut m = CpuManager::new(CpuStrategy::RtUnits {
+        let rt = CpuStrategy::RtUnits {
             rtpri: 10,
             unit: Dur::from_millis(100),
             initial_units: 3,
             max_units: 8,
-        });
-        m.set_relax_patience(1);
-        let c = m.plan(pid(1), Direction::Under, 1.0, 1.0);
+        };
+        let mut a = CpuAllocation::default();
+        let c = rt.plan(&mut a, Direction::Under, 1.0, 1.0);
         match c {
             Some(PriocntlCmd::SetClass(SchedClass::RealTime {
                 rtpri: 10,
@@ -329,77 +268,70 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        m.plan(pid(1), Direction::Under, 1.0, 1.0);
-        assert_eq!(m.allocation(pid(1)).units, 6);
+        rt.plan(&mut a, Direction::Under, 1.0, 1.0);
+        assert_eq!(a.units, 6);
         for _ in 0..5 {
-            m.plan(pid(1), Direction::Under, 1.0, 1.0);
+            rt.plan(&mut a, Direction::Under, 1.0, 1.0);
         }
-        assert_eq!(m.allocation(pid(1)).units, 8, "capped");
+        assert_eq!(a.units, 8, "capped");
         // Shrink back to TS.
         for _ in 0..8 {
-            m.plan(pid(1), Direction::Over, 1.0, 1.0);
+            relax(&rt, &mut a);
         }
-        assert_eq!(m.allocation(pid(1)).units, 0);
+        assert_eq!(a.units, 0);
     }
 
     #[test]
     fn rt_exit_returns_to_timeshare() {
-        let mut m = CpuManager::new(CpuStrategy::RtUnits {
+        let rt = CpuStrategy::RtUnits {
             rtpri: 5,
             unit: Dur::from_millis(100),
             initial_units: 1,
             max_units: 4,
-        });
-        m.set_relax_patience(1);
-        m.plan(pid(1), Direction::Under, 1.0, 1.0);
-        let c = m.plan(pid(1), Direction::Over, 1.0, 1.0);
+        };
+        let mut a = CpuAllocation::default();
+        rt.plan(&mut a, Direction::Under, 1.0, 1.0);
+        let c = relax(&rt, &mut a);
         assert_eq!(c, Some(PriocntlCmd::SetClass(SchedClass::TimeShare)));
     }
 
     #[test]
-    fn release_forgets_state() {
-        let mut m = CpuManager::ts_default();
-        m.plan(pid(1), Direction::Under, 1.0, 1.0);
-        m.release(pid(1));
-        assert_eq!(m.allocation(pid(1)).boost, 0);
+    fn relaxation_requires_sustained_over_achievement() {
+        let mut a = CpuAllocation::default();
+        TS.plan(&mut a, Direction::Under, 1.0, 1.0);
+        // Two over-reports: nothing happens.
+        for _ in 0..2 {
+            assert!(TS.plan(&mut a, Direction::Over, 1.0, 1.0).is_none());
+        }
+        // An under-report resets the streak.
+        TS.plan(&mut a, Direction::Under, 0.0, 1.0);
+        for _ in 0..2 {
+            assert!(TS.plan(&mut a, Direction::Over, 1.0, 1.0).is_none());
+        }
+        // The third consecutive over-report finally relaxes.
+        let pre_relax = a.boost;
+        let cmd = TS.plan(&mut a, Direction::Over, 1.0, 1.0);
+        assert!(cmd.is_some());
+        assert!(a.boost < pre_relax);
     }
 
     #[test]
-    fn relaxation_requires_sustained_over_achievement() {
-        let mut m = CpuManager::ts_default(); // default patience: 3
-        m.plan(pid(1), Direction::Under, 1.0, 1.0);
-        // Two over-reports: nothing happens.
-        for _ in 0..2 {
-            assert!(m.plan(pid(1), Direction::Over, 1.0, 1.0).is_none());
+    fn barely_over_is_inside_the_dead_band() {
+        let mut a = CpuAllocation::default();
+        for _ in 0..2 * RELAX_PATIENCE {
+            assert!(TS
+                .plan(&mut a, Direction::Over, RELAX_DEADBAND / 2.0, 1.0)
+                .is_none());
         }
-        // An under-report resets the streak.
-        m.plan(pid(1), Direction::Under, 0.0, 1.0);
-        for _ in 0..2 {
-            assert!(m.plan(pid(1), Direction::Over, 1.0, 1.0).is_none());
-        }
-        // The third consecutive over-report finally relaxes.
-        let pre_relax = m.allocation(pid(1)).boost;
-        let cmd = m.plan(pid(1), Direction::Over, 1.0, 1.0);
-        assert!(cmd.is_some());
-        assert!(m.allocation(pid(1)).boost < pre_relax);
+        assert_eq!(a.over_streak, 0, "a dead-band report is no streak");
     }
 
     #[test]
     fn memory_manager_grants_and_reclaims() {
-        let mut m = MemoryManager::new();
-        assert_eq!(m.plan(pid(1), 50), Some(50), "full deficit granted");
-        assert_eq!(m.plan(pid(1), -20), Some(-10), "half the surplus reclaimed");
-        assert_eq!(m.plan(pid(1), 0), None);
-        assert_eq!(m.granted(pid(1)), 40);
-        assert_eq!(m.granted(pid(9)), 0);
-    }
-
-    #[test]
-    fn memory_release_forgets_the_grant() {
-        let mut m = MemoryManager::new();
-        m.plan(pid(1), 50);
-        m.release(pid(1));
-        assert_eq!(m.granted(pid(1)), 0);
-        m.release(pid(1)); // idempotent
+        assert_eq!(plan_memory(50), Some(50), "full deficit granted");
+        assert_eq!(plan_memory(-20), Some(-10), "half the surplus reclaimed");
+        assert_eq!(plan_memory(-3), Some(-1));
+        assert_eq!(plan_memory(-1), None, "half of one page is none");
+        assert_eq!(plan_memory(0), None);
     }
 }

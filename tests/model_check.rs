@@ -2,8 +2,8 @@
 //!
 //! Nothing here is a model of the code: the checker's state holds the
 //! production types themselves — [`Lifecycle`], the registration /
-//! heartbeat / reap half of the host manager's core (real
-//! `LivenessTracker`, real [`GRACE_PERIODS`], real
+//! heartbeat / reap half of the host manager's core (its real per-pid
+//! records with their heartbeat deadlines, real [`GRACE_PERIODS`], real
 //! [`DUP_VIOLATION_WINDOW`]), and further down the discovery plane's
 //! [`DiscClient`] — each embedded in an adversarial environment. For the
 //! lifecycle that is a control channel that loses and duplicates, a
@@ -457,6 +457,13 @@ fn nominal_protocol_proves_both_invariants() {
     assert!(
         r.quiescent > 0,
         "no quiescent states means no-lost-resource was never checked"
+    );
+    // The exact size of the explored space: a change to how `Lifecycle`
+    // stores its state that changes what it distinguishes fails here.
+    assert_eq!(
+        (r.states, r.transitions, r.depth, r.quiescent),
+        (40_854, 200_316, 20, 242),
+        "the nominal state space moved: {r:?}"
     );
 }
 
@@ -965,6 +972,11 @@ fn discovery_protocol_proves_binding_invariants() {
     assert!(
         r.quiescent > 0,
         "no quiescent states means no-host-unassigned was never checked"
+    );
+    assert_eq!(
+        (r.states, r.transitions, r.depth, r.quiescent),
+        (6_473, 14_529, 68, 30),
+        "the discovery state space moved: {r:?}"
     );
 }
 
