@@ -2,7 +2,6 @@
 //! average, normal scheduling vs the QoS Host Manager with its CPU
 //! resource manager. Regenerates the series of the paper's Figure 3.
 
-use qos_bench::{emit_bench_json, BenchRow};
 use qos_core::prelude::*;
 
 fn main() {
@@ -37,17 +36,6 @@ fn main() {
     }
     println!("Figure 3: Video Playback Throughput Comparison");
     println!("{}", t.render());
-    let json_rows: Vec<BenchRow> = rows
-        .iter()
-        .map(|r| {
-            BenchRow::new("fig3")
-                .param("target_load", f(r.target_load, 2))
-                .metric("measured_load", r.measured_load)
-                .metric("fps_normal", r.fps_normal)
-                .metric("fps_managed", r.fps_managed)
-        })
-        .collect();
-    emit_bench_json(&json_rows).expect("write benchmark rows");
 
     // Shape checks the figure makes visually.
     let first = &rows[0];

@@ -5,9 +5,9 @@
 //! own telemetry probes in their three states (enabled, runtime-
 //! disabled, compiled out with `--features telemetry-off`).
 //!
-//! Flags: `--smoke` shrinks iteration counts for CI;
-//! `--assert-budget-us <x>` fails the run if a steady-state
-//! instrumentation pass (telemetry runtime-disabled) exceeds `x` µs.
+//! Flags: `--smoke` shrinks iteration counts. What a pass allocates and
+//! sends is counted, not timed, in
+//! `crates/manager/tests/engine_alloc_budget.rs`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -145,12 +145,5 @@ fn main() {
             "probes compiled out: --features telemetry-off"
         }
     );
-    if let Some(budget) = arg_value("--assert-budget-us").and_then(|v| v.parse::<f64>().ok()) {
-        assert!(
-            pass_us <= budget,
-            "steady-state pass {pass_us:.3} us exceeds the {budget} us budget"
-        );
-        println!("budget check: pass {pass_us:.3} us <= {budget} us");
-    }
     mgr.shutdown();
 }

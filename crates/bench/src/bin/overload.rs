@@ -8,7 +8,6 @@
 //! resource adjustment can help and directs the application's quality
 //! actuator instead — the degraded stream returns to specification.
 
-use qos_bench::{emit_bench_json, BenchRow};
 use qos_core::prelude::*;
 
 fn main() {
@@ -34,18 +33,6 @@ fn main() {
     }
     println!("E10: 45 ms/frame decode at 30 fps = 135% CPU demand at full quality");
     println!("{}", t.render());
-    let json_rows: Vec<BenchRow> = [("rigid", rigid), ("adaptive", adaptive_run)]
-        .iter()
-        .map(|(name, r)| {
-            BenchRow::new("overload")
-                .param("mode", name)
-                .metric("fps", r.fps)
-                .metric("quality_level", r.quality as f64)
-                .metric("adaptations", r.adaptations as f64)
-                .metric("final_boost", r.boost as f64)
-        })
-        .collect();
-    emit_bench_json(&json_rows).expect("write benchmark rows");
     println!(
         "rigid: allocation pinned at +{} and still {:.1} fps (out of spec); \
          adaptive: quality level {} at {:.1} fps (in spec)",

@@ -1,17 +1,10 @@
-//! `softqos` — one entry point for all reproduction experiments.
+//! `softqos` — one testbed scenario with a per-second fps trace, handy
+//! for eyeballing the feedback loop. Each table and figure of the
+//! evaluation has a binary of its own (`fig3`, `convergence`, ...).
 //!
 //! ```text
-//! softqos fig3         [--seed N] [--loads 0.7,3,5,7,10]
-//! softqos convergence  [--seed N] [--hogs K]
-//! softqos contention   [--seed N]
-//! softqos localization [--seed N] [--fault client-cpu|server-cpu|network] [--no-buffer-sensor]
-//! softqos proactive    [--seed N]
-//! softqos overload     [--seed N]
-//! softqos run          [--seed N] [--secs S] [--hogs K] [--unmanaged]
+//! softqos run [--seed N] [--secs S] [--hogs K] [--unmanaged]
 //! ```
-//!
-//! `run` executes a single testbed scenario and prints a per-second fps
-//! trace — handy for eyeballing the feedback loop.
 
 use qos_core::prelude::*;
 
@@ -62,177 +55,49 @@ impl Args {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: softqos <command> [options]\n\
-         commands:\n\
-         \u{20}  fig3         [--seed N] [--loads 0.7,3,5,7,10]\n\
-         \u{20}  convergence  [--seed N] [--hogs K]\n\
-         \u{20}  contention   [--seed N]\n\
-         \u{20}  localization [--seed N] [--fault client-cpu|server-cpu|network] [--no-buffer-sensor]\n\
-         \u{20}  proactive    [--seed N]\n\
-         \u{20}  overload     [--seed N]\n\
-         \u{20}  run          [--seed N] [--secs S] [--hogs K] [--unmanaged]"
-    );
+    eprintln!("usage: softqos run [--seed N] [--secs S] [--hogs K] [--unmanaged]");
     std::process::exit(2);
 }
 
 fn main() {
-    let Some(args) = Args::parse() else { usage() };
-    let seed: u64 = args.num("seed", 20260704);
-    match args.cmd.as_str() {
-        "fig3" => {
-            let loads: Vec<f64> = args
-                .get("loads")
-                .map(|s| {
-                    s.split(',')
-                        .map(|x| x.trim().parse().expect("numeric load"))
-                        .collect()
-                })
-                .unwrap_or_else(|| vec![0.70, 3.00, 5.00, 7.00, 10.00]);
-            let rows = figure3(seed, &loads);
-            let mut t = Table::new(&["target load", "measured", "normal fps", "managed fps"]);
-            for r in &rows {
-                t.row(&[
-                    f(r.target_load, 2),
-                    f(r.measured_load, 2),
-                    f(r.fps_normal, 1),
-                    f(r.fps_managed, 1),
-                ]);
-            }
-            println!("{}", t.render());
-        }
-        "convergence" => {
-            let hogs: u32 = args.num("hogs", 5);
-            let trace = convergence(seed, hogs, true);
-            let mut t = Table::new(&["t (s)", "fps", "boost"]);
-            for i in (0..trace.fps.len()).step_by(5) {
-                t.row(&[
-                    f(trace.fps[i].0, 0),
-                    f(trace.fps[i].1, 1),
-                    format!("{}", trace.boost[i].1),
-                ]);
-            }
-            println!("{}", t.render());
-            match trace.settled_at {
-                Some(ts) => println!("settled at t = {ts:.0} s"),
-                None => println!("did not settle"),
-            }
-        }
-        "contention" => {
-            let fair = contention(seed, AdminRules::FairShare);
-            let diff = contention(seed, AdminRules::Differentiated);
-            let mut t = Table::new(&["client", "weight", "fair fps", "differentiated fps"]);
-            for i in 0..fair.len() {
-                t.row(&[
-                    format!("{}", fair[i].client),
-                    f(fair[i].weight, 1),
-                    f(fair[i].fps, 1),
-                    f(diff[i].fps, 1),
-                ]);
-            }
-            println!("{}", t.render());
-        }
-        "localization" => {
-            let fault = match args.get("fault").unwrap_or("network") {
-                "client-cpu" => Fault::ClientCpu,
-                "server-cpu" => Fault::ServerCpu,
-                "network" => Fault::Network,
-                other => {
-                    eprintln!("unknown fault '{other}'");
-                    usage()
-                }
-            };
-            let r = localization(seed, fault, !args.flag("no-buffer-sensor"));
-            println!(
-                "fault {:?}: fps {:.1} -> {:.1} -> {:.1}",
-                r.fault, r.fps_before, r.fps_during, r.fps_after
-            );
-            println!(
-                "client boosts {}, domain alerts {}, actions {:?}",
-                r.client_boosts, r.domain_alerts, r.domain_actions
-            );
-        }
-        "proactive" => {
-            let reactive = proactive(seed, false);
-            let pro = proactive(seed, true);
-            let mut t = Table::new(&[
-                "mode",
-                "secs below spec",
-                "worst fps",
-                "mean fps",
-                "nudges",
-                "boosts",
-            ]);
-            for (name, r) in [("reactive", &reactive), ("proactive", &pro)] {
-                t.row(&[
-                    name.into(),
-                    format!("{}", r.secs_below_spec),
-                    f(r.worst_fps, 1),
-                    f(r.mean_fps, 1),
-                    format!("{}", r.nudges),
-                    format!("{}", r.boosts),
-                ]);
-            }
-            println!("{}", t.render());
-        }
-        "overload" => {
-            let rigid = overload(seed, false);
-            let adaptive = overload(seed, true);
-            let mut t = Table::new(&[
-                "mode",
-                "steady fps",
-                "quality level",
-                "adaptations",
-                "boost",
-            ]);
-            for (name, r) in [("rigid", &rigid), ("adaptive", &adaptive)] {
-                t.row(&[
-                    name.into(),
-                    f(r.fps, 1),
-                    format!("{}", r.quality),
-                    format!("{}", r.adaptations),
-                    format!("{}", r.boost),
-                ]);
-            }
-            println!("{}", t.render());
-        }
-        "run" => {
-            let secs: u64 = args.num("secs", 60);
-            let hogs: u32 = args.num("hogs", 5);
-            let cfg = TestbedConfig {
-                seed,
-                managed: !args.flag("unmanaged"),
-                ..TestbedConfig::default()
-            };
-            let mut tb = Testbed::build(&cfg);
-            tb.world.run_for(Dur::from_secs(10));
-            spawn_mix(
-                &mut tb.world,
-                tb.client_host,
-                LoadMix {
-                    hogs,
-                    fraction: 0.0,
-                },
-            );
-            println!("t=10s: injected {hogs} CPU hogs");
-            let mut prev = tb.displayed(0);
-            for s in 0..secs {
-                tb.world.run_for(Dur::from_secs(1));
-                let d = tb.displayed(0);
-                let boost = tb
-                    .world
-                    .host(tb.client_host)
-                    .proc_upri(tb.clients[0])
-                    .unwrap_or(0);
-                println!(
-                    "t={:3}s  fps {:5.1}  boost {:3}",
-                    11 + s,
-                    (d - prev) as f64,
-                    boost
-                );
-                prev = d;
-            }
-        }
+    let args = match Args::parse() {
+        Some(args) if args.cmd == "run" => args,
         _ => usage(),
+    };
+    let seed: u64 = args.num("seed", 20260704);
+    let secs: u64 = args.num("secs", 60);
+    let hogs: u32 = args.num("hogs", 5);
+    let cfg = TestbedConfig {
+        seed,
+        managed: !args.flag("unmanaged"),
+        ..TestbedConfig::default()
+    };
+    let mut tb = Testbed::build(&cfg);
+    tb.world.run_for(Dur::from_secs(10));
+    spawn_mix(
+        &mut tb.world,
+        tb.client_host,
+        LoadMix {
+            hogs,
+            fraction: 0.0,
+        },
+    );
+    println!("t=10s: injected {hogs} CPU hogs");
+    let mut prev = tb.displayed(0);
+    for s in 0..secs {
+        tb.world.run_for(Dur::from_secs(1));
+        let d = tb.displayed(0);
+        let boost = tb
+            .world
+            .host(tb.client_host)
+            .proc_upri(tb.clients[0])
+            .unwrap_or(0);
+        println!(
+            "t={:3}s  fps {:5.1}  boost {:3}",
+            11 + s,
+            (d - prev) as f64,
+            boost
+        );
+        prev = d;
     }
 }

@@ -31,6 +31,9 @@
 //! burst of activations pending against that permanent fact must leave
 //! nothing behind either, once its partners go.
 //!
+//! So is the instrumented process's side: §7's steady-state pass, which
+//! must cost nothing when QoS is met.
+//!
 //! What a violation costs on the wire is pinned here too: the encoded
 //! length of one report shaped as the benchmark's generators send it,
 //! alone and in a batch of 64. These back `BENCHMARK.json`'s
@@ -48,8 +51,10 @@ use counting::{allocs, frees, live_bytes, reallocs};
 use qos_core::federation::{Federation, FederationConfig};
 use qos_inference::prelude::*;
 use qos_manager::host::{HostCore, HostInput, HostView, QosHostManager};
+use qos_manager::live::{standard_live_repo, LiveHostManager, LiveProcess};
 use qos_manager::messages::{RegisterMsg, ViolationMsg, WireMsg};
 use qos_manager::rules::{host_base_facts, host_rules_fair};
+use qos_repository::agent::Registration;
 use qos_sim::memory::ProcMem;
 use qos_sim::proc::HostSnapshot;
 use qos_sim::{Dur, HostId, Pid, SimTime};
@@ -411,6 +416,8 @@ struct StageEvents {
     reallocs: u64,
     /// Every event evicts one, so a free here is an eviction's.
     frees: u64,
+    /// Records the flight recorder accepted.
+    records: u64,
 }
 
 const STAGE_EVENTS: u64 = 10_000;
@@ -422,9 +429,10 @@ const STAGE_EVENTS: u64 = 10_000;
 /// `telemetry-off` build, trivially: the same call compiles to nothing.
 fn stage_events(recorded: bool) -> StageEvents {
     let t = Telemetry::with_capacity(8);
+    // Small enough to be evicting, like the event ring.
+    let recorder = FlightRecorder::new(4096);
     if recorded {
-        // Small enough to be evicting, like the event ring.
-        t.set_recorder(Some(FlightRecorder::new(4096)));
+        t.set_recorder(Some(recorder.clone()));
     }
     let component = Name::from_fmt(format_args!("hm:h{}", 7));
     let keys = ["fired", "cycles", "activations", "peak_agenda", "facts"].map(Name::from_static);
@@ -433,17 +441,66 @@ fn stage_events(recorded: bool) -> StageEvents {
         t.stage(i, i + 1, Stage::Diagnose, &component, "fed-report", &fields);
     };
     (0..STAGE_EVENTS).for_each(emit);
-    let before = (allocs(), reallocs(), frees());
+    let before = (allocs(), reallocs(), frees(), recorder.records());
     (STAGE_EVENTS..2 * STAGE_EVENTS).for_each(emit);
     let counts = StageEvents {
         allocs: allocs() - before.0,
         reallocs: reallocs() - before.1,
         frees: frees() - before.2,
+        records: recorder.records() - before.3,
     };
     if t.is_enabled() {
         assert_eq!(t.events_dropped(), 2 * STAGE_EVENTS - 8);
     }
     counts
+}
+
+/// What [`PASSES`] instrumentation passes did, after as many warm ones.
+#[derive(Debug, PartialEq)]
+struct Passes {
+    buffer_allocs: u64,
+    buffer_reports: usize,
+    frame_allocs: u64,
+}
+
+const WARM_PASSES: u64 = 10_000;
+const PASSES: u64 = 100_000;
+
+/// §7's pass on a live process registered with a live manager: a
+/// healthy buffer sample (QoS met, experiment E3), and a frame pass
+/// (fps and jitter probes). The manager's thread counts apart, and is
+/// gone before any live-bytes read.
+fn live_passes() -> Passes {
+    let (repo, mut agent) = standard_live_repo();
+    let mgr = LiveHostManager::builder().spawn().expect("live manager");
+    let reg = Registration {
+        process: "bench:0".into(),
+        executable: "VideoApplication".into(),
+        application: "VideoPlayback".into(),
+        role: "*".into(),
+    };
+    let mut p = LiveProcess::start(&reg, &repo, &mut agent, mgr.connect()).expect("registered");
+    let buffer_passes = |p: &mut LiveProcess, range: std::ops::Range<u64>| -> usize {
+        range.map(|i| p.buffer_pass(100 + (i & 0xff))).sum()
+    };
+    buffer_passes(&mut p, 0..WARM_PASSES);
+    let before = allocs();
+    let buffer_reports = buffer_passes(&mut p, WARM_PASSES..WARM_PASSES + PASSES);
+    let buffer_allocs = allocs() - before;
+    for _ in 0..WARM_PASSES {
+        p.frame_pass();
+    }
+    let before = allocs();
+    for _ in 0..PASSES {
+        p.frame_pass();
+    }
+    let frame_allocs = allocs() - before;
+    mgr.shutdown();
+    Passes {
+        buffer_allocs,
+        buffer_reports,
+        frame_allocs,
+    }
 }
 
 /// Reports per batch frame on `live_storm_batched`.
@@ -477,6 +534,20 @@ fn wire_bytes() -> (usize, usize) {
 
 #[test]
 fn violation_path_stays_within_its_allocation_budget_and_leaks_nothing() {
+    // §7's ≈ 11 µs pass, counted: a pass that meets QoS allocates
+    // nothing and tells the manager nothing, and a frame pass allocates
+    // nothing either.
+    let got = live_passes();
+    println!("live passes: {got:?} over {PASSES}");
+    assert_eq!(
+        got,
+        Passes {
+            buffer_allocs: 0,
+            buffer_reports: 0,
+            frame_allocs: 0,
+        }
+    );
+
     // Every field of a report is fixed-width or a name, so these do not
     // depend on the values: 8 header + 22 policy + 11 process + 16 for
     // the two u64s + 4 + 68 for the readings; a batch adds 12 bytes of
@@ -570,16 +641,23 @@ fn violation_path_stays_within_its_allocation_budget_and_leaks_nothing() {
 
     // One stage event, warmed: nothing allocated, nothing moved, and
     // nothing freed by the event it evicts — with the flight recorder
-    // attached too, whose ring recycles the evicted record's buffer.
-    const NOTHING: StageEvents = StageEvents {
-        allocs: 0,
-        reallocs: 0,
-        frees: 0,
-    };
+    // attached too, whose ring recycles the evicted record's buffer, and
+    // which then records every event (none where probes compile out).
     for recorded in [false, true] {
         let got = stage_events(recorded);
         println!("stage events (recorder attached: {recorded}): {got:?} over {STAGE_EVENTS}");
-        assert_eq!(got, NOTHING, "recorder attached: {recorded}");
+        let records = if recorded && Telemetry::enabled().is_enabled() {
+            STAGE_EVENTS
+        } else {
+            0
+        };
+        let want = StageEvents {
+            allocs: 0,
+            reallocs: 0,
+            frees: 0,
+            records,
+        };
+        assert_eq!(got, want, "recorder attached: {recorded}");
     }
 
     let Some(got) = sim_rounds() else {

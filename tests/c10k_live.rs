@@ -27,7 +27,8 @@ const PEERS: usize = 1024;
 /// point is that the server side must not).
 const CLIENT_THREADS: usize = 8;
 /// Violation reports per peer. Modest on purpose: the ledger is about
-/// exactness under fan-in, not raw throughput (BENCH_c10k covers that).
+/// exactness under fan-in, not raw throughput (`benchmark/` measures
+/// that: `violations_per_s` on `live_storm` and `live_storm_batched`).
 const VIOLATIONS_PER_PEER: u64 = 4;
 
 fn temp_sock(name: &str) -> std::path::PathBuf {

@@ -2,8 +2,9 @@
 //! itself at one commit; this table compares it with the numbers of the
 //! commit that last moved them: `world.events_processed()`, every host
 //! manager's full [`HostMgrStats`], and a hash of every manager's
-//! rule-firing trace. A refactor of the host manager passes unchanged; a
-//! change that moves a number edits it here and says why.
+//! rule-firing trace. A second table pins how the matcher and the
+//! discovery registry scale. A refactor of the host manager passes
+//! unchanged; a change that moves a number edits it here and says why.
 
 use qos_core::prelude::*;
 
@@ -228,4 +229,186 @@ fn seeded_runs_are_pinned_across_commits() {
         15_825_189_766_276_881_532,
     );
     assert!(moved.is_empty(), "{}", moved.join("\n"));
+}
+
+const STORM_ROUNDS: u64 = 10;
+/// Control port of a host's first storm reporter; reporter `p` binds
+/// `STORM_PORT_BASE + p`.
+const STORM_PORT_BASE: Port = 100;
+const TAG_STORM: u64 = 1;
+
+/// Registers with its host manager, then reports one violation every
+/// 200 ms, in step with every other reporter: the worst case for the
+/// managers' engines. A large communication buffer selects the
+/// local-CPU-starvation diagnosis, a small one the local fallback, so
+/// several rules stay hot.
+struct StormReporter {
+    hm: Endpoint,
+    telemetry: Telemetry,
+    rounds: u64,
+    big_buffer: bool,
+    port: Port,
+}
+
+impl ProcessLogic for StormReporter {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: ProcEvent) {
+        let msg = match ev {
+            ProcEvent::Start => WireMsg::Register(RegisterMsg {
+                pid: ctx.pid(),
+                control_port: self.port,
+                executable: "StormReporter".into(),
+                application: "ScaleBench".into(),
+                role: "*".into(),
+                weight: 1.0,
+                heartbeat: None,
+            }),
+            ProcEvent::Timer(TAG_STORM) if self.rounds > 0 => {
+                self.rounds -= 1;
+                let corr = self.telemetry.next_corr();
+                self.telemetry.stage(
+                    ctx.now().as_micros(),
+                    corr,
+                    Stage::Detect,
+                    pid_name(ctx.pid()),
+                    "scale-storm",
+                    &[],
+                );
+                let buffer = if self.big_buffer { 50_000.0 } else { 100.0 };
+                WireMsg::Violation(ViolationMsg {
+                    pid: ctx.pid(),
+                    proc_name: "StormReporter".into(),
+                    policy: "scale-storm".into(),
+                    corr,
+                    readings: vec![("frame_rate".into(), 15.0), ("buffer_size".into(), buffer)],
+                    bounds: Some(("frame_rate".into(), 23.0, 27.0)),
+                    upstream: None,
+                })
+            }
+            ProcEvent::Readable(port) => {
+                while ctx.recv(port).is_some() {}
+                return;
+            }
+            _ => return,
+        };
+        send_ctrl(ctx, self.hm, self.port, msg);
+        ctx.set_timer(Dur::from_millis(200), TAG_STORM);
+    }
+}
+
+/// `hosts` × `procs` storm reporters, seed 20260807, every host manager
+/// on the overload rules (which keep an `alloc` fact per process in
+/// working memory, the population the naive matcher re-scans each
+/// cycle). Returns violations, join work and every manager's firings.
+fn storm(hosts: usize, procs: usize, naive: bool) -> (u64, u64, Vec<Vec<String>>) {
+    let telemetry = Telemetry::enabled();
+    let mut world = World::new(20260807);
+    world.set_telemetry(&telemetry);
+    let mut hms = Vec::new();
+    for h in 0..hosts {
+        let host = world.add_host(format!("host-{h}"), 1 << 16);
+        let mut hm = QosHostManager::new(None).with_telemetry(&telemetry);
+        hm.load_rules(overload_rules());
+        hm.use_naive_matcher(naive);
+        hm.set_engine_trace_capacity(1 << 20);
+        let class = SchedClass::RealTime {
+            rtpri: 50,
+            budget: None,
+        };
+        let cfg = ProcConfig::new("QoSHostManager").class(class);
+        hms.push(world.spawn(host, cfg.port(HOST_MANAGER_PORT, 1 << 20), hm));
+        for p in 0..procs {
+            let port = STORM_PORT_BASE + p as Port;
+            let reporter = StormReporter {
+                hm: Endpoint::new(host, HOST_MANAGER_PORT),
+                telemetry: telemetry.clone(),
+                rounds: STORM_ROUNDS,
+                big_buffer: p % 2 == 0,
+                port,
+            };
+            let cfg = ProcConfig::new("StormReporter").port(port, 1 << 14);
+            world.spawn(host, cfg, reporter);
+        }
+    }
+    // The rounds, and three more for the last one's queues to drain.
+    world.run_for(Dur::from_millis(200 * (STORM_ROUNDS + 3)));
+    let (mut violations, mut join_work, mut traces) = (0, 0, Vec::new());
+    for pid in hms {
+        let hm: &mut QosHostManager = world.logic_mut(pid).expect("host manager");
+        violations += hm.stats.violations;
+        join_work += hm.engine_join_work();
+        traces.push(hm.take_engine_trace());
+    }
+    (violations, join_work, traces)
+}
+
+/// `domains` leaf domains × 4 hosts × 4 reporters × 2 rounds, seed
+/// 20260809, every host manager binding through discovery. Returns
+/// violations, route pushes and host entries pushed.
+fn federated(domains: u32) -> (u64, u64, u64) {
+    let hosts = 4 * domains;
+    let mut fed = Federation::build(&FederationConfig {
+        seed: 20260809,
+        domains,
+        hosts,
+        reporters_per_host: 4,
+        rounds: 2,
+        telemetry: Telemetry::enabled(),
+        ..FederationConfig::default()
+    });
+    // Two seconds to bind, then the rounds and three more to drain.
+    fed.world.run_for(Dur::from_millis(2_000 + 200 * 5));
+    assert_eq!(fed.bound_hosts(), hosts as usize, "every host binds");
+    let shards = fed.shard_sizes();
+    assert_eq!(shards.len(), domains as usize, "one shard per domain");
+    assert_eq!(shards.iter().sum::<usize>(), hosts as usize, "a partition");
+    let violations = fed
+        .hms
+        .iter()
+        .filter_map(|&pid| fed.world.logic::<QosHostManager>(pid))
+        .map(|hm| hm.stats.violations);
+    let st = fed.disc_stats();
+    (violations.sum(), st.route_pushes, st.pushed_host_entries)
+}
+
+/// The matcher and the registry as they scale. Counts, not times: the
+/// naive matcher fires exactly the incremental one's sequence at every
+/// size while its join work grows with working memory; the incremental
+/// matcher's stays 10 per violation, flat. A sharded registry pushes
+/// each leaf its own shard, so entries per push grow sub-linearly in
+/// total hosts. Skipped where telemetry is compiled out: every report
+/// then carries correlation id 0 and the duplicate window folds the
+/// storm.
+#[test]
+fn storms_and_federations_are_pinned_across_commits() {
+    if !Telemetry::enabled().is_enabled() {
+        return;
+    }
+    // (hosts, procs per host) → violations, naive join work, incremental.
+    let matcher = [
+        ((1, 8), (80, 13_256, 800)),
+        ((2, 16), (320, 96_800, 3_200)),
+        ((4, 32), (1_280, 737_408, 12_800)),
+        ((8, 64), (5_120, 5_751_296, 51_200)),
+    ];
+    for ((hosts, procs), pinned) in matcher {
+        let (violations, naive_work, naive) = storm(hosts, procs, true);
+        let (rete_violations, rete_work, rete) = storm(hosts, procs, false);
+        // Not `assert_eq!`: a failure would print every firing.
+        assert!(naive == rete, "matchers diverged at {hosts}x{procs}");
+        assert_eq!(violations, rete_violations);
+        let got = (violations, naive_work, rete_work);
+        assert_eq!(got, pinned, "{hosts}x{procs}: violations, join work");
+        assert_eq!(rete_work, 10 * violations);
+    }
+    // Domains of 4 hosts → violations, route pushes, host entries pushed.
+    let registry = [(1, (32, 15, 36)), (2, (64, 36, 104)), (4, (128, 105, 336))];
+    for (domains, pinned) in registry {
+        assert_eq!(federated(domains), pinned, "{domains} domain(s)");
+    }
+    let per_push = |(_, pushes, entries): (u64, u64, u64)| entries as f64 / pushes as f64;
+    let traffic_growth = per_push(registry[2].1) / per_push(registry[0].1);
+    assert!(
+        traffic_growth <= 0.6 * 4.0,
+        "{traffic_growth:.2}x over 4x hosts"
+    );
 }
