@@ -1,10 +1,12 @@
 //! Seeded runs pinned across commits. `chaos.rs` compares a run with
 //! itself at one commit; this table compares it with the numbers of the
 //! commit that last moved them: `world.events_processed()`, every host
-//! manager's full [`HostMgrStats`], and a hash of every manager's
-//! rule-firing trace. A second table pins how the matcher and the
-//! discovery registry scale. A refactor of the host manager passes
-//! unchanged; a change that moves a number edits it here and says why.
+//! manager's full [`HostMgrStats`], every domain manager's
+//! [`DomainStats`], and a hash of every host manager's rule-firing
+//! trace. A second table pins E6's six fault-localization runs, and a
+//! third how the matcher and the discovery registry scale. A refactor of
+//! either manager passes unchanged; a change that moves a number edits it
+//! here and says why.
 
 use qos_core::prelude::*;
 
@@ -31,12 +33,28 @@ fn row(s: &HostMgrStats) -> [u64; 17] {
     ]
 }
 
+/// [`DomainStats`] as a row: alerts, queries, forwarded,
+/// query_timeouts, late_replies, unroutable_alerts, actions.
+fn dm_row(s: &DomainStats) -> [u64; 7] {
+    [
+        s.alerts,
+        s.queries,
+        s.forwarded,
+        s.query_timeouts,
+        s.late_replies,
+        s.unroutable_alerts,
+        s.actions.len() as u64,
+    ]
+}
+
 /// What one run is pinned by.
 #[derive(Debug, PartialEq, Eq)]
 struct Pinned {
     events: u64,
     /// One row per host manager alive at the end of the run.
     stats: Vec<[u64; 17]>,
+    /// One row per domain manager, root first.
+    domains: Vec<[u64; 7]>,
     /// FNV-1a over the managers' drained engine traces, concatenated.
     trace_hash: u64,
 }
@@ -50,7 +68,7 @@ fn widen_traces(world: &mut World, hms: &[Pid]) {
     }
 }
 
-fn pin(world: &mut World, hms: &[Pid]) -> Pinned {
+fn pin(world: &mut World, hms: &[Pid], dms: &[Pid]) -> Pinned {
     let mut stats = Vec::new();
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &pid in hms {
@@ -64,9 +82,14 @@ fn pin(world: &mut World, hms: &[Pid]) -> Pinned {
             }
         }
     }
+    let domains = dms
+        .iter()
+        .map(|&pid| dm_row(&world.logic::<QosDomainManager>(pid).expect("dm").stats))
+        .collect();
     Pinned {
         events: world.events_processed(),
         stats,
+        domains,
         trace_hash: h,
     }
 }
@@ -93,7 +116,7 @@ fn example_1() -> Pinned {
     widen_traces(&mut tb.world, &hms);
     six_hogs(&mut tb);
     tb.world.run_for(Dur::from_secs(80));
-    pin(&mut tb.world, &hms)
+    pin(&mut tb.world, &hms, &[])
 }
 
 /// `chaos.rs`'s `lossy_restart_run(2102)`: 30 % control loss for the
@@ -121,7 +144,7 @@ fn lossy_restart() -> Pinned {
     let client_hm = tb.restart_host_manager(tb.client_host).unwrap();
     widen_traces(&mut tb.world, &[client_hm, server_hm]);
     tb.world.run_for(Dur::from_secs(60));
-    pin(&mut tb.world, &[client_hm, server_hm])
+    pin(&mut tb.world, &[client_hm, server_hm], &[])
 }
 
 /// One federation round trip: 2 leaf domains, 4 hosts, 3 reporters
@@ -141,7 +164,10 @@ fn federation_round() -> Pinned {
     let hms = fed.hms.clone();
     widen_traces(&mut fed.world, &hms);
     fed.world.run_for(Dur::from_secs(10));
-    pin(&mut fed.world, &hms)
+    let dms: Vec<Pid> = std::iter::once(fed.root_dm)
+        .chain(fed.leaf_dms.clone())
+        .collect();
+    pin(&mut fed.world, &hms, &dms)
 }
 
 /// `chaos.rs`'s dead-client run: a boosted client is killed and the
@@ -158,7 +184,7 @@ fn dead_client() -> Pinned {
     tb.world.run_for(Dur::from_secs(30));
     tb.world.kill(tb.clients[0]);
     tb.world.run_for(Dur::from_secs(12));
-    pin(&mut tb.world, &hms)
+    pin(&mut tb.world, &hms, &[])
 }
 
 /// E10's overloaded client: the boost hits its cap and the manager asks
@@ -175,22 +201,24 @@ fn overload() -> Pinned {
     let hms = [tb.client_hm.unwrap()];
     widen_traces(&mut tb.world, &hms);
     tb.world.run_for(Dur::from_secs(60));
-    pin(&mut tb.world, &hms)
+    pin(&mut tb.world, &hms, &[])
 }
 
 #[test]
 fn seeded_runs_are_pinned_across_commits() {
     let mut moved = Vec::new();
-    let mut row = |name, got: Pinned, events, stats: &[[u64; 17]], trace_hash| {
-        let want = Pinned {
-            events,
-            stats: stats.to_vec(),
-            trace_hash,
+    let mut row =
+        |name, got: Pinned, events, stats: &[[u64; 17]], domains: &[[u64; 7]], trace_hash| {
+            let want = Pinned {
+                events,
+                stats: stats.to_vec(),
+                domains: domains.to_vec(),
+                trace_hash,
+            };
+            if got != want {
+                moved.push(format!("{name}: got {got:?}, pinned {want:?}"));
+            }
         };
-        if got != want {
-            moved.push(format!("{name}: got {got:?}, pinned {want:?}"));
-        }
-    };
     const IDLE: [u64; 17] = [0; 17];
     // Taken at a164898, the parent of the `HostCore` extraction.
     row(
@@ -198,6 +226,7 @@ fn seeded_runs_are_pinned_across_commits() {
         example_1(),
         33_897,
         &[[77, 3, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0], IDLE],
+        &[],
         9_326_500_288_366_723_665,
     );
     row(
@@ -205,6 +234,7 @@ fn seeded_runs_are_pinned_across_commits() {
         lossy_restart(),
         23_754,
         &[[2, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], IDLE],
+        &[],
         11_403_067_169_477_952_957,
     );
     row(
@@ -212,6 +242,13 @@ fn seeded_runs_are_pinned_across_commits() {
         federation_round(),
         1_718,
         &[[6, 0, 0, 0, 6, 0, 3, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0]; 4],
+        // The root, then the two leaves. Every leaf diagnosis decides a
+        // reroute for a pair with no backup path, so none acts.
+        &[
+            [24, 0, 24, 0, 0, 0, 0],
+            [24, 12, 12, 0, 0, 0, 0],
+            [24, 12, 12, 0, 0, 0, 0],
+        ],
         5_408_789_824_773_166_309,
     );
     row(
@@ -219,6 +256,7 @@ fn seeded_runs_are_pinned_across_commits() {
         dead_client(),
         16_099,
         &[[25, 4, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0]],
+        &[],
         12_694_084_927_303_896_901,
     );
     row(
@@ -226,9 +264,74 @@ fn seeded_runs_are_pinned_across_commits() {
         overload(),
         15_991,
         &[[56, 20, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0]],
+        &[],
         15_825_189_766_276_881_532,
     );
     assert!(moved.is_empty(), "{}", moved.join("\n"));
+}
+
+/// E6's fault-localization runs, one line per (fault, buffer sensor):
+/// the client host manager's escalations and CPU boosts, fps before /
+/// during / after the fault, and the domain manager's actions in order
+/// (a run of `n` equal actions as `n×action`).
+#[test]
+fn localization_runs_are_pinned_across_commits() {
+    let render = |fault, sensor| {
+        let r = localization(99, fault, sensor);
+        let mut actions: Vec<(usize, String)> = Vec::new();
+        for a in &r.domain_actions {
+            let a = match a {
+                DomainAction::Reroute { a, b } => format!("reroute h{}↔h{}", a.0, b.0),
+                DomainAction::BoostServer { pid } => {
+                    format!("boost-server {}", pid_to_string(*pid))
+                }
+                DomainAction::BoostServerMemory { pid } => {
+                    format!("boost-server-memory {}", pid_to_string(*pid))
+                }
+            };
+            match actions.last_mut() {
+                Some((n, last)) if *last == a => *n += 1,
+                _ => actions.push((1, a)),
+            }
+        }
+        let actions: Vec<String> = actions
+            .into_iter()
+            .map(|(n, a)| if n == 1 { a } else { format!("{n}×{a}") })
+            .collect();
+        format!(
+            "{fault:?} sensor {}: alerts {} boosts {} fps {:.2} / {:.2} / {:.2} [{}]",
+            if sensor { "on" } else { "off" },
+            r.domain_alerts,
+            r.client_boosts,
+            r.fps_before,
+            r.fps_during,
+            r.fps_after,
+            actions.join(", "),
+        )
+    };
+    let mut got = Vec::new();
+    for sensor in [true, false] {
+        for fault in [Fault::ClientCpu, Fault::ServerCpu, Fault::Network] {
+            got.push(render(fault, sensor));
+        }
+    }
+    for line in &got {
+        println!("{line}");
+    }
+    assert_eq!(
+        got,
+        [
+            "ClientCpu sensor on: alerts 1 boosts 1 fps 30.00 / 28.25 / 30.00 [reroute h0↔h1]",
+            "ServerCpu sensor on: alerts 4 boosts 0 fps 30.00 / 29.95 / 30.00 \
+             [2×reroute h0↔h1, 2×boost-server h1:p1]",
+            "Network sensor on: alerts 2 boosts 0 fps 30.00 / 28.85 / 30.00 [2×reroute h0↔h1]",
+            "ClientCpu sensor off: alerts 42 boosts 0 fps 30.00 / 9.10 / 6.57 \
+             [42×reroute h0↔h1]",
+            "ServerCpu sensor off: alerts 4 boosts 0 fps 30.00 / 29.95 / 30.00 \
+             [2×reroute h0↔h1, 2×boost-server h1:p1]",
+            "Network sensor off: alerts 2 boosts 0 fps 30.00 / 28.85 / 30.00 [2×reroute h0↔h1]",
+        ]
+    );
 }
 
 const STORM_ROUNDS: u64 = 10;
