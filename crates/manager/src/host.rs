@@ -4,7 +4,8 @@
 //! its simulator driver: it decodes control frames as views of the
 //! frame it received (a violation is never materialised), unpacks
 //! batches, feeds the core one message (or timer) at a time, and applies
-//! the effects the core returns to the sim's [`Ctx`], in order.
+//! the effects to the sim's [`Ctx`] in order, in the loop
+//! [`crate::domain::QosDomainManager`] shares.
 
 use std::ops::{Deref, DerefMut};
 
@@ -23,10 +24,9 @@ use crate::messages::{HOST_MANAGER_PORT, MANAGER_PROCESSING_COST};
 use crate::resource::CpuStrategy;
 use crate::transport::{decode_ctrl_ref, send_ctrl};
 
-/// The host manager process: a [`HostCore`] and the buffer its effects
-/// pass through. Everything readable of the manager — `stats`, rules,
-/// allocations, the engine trace — is the core's, reached through
-/// `Deref`.
+/// The host manager process: a [`HostCore`] — `stats`, rules,
+/// allocations, the engine trace, all reached through `Deref` — and the
+/// buffer its effects pass through.
 pub struct QosHostManager {
     core: HostCore,
     /// Reused across callbacks, so a violation costs no allocation here.
@@ -66,12 +66,11 @@ impl QosHostManager {
     }
 
     /// Discover the domain manager through the discovery server at
-    /// `server` instead of hand-wiring it: on start the manager
-    /// announces (with `seed`-jittered retry backoff), binds to the
-    /// assigned domain manager, renews its lease at half the lease
-    /// period, and re-discovers with a fresh epoch when renewals go
-    /// unacknowledged. Any endpoint passed to [`QosHostManager::new`]
-    /// serves only until the first assignment arrives.
+    /// `server` instead of hand-wiring it: on start the manager announces
+    /// (with `seed`-jittered retry backoff), binds to the assigned domain
+    /// manager, renews its lease at half the lease period, and re-discovers
+    /// with a fresh epoch when renewals go unacknowledged. An endpoint
+    /// given to [`QosHostManager::new`] serves until the first assignment.
     pub fn with_discovery(mut self, server: Endpoint, seed: u64) -> Self {
         self.core.set_discovery(server, seed);
         self
@@ -91,35 +90,40 @@ impl QosHostManager {
         self
     }
 
-    /// Step the core once and carry its effects out, in order. Returns
-    /// the CPU time the core charged, for the callback to spend in one
-    /// blocking `run`.
+    /// Step the core once and carry its effects out: the CPU time charged.
     fn feed(&mut self, ctx: &mut Ctx<'_>, input: HostInput<'_>) -> Dur {
         self.core
             .step(ctx.now(), ctx.host_id(), input, &*ctx, &mut self.effects);
-        let mut charge = Dur::ZERO;
-        for effect in self.effects.drain(..) {
-            match effect {
-                Effect::SetTimer(delay, tag) => ctx.set_timer(delay, tag),
-                Effect::Priocntl(pid, cmd) => ctx.priocntl(pid, cmd),
-                Effect::Memctl(pid, delta) => ctx.memctl(pid, delta),
-                Effect::SendCtrl(dst, msg) => send_ctrl(ctx, dst, HOST_MANAGER_PORT, msg),
-                Effect::Charge(cpu) => charge += cpu,
-            }
-        }
-        charge
+        apply(ctx, HOST_MANAGER_PORT, &mut self.effects)
     }
+}
+
+/// Carry a core's effects out in order, sending from `port`: the apply
+/// loop of both managers' drivers. Returns the CPU time charged.
+pub(crate) fn apply(ctx: &mut Ctx<'_>, port: Port, effects: &mut Vec<Effect>) -> Dur {
+    let mut charge = Dur::ZERO;
+    for effect in effects.drain(..) {
+        match effect {
+            Effect::SetTimer(delay, tag) => ctx.set_timer(delay, tag),
+            Effect::Priocntl(pid, cmd) => ctx.priocntl(pid, cmd),
+            Effect::Memctl(pid, delta) => ctx.memctl(pid, delta),
+            Effect::SendCtrl(dst, msg) => send_ctrl(ctx, dst, port, msg),
+            Effect::Reroute(a, b, hops) => ctx.reroute(a, b, hops),
+            Effect::Charge(cpu) => charge += cpu,
+        }
+    }
+    charge
 }
 
 impl ProcessLogic for QosHostManager {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: ProcEvent) {
-        match ev {
+        let charge = match ev {
             ProcEvent::Readable(port) => {
                 let Some(msg) = ctx.recv(port) else { return };
                 // One decode point for the whole control plane: corrupt
                 // frames are counted, never panicked on; non-control
                 // payloads cost a look and nothing else.
-                let charge = match decode_ctrl_ref(&msg) {
+                match decode_ctrl_ref(&msg) {
                     Ok(Some(WireMsgRef::Batch(b))) => {
                         self.core.note_batch_frame(ctx.host_id(), b.len());
                         let mut charge = Dur::ZERO;
@@ -134,21 +138,17 @@ impl ProcessLogic for QosHostManager {
                         self.core.stats.decode_errors += 1;
                         MANAGER_PROCESSING_COST
                     }
-                };
-                // `Ctx` allows one blocking syscall per callback, so a
-                // frame's messages are charged as one burst.
-                if !charge.is_zero() {
-                    ctx.run(charge);
                 }
             }
-            ProcEvent::Start => {
-                self.feed(ctx, HostInput::Start);
-            }
-            ProcEvent::Timer(tag) => {
-                self.feed(ctx, HostInput::Timer(tag));
-            }
+            ProcEvent::Start => self.feed(ctx, HostInput::Start),
+            ProcEvent::Timer(tag) => self.feed(ctx, HostInput::Timer(tag)),
             // The end of a burst charged above: nothing has moved.
             ProcEvent::BurstDone => return,
+        };
+        // `Ctx` allows one blocking syscall per callback, so a frame's
+        // messages are charged as one burst.
+        if !charge.is_zero() {
+            ctx.run(charge);
         }
         self.core.mirror_stats(ctx.host_id());
     }

@@ -20,7 +20,7 @@ use qos_inference::hash::FxMap;
 use qos_inference::prelude::*;
 use qos_sim::memory::ProcMem;
 use qos_sim::proc::HostSnapshot;
-use qos_sim::{DomainId, Dur, Endpoint, HostId, Pid, PriocntlCmd, SchedClass, SimTime};
+use qos_sim::{DomainId, Dur, Endpoint, HopId, HostId, Pid, PriocntlCmd, SchedClass, SimTime};
 use qos_telemetry::{Counter, Histogram, Name, Stage, Telemetry};
 use qos_wire::{ViolationMsgRef, WireMsgRef};
 
@@ -70,7 +70,7 @@ pub fn pid_from_str(s: &str) -> Option<Pid> {
 }
 
 /// Read a pid string out of a rule value.
-fn value_pid(v: &Value) -> Option<Pid> {
+pub(crate) fn value_pid(v: &Value) -> Option<Pid> {
     match v {
         Value::Str(s) | Value::Sym(s) => pid_from_str(s),
         _ => None,
@@ -162,8 +162,10 @@ pub enum Effect {
     Priocntl(Pid, PriocntlCmd),
     /// Adjust a process's resident set by this many pages.
     Memctl(Pid, i64),
-    /// Send a control message from the host manager's port.
+    /// Send a control message from the manager's port.
     SendCtrl(Endpoint, WireMsg),
+    /// Route traffic between two hosts over these hops.
+    Reroute(HostId, HostId, Vec<HopId>),
     /// Account this much CPU time to the manager itself.
     Charge(Dur),
 }

@@ -21,9 +21,10 @@
 //!   separate model to keep in step;
 //! * [`host`] — the simulator's driver of the core: the QoS Host
 //!   Manager process;
-//! * [`domain`] — the QoS Domain Manager process: cross-host fault
-//!   localization (query server-side statistics; boost the server or
-//!   reroute around a congested switch);
+//! * [`domain_core`] — the QoS Domain Manager's decisions in the same
+//!   shape: cross-host fault localization, with a small hashable
+//!   [`domain_core::Ledger`] the same checker explores;
+//! * [`domain`] — its simulator driver: the QoS Domain Manager process;
 //! * [`live`] — the same components on real threads with real clocks,
 //!   used to reproduce the paper's instrumentation-overhead measurements;
 //! * [`transport`] — the carriers moving `qos_wire` frames: simulated
@@ -34,6 +35,7 @@
 
 pub mod agent_proc;
 pub mod domain;
+pub mod domain_core;
 pub mod host;
 pub mod host_core;
 pub mod lifecycle;
@@ -46,7 +48,8 @@ pub mod transport;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::agent_proc::{AgentProcStats, PolicyAgentProcess};
-    pub use crate::domain::{DomainAction, DomainStats, QosDomainManager, RouteError};
+    pub use crate::domain::QosDomainManager;
+    pub use crate::domain_core::{DomainAction, DomainCore, DomainStats, RouteError};
     pub use crate::host::QosHostManager;
     pub use crate::host_core::{
         pid_from_str, pid_name, pid_to_string, Effect, HostCore, HostInput, HostMgrStats, HostView,

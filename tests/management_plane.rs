@@ -496,7 +496,10 @@ fn cross_domain_alert_is_forwarded_to_the_peer_domain_manager() {
     // each with its own domain manager on its own management host. The
     // stream crosses the domain boundary; a server-side fault must be
     // localized by B after A forwards the alert (Section 9's
-    // "Interconnecting QoS Domain Managers").
+    // "Interconnecting QoS Domain Managers"). Nothing is hand-wired: B is
+    // the federation's root `d0`, A its leaf `d1`, and a discovery server
+    // on B's management host assigns each host its domain and pushes the
+    // routes A forwards along.
     let mut w = World::new(81);
     let ch = w.add_host("client", 1 << 16);
     let sh = w.add_host("server", 1 << 16);
@@ -520,42 +523,47 @@ fn cross_domain_alert_is_forwarded_to_the_peer_domain_manager() {
         rtpri: 50,
         budget: None,
     };
-    // Host managers.
-    let _hm_c = w.spawn(
-        ch,
-        ProcConfig::new("QoSHostManager")
-            .class(mgr_class)
-            .port(HOST_MANAGER_PORT, 1 << 20),
-        QosHostManager::new(Some(Endpoint::new(ma, DOMAIN_MANAGER_PORT))),
-    );
-    let _hm_s = w.spawn(
-        sh,
-        ProcConfig::new("QoSHostManager")
-            .class(mgr_class)
-            .port(HOST_MANAGER_PORT, 1 << 20),
-        QosHostManager::new(Some(Endpoint::new(mb, DOMAIN_MANAGER_PORT))),
-    );
-    // Domain manager A covers only the client host; B only the server
-    // host; A knows B is the peer for the server host.
-    let mut hms_a = HashMap::new();
-    hms_a.insert(ch, Endpoint::new(ch, HOST_MANAGER_PORT));
-    let mut dm_a_logic = QosDomainManager::new(hms_a);
-    dm_a_logic.add_peer(sh, Endpoint::new(mb, DOMAIN_MANAGER_PORT));
-    let dm_a = w.spawn(
-        ma,
-        ProcConfig::new("QoSDomainManager")
-            .class(mgr_class)
-            .port(DOMAIN_MANAGER_PORT, 1 << 20),
-        dm_a_logic,
-    );
-    let mut hms_b = HashMap::new();
-    hms_b.insert(sh, Endpoint::new(sh, HOST_MANAGER_PORT));
-    let dm_b = w.spawn(
+    // Discovery: the client host is pinned to A's domain, the server
+    // host to B's.
+    let disc_ep = Endpoint::new(mb, DISCOVERY_PORT);
+    let mut disc = DiscoveryServer::new(DISCOVERY_LEASE);
+    disc.core.pin(ch, DomainId(1));
+    disc.core.pin(sh, DomainId(0));
+    w.spawn(
         mb,
-        ProcConfig::new("QoSDomainManager")
+        ProcConfig::new("DiscoveryServer")
             .class(mgr_class)
-            .port(DOMAIN_MANAGER_PORT, 1 << 20),
-        QosDomainManager::new(hms_b),
+            .port(DISCOVERY_PORT, 1 << 20),
+        disc,
+    );
+    // Host managers, told only where discovery lives.
+    for (h, seed) in [(ch, 1), (sh, 2)] {
+        w.spawn(
+            h,
+            ProcConfig::new("QoSHostManager")
+                .class(mgr_class)
+                .port(HOST_MANAGER_PORT, 1 << 20),
+            QosHostManager::new(None).with_discovery(disc_ep, seed),
+        );
+    }
+    // Domain managers: B the root, A its child. Each learns its shard
+    // from the route pushes; A learns B as its parent the same way.
+    let dm = |w: &mut World, host, name, domain, parent| {
+        w.spawn(
+            host,
+            ProcConfig::new(name)
+                .class(mgr_class)
+                .port(DOMAIN_MANAGER_PORT, 1 << 20),
+            QosDomainManager::new(HashMap::new()).with_federation(domain, parent, disc_ep),
+        )
+    };
+    let dm_b = dm(&mut w, mb, "QoSDomainManager-d0", DomainId(0), None);
+    let dm_a = dm(
+        &mut w,
+        ma,
+        "QoSDomainManager-d1",
+        DomainId(1),
+        Some(DomainId(0)),
     );
 
     // The cross-domain stream.
@@ -604,6 +612,7 @@ fn cross_domain_alert_is_forwarded_to_the_peer_domain_manager() {
 
     let a: &QosDomainManager = w.logic(dm_a).unwrap();
     let b: &QosDomainManager = w.logic(dm_b).unwrap();
+    assert_eq!((a.shard_size(), b.shard_size()), (1, 1), "one host each");
     assert!(a.stats.alerts >= 1, "A received the client-side alert");
     assert!(
         a.stats.forwarded >= 1,

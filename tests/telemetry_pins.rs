@@ -158,9 +158,12 @@ fn telemetry_external_forms_are_byte_identical() {
             debug: 0x39b9_7207_eb66_36df,
             jsonl: 0x4e61_44e0_bb9b_d1ab,
             chrome: 0xfa60_ae08_c626_1966,
-            recording: 0xaa9c_cef5_a9cd_e13b,
+            // The registry snapshot gained the leaves' `dm.unactionable`
+            // series (each leaf decides reroutes for pairs with no
+            // backup path); every event is as before.
+            recording: 0x5875_aafb_4162_24e9,
             subscribe_frame: 0x9ce9_9543_3877_e1f6,
-            batch_frame: 0xc268_bfd1_1c2f_e479,
+            batch_frame: 0xefdd_162a_66a3_0d10,
         },
         "federation round"
     );
