@@ -270,6 +270,8 @@ pub struct LocalizationResult {
     pub domain_alerts: u64,
     /// What the domain manager decided.
     pub domain_actions: Vec<DomainAction>,
+    /// Domain-manager decisions that acted on nothing.
+    pub domain_unactionable: u64,
 }
 
 /// E6: inject a fault mid-run and observe where the management plane
@@ -363,6 +365,10 @@ pub fn localization_with(
         client_boosts: hm.cpu_boosts,
         domain_alerts: hm.domain_alerts,
         domain_actions: tb.domain_actions(),
+        domain_unactionable: tb
+            .domain_mgr
+            .and_then(|pid| tb.world.logic::<QosDomainManager>(pid))
+            .map_or(0, |d| d.stats.unactionable),
     }
 }
 

@@ -34,8 +34,9 @@ fn row(s: &HostMgrStats) -> [u64; 17] {
 }
 
 /// [`DomainStats`] as a row: alerts, queries, forwarded,
-/// query_timeouts, late_replies, unroutable_alerts, actions.
-fn dm_row(s: &DomainStats) -> [u64; 7] {
+/// query_timeouts, late_replies, unroutable_alerts, actions,
+/// unactionable.
+fn dm_row(s: &DomainStats) -> [u64; 8] {
     [
         s.alerts,
         s.queries,
@@ -44,6 +45,7 @@ fn dm_row(s: &DomainStats) -> [u64; 7] {
         s.late_replies,
         s.unroutable_alerts,
         s.actions.len() as u64,
+        s.unactionable,
     ]
 }
 
@@ -54,7 +56,7 @@ struct Pinned {
     /// One row per host manager alive at the end of the run.
     stats: Vec<[u64; 17]>,
     /// One row per domain manager, root first.
-    domains: Vec<[u64; 7]>,
+    domains: Vec<[u64; 8]>,
     /// FNV-1a over the managers' drained engine traces, concatenated.
     trace_hash: u64,
 }
@@ -208,7 +210,7 @@ fn overload() -> Pinned {
 fn seeded_runs_are_pinned_across_commits() {
     let mut moved = Vec::new();
     let mut row =
-        |name, got: Pinned, events, stats: &[[u64; 17]], domains: &[[u64; 7]], trace_hash| {
+        |name, got: Pinned, events, stats: &[[u64; 17]], domains: &[[u64; 8]], trace_hash| {
             let want = Pinned {
                 events,
                 stats: stats.to_vec(),
@@ -243,11 +245,12 @@ fn seeded_runs_are_pinned_across_commits() {
         1_718,
         &[[6, 0, 0, 0, 6, 0, 3, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0]; 4],
         // The root, then the two leaves. Every leaf diagnosis decides a
-        // reroute for a pair with no backup path, so none acts.
+        // reroute for a pair with no backup path, so none acts: each is
+        // counted unactionable.
         &[
-            [24, 0, 24, 0, 0, 0, 0],
-            [24, 12, 12, 0, 0, 0, 0],
-            [24, 12, 12, 0, 0, 0, 0],
+            [24, 0, 24, 0, 0, 0, 0, 0],
+            [24, 12, 12, 0, 0, 0, 0, 12],
+            [24, 12, 12, 0, 0, 0, 0, 12],
         ],
         5_408_789_824_773_166_309,
     );
@@ -272,8 +275,9 @@ fn seeded_runs_are_pinned_across_commits() {
 
 /// E6's fault-localization runs, one line per (fault, buffer sensor):
 /// the client host manager's escalations and CPU boosts, fps before /
-/// during / after the fault, and the domain manager's actions in order
-/// (a run of `n` equal actions as `n×action`).
+/// during / after the fault, the domain manager's actions in order (a
+/// run of `n` equal actions as `n×action`) and its unactionable
+/// decisions.
 #[test]
 fn localization_runs_are_pinned_across_commits() {
     let render = |fault, sensor| {
@@ -299,7 +303,8 @@ fn localization_runs_are_pinned_across_commits() {
             .map(|(n, a)| if n == 1 { a } else { format!("{n}×{a}") })
             .collect();
         format!(
-            "{fault:?} sensor {}: alerts {} boosts {} fps {:.2} / {:.2} / {:.2} [{}]",
+            "{fault:?} sensor {}: alerts {} boosts {} fps {:.2} / {:.2} / {:.2} [{}] \
+             unactionable {}",
             if sensor { "on" } else { "off" },
             r.domain_alerts,
             r.client_boosts,
@@ -307,6 +312,7 @@ fn localization_runs_are_pinned_across_commits() {
             r.fps_during,
             r.fps_after,
             actions.join(", "),
+            r.domain_unactionable,
         )
     };
     let mut got = Vec::new();
@@ -321,15 +327,18 @@ fn localization_runs_are_pinned_across_commits() {
     assert_eq!(
         got,
         [
-            "ClientCpu sensor on: alerts 1 boosts 1 fps 30.00 / 28.25 / 30.00 [reroute h0↔h1]",
+            "ClientCpu sensor on: alerts 1 boosts 1 fps 30.00 / 28.25 / 30.00 \
+             [reroute h0↔h1] unactionable 0",
             "ServerCpu sensor on: alerts 4 boosts 0 fps 30.00 / 29.95 / 30.00 \
-             [2×reroute h0↔h1, 2×boost-server h1:p1]",
-            "Network sensor on: alerts 2 boosts 0 fps 30.00 / 28.85 / 30.00 [2×reroute h0↔h1]",
+             [2×reroute h0↔h1, 2×boost-server h1:p1] unactionable 0",
+            "Network sensor on: alerts 2 boosts 0 fps 30.00 / 28.85 / 30.00 \
+             [2×reroute h0↔h1] unactionable 0",
             "ClientCpu sensor off: alerts 42 boosts 0 fps 30.00 / 9.10 / 6.57 \
-             [42×reroute h0↔h1]",
+             [42×reroute h0↔h1] unactionable 0",
             "ServerCpu sensor off: alerts 4 boosts 0 fps 30.00 / 29.95 / 30.00 \
-             [2×reroute h0↔h1, 2×boost-server h1:p1]",
-            "Network sensor off: alerts 2 boosts 0 fps 30.00 / 28.85 / 30.00 [2×reroute h0↔h1]",
+             [2×reroute h0↔h1, 2×boost-server h1:p1] unactionable 0",
+            "Network sensor off: alerts 2 boosts 0 fps 30.00 / 28.85 / 30.00 \
+             [2×reroute h0↔h1] unactionable 0",
         ]
     );
 }
