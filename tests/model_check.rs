@@ -4,9 +4,10 @@
 //! production types themselves — [`Lifecycle`], the registration /
 //! heartbeat / reap half of the host manager's core (its real per-pid
 //! records with their heartbeat deadlines, real [`GRACE_PERIODS`], real
-//! [`DUP_VIOLATION_WINDOW`]), and further down the discovery plane's
-//! [`DiscClient`] — each embedded in an adversarial environment. For the
-//! lifecycle that is a control channel that loses and duplicates, a
+//! [`DUP_VIOLATION_WINDOW`]), further down the discovery plane's
+//! [`DiscClient`], and at the end the domain manager's [`Ledger`] of
+//! pending stats queries — each embedded in an adversarial environment.
+//! For the lifecycle that is a control channel that loses and duplicates, a
 //! process that may crash silently or reconnect, and a manager that may
 //! crash and restart with empty volatile state — any [`FAULTS`] of those
 //! per run. A breadth-first search over every reachable state proves
@@ -41,6 +42,7 @@
 //! layer) or at the handler (`live.mgr.dup_frame`).
 
 use qos_check::{check, CheckConfig, Invariant, Model, Outcome};
+use qos_core::manager::domain_core::{Ledger, TAG_QUERY_BASE};
 use qos_core::manager::lifecycle::{Admit, Bugs, Lifecycle};
 use qos_core::prelude::*;
 use qos_core::wire::messages::{DiscAssignMsg, DiscLeaseAckMsg};
@@ -1026,5 +1028,332 @@ fn seeded_forgotten_retry_is_caught_at_quiescence() {
     assert!(
         trace.contains("LoseAnnounce") || trace.contains("RetryFires"),
         "{trace}"
+    );
+}
+
+// =====================================================================
+// Domain manager: the stats-query ledger, model-checked
+// =====================================================================
+//
+// The model under check is the production [`Ledger`] — the pending
+// stats queries, their deadlines and the route-version gate that
+// `DomainCore` steps — parking a one-byte alert id where the shipped
+// core parks a `DomainAlertMsg`. Its effects are read back from the
+// buffer it writes: a query in flight per `StatsQuery`, an armed
+// deadline per `SetTimer`. The environment loses, duplicates and
+// delays replies past their deadline (a deadline may fire at any
+// moment while armed), crashes the server-side host manager mid-query
+// so no reply ever comes, and reorders and duplicates route pushes.
+// Four properties are proved:
+//
+// 1. Every in-shard alert is diagnosed exactly once, by its reply or by
+//    its deadline (safety: at most once; quiescent: exactly once).
+// 2. A late or duplicate reply diagnoses nothing, and is counted in the
+//    ledger's late replies (safety).
+// 3. Nothing is pending at quiescence.
+// 4. The applied route version never goes backwards (safety), and at
+//    quiescence it equals the highest version delivered.
+
+/// Alerts the client side raises, each about a host in the shard.
+const DM_ALERTS: usize = 2;
+/// Route-push versions the discovery server sends, `1..=DM_PUSHES`.
+const DM_PUSHES: usize = 2;
+/// Faults the adversary may spend: a lost or duplicated reply, a
+/// duplicated push, a crash of the server-side host manager.
+const DM_FAULTS: u8 = 3;
+/// In-flight copies of any one reply or push.
+const DM_COPIES: u8 = 2;
+
+fn dm_server_hm() -> Endpoint {
+    Endpoint::new(HostId(1), HOST_MANAGER_PORT)
+}
+
+fn dm_self() -> Endpoint {
+    Endpoint::new(HostId(0), DOMAIN_MANAGER_PORT)
+}
+
+struct Domain;
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct DmS {
+    /// The shipped machine.
+    ledger: Ledger<u8>,
+    /// Alerts raised so far; the next one raised is this id.
+    raised: u8,
+    /// A stats query in flight, per correlation id.
+    queries: [bool; DM_ALERTS],
+    /// A deadline armed, per correlation id.
+    armed: [bool; DM_ALERTS],
+    /// Reply copies in flight, per correlation id.
+    replies: [u8; DM_ALERTS],
+    /// The server-side host manager answers queries.
+    server_up: bool,
+    /// Push copies in flight, per version (`v` at index `v - 1`).
+    pushes: [u8; DM_PUSHES],
+    /// Pushes the discovery server has sent.
+    pushed: u8,
+    /// Ghost: diagnoses per alert.
+    diagnosed: [u8; DM_ALERTS],
+    /// Ghost: query settled — its deadline fired or a reply landed —
+    /// per correlation id; a reply landing after that is late.
+    settled: [bool; DM_ALERTS],
+    /// Ghost: late replies delivered.
+    late: u64,
+    /// Ghost: such a reply diagnosed.
+    late_diagnosed: bool,
+    /// Ghost: the highest push version delivered.
+    highest: u64,
+    /// Ghost: a delivered push moved the applied version back.
+    went_back: bool,
+    faults_left: u8,
+}
+
+impl std::fmt::Debug for DmS {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ledger[pending={} late={} v={}] raised={} q>{:?} armed={:?} rep>{:?} \
+             server={} push>{:?} diagnosed={:?} late={}{} highest={}{} faults={}",
+            self.ledger.pending(),
+            self.ledger.late_replies(),
+            self.ledger.version(),
+            self.raised,
+            self.queries,
+            self.armed,
+            self.replies,
+            if self.server_up { "up" } else { "crashed" },
+            self.pushes,
+            self.diagnosed,
+            self.late,
+            if self.late_diagnosed {
+                " LATE-DIAGNOSIS"
+            } else {
+                ""
+            },
+            self.highest,
+            if self.went_back { " WENT-BACK" } else { "" },
+            self.faults_left,
+        )
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum DmA {
+    /// A client-side host manager's alert reaches the domain manager,
+    /// which parks it and queries the server side.
+    Raise,
+    /// The server-side host manager receives query `c` and, if up,
+    /// replies.
+    DeliverQuery(usize),
+    /// The server-side host manager crashes: it never replies again.
+    CrashServer,
+    /// The channel loses a copy of reply `c`.
+    LoseReply(usize),
+    /// The channel duplicates a copy of reply `c`.
+    DupReply(usize),
+    /// The domain manager receives a copy of reply `c`.
+    DeliverReply(usize),
+    /// Query `c`'s deadline fires.
+    Deadline(usize),
+    /// The discovery server sends its next route push.
+    SendPush,
+    /// The channel duplicates a copy of push `v`.
+    DupPush(usize),
+    /// The domain manager receives a copy of push `v`, in any order.
+    DeliverPush(usize),
+}
+
+impl DmS {
+    /// Read the ledger's effects back into the environment.
+    fn run(&mut self, effects: Vec<Effect>) {
+        for e in effects {
+            match e {
+                Effect::SendCtrl(dst, WireMsg::StatsQuery(q)) if dst == dm_server_hm() => {
+                    assert_eq!(q.reply_to, dm_self());
+                    self.queries[q.correlation as usize] = true;
+                }
+                Effect::SetTimer(_, tag) => self.armed[(tag - TAG_QUERY_BASE) as usize] = true,
+                other => panic!("the ledger does not decide {other:?}"),
+            }
+        }
+    }
+
+    fn diagnose(&mut self, alert: Option<u8>) {
+        if let Some(a) = alert {
+            self.diagnosed[a as usize] += 1;
+        }
+    }
+}
+
+impl Model for Domain {
+    type State = DmS;
+    type Action = DmA;
+
+    fn init_states(&self) -> Vec<DmS> {
+        vec![DmS {
+            ledger: Ledger::default(),
+            raised: 0,
+            queries: [false; DM_ALERTS],
+            armed: [false; DM_ALERTS],
+            replies: [0; DM_ALERTS],
+            server_up: true,
+            pushes: [0; DM_PUSHES],
+            pushed: 0,
+            diagnosed: [0; DM_ALERTS],
+            settled: [false; DM_ALERTS],
+            late: 0,
+            late_diagnosed: false,
+            highest: 0,
+            went_back: false,
+            faults_left: DM_FAULTS,
+        }]
+    }
+
+    fn actions(&self, s: &DmS, out: &mut Vec<DmA>) {
+        let fault = s.faults_left > 0;
+        if (s.raised as usize) < DM_ALERTS {
+            out.push(DmA::Raise);
+        }
+        if fault && s.server_up && s.queries.contains(&true) {
+            out.push(DmA::CrashServer);
+        }
+        for c in 0..DM_ALERTS {
+            if s.queries[c] {
+                out.push(DmA::DeliverQuery(c));
+            }
+            if s.replies[c] > 0 {
+                out.push(DmA::DeliverReply(c));
+                if fault {
+                    out.push(DmA::LoseReply(c));
+                }
+                if fault && s.replies[c] < DM_COPIES {
+                    out.push(DmA::DupReply(c));
+                }
+            }
+            if s.armed[c] {
+                out.push(DmA::Deadline(c));
+            }
+        }
+        if (s.pushed as usize) < DM_PUSHES {
+            out.push(DmA::SendPush);
+        }
+        for v in 0..DM_PUSHES {
+            if s.pushes[v] > 0 {
+                out.push(DmA::DeliverPush(v));
+                if fault && s.pushes[v] < DM_COPIES {
+                    out.push(DmA::DupPush(v));
+                }
+            }
+        }
+    }
+
+    fn next(&self, s: &DmS, a: &DmA) -> Option<DmS> {
+        let mut n = s.clone();
+        match *a {
+            DmA::Raise => {
+                let mut effects = Vec::new();
+                n.ledger
+                    .open(n.raised, dm_server_hm(), dm_self(), &mut effects);
+                n.raised += 1;
+                n.run(effects);
+            }
+            DmA::DeliverQuery(c) => {
+                n.queries[c] = false;
+                if n.server_up {
+                    n.replies[c] += 1;
+                }
+            }
+            DmA::CrashServer => {
+                n.server_up = false;
+                n.faults_left -= 1;
+            }
+            DmA::LoseReply(c) => {
+                n.replies[c] -= 1;
+                n.faults_left -= 1;
+            }
+            DmA::DupReply(c) => {
+                n.replies[c] += 1;
+                n.faults_left -= 1;
+            }
+            DmA::DeliverReply(c) => {
+                n.replies[c] -= 1;
+                let alert = n.ledger.answer(c as u64);
+                if std::mem::replace(&mut n.settled[c], true) {
+                    n.late += 1;
+                    n.late_diagnosed |= alert.is_some();
+                }
+                n.diagnose(alert);
+            }
+            DmA::Deadline(c) => {
+                n.armed[c] = false;
+                n.settled[c] = true;
+                let alert = n.ledger.expire(c as u64);
+                n.diagnose(alert);
+            }
+            DmA::SendPush => {
+                n.pushes[n.pushed as usize] += 1;
+                n.pushed += 1;
+            }
+            DmA::DupPush(v) => {
+                n.pushes[v] += 1;
+                n.faults_left -= 1;
+            }
+            DmA::DeliverPush(v) => {
+                n.pushes[v] -= 1;
+                let (before, version) = (n.ledger.version(), v as u64 + 1);
+                n.ledger.admit_routes(version);
+                n.went_back |= n.ledger.version() < before;
+                n.highest = n.highest.max(version);
+            }
+        }
+        Some(n)
+    }
+
+    fn invariants(&self) -> Vec<Invariant<Self>> {
+        vec![
+            Invariant::new("diagnosed-at-most-once", |_, s: &DmS| {
+                s.diagnosed.iter().all(|&d| d <= 1)
+            }),
+            Invariant::new(
+                "late-reply-diagnoses-nothing-and-is-counted",
+                |_, s: &DmS| !s.late_diagnosed && s.ledger.late_replies() == s.late,
+            ),
+            Invariant::new("route-version-never-goes-back", |_, s: &DmS| !s.went_back),
+        ]
+    }
+
+    fn quiescent_invariants(&self) -> Vec<Invariant<Self>> {
+        vec![
+            Invariant::new("nothing-pending", |_, s: &DmS| s.ledger.pending() == 0),
+            Invariant::new("diagnosed-exactly-once", |_, s: &DmS| {
+                s.diagnosed.iter().all(|&d| d == 1)
+            }),
+            Invariant::new("route-version-is-the-highest-delivered", |_, s: &DmS| {
+                s.ledger.version() == s.highest
+            }),
+        ]
+    }
+}
+
+#[test]
+fn domain_ledger_proves_its_four_properties() {
+    let out = check(&Domain, CheckConfig::default());
+    let r = out.report();
+    println!(
+        "model check (domain ledger): {} states, {} transitions, depth {}, {} quiescent states",
+        r.states, r.transitions, r.depth, r.quiescent
+    );
+    if let Some(trace) = out.trace_string() {
+        panic!("the domain ledger violated a property:\n{trace}");
+    }
+    assert!(!r.truncated, "exploration must be exhaustive: {r:?}");
+    assert!(
+        r.quiescent > 0,
+        "no quiescent states means the quiescent properties were never checked"
+    );
+    assert_eq!(
+        (r.states, r.transitions, r.depth, r.quiescent),
+        (14_022, 64_818, 18, 27),
+        "the domain ledger state space moved: {r:?}"
     );
 }
