@@ -69,8 +69,8 @@ pub mod prelude {
         FedReporter, Federation, FederationConfig, FED_REPORTER_PORT_BASE,
     };
     pub use crate::report::{
-        arg_value, buggify_coverage, emit_telemetry_outputs, f, lifecycle_table,
-        telemetry_requested, telemetry_summary, write_metrics, write_trace, Table,
+        buggify_coverage, emit_telemetry_outputs, f, lifecycle_table, telemetry_requested,
+        telemetry_summary, write_metrics, write_trace, Table,
     };
     pub use crate::system::{
         role_policy_source, AdminRules, CpuPolicy, Testbed, TestbedConfig, EXAMPLE1_SOURCE,

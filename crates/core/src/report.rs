@@ -227,7 +227,7 @@ pub fn write_metrics(t: &Telemetry, path: &str) -> std::io::Result<()> {
 }
 
 /// Value of `--name <value>` or `--name=<value>` on the command line.
-pub fn arg_value(name: &str) -> Option<String> {
+fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == name {

@@ -7,7 +7,7 @@
 //! updates it from the *delta* of each assert/retract — template-triggered
 //! seeded joins for positive condition elements, per-rule re-evaluation
 //! when a negated template changes. Rules are **compiled** at
-//! [`Engine::add_rule`] ([`CompiledRule`]): a partial match is the ids of
+//! [`Engine::add_rule`] (`CompiledRule`): a partial match is the ids of
 //! the facts matched so far and variables are read from those facts, so
 //! seeding a rule with a new fact, agenda and refraction bookkeeping, and
 //! firing allocate nothing in steady state beyond the facts and

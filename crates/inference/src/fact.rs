@@ -23,8 +23,8 @@
 //!   template-scoped access never scans the whole working memory;
 //! * the **duplicate index** — row fingerprint → live ids carrying it,
 //!   so CLIPS's duplicate-fact suppression is one lookup;
-//! * the **equality-join index** ([`FactStore::probe_slot`],
-//!   [`FactStore::ids_with_slot`]) — for each `(template, slot)` pair
+//! * the **equality-join index** (`FactStore::probe_slot`,
+//!   `FactStore::ids_with_slot`) — for each `(template, slot)` pair
 //!   somebody *registered*, a map from a loose value key to the sorted
 //!   live ids holding that value. Only registered pairs are maintained:
 //!   the engine registers, at `add_rule`, the slots its compiled joins

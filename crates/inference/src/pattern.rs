@@ -5,11 +5,11 @@
 //! [`Term`]) is what rules are written in; it evaluates against
 //! string-keyed [`Bindings`] and is what the naive oracle and
 //! [`crate::rule::Rule::activations`] run. The **compiled** form
-//! ([`CPattern`], [`CTest`], [`CTerm`]) is what `Engine::add_rule` lowers
-//! it to: every variable becomes a [`VarRef`] — the `(positive CE, slot)`
+//! (`CPattern`, `CTest`, `CTerm`) is what `Engine::add_rule` lowers
+//! it to: every variable becomes a `VarRef` — the `(positive CE, slot)`
 //! that first bound it — so a partial match is just the ids of the facts
 //! matched so far, and a variable is read straight from those facts
-//! ([`Row`]) instead of from a cloned map. Templates and slots are
+//! (`Row`) instead of from a cloned map. Templates and slots are
 //! resolved to handles there too, so the compiled form compares no name.
 
 use std::collections::HashMap;

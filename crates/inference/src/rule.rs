@@ -1,7 +1,7 @@
 //! Rules: condition elements (patterns, negations, tests) plus right-hand
 //! side actions, the reference join that produces activations, and the
 //! compiler that lowers a rule to the form the engine matches and fires
-//! ([`CompiledRule`]).
+//! (`CompiledRule`).
 
 use std::sync::Arc;
 

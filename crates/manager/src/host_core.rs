@@ -10,7 +10,7 @@
 //! time, and carries the effects out. Inside, the state is cut in two:
 //! the small hashable [`Lifecycle`] (who is registered, alive, reaped,
 //! duplicated, granted — what `tests/model_check.rs` explores) beside
-//! the heavy [`Diagnosis`] (rule engine, and one record per pid of what
+//! the heavy `Diagnosis` (rule engine, and one record per pid of what
 //! the resource managers granted).
 
 use std::time::Duration;

@@ -206,7 +206,7 @@ fn host_rules_common(weight_term: &str) -> String {
 /// over a *leading indicator* (socket-buffer occupancy) violates while
 /// the primary metric is still in specification; the manager nudges the
 /// allocation up before the user-visible requirement breaks. Load
-/// with [`crate::host::QosHostManager::load_rules`] — inert unless
+/// with [`crate::host_core::HostCore::load_rules`] — inert unless
 /// trend-attribute violations arrive.
 pub fn proactive_rules() -> &'static str {
     r#"

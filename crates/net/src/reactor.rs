@@ -10,7 +10,7 @@
 //!   *turn* each: drain the peer's write queue (until `WouldBlock` —
 //!   EPOLLOUT interest is armed only while writes are pending), then
 //!   read up to a byte budget, reassemble frames through
-//!   [`PeerReader`](crate::peer::PeerReader) and hand them to the
+//!   [`PeerReader`] and hand them to the
 //!   [`EventSink`] as one run. A peer with work left over is re-queued
 //!   at the tail, so one firehose peer cannot starve a thousand quiet
 //!   ones;

@@ -16,7 +16,7 @@
 //!   chain ([`reconstruct`]) with per-stage latencies and MTTR.
 //!
 //! Timestamps are plain `u64` microseconds: virtual time in the
-//! simulation, wall time in live mode. Exporters ([`export`]) emit
+//! simulation, wall time in live mode. Exporters (`export`) emit
 //! JSONL, Chrome `trace_event` JSON and registry-snapshot JSON; the
 //! [`record`] module adds a binary **flight recorder** (bounded ring +
 //! rotating segment files + tolerant replay) so a run's trace survives

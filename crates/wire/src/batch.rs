@@ -1,4 +1,4 @@
-//! Report coalescing: build and walk [`BatchMsg`] frames.
+//! Report coalescing: build and walk [`crate::BatchMsg`] frames.
 //!
 //! One batch frame carries N management-plane messages behind a single
 //! 8-byte frame header, so a sensor burst costs one transport send and

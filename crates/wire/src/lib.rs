@@ -7,26 +7,23 @@
 //! real codec, not in-process struct passing. This crate owns that seam:
 //!
 //! * [`codec`] — a hand-rolled little-endian writer/reader pair and the
-//!   [`Wire`](codec::Wire) trait (no serde; explicit layouts).
+//!   [`Wire`] trait (no serde; explicit layouts).
 //! * [`messages`] — every management-plane message
 //!   ([`ViolationMsg`](messages::ViolationMsg),
 //!   [`RegisterMsg`](messages::RegisterMsg), domain queries/replies,
 //!   policy push, rule updates, live-mode handshakes) unified under
-//!   [`WireMsg`](messages::WireMsg).
+//!   [`WireMsg`].
 //! * [`frame`] — the length-prefixed frame format (magic, version,
-//!   kind, length) plus [`FrameBuffer`](frame::FrameBuffer) for stream
-//!   reassembly (one frame at a time, or every buffered frame as one
-//!   run that [`frames`](frame::frames) walks back out) and
-//!   [`WireBytes`](frame::WireBytes) for cheap sharing.
+//!   kind, length) plus [`FrameBuffer`] for stream reassembly (one
+//!   frame at a time, or every buffered frame as one run that
+//!   [`frames`] walks back out) and [`WireBytes`] for cheap sharing.
 //! * [`error`] — typed decode failures; decoders never panic on
 //!   untrusted bytes.
-//! * [`borrowed`] — the zero-copy decode surface:
-//!   [`WireMsgRef`](borrowed::WireMsgRef) views that borrow strings and
-//!   lists straight out of the frame buffer for the kinds the live
-//!   manager reads at violation rate.
-//! * [`batch`] — report coalescing: [`BatchBuilder`](batch::BatchBuilder)
-//!   packs N messages into one frame, [`BatchRef`](batch::BatchRef) walks
-//!   them back out without copying.
+//! * [`borrowed`] — the zero-copy decode surface: [`WireMsgRef`] views
+//!   that borrow strings and lists straight out of the frame buffer for
+//!   the kinds the live manager reads at violation rate.
+//! * [`batch`] — report coalescing: [`BatchBuilder`] packs N messages
+//!   into one frame, [`BatchRef`] walks them back out without copying.
 //!
 //! The same frames flow over all three transports (simulator hops,
 //! in-proc channels, TCP/Unix-domain sockets), so the simulator charges
