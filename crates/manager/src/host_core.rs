@@ -153,7 +153,7 @@ pub trait HostView {
     fn host_stats(&self) -> HostSnapshot;
 }
 
-/// What [`HostCore::step`] asks its driver to do, in order.
+/// What [`HostCore::step`] or `DomainCore::step` asks its driver to do, in order.
 #[derive(Debug, PartialEq)]
 pub enum Effect {
     /// Deliver [`HostInput::Timer`] with this tag after the delay.
