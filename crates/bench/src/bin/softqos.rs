@@ -1,6 +1,6 @@
 //! `softqos` — one testbed scenario with a per-second fps trace, handy
-//! for eyeballing the feedback loop. Each table and figure of the
-//! evaluation has a binary of its own (`fig3`, `convergence`, ...).
+//! for eyeballing the feedback loop. The evaluation's simulated tables
+//! are pinned in `tests/pinned_runs.rs`; `--nocapture` prints them.
 //!
 //! ```text
 //! softqos run [--seed N] [--secs S] [--hogs K] [--unmanaged]

@@ -7,7 +7,6 @@ use crossbeam::thread;
 use qos_apps::prelude::*;
 use qos_manager::prelude::*;
 use qos_sim::prelude::*;
-use qos_telemetry::Telemetry;
 
 use crate::system::{AdminRules, CpuPolicy, Testbed, TestbedConfig};
 
@@ -68,21 +67,9 @@ pub fn figure3(seed: u64, loads: &[f64]) -> Vec<Fig3Row> {
 
 /// One Figure 3 run: returns (mean fps, measured load average).
 pub fn fig3_point(seed: u64, target_load: f64, managed: bool) -> (f64, f64) {
-    fig3_point_with(seed, target_load, managed, &Telemetry::disabled())
-}
-
-/// [`fig3_point`] with a telemetry handle attached to the testbed, for
-/// the `--trace-out` / `--metrics-out` flags of the experiment binary.
-pub fn fig3_point_with(
-    seed: u64,
-    target_load: f64,
-    managed: bool,
-    telemetry: &Telemetry,
-) -> (f64, f64) {
     let cfg = TestbedConfig {
         seed: seed ^ (target_load.to_bits().rotate_left(17)) ^ (managed as u64),
         managed,
-        telemetry: telemetry.clone(),
         ..TestbedConfig::default()
     };
     let mut tb = Testbed::build(&cfg);
@@ -278,24 +265,11 @@ pub struct LocalizationResult {
 /// localizes it and whether service recovers. `buffer_sensor` can be
 /// disabled to ablate the Example 5 heuristic.
 pub fn localization(seed: u64, fault: Fault, buffer_sensor: bool) -> LocalizationResult {
-    localization_with(seed, fault, buffer_sensor, &Telemetry::disabled())
-}
-
-/// [`localization`] with a telemetry handle attached to the testbed,
-/// for the `--trace-out` / `--metrics-out` flags of the experiment
-/// binary.
-pub fn localization_with(
-    seed: u64,
-    fault: Fault,
-    buffer_sensor: bool,
-    telemetry: &Telemetry,
-) -> LocalizationResult {
     let cfg = TestbedConfig {
         seed,
         managed: true,
         domain: true,
         disable_buffer_sensor: !buffer_sensor,
-        telemetry: telemetry.clone(),
         ..TestbedConfig::default()
     };
     let mut tb = Testbed::build(&cfg);
@@ -487,17 +461,10 @@ pub struct OverloadOutcome {
 /// with it, the manager directs the quality actuator and the (degraded)
 /// stream returns to specification.
 pub fn overload(seed: u64, adaptive: bool) -> OverloadOutcome {
-    overload_with(seed, adaptive, &Telemetry::disabled())
-}
-
-/// [`overload`] with a telemetry handle attached to the testbed, for
-/// the `--trace-out` / `--metrics-out` flags of the experiment binary.
-pub fn overload_with(seed: u64, adaptive: bool, telemetry: &Telemetry) -> OverloadOutcome {
     let cfg = TestbedConfig {
         seed,
         managed: true,
         overload_adaptation: adaptive,
-        telemetry: telemetry.clone(),
         // 45 ms per frame at 30 fps = 135% CPU demand at full quality;
         // the ladder's 0.65 level brings it to ~88%.
         decode_cost: Dur::from_micros(45_000),
@@ -529,7 +496,7 @@ pub fn overload_with(seed: u64, adaptive: bool, telemetry: &Telemetry) -> Overlo
 /// Map a function over inputs in parallel with scoped threads; results
 /// come back in input order. Each call must be independent (they each own
 /// their own simulation world).
-pub fn parallel_map<T: Sync, R: Send>(inputs: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+fn parallel_map<T: Sync, R: Send>(inputs: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let n = inputs.len();
     if n <= 1 {
         return inputs.iter().map(&f).collect();
@@ -580,8 +547,8 @@ mod tests {
 
     #[test]
     fn fig3_managed_beats_unmanaged_under_load() {
-        // Single mid-sweep point as a smoke test (the full sweep is the
-        // bench binary's job).
+        // Single mid-sweep point as a smoke test (the full sweep is
+        // pinned in tests/pinned_runs.rs).
         let (fps_unmanaged, load) = fig3_point(11, 5.0, false);
         let (fps_managed, _) = fig3_point(11, 5.0, true);
         assert!(

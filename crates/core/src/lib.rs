@@ -60,18 +60,14 @@ pub use qos_wire as wire;
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::experiment::{
-        contention, convergence, fig3_point, fig3_point_with, figure3, localization,
-        localization_with, overload, overload_with, parallel_map, proactive, ContentionRow,
-        ConvergenceTrace, Fault, Fig3Row, LocalizationResult, OverloadOutcome, ProactiveOutcome,
-        RUN_LEN, WARMUP,
+        contention, convergence, fig3_point, figure3, localization, overload, proactive,
+        ContentionRow, ConvergenceTrace, Fault, Fig3Row, LocalizationResult, OverloadOutcome,
+        ProactiveOutcome, RUN_LEN, WARMUP,
     };
     pub use crate::federation::{
         FedReporter, Federation, FederationConfig, FED_REPORTER_PORT_BASE,
     };
-    pub use crate::report::{
-        buggify_coverage, emit_telemetry_outputs, f, lifecycle_table, telemetry_requested,
-        telemetry_summary, write_metrics, write_trace, Table,
-    };
+    pub use crate::report::{buggify_coverage, f, lifecycle_table, telemetry_summary, Table};
     pub use crate::system::{
         role_policy_source, AdminRules, CpuPolicy, Testbed, TestbedConfig, EXAMPLE1_SOURCE,
         PROACTIVE_SOURCE,

@@ -1,10 +1,7 @@
-//! Plain-text table formatting for the experiment binaries (the rows and
-//! series the paper's evaluation reports), plus the human-readable
-//! telemetry summary and trace/metrics file writers.
+//! Plain-text table formatting for the experiment binaries and the
+//! examples, plus the human-readable telemetry summary.
 
-use qos_telemetry::{
-    stage_latencies, to_chrome_trace, to_jsonl, Lifecycle, MetricValue, Telemetry,
-};
+use qos_telemetry::{stage_latencies, Lifecycle, MetricValue, Telemetry};
 
 /// A simple aligned-column table.
 #[derive(Debug, Default)]
@@ -205,61 +202,6 @@ pub fn telemetry_summary(t: &Telemetry) -> String {
         out.push_str(&chaos);
     }
     out
-}
-
-/// Write the buffered event trace to `path`: Chrome `trace_event` JSON
-/// (load it at `chrome://tracing`) when the extension is `.json`, JSONL
-/// (one event per line, [`qos_telemetry::parse_jsonl`]-compatible)
-/// otherwise.
-pub fn write_trace(t: &Telemetry, path: &str) -> std::io::Result<()> {
-    let events = t.events();
-    let body = if path.ends_with(".json") {
-        to_chrome_trace(&events)
-    } else {
-        to_jsonl(&events)
-    };
-    std::fs::write(path, body)
-}
-
-/// Write the registry snapshot to `path` as JSON.
-pub fn write_metrics(t: &Telemetry, path: &str) -> std::io::Result<()> {
-    std::fs::write(path, qos_telemetry::metrics_to_json(&t.snapshot()))
-}
-
-/// Value of `--name <value>` or `--name=<value>` on the command line.
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(name).and_then(|r| r.strip_prefix('=')) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// Did the command line ask for a telemetry artifact (`--trace-out` or
-/// `--metrics-out`)? Experiment binaries use this to decide whether to
-/// run an instrumented scenario at all.
-pub fn telemetry_requested() -> bool {
-    arg_value("--trace-out").is_some() || arg_value("--metrics-out").is_some()
-}
-
-/// Write whatever telemetry artifacts the command line asked for:
-/// `--trace-out <path>` (Chrome trace for `.json`, JSONL otherwise) and
-/// `--metrics-out <path>` (registry-snapshot JSON).
-pub fn emit_telemetry_outputs(t: &Telemetry) -> std::io::Result<()> {
-    if let Some(path) = arg_value("--trace-out") {
-        write_trace(t, &path)?;
-        eprintln!("trace written to {path}");
-    }
-    if let Some(path) = arg_value("--metrics-out") {
-        write_metrics(t, &path)?;
-        eprintln!("metrics written to {path}");
-    }
-    Ok(())
 }
 
 #[cfg(test)]
