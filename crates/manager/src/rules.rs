@@ -151,7 +151,7 @@ fn host_rules_common(weight_term: &str) -> String {
 ; adjustment (a purely local application that simply is not being
 ; scheduled often enough also presents an empty queue).
 (defrule local-fallback
-  (violation (pid ?p) (fps ?f) (lo ?lo) (has-upstream false))
+  (violation (pid ?p) (fps ?f) (lo ?lo) (has-upstream false) (weight ?w))
   (test (< ?f ?lo))
   =>
   (call adjust-cpu ?p ?f ?lo {weight_term})
@@ -383,6 +383,20 @@ mod tests {
         let inv = e.take_invocations();
         assert_eq!(inv.len(), 1);
         assert_eq!(inv[0].command, "adjust-cpu");
+    }
+
+    #[test]
+    fn differentiated_fallback_passes_weight() {
+        let mut e = engine_with(
+            &super::host_rules_differentiated(),
+            &super::host_base_facts(),
+        );
+        e.assert_fact(violation("h0:p2", 15.0, super::BUFFER_CUTOFF, false).with("weight", 4.0));
+        e.run(100);
+        let inv = e.take_invocations();
+        assert_eq!(inv.len(), 1);
+        assert_eq!(inv[0].command, "adjust-cpu");
+        assert_eq!(inv[0].args[3], Value::Float(4.0));
     }
 
     #[test]
