@@ -14,9 +14,8 @@
 use qos_policy::ast::{ActionStmt, ArgExpr, CmpOp, PathExpr};
 use qos_policy::compile::{BoolExpr, CompiledCondition, CompiledPolicy};
 use qos_sim::{DomainId, Dur, Endpoint, HostId, Pid, Port};
-use qos_telemetry::{
-    Fields, HistogramSnapshot, MetricSnapshot, MetricValue, Stage, TraceEvent, HISTOGRAM_BUCKETS,
-};
+use qos_telemetry::record::{self, RecError};
+use qos_telemetry::{MetricSnapshot, TraceEvent};
 
 use crate::borrowed::{LiveViolationMsgRef, ViolationMsgRef};
 use crate::codec::{Wire, WireReader, WireWriter};
@@ -1118,133 +1117,6 @@ impl Wire for LiveRegisterMsg {
     }
 }
 
-// ---------------------------------------------------------------------
-// Wire impls: telemetry types (the TelemetryBatch payload)
-// ---------------------------------------------------------------------
-
-impl Wire for Stage {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u8(self.tag());
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Stage::from_tag(r.get_u8()?).ok_or(WireError::BadValue("Stage tag"))
-    }
-}
-
-impl Wire for TraceEvent {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.at_us);
-        w.put_u64(self.corr);
-        self.stage.encode(w);
-        w.put_str(&self.component);
-        w.put_str(&self.name);
-        w.put_u32(self.fields.len() as u32);
-        for (k, v) in &self.fields {
-            w.put_str(k);
-            w.put_f64(*v);
-        }
-    }
-    /// Names are copied out of the frame into the event itself (in
-    /// place when short): nothing a peer sends outlives the event.
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut ev = TraceEvent {
-            at_us: r.get_u64()?,
-            corr: r.get_u64()?,
-            stage: r.get()?,
-            component: r.get_str_ref()?.into(),
-            name: r.get_str_ref()?.into(),
-            fields: Fields::new(),
-        };
-        for _ in 0..r.get_u32()? {
-            let k = r.get_str_ref()?;
-            ev.fields.push(k, r.get_f64()?);
-        }
-        Ok(ev)
-    }
-}
-
-impl Wire for HistogramSnapshot {
-    /// Sparse encoding: count/sum/max, then only the non-zero buckets
-    /// as (index, count) pairs.
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_u64(self.count);
-        w.put_u64(self.sum);
-        w.put_u64(self.max);
-        let nonzero: Vec<(u32, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != 0)
-            .map(|(i, &c)| (i as u32, c))
-            .collect();
-        w.put_u32(nonzero.len() as u32);
-        for (i, c) in nonzero {
-            w.put_u32(i);
-            w.put_u64(c);
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut h = HistogramSnapshot::empty();
-        h.count = r.get_u64()?;
-        h.sum = r.get_u64()?;
-        h.max = r.get_u64()?;
-        let k = r.get_u32()? as usize;
-        if k > HISTOGRAM_BUCKETS {
-            return Err(WireError::BadValue("histogram bucket count"));
-        }
-        for _ in 0..k {
-            let ix = r.get_u32()? as usize;
-            if ix >= HISTOGRAM_BUCKETS {
-                return Err(WireError::BadValue("histogram bucket index"));
-            }
-            h.buckets[ix] = r.get_u64()?;
-        }
-        Ok(h)
-    }
-}
-
-impl Wire for MetricValue {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            MetricValue::Counter(v) => {
-                w.put_u8(0);
-                w.put_u64(*v);
-            }
-            MetricValue::Gauge(v) => {
-                w.put_u8(1);
-                w.put_f64(*v);
-            }
-            MetricValue::Histogram(h) => {
-                w.put_u8(2);
-                h.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => MetricValue::Counter(r.get_u64()?),
-            1 => MetricValue::Gauge(r.get_f64()?),
-            2 => MetricValue::Histogram(Box::new(r.get()?)),
-            _ => return Err(WireError::BadValue("MetricValue tag")),
-        })
-    }
-}
-
-impl Wire for MetricSnapshot {
-    fn encode(&self, w: &mut WireWriter) {
-        w.put_str(&self.family);
-        w.put_str(&self.label);
-        self.value.encode(w);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(MetricSnapshot {
-            family: r.get_str()?,
-            label: r.get_str()?,
-            value: r.get()?,
-        })
-    }
-}
-
 impl Wire for TelemetrySubscribeMsg {
     fn encode(&self, w: &mut WireWriter) {
         w.put_str(&self.subscriber);
@@ -1260,21 +1132,63 @@ impl Wire for TelemetrySubscribeMsg {
     }
 }
 
+/// Events and the snapshot travel in the flight recorder's record
+/// bodies, laid out as `Vec<_>` and `Option<_>` would lay them out.
 impl Wire for TelemetryBatchMsg {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u64(self.seq);
         w.put_str(&self.source);
-        self.events.encode(w);
-        self.metrics.encode(w);
+        w.put_u32(self.events.len() as u32);
+        for ev in &self.events {
+            record::encode_event_body(ev, w.vec_mut());
+        }
+        match &self.metrics {
+            None => w.put_u8(0),
+            Some((at_us, series)) => {
+                w.put_u8(1);
+                record::encode_snapshot_body(*at_us, series, w.vec_mut());
+            }
+        }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let seq = r.get_u64()?;
+        let source = r.get_str()?;
+        let n = r.get_u32()? as usize;
+        let mut events = Vec::with_capacity(n.min(r.remaining()));
+        for _ in 0..n {
+            events.push(record_body(r, record::decode_event_body)?);
+        }
+        let metrics = match r.get_u8()? {
+            0 => None,
+            1 => {
+                let s = record_body(r, record::decode_snapshot_body)?;
+                Some((s.at_us, s.metrics))
+            }
+            _ => return Err(WireError::BadValue("Option tag not 0/1")),
+        };
         Ok(TelemetryBatchMsg {
-            seq: r.get_u64()?,
-            source: r.get_str()?,
-            events: r.get()?,
-            metrics: r.get()?,
+            seq,
+            source,
+            events,
+            metrics,
         })
     }
+}
+
+/// Decode one flight-recorder body at the reader's position and step
+/// past it.
+fn record_body<T, F>(r: &mut WireReader<'_>, decode: F) -> Result<T, WireError>
+where
+    F: FnOnce(&[u8]) -> Result<(T, usize), RecError>,
+{
+    let (v, used) = decode(r.slice(r.pos(), r.pos() + r.remaining())).map_err(|e| match e {
+        RecError::Truncated { needed, have } => WireError::Truncated { needed, have },
+        RecError::BadUtf8 => WireError::BadUtf8,
+        RecError::BadValue(what) => WireError::BadValue(what),
+        _ => WireError::BadValue("telemetry record body"),
+    })?;
+    r.get_raw(used)?;
+    Ok(v)
 }
 
 impl Wire for LiveViolationMsg {
