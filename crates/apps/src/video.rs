@@ -710,7 +710,7 @@ mod tests {
         let client_host = w.add_host("client", 1 << 16);
         let hop = w
             .net_mut()
-            .add_hop("lan", 10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+            .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
         w.net_mut()
             .set_route_symmetric(server_host, client_host, vec![hop]);
         (w, server_host, client_host)

@@ -135,15 +135,14 @@ impl Federation {
             .chain(leaf_dm_hosts.iter().copied())
             .chain(managed_hosts.iter().copied())
             .collect();
-        let mut ctrl_hops = Vec::with_capacity(all.len());
-        for &h in &all {
-            ctrl_hops.push(world.net_mut().add_hop(
-                format!("ctrl-h{}", h.0),
-                1_000_000.0,
-                Dur::from_millis(1),
-                Dur::from_secs(1),
-            ));
-        }
+        let ctrl_hops: Vec<HopId> = all
+            .iter()
+            .map(|_| {
+                world
+                    .net_mut()
+                    .add_hop(1_000_000.0, Dur::from_millis(1), Dur::from_secs(1))
+            })
+            .collect();
         for (i, &a) in all.iter().enumerate() {
             for (j, &b) in all.iter().enumerate().skip(i + 1) {
                 world
@@ -274,18 +273,14 @@ impl Federation {
     /// upstream is `b`. Returns `(primary, backup)`.
     pub fn add_data_path(&mut self, a: usize, b: usize) -> (HopId, HopId) {
         let (ha, hb) = (self.managed_hosts[a], self.managed_hosts[b]);
-        let primary = self.world.net_mut().add_hop(
-            format!("data-{a}-{b}"),
-            10_000_000.0,
-            Dur::from_millis(1),
-            Dur::from_millis(500),
-        );
-        let backup = self.world.net_mut().add_hop(
-            format!("backup-{a}-{b}"),
-            10_000_000.0,
-            Dur::from_millis(2),
-            Dur::from_millis(500),
-        );
+        let primary =
+            self.world
+                .net_mut()
+                .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_millis(500));
+        let backup =
+            self.world
+                .net_mut()
+                .add_hop(10_000_000.0, Dur::from_millis(2), Dur::from_millis(500));
         self.world
             .net_mut()
             .set_route_symmetric(ha, hb, vec![primary]);

@@ -184,30 +184,20 @@ impl Testbed {
         // Data path: client <-> switch <-> server, with an idle backup
         // path the domain manager can fail over to. Management traffic
         // uses dedicated links so control survives data-path congestion.
-        let primary_hop = world.net_mut().add_hop(
-            "data-switch",
-            10_000_000.0,
-            Dur::from_millis(1),
-            Dur::from_millis(500),
-        );
-        let backup_hop = world.net_mut().add_hop(
-            "backup-switch",
-            10_000_000.0,
-            Dur::from_millis(2),
-            Dur::from_millis(500),
-        );
-        let mgmt_c = world.net_mut().add_hop(
-            "mgmt-client",
-            1_000_000.0,
-            Dur::from_millis(1),
-            Dur::from_secs(1),
-        );
-        let mgmt_s = world.net_mut().add_hop(
-            "mgmt-server",
-            1_000_000.0,
-            Dur::from_millis(1),
-            Dur::from_secs(1),
-        );
+        let primary_hop =
+            world
+                .net_mut()
+                .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_millis(500));
+        let backup_hop =
+            world
+                .net_mut()
+                .add_hop(10_000_000.0, Dur::from_millis(2), Dur::from_millis(500));
+        let mgmt_c = world
+            .net_mut()
+            .add_hop(1_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+        let mgmt_s = world
+            .net_mut()
+            .add_hop(1_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
         world
             .net_mut()
             .set_route_symmetric(client_host, server_host, vec![primary_hop]);

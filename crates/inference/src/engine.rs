@@ -619,11 +619,6 @@ impl Engine {
         }
     }
 
-    /// Is the naive full-rematch oracle active?
-    pub fn naive_matcher(&self) -> bool {
-        self.naive
-    }
-
     /// Lifetime join work — candidate facts examined by the matcher
     /// since the engine was created (never reset; the per-run delta is
     /// [`RunStats::activations`]).

@@ -136,15 +136,6 @@ impl Rule {
         self
     }
 
-    /// Number of positive condition elements — the number of fact ids an
-    /// activation of this rule records.
-    pub fn pos_ce_count(&self) -> usize {
-        self.ces
-            .iter()
-            .filter(|ce| matches!(ce, Ce::Pos(_)))
-            .count()
-    }
-
     /// Compute all complete matches of this rule against working memory.
     /// Each activation records the ids of the facts matched by positive
     /// condition elements, in order. This is the reference (full

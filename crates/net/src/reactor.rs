@@ -414,11 +414,6 @@ impl PeerSender {
     pub fn send_telemetry(&self, frame: &[u8]) -> PeerSend {
         self.send(SendClass::Telemetry, frame, true)
     }
-
-    /// The reactor-assigned peer id.
-    pub fn peer_id(&self) -> Option<u64> {
-        self.slot.upgrade().map(|s| s.id)
-    }
 }
 
 /// A running reactor; dropping without [`ReactorHandle::shutdown`]

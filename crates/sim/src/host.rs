@@ -215,19 +215,9 @@ impl Host {
         self.slot(pid).map(|s| s.state)
     }
 
-    /// Scheduling class of a process.
-    pub fn proc_class(&self, pid: Pid) -> Option<SchedClass> {
-        self.slot(pid).map(|s| s.class)
-    }
-
     /// Current TS user-priority boost of a process.
     pub fn proc_upri(&self, pid: Pid) -> Option<i16> {
         self.slot(pid).map(|s| s.ts.upri)
-    }
-
-    /// Scheduler diagnostic: ready-queue occupancy per level.
-    pub fn ready_occupancy(&self) -> Vec<(u16, usize)> {
-        self.ready.occupancy()
     }
 
     /// Messages dropped at a socket because its buffer was full.

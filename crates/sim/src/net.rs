@@ -29,7 +29,6 @@ const MAX_BG_UTIL: f64 = 0.98;
 /// One store-and-forward element: a link or a switch output queue.
 #[derive(Debug)]
 pub struct Hop {
-    name: String,
     /// Service rate in bytes per second.
     rate: f64,
     /// Propagation delay added after service completes.
@@ -97,17 +96,10 @@ impl Network {
 
     /// Add a hop (link or switch queue). `rate_bytes_per_sec` is the
     /// service rate; `queue_cap` bounds queueing delay before tail drop.
-    pub fn add_hop(
-        &mut self,
-        name: impl Into<String>,
-        rate_bytes_per_sec: f64,
-        prop_delay: Dur,
-        queue_cap: Dur,
-    ) -> HopId {
+    pub fn add_hop(&mut self, rate_bytes_per_sec: f64, prop_delay: Dur, queue_cap: Dur) -> HopId {
         assert!(rate_bytes_per_sec > 0.0, "hop rate must be positive");
         let id = HopId(self.hops.len() as u32);
         self.hops.push(Hop {
-            name: name.into(),
             rate: rate_bytes_per_sec,
             prop_delay,
             bg_util: 0.0,
@@ -180,11 +172,6 @@ impl Network {
             bytes_forwarded: h.bytes_forwarded,
             busy: h.busy,
         }
-    }
-
-    /// Name of a hop.
-    pub fn hop_name(&self, hop: HopId) -> &str {
-        &self.hops[hop.0 as usize].name
     }
 
     /// Messages delivered host-locally (no network traversal).
@@ -277,7 +264,7 @@ mod tests {
     fn single_hop_service_and_prop_delay() {
         let mut n = net();
         // 1 MB/s, 1 ms propagation.
-        let h = n.add_hop("lan", 1_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+        let h = n.add_hop(1_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
         n.set_route(HostId(0), HostId(1), vec![h]);
         let t = SimTime::ZERO;
         let arrival = n.transit(&msg(0, 1, 10_000, t), t).unwrap();
@@ -289,7 +276,7 @@ mod tests {
     #[test]
     fn back_to_back_packets_queue() {
         let mut n = net();
-        let h = n.add_hop("lan", 1_000_000.0, Dur::ZERO, Dur::from_secs(10));
+        let h = n.add_hop(1_000_000.0, Dur::ZERO, Dur::from_secs(10));
         n.set_route(HostId(0), HostId(1), vec![h]);
         let t = SimTime::ZERO;
         let a1 = n.transit(&msg(0, 1, 10_000, t), t).unwrap();
@@ -300,14 +287,14 @@ mod tests {
     #[test]
     fn background_utilization_inflates_service() {
         let mut idle = net();
-        let h1 = idle.add_hop("sw", 1_000_000.0, Dur::ZERO, Dur::from_secs(10));
+        let h1 = idle.add_hop(1_000_000.0, Dur::ZERO, Dur::from_secs(10));
         idle.set_route(HostId(0), HostId(1), vec![h1]);
         let base = idle
             .transit(&msg(0, 1, 10_000, SimTime::ZERO), SimTime::ZERO)
             .unwrap();
 
         let mut busy = net();
-        let h2 = busy.add_hop("sw", 1_000_000.0, Dur::ZERO, Dur::from_secs(10));
+        let h2 = busy.add_hop(1_000_000.0, Dur::ZERO, Dur::from_secs(10));
         busy.set_route(HostId(0), HostId(1), vec![h2]);
         busy.set_bg_util(h2, 0.9);
         let loaded = busy
@@ -323,7 +310,7 @@ mod tests {
     #[test]
     fn overloaded_hop_drops() {
         let mut n = net();
-        let h = n.add_hop("sw", 100_000.0, Dur::ZERO, Dur::from_millis(50));
+        let h = n.add_hop(100_000.0, Dur::ZERO, Dur::from_millis(50));
         n.set_route(HostId(0), HostId(1), vec![h]);
         let t = SimTime::ZERO;
         // Each 10 KB packet takes 100 ms to serve; cap is 50 ms of backlog,
@@ -341,8 +328,8 @@ mod tests {
     #[test]
     fn rerouting_switches_paths() {
         let mut n = net();
-        let slow = n.add_hop("congested", 100_000.0, Dur::ZERO, Dur::from_secs(10));
-        let fast = n.add_hop("backup", 10_000_000.0, Dur::ZERO, Dur::from_secs(10));
+        let slow = n.add_hop(100_000.0, Dur::ZERO, Dur::from_secs(10));
+        let fast = n.add_hop(10_000_000.0, Dur::ZERO, Dur::from_secs(10));
         n.set_route(HostId(0), HostId(1), vec![slow]);
         n.set_bg_util(slow, 0.9);
         let t = SimTime::ZERO;
@@ -363,7 +350,7 @@ mod tests {
     #[test]
     fn blackout_window_drops_then_recovers() {
         let mut n = net();
-        let h = n.add_hop("lan", 1_000_000.0, Dur::ZERO, Dur::from_secs(10));
+        let h = n.add_hop(1_000_000.0, Dur::ZERO, Dur::from_secs(10));
         n.set_route(HostId(0), HostId(1), vec![h]);
         n.add_blackout(
             h,
@@ -384,7 +371,7 @@ mod tests {
     #[test]
     fn flap_alternates_down_and_up() {
         let mut n = net();
-        let h = n.add_hop("lan", 1_000_000_000.0, Dur::ZERO, Dur::from_secs(10));
+        let h = n.add_hop(1_000_000_000.0, Dur::ZERO, Dur::from_secs(10));
         n.set_route(HostId(0), HostId(1), vec![h]);
         // Down 1ms / up 1ms from t=0 to t=10ms: sends at even ms fail,
         // odd ms succeed (stack delay of 5us keeps t inside the window).
@@ -410,7 +397,7 @@ mod tests {
     #[test]
     fn hop_accounts_bytes_and_occupancy() {
         let mut n = net();
-        let h = n.add_hop("lan", 1_000_000.0, Dur::ZERO, Dur::from_secs(10));
+        let h = n.add_hop(1_000_000.0, Dur::ZERO, Dur::from_secs(10));
         n.set_route(HostId(0), HostId(1), vec![h]);
         let t = SimTime::ZERO;
         n.transit(&msg(0, 1, 10_000, t), t).unwrap();
@@ -424,8 +411,8 @@ mod tests {
     #[test]
     fn multi_hop_accumulates_delay() {
         let mut n = net();
-        let a = n.add_hop("l1", 1_000_000.0, Dur::from_millis(2), Dur::from_secs(1));
-        let b = n.add_hop("l2", 1_000_000.0, Dur::from_millis(3), Dur::from_secs(1));
+        let a = n.add_hop(1_000_000.0, Dur::from_millis(2), Dur::from_secs(1));
+        let b = n.add_hop(1_000_000.0, Dur::from_millis(3), Dur::from_secs(1));
         n.set_route(HostId(0), HostId(1), vec![a, b]);
         let t = SimTime::ZERO;
         let arrival = n.transit(&msg(0, 1, 1_000, t), t).unwrap();

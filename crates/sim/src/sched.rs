@@ -236,14 +236,6 @@ impl ReadyQueues {
         false
     }
 
-    /// Occupancy per level: `(level, queued count)` for non-empty levels.
-    pub fn occupancy(&self) -> Vec<(u16, usize)> {
-        (0..GLOBAL_LEVELS)
-            .filter(|&l| !self.levels[l as usize].is_empty())
-            .map(|l| (l, self.levels[l as usize].len()))
-            .collect()
-    }
-
     /// Collect TS processes (levels below [`RT_BASE`]) that have waited at
     /// least `maxwait` and therefore earn the `lwait` starvation boost.
     /// They are removed from their queues; the caller re-inserts them at

@@ -223,11 +223,6 @@ impl World {
         &self.hosts[id.0 as usize]
     }
 
-    /// All host ids.
-    pub fn host_ids(&self) -> impl Iterator<Item = HostId> + '_ {
-        (0..self.hosts.len() as u32).map(HostId)
-    }
-
     /// Spawn a process. It receives [`ProcEvent::Start`] at the current
     /// simulation time.
     pub fn spawn(
@@ -1187,7 +1182,7 @@ mod tests {
         let hb = w.add_host("b", 1 << 16);
         let hop = w
             .net_mut()
-            .add_hop("lan", 10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+            .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
         w.net_mut().set_route_symmetric(ha, hb, vec![hop]);
         let pong = w.spawn(
             hb,
@@ -1243,9 +1238,9 @@ mod tests {
             let mut w = World::new(seed);
             let ha = w.add_host("a", 1 << 16);
             let hb = w.add_host("b", 1 << 16);
-            let hop =
-                w.net_mut()
-                    .add_hop("lan", 10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+            let hop = w
+                .net_mut()
+                .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
             w.net_mut().set_route_symmetric(ha, hb, vec![hop]);
             let pong = w.spawn(
                 hb,
@@ -1562,9 +1557,9 @@ mod tests {
             let mut w = World::new(1);
             let ha = w.add_host("a", 1 << 16);
             let hb = w.add_host("b", 1 << 16);
-            let hop =
-                w.net_mut()
-                    .add_hop("lan", 10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+            let hop = w
+                .net_mut()
+                .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
             w.net_mut().set_route_symmetric(ha, hb, vec![hop]);
             w.set_telemetry(&t);
             struct Spammer {

@@ -80,11 +80,6 @@ impl BatchBuilder {
         self.count == 0
     }
 
-    /// Size of the finished frame in bytes (header included).
-    pub fn frame_len(&self) -> usize {
-        self.w.len()
-    }
-
     fn patch(&mut self) {
         let payload = (self.w.len() - HEADER_LEN) as u32;
         self.w.patch_u32(4, payload);

@@ -29,15 +29,12 @@ fn main() {
     let ma = w.add_host("mgmt-a", 1 << 16);
     let mb = w.add_host("mgmt-b", 1 << 16);
     let mr = w.add_host("mgmt-root", 1 << 16);
-    let data = w.net_mut().add_hop(
-        "data",
-        10_000_000.0,
-        Dur::from_millis(1),
-        Dur::from_millis(500),
-    );
+    let data = w
+        .net_mut()
+        .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_millis(500));
     let ctrl = w
         .net_mut()
-        .add_hop("ctrl", 1_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+        .add_hop(1_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
     w.net_mut().set_route_symmetric(ch, sh, vec![data]);
     let mgmt_pairs = [
         (ch, ma),

@@ -306,7 +306,7 @@ fn bursty_stream_violates_via_jitter_not_frame_rate() {
     let sh = w.add_host("server", 1 << 16);
     let hop = w
         .net_mut()
-        .add_hop("lan", 10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+        .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
     w.net_mut().set_route_symmetric(ch, sh, vec![hop]);
     let client = w.spawn(
         ch,

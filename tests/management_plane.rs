@@ -281,7 +281,7 @@ fn memory_manager_grows_a_thrashing_resident_set() {
     let sh = w.add_host("server", 1 << 16);
     let hop = w
         .net_mut()
-        .add_hop("lan", 10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+        .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
     w.net_mut().set_route_symmetric(ch, sh, vec![hop]);
     let hm = w.spawn(
         ch,
@@ -505,15 +505,12 @@ fn cross_domain_alert_is_forwarded_to_the_peer_domain_manager() {
     let sh = w.add_host("server", 1 << 16);
     let ma = w.add_host("mgmt-a", 1 << 16);
     let mb = w.add_host("mgmt-b", 1 << 16);
-    let data = w.net_mut().add_hop(
-        "data",
-        10_000_000.0,
-        Dur::from_millis(1),
-        Dur::from_millis(500),
-    );
+    let data = w
+        .net_mut()
+        .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_millis(500));
     let ctrl = w
         .net_mut()
-        .add_hop("ctrl", 1_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+        .add_hop(1_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
     w.net_mut().set_route_symmetric(ch, sh, vec![data]);
     for (a, b) in [(ch, ma), (sh, mb), (ma, mb), (ch, mb), (sh, ma)] {
         w.net_mut().set_route_symmetric(a, b, vec![ctrl]);

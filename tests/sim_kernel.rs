@@ -101,7 +101,7 @@ fn socket_saturation_counts_drops_and_delivery_resumes() {
     let b = w.add_host("b", 1 << 10);
     let hop = w
         .net_mut()
-        .add_hop("lan", 10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+        .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
     w.net_mut().set_route_symmetric(a, b, vec![hop]);
     // Tiny 4 kB buffer: 4 messages.
     let sink = w.spawn(
@@ -264,18 +264,12 @@ fn reroute_syscall_redirects_traffic() {
     let mut w = World::new(5);
     let a = w.add_host("a", 1 << 10);
     let b = w.add_host("b", 1 << 10);
-    let primary = w.net_mut().add_hop(
-        "primary",
-        1_000_000.0,
-        Dur::from_millis(1),
-        Dur::from_secs(1),
-    );
-    let backup = w.net_mut().add_hop(
-        "backup",
-        1_000_000.0,
-        Dur::from_millis(1),
-        Dur::from_secs(1),
-    );
+    let primary = w
+        .net_mut()
+        .add_hop(1_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+    let backup = w
+        .net_mut()
+        .add_hop(1_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
     w.net_mut().set_route_symmetric(a, b, vec![primary]);
     w.spawn(b, ProcConfig::new("sink").port(9, 1 << 16), Sink);
     w.spawn(
