@@ -25,6 +25,7 @@ use qos_discovery::DiscoveryServer;
 use qos_manager::prelude::*;
 use qos_sim::prelude::*;
 use qos_telemetry::prelude::*;
+use qos_wire::{ViolationMsgRef, WireBytes};
 
 /// First control port used by [`FedReporter`]s (unique per host:
 /// reporter `p` on a host binds `FED_REPORTER_PORT_BASE + p`).
@@ -32,6 +33,8 @@ pub const FED_REPORTER_PORT_BASE: Port = 100;
 const TAG_REPORT: u64 = 1;
 /// The policy every [`FedReporter`] reports against.
 const FED_REPORT: Name = Name::from_static("fed-report");
+/// What every [`FedReporter`] reads: a low frame rate on a small buffer.
+const FED_READINGS: [(&str, f64); 2] = [("frame_rate", 15.0), ("buffer_size", 100.0)];
 
 /// Shape of the federation to assemble.
 #[derive(Debug, Clone)]
@@ -358,6 +361,23 @@ pub struct FedReporter {
     pub port: Port,
 }
 
+impl FedReporter {
+    /// One round's violation report, encoded straight from borrowed
+    /// fields: the frame of the owned `ViolationMsg`, byte for byte,
+    /// without building one.
+    fn report(&self, pid: Pid, corr: u64) -> WireBytes {
+        WireBytes::encode_violation(&ViolationMsgRef {
+            pid,
+            proc_name: "FedReporter",
+            policy: FED_REPORT.as_str(),
+            corr,
+            readings: FED_READINGS.as_slice().into(),
+            bounds: Some(("frame_rate", 23.0, 27.0)),
+            upstream: self.upstream,
+        })
+    }
+}
+
 impl ProcessLogic for FedReporter {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: ProcEvent) {
         match ev {
@@ -401,20 +421,8 @@ impl ProcessLogic for FedReporter {
                 };
                 // Small buffer + an upstream ⇒ the remote-cause rule
                 // fires and the violation escalates to the domain.
-                send_ctrl(
-                    ctx,
-                    self.hm,
-                    self.port,
-                    WireMsg::Violation(ViolationMsg {
-                        pid: ctx.pid(),
-                        proc_name: "FedReporter".into(),
-                        policy: FED_REPORT.to_string(),
-                        corr,
-                        readings: vec![("frame_rate".into(), 15.0), ("buffer_size".into(), 100.0)],
-                        bounds: Some(("frame_rate".into(), 23.0, 27.0)),
-                        upstream: self.upstream,
-                    }),
-                );
+                let report = self.report(ctx.pid(), corr);
+                send_frame(ctx, self.hm, self.port, report);
                 if self.rounds > 0 {
                     ctx.set_timer(self.interval, TAG_REPORT);
                 }
@@ -428,6 +436,46 @@ impl ProcessLogic for FedReporter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reporter's frame is the owned message's: its length is what
+    /// the simulated socket buffers hold, so one byte more would move
+    /// every pinned federation run.
+    #[test]
+    fn report_frame_is_the_owned_violation_frame() {
+        let pid = Pid {
+            host: HostId(2),
+            local: 5,
+        };
+        for upstream in [
+            None,
+            Some(Upstream {
+                host: HostId(9),
+                pid,
+            }),
+        ] {
+            let reporter = FedReporter {
+                hm: Endpoint::new(HostId(2), HOST_MANAGER_PORT),
+                telemetry: Telemetry::disabled(),
+                rounds: 1,
+                interval: Dur::from_millis(200),
+                upstream,
+                port: FED_REPORTER_PORT_BASE,
+            };
+            let owned = WireMsg::Violation(ViolationMsg {
+                pid,
+                proc_name: "FedReporter".into(),
+                policy: FED_REPORT.to_string(),
+                corr: 77,
+                readings: vec![("frame_rate".into(), 15.0), ("buffer_size".into(), 100.0)],
+                bounds: Some(("frame_rate".into(), 23.0, 27.0)),
+                upstream,
+            });
+            assert_eq!(
+                reporter.report(pid, 77).as_slice(),
+                &owned.encode_frame()[..]
+            );
+        }
+    }
 
     #[test]
     fn federation_binds_all_hosts_and_shards_registry() {

@@ -171,7 +171,7 @@ fn parse_pattern(items: &[Sexpr]) -> Result<Pattern, ClipsError> {
         let test = match constraint {
             Sexpr::Atom(a) if a.starts_with('?') => SlotTest::Var(a[1..].to_string()),
             Sexpr::Atom(a) => SlotTest::Const(atom_value(a)),
-            Sexpr::Str(s) => SlotTest::Const(Value::Str(s.clone())),
+            Sexpr::Str(s) => SlotTest::Const(Value::str(s)),
             Sexpr::List(cmp) => {
                 // (op literal)
                 let op = cmp
@@ -352,7 +352,7 @@ fn parse_term(e: &Sexpr) -> Result<Term, ClipsError> {
     match e {
         Sexpr::Atom(a) if a.starts_with('?') => Ok(Term::Var(a[1..].to_string())),
         Sexpr::Atom(a) => Ok(Term::Const(atom_value(a))),
-        Sexpr::Str(s) => Ok(Term::Const(Value::Str(s.clone()))),
+        Sexpr::Str(s) => Ok(Term::Const(Value::str(s))),
         Sexpr::List(_) => Err(ClipsError("nested lists are not valid terms".into())),
     }
 }
@@ -364,7 +364,7 @@ fn sexpr_value(e: &Sexpr) -> Result<Value, ClipsError> {
             &a[1..]
         ))),
         Sexpr::Atom(a) => Ok(atom_value(a)),
-        Sexpr::Str(s) => Ok(Value::Str(s.clone())),
+        Sexpr::Str(s) => Ok(Value::str(s)),
         Sexpr::List(_) => Err(ClipsError("lists are not values".into())),
     }
 }
@@ -380,7 +380,7 @@ fn atom_value(a: &str) -> Value {
     match a {
         "true" => Value::Bool(true),
         "false" => Value::Bool(false),
-        _ => Value::Sym(a.to_string()),
+        _ => Value::sym(a),
     }
 }
 

@@ -29,7 +29,7 @@ use crate::fact::{Fact, FactId, FactStore, Slot, Template, TemplateId};
 use crate::hash::FxMap;
 use crate::idvec::{IdVec, InlineVec};
 use crate::pattern::{CTerm, Row};
-use crate::rule::{CAction, CCe, CompiledRule, Invocation, Rule};
+use crate::rule::{CAction, CCe, CompiledRule, Invocation, Invocations, Rule};
 use crate::value::Value;
 
 /// Default bound on the diagnostic firing trace (ring buffer): a
@@ -342,7 +342,6 @@ enum Effect {
     Assert(Fact),
     Retract(FactId),
     Modify(FactId, Vec<(Slot, Value)>),
-    Call(Invocation),
 }
 
 /// The inference engine: rule base + fact repository + persistent agenda.
@@ -377,7 +376,7 @@ pub struct Engine {
     /// skips the refraction sweep entirely.
     fired_per_rule: Vec<u64>,
     /// Commands emitted by fired rules, awaiting the embedding component.
-    outbox: Vec<Invocation>,
+    outbox: Invocations,
     /// Bounded diagnostic trace of fired rule names (plus warnings).
     trace: TraceBuffer,
     /// Run the naive full-rematch oracle instead of the incremental
@@ -481,6 +480,14 @@ impl Engine {
         id
     }
 
+    /// A fact of `template` to fill and assert, built on the row of one
+    /// the engine retracted, when it kept one: a component that asserts
+    /// a fact per event this way, and whose rules or stale-fact sweeps
+    /// retract it again, allocates no row for it.
+    pub fn fact(&mut self, template: Template) -> Fact {
+        self.facts.fact(template)
+    }
+
     /// Retract a fact: its activations leave the agenda, refraction
     /// entries that reference it are dropped (fact ids are never reused,
     /// so they could never match again), and rules with negated patterns
@@ -515,9 +522,16 @@ impl Engine {
         let ids: Vec<FactId> = self.facts.by_template(template).map(|(id, _)| id).collect();
         let n = ids.len();
         for id in ids {
-            self.retract(id);
+            self.retract_recycling(id);
         }
         n
+    }
+
+    /// [`Engine::retract`], keeping the fact's row for [`Engine::fact`].
+    fn retract_recycling(&mut self, id: FactId) {
+        if let Some(fact) = self.retract(id) {
+            self.facts.recycle(fact);
+        }
     }
 
     /// Retract all facts of `template` whose `slot` equals `value`
@@ -543,7 +557,7 @@ impl Engine {
             }
         }
         for &id in ids.as_slice() {
-            self.retract(id);
+            self.retract_recycling(id);
         }
         ids.as_slice().len()
     }
@@ -574,9 +588,21 @@ impl Engine {
         &self.facts
     }
 
-    /// Drain the commands emitted by fired rules since the last drain.
+    /// Drain the commands emitted by fired rules since the last drain,
+    /// as owned values.
     pub fn take_invocations(&mut self) -> Vec<Invocation> {
-        std::mem::take(&mut self.outbox)
+        let owned = self.outbox.iter().map(|i| i.to_owned()).collect();
+        self.outbox.clear();
+        owned
+    }
+
+    /// Drain the commands emitted by fired rules since the last drain
+    /// into `into`, replacing what it held. The two buffers swap, so a
+    /// component that keeps one and drains into it after every run
+    /// allocates nothing once both have grown.
+    pub fn drain_invocations(&mut self, into: &mut Invocations) {
+        into.clear();
+        std::mem::swap(&mut self.outbox, into);
     }
 
     /// The retained diagnostic trace (most recent
@@ -977,13 +1003,11 @@ impl Engine {
                         effects.push(Effect::Modify(id, slots));
                     }
                 }
-                CAction::Call { command, args } => effects.push(Effect::Call(Invocation {
-                    command: command.clone(),
-                    args: args
-                        .iter()
-                        .filter_map(|t| t.resolve(row).cloned())
-                        .collect(),
-                })),
+                // A call changes no fact, so it leaves for the outbox
+                // now, in action order with the rest of the firing's.
+                CAction::Call { command, args } => self
+                    .outbox
+                    .push(command, args.iter().filter_map(|t| t.resolve(row).cloned())),
             }
         }
         for effect in effects.drain(..) {
@@ -991,9 +1015,7 @@ impl Engine {
                 Effect::Assert(fact) => {
                     self.assert_fact(fact);
                 }
-                Effect::Retract(id) => {
-                    self.retract(id);
-                }
+                Effect::Retract(id) => self.retract_recycling(id),
                 Effect::Modify(id, slots) => {
                     if let Some(mut fact) = self.retract(id) {
                         for (slot, v) in slots {
@@ -1002,7 +1024,6 @@ impl Engine {
                         self.assert_fact(fact);
                     }
                 }
-                Effect::Call(inv) => self.outbox.push(inv),
             }
         }
         self.effects_buf = effects;
@@ -1091,7 +1112,7 @@ fn join(
 mod tests {
     use super::*;
     use crate::pattern::{Pattern, Term, Test};
-    use crate::value::CmpOp;
+    use crate::value::{CmpOp, Text};
 
     /// The paper's canonical host-manager rule pair (Section 5.3): a large
     /// communication buffer implies a local CPU problem; a small one
@@ -1198,7 +1219,7 @@ mod tests {
         );
         e.assert_fact(Fact::new("go"));
         e.run(100);
-        let order: Vec<String> = e
+        let order: Vec<Text> = e
             .take_invocations()
             .into_iter()
             .map(|i| i.command)

@@ -362,6 +362,11 @@ fn slots_fingerprint(row: &[Option<Value>]) -> u64 {
     h.finish()
 }
 
+/// Retracted rows a store keeps per template for [`FactStore::fact`]:
+/// enough for a manager's few facts per event, few enough that a bulk
+/// retraction leaves little behind.
+const SPARE_ROWS: usize = 8;
+
 /// One maintained equality-join index: the slot it covers and, per loose
 /// value key, the sorted live ids whose slot carries that value.
 type EqIndex = (Slot, FxMap<u64, IdVec>);
@@ -389,6 +394,9 @@ pub struct FactStore {
     /// ([`SlotIndex`] is the position in the inner list; registrations
     /// are never dropped). Indexed by `TemplateId`.
     eq_join: Vec<Vec<EqIndex>>,
+    /// Emptied rows of recycled facts, at most [`SPARE_ROWS`] per
+    /// template. Indexed by `TemplateId`.
+    spare: Vec<Vec<Vec<Option<Value>>>>,
 }
 
 impl FactStore {
@@ -409,7 +417,33 @@ impl FactStore {
         self.alpha.push(Vec::new());
         self.dup.push(FxMap::default());
         self.eq_join.push(Vec::new());
+        self.spare.push(Vec::new());
         tid
+    }
+
+    /// A fact of `template` to fill in, on the row of a recycled one of
+    /// the same template when the store has one (see
+    /// [`FactStore::recycle`]).
+    pub(crate) fn fact(&mut self, template: Template) -> Fact {
+        let row = self
+            .id_of(template)
+            .and_then(|tid| self.spare[tid.0 as usize].pop())
+            .unwrap_or_default();
+        Fact { template, row }
+    }
+
+    /// Keep a retracted fact's row, emptied, for the next
+    /// [`FactStore::fact`] of its template.
+    pub(crate) fn recycle(&mut self, fact: Fact) {
+        let Some(tid) = self.id_of(fact.template) else {
+            return;
+        };
+        let spare = &mut self.spare[tid.0 as usize];
+        if spare.len() < SPARE_ROWS {
+            let mut row = fact.row;
+            row.clear();
+            spare.push(row);
+        }
     }
 
     /// This store's symbol for a template, if it has seen it.

@@ -58,8 +58,8 @@ pub mod prelude {
     pub use crate::engine::{ConflictSet, Engine, PhaseProfile, RunStats, DEFAULT_TRACE_CAPACITY};
     pub use crate::fact::{Fact, FactId, FactStore, Slot, Template, TemplateId};
     pub use crate::pattern::{Bindings, Pattern, SlotTest, Term, Test};
-    pub use crate::rule::{Action, Ce, Invocation, Rule};
-    pub use crate::value::{CmpOp, Value};
+    pub use crate::rule::{Action, Ce, Invocation, InvocationRef, Invocations, Rule};
+    pub use crate::value::{CmpOp, Text, Value};
 }
 
 pub use prelude::*;

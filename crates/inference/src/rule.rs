@@ -9,7 +9,7 @@ use crate::fact::{FactId, FactStore, Slot, Template, TemplateId};
 use crate::pattern::{
     Bindings, CPattern, CSlotTest, CTerm, CTest, Pattern, SlotTest, Term, Test, VarRef,
 };
-use crate::value::{CmpOp, Value};
+use crate::value::{CmpOp, Text, Value};
 
 /// A condition element on a rule's left-hand side, in CLIPS order.
 #[derive(Clone, Debug, PartialEq)]
@@ -218,7 +218,8 @@ pub(crate) enum CAction {
         slots: Vec<(Slot, CTerm)>,
     },
     Call {
-        command: String,
+        /// Shared with every invocation the rule emits.
+        command: Text,
         args: Vec<CTerm>,
     },
 }
@@ -377,7 +378,7 @@ impl CompiledRule {
                         .map_or_else(Vec::new, |&template| terms(template, slots)),
                 },
                 Action::Call { command, args } => CAction::Call {
-                    command: command.clone(),
+                    command: command.as_str().into(),
                     args: args.iter().map(|t| compile_term(t, &scope)).collect(),
                 },
             })
@@ -414,10 +415,71 @@ impl CompiledRule {
 /// component.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Invocation {
-    /// Command name.
-    pub command: String,
+    /// Command name, shared with the rule that emitted it.
+    pub command: Text,
     /// Resolved arguments.
     pub args: Vec<Value>,
+}
+
+/// Commands emitted by fired rules, awaiting the embedding component,
+/// kept flat: each command's shared name and the end of its arguments
+/// in one argument buffer. The engine fills one; a component drains it
+/// into one of its own with [`crate::engine::Engine::drain_invocations`],
+/// which swaps the two, so once both have grown a steady stream of
+/// firings allocates nothing here.
+#[derive(Debug, Default)]
+pub struct Invocations {
+    /// Command and the end of its arguments in `args`, in firing order.
+    calls: Vec<(Text, usize)>,
+    args: Vec<Value>,
+}
+
+/// One command of [`Invocations`], borrowed.
+#[derive(Clone, Copy, Debug)]
+pub struct InvocationRef<'a> {
+    /// Command name.
+    pub command: &'a Text,
+    /// Resolved arguments.
+    pub args: &'a [Value],
+}
+
+impl InvocationRef<'_> {
+    /// The owned [`Invocation`].
+    pub fn to_owned(&self) -> Invocation {
+        Invocation {
+            command: self.command.clone(),
+            args: self.args.to_vec(),
+        }
+    }
+}
+
+impl Invocations {
+    /// Append one command and its arguments.
+    pub(crate) fn push(&mut self, command: &Text, args: impl IntoIterator<Item = Value>) {
+        self.args.extend(args);
+        self.calls.push((command.clone(), self.args.len()));
+    }
+
+    /// Number of commands.
+    pub fn len(&self) -> usize {
+        self.calls.len()
+    }
+
+    /// The commands, in firing order.
+    pub fn iter(&self) -> impl Iterator<Item = InvocationRef<'_>> {
+        let mut start = 0;
+        self.calls.iter().map(move |(command, end)| {
+            let args = &self.args[start..*end];
+            start = *end;
+            InvocationRef { command, args }
+        })
+    }
+
+    /// Drop every command, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.calls.clear();
+        self.args.clear();
+    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,82 @@
 //! Slot values for facts.
 
 use core::fmt;
+use std::borrow::Borrow;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// Shared, immutable text: what a symbol, a string value and a fired
+/// command's name hold. Cloning one — into a fact, a binding, an
+/// invocation's arguments — bumps a count instead of copying, so a value
+/// a component builds once (a process's name, a command from the rule
+/// text) travels the assert → match → fire path without allocating.
+/// Compares, hashes and prints as the `str` it holds.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Text(Arc<str>);
+
+impl Text {
+    /// The text as a `str`.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Text {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Self {
+        Text(s.into())
+    }
+}
+
+impl From<&String> for Text {
+    fn from(s: &String) -> Self {
+        Text(s.as_str().into())
+    }
+}
+
+impl From<String> for Text {
+    fn from(s: String) -> Self {
+        Text(s.into())
+    }
+}
+
+impl PartialEq<&str> for Text {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
 
 /// A value stored in a fact slot or used in a rule constraint.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// An unquoted symbol, e.g. `remote-fault`.
-    Sym(String),
+    Sym(Text),
     /// A quoted string.
-    Str(String),
+    Str(Text),
     /// A 64-bit integer.
     Int(i64),
     /// A double-precision float.
@@ -19,12 +87,12 @@ pub enum Value {
 
 impl Value {
     /// Symbol constructor.
-    pub fn sym(s: impl Into<String>) -> Self {
+    pub fn sym(s: impl Into<Text>) -> Self {
         Value::Sym(s.into())
     }
 
     /// String constructor.
-    pub fn str(s: impl Into<String>) -> Self {
+    pub fn str(s: impl Into<Text>) -> Self {
         Value::Str(s.into())
     }
 
@@ -81,7 +149,7 @@ impl From<bool> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Sym(v.to_string())
+        Value::Sym(v.into())
     }
 }
 

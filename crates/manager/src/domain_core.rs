@@ -193,6 +193,9 @@ impl<T> Ledger<T> {
 /// The domain manager's state and decisions.
 pub struct DomainCore {
     pub(crate) engine: Engine,
+    /// The commands of the last run, drained from the engine; kept so
+    /// its capacity is.
+    calls: Invocations,
     /// Host-manager endpoints per host in this domain.
     host_managers: HashMap<HostId, Endpoint>,
     /// Alternate routes installed when a path is diagnosed congested:
@@ -231,6 +234,7 @@ impl DomainCore {
         }
         DomainCore {
             engine,
+            calls: Invocations::default(),
             host_managers,
             backup_routes: HashMap::new(),
             federation: None,
@@ -444,15 +448,18 @@ impl DomainCore {
             self.telemetry
                 .stage(us, alert.corr, Stage::Diagnose, component, client, &fields);
         }
-        for inv in self.engine.take_invocations() {
-            self.dispatch(at, &inv, alert.corr, out);
+        let mut calls = std::mem::take(&mut self.calls);
+        self.engine.drain_invocations(&mut calls);
+        for inv in calls.iter() {
+            self.dispatch(at, inv, alert.corr, out);
         }
+        self.calls = calls;
     }
 
     /// Carry out one decision: log it, trace it, emit its effect. A
     /// decision that acts on nothing is counted in
     /// [`DomainStats::unactionable`].
-    fn dispatch(&mut self, at: At, inv: &Invocation, corr: u64, out: &mut Vec<Effect>) {
+    fn dispatch(&mut self, at: At, inv: InvocationRef<'_>, corr: u64, out: &mut Vec<Effect>) {
         let server = || {
             let pid = inv.args.first().and_then(value_pid)?;
             Some((pid, *self.host_managers.get(&pid.host)?))

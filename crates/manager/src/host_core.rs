@@ -222,7 +222,19 @@ struct Diagnosis {
     cpu: CpuStrategy,
     /// Nothing iterates it, so the hasher cannot reorder any output.
     pids: FxMap<Pid, PidState>,
+    /// The `attr` symbols of the reports seen so far, at most
+    /// [`MAX_ATTRS`]: a report's primary attribute is one of a handful,
+    /// so its symbol is built once, not per violation.
+    attrs: Vec<Text>,
+    /// The commands of the last run, drained from the engine; kept so
+    /// its capacity is.
+    calls: Invocations,
 }
+
+/// Distinct `attr` symbols [`Diagnosis`] keeps, so reports from a peer
+/// that names a new attribute each time cannot grow it without bound;
+/// reports naming others build theirs afresh.
+const MAX_ATTRS: usize = 16;
 
 /// Series [`HostCore::mirror_stats`] mirrors [`HostMgrStats`] into.
 const MIRRORED_SERIES: usize = 17;
@@ -313,6 +325,8 @@ impl HostCore {
                 read: [false; 3],
                 cpu: CpuStrategy::default(),
                 pids: FxMap::default(),
+                attrs: Vec::new(),
+                calls: Invocations::default(),
             },
             domain,
             disc: None,
@@ -734,9 +748,12 @@ impl HostCore {
             host,
             corr: v.corr,
         };
-        for inv in self.diagnosis.engine.take_invocations() {
-            self.dispatch(trip, &inv, &v, out);
+        let mut calls = std::mem::take(&mut self.diagnosis.calls);
+        self.diagnosis.engine.drain_invocations(&mut calls);
+        for inv in calls.iter() {
+            self.dispatch(trip, inv, &v, out);
         }
+        self.diagnosis.calls = calls;
     }
 
     /// Mirror [`HostMgrStats`] into the registry as `hm.*` counters
@@ -829,7 +846,7 @@ impl HostCore {
     fn dispatch(
         &mut self,
         trip: Trip,
-        inv: &Invocation,
+        inv: InvocationRef<'_>,
         v: &ViolationMsgRef<'_>,
         out: &mut Vec<Effect>,
     ) {
@@ -958,6 +975,18 @@ impl HostCore {
     }
 }
 
+/// `attr` as a symbol from `attrs`, kept there if there is room.
+fn intern(attrs: &mut Vec<Text>, attr: &str) -> Text {
+    if let Some(t) = attrs.iter().find(|t| **t == attr) {
+        return t.clone();
+    }
+    let t = Text::from(attr);
+    if attrs.len() < MAX_ATTRS {
+        attrs.push(t.clone());
+    }
+    t
+}
+
 /// Fingerprint a violation for duplicate detection: pid, corr, policy
 /// and the full reading vector (bit-exact floats). Only ever compared
 /// with the same pid's previous report, so a fast hasher will do:
@@ -1032,6 +1061,7 @@ impl Diagnosis {
         let [violation_read, alloc_read, deficit_read] = self.read;
         if violation_read {
             let (attr, fps) = v.readings.iter().next().unwrap_or(("unknown", 0.0));
+            let attr = intern(&mut self.attrs, attr);
             let (lo, hi) = v
                 .bounds
                 .map_or((0.0, f64::INFINITY), |(_, lo, hi)| (lo, hi));
@@ -1040,32 +1070,35 @@ impl Diagnosis {
                 .iter()
                 .find(|&(a, _)| a == "buffer_size")
                 .map_or(0.0, |(_, val)| val);
-            self.engine.assert_fact(
-                Fact::of(vocab.violation.template)
-                    .with_slot(vocab.violation.pid, pid_s.clone())
-                    .with_slot(vocab.attr, Value::sym(attr))
-                    .with_slot(vocab.fps, fps)
-                    .with_slot(vocab.lo, lo)
-                    .with_slot(vocab.hi, hi)
-                    .with_slot(vocab.buffer, buffer)
-                    .with_slot(vocab.weight, reg.map_or(1.0, |r| r.weight))
-                    .with_slot(vocab.has_upstream, v.upstream.is_some()),
-            );
+            let violation = self
+                .engine
+                .fact(vocab.violation.template)
+                .with_slot(vocab.violation.pid, pid_s.clone())
+                .with_slot(vocab.attr, Value::Sym(attr))
+                .with_slot(vocab.fps, fps)
+                .with_slot(vocab.lo, lo)
+                .with_slot(vocab.hi, hi)
+                .with_slot(vocab.buffer, buffer)
+                .with_slot(vocab.weight, reg.map_or(1.0, |r| r.weight))
+                .with_slot(vocab.has_upstream, v.upstream.is_some());
+            self.engine.assert_fact(violation);
         }
         // Current CPU allocation, for overload rules.
         if alloc_read {
-            self.engine.assert_fact(
-                Fact::of(vocab.alloc.template)
-                    .with_slot(vocab.alloc.pid, pid_s.clone())
-                    .with_slot(vocab.boost, state.map_or(0, |s| s.cpu.boost) as i64),
-            );
+            let alloc = self
+                .engine
+                .fact(vocab.alloc.template)
+                .with_slot(vocab.alloc.pid, pid_s.clone())
+                .with_slot(vocab.boost, state.map_or(0, |s| s.cpu.boost) as i64);
+            self.engine.assert_fact(alloc);
         }
         if deficit_read && mem_deficit > 0 {
-            self.engine.assert_fact(
-                Fact::of(vocab.mem_deficit.template)
-                    .with_slot(vocab.mem_deficit.pid, pid_s.clone())
-                    .with_slot(vocab.pages, mem_deficit as i64),
-            );
+            let deficit = self
+                .engine
+                .fact(vocab.mem_deficit.template)
+                .with_slot(vocab.mem_deficit.pid, pid_s.clone())
+                .with_slot(vocab.pages, mem_deficit as i64);
+            self.engine.assert_fact(deficit);
         }
         self.engine.run(200)
     }

@@ -821,7 +821,12 @@ struct ManagerCore {
     skipped_c: Counter,
     engine: Engine,
     vocab: HostVocabulary,
-    registered: HashSet<String>,
+    /// The commands of the last run, drained from the engine; kept so
+    /// its capacity is.
+    calls: Invocations,
+    /// Names of the processes registered so far, each built once: a
+    /// registered process's violation facts share its name.
+    registered: HashSet<Text>,
     subs: Vec<Subscriber>,
     /// Does any subscriber want events? Kept by [`ManagerCore::subs_changed`],
     /// so `emit` does not walk `subs` four times per violation.
@@ -871,6 +876,7 @@ impl ManagerCore {
             skipped_c,
             engine,
             vocab: HostVocabulary::new(),
+            calls: Invocations::default(),
             registered: HashSet::new(),
             subs: Vec::new(),
             events_wanted: false,
@@ -1035,17 +1041,22 @@ impl ManagerCore {
         let buffer = readings()
             .find(|&(a, _)| a == "buffer_size")
             .map_or(0.0, |(_, v)| v);
+        let pid = match self.registered.get(process) {
+            Some(name) => Value::Str(name.clone()),
+            None => Value::str(process),
+        };
         let f = &self.vocab;
-        self.engine.assert_fact(
-            Fact::of(f.violation.template)
-                .with_slot(f.violation.pid, Value::str(process))
-                .with_slot(f.fps, fps)
-                .with_slot(f.lo, 23.0)
-                .with_slot(f.hi, 27.0)
-                .with_slot(f.buffer, buffer)
-                .with_slot(f.weight, 1.0)
-                .with_slot(f.has_upstream, false),
-        );
+        let violation = self
+            .engine
+            .fact(f.violation.template)
+            .with_slot(f.violation.pid, pid)
+            .with_slot(f.fps, fps)
+            .with_slot(f.lo, 23.0)
+            .with_slot(f.hi, 27.0)
+            .with_slot(f.buffer, buffer)
+            .with_slot(f.weight, 1.0)
+            .with_slot(f.has_upstream, false);
+        self.engine.assert_fact(violation);
         let run = self.engine.run(100);
         self.stats
             .rules_fired
@@ -1058,7 +1069,9 @@ impl ManagerCore {
             name: policy.into(),
             fields: [(FIRED, run.fired as f64)].into_iter().collect(),
         });
-        for inv in self.engine.take_invocations() {
+        let mut calls = std::mem::take(&mut self.calls);
+        self.engine.drain_invocations(&mut calls);
+        for inv in calls.iter() {
             let step: i64 = match inv.command.as_str() {
                 "adjust-cpu" => 10,
                 "relax-cpu" => -5,
@@ -1072,10 +1085,11 @@ impl ManagerCore {
                 corr,
                 stage: Stage::Adapt,
                 component: HOST_MANAGER,
-                name: inv.command.into(),
+                name: inv.command.as_str().into(),
                 fields: [(STEP, step as f64)].into_iter().collect(),
             });
         }
+        self.calls = calls;
     }
 
     fn handle_msg(&mut self, msg: WireMsg, reply: Option<ReplySink>) {
@@ -1083,7 +1097,7 @@ impl ManagerCore {
             // At-least-once registration (retries, reconnect greetings):
             // only the first sighting of a process id counts.
             WireMsg::LiveRegister(LiveRegisterMsg { process })
-                if self.registered.insert(process.clone()) =>
+                if self.registered.insert(Text::from(&process)) =>
             {
                 self.stats.registrations.fetch_add(1, Ordering::Relaxed);
                 self.telemetry.counter("live.registered", &process).inc();

@@ -433,13 +433,13 @@ mod tests {
                 .with("pages", 40),
         );
         e.run(100);
-        let cmds: Vec<String> = e
+        let cmds: Vec<Text> = e
             .take_invocations()
             .into_iter()
             .map(|i| i.command)
             .collect();
-        assert!(cmds.contains(&"adjust-cpu".to_string()));
-        assert!(cmds.contains(&"adjust-memory".to_string()));
+        assert!(cmds.contains(&"adjust-cpu".into()));
+        assert!(cmds.contains(&"adjust-memory".into()));
     }
 
     fn alert(corr: i64) -> Fact {

@@ -44,9 +44,14 @@ pub use qos_net::{Backoff, FlushPolicy, ReconnectPolicy, SockAddr, SockListener,
 /// Send a management-plane message through the simulated network: encode
 /// it, charge the network its real encoded length, send the frame.
 pub fn send_ctrl(ctx: &mut Ctx<'_>, dst: Endpoint, src_port: Port, msg: WireMsg) {
-    let b = WireBytes::encode(&msg);
-    let n = b.len_bytes();
-    ctx.send(dst, src_port, n, b);
+    send_frame(ctx, dst, src_port, WireBytes::encode(&msg));
+}
+
+/// Send an encoded frame through the simulated network, charging it the
+/// frame's length.
+pub fn send_frame(ctx: &mut Ctx<'_>, dst: Endpoint, src_port: Port, frame: WireBytes) {
+    let n = frame.len_bytes();
+    ctx.send(dst, src_port, n, frame);
 }
 
 /// Interpret a simulated message as a management-plane message: it is

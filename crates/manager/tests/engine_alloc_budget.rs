@@ -1,7 +1,7 @@
 //! Counts of the violation path, pinned exactly (ROADMAP 7a).
 //!
 //! Per violation the live manager runs the engine loop — build the
-//! `violation` fact, `assert_fact`, `run(100)`, `take_invocations` — and
+//! `violation` fact, `assert_fact`, `run(100)`, `drain_invocations` — and
 //! the simulated one runs [`HostCore::step`], inside a round of the
 //! simulated plane that also reports, encodes, carries and decodes the
 //! violation and emits its stage events. On a saturated manager thread
@@ -13,16 +13,14 @@
 //! field made one stage event cost more than the match). Wall time
 //! cannot gate that on a shared runner; these counts repeat exactly, so
 //! the tables below are compared with `==`. A change that moves a number
-//! edits it here and says why. (Last moved by allocation-free stage
-//! events, the borrowed `Violation` view and the one-allocation frame:
-//! a simulated round 37.04 → 18.97 allocations and 5.21 → 0.005
-//! reallocations per violation at this file's size, 35.10 → 17.10 and
-//! 5.93 → 0.05 at the benchmark's; the engine loop and `HostCore::step`
-//! did not move. The hashed conflict set moved none of the three: its
-//! slab, heap and by-fact index keep their capacity between violations,
-//! as the ordered sets it replaced kept an empty root leaf, and a
-//! consumed activation's refraction entry, now never filed, was never
-//! an allocation.)
+//! edits it here and says why. (Last moved by shared string values,
+//! the engine's kept invocation buffer and recycled fact rows, the
+//! reporter's frame encoded from borrowed fields and the simulator's
+//! kept syscall list: the engine loop 6 → 0 and `HostCore::step` 7 → 0
+//! allocations per violation, and a simulated round 18.97 → 3.94 at
+//! this file's size, 17.10 → 2.11 at the benchmark's. Before that,
+//! allocation-free stage events, the borrowed `Violation` view and the
+//! one-allocation frame took a simulated round from 37.04 to 18.97.)
 //!
 //! The same loops must also hold no memory behind: one permanent fact
 //! (the threshold) plus any number of violations passing through is a
@@ -78,22 +76,34 @@ fn readings(i: u64) -> (f64, f64) {
     }
 }
 
-/// One violation through the engine, as `ManagerCore::handle_msg` does
-/// it (by name, as the benchmark's replay builds it).
-fn violation(engine: &mut Engine, i: u64) -> (RunStats, usize) {
+/// What the live manager keeps between violations: the process's name,
+/// built once at registration, and the buffer it drains the engine's
+/// commands into.
+struct Kept {
+    violation: Template,
+    pid: Value,
+    calls: Invocations,
+}
+
+/// One violation through the engine, as `ManagerCore::handle_violation`
+/// does it: the fact on a row the engine recycled, the registered name
+/// shared into it, the commands drained into the kept buffer (slots by
+/// name, as the benchmark's replay builds it).
+fn violation(engine: &mut Engine, kept: &mut Kept, i: u64) -> (RunStats, usize) {
     let (fps, buffer) = readings(i);
-    engine.assert_fact(
-        Fact::new("violation")
-            .with("pid", Value::str("h0:p7"))
-            .with("fps", fps)
-            .with("lo", 23.0)
-            .with("hi", 27.0)
-            .with("buffer", buffer)
-            .with("weight", 1.0)
-            .with("has-upstream", false),
-    );
+    let fact = engine
+        .fact(kept.violation)
+        .with("pid", kept.pid.clone())
+        .with("fps", fps)
+        .with("lo", 23.0)
+        .with("hi", 27.0)
+        .with("buffer", buffer)
+        .with("weight", 1.0)
+        .with("has-upstream", false);
+    engine.assert_fact(fact);
     let run = engine.run(100);
-    (run, engine.take_invocations().len())
+    engine.drain_invocations(&mut kept.calls);
+    (run, kept.calls.len())
 }
 
 /// A machine with memory to spare.
@@ -162,8 +172,13 @@ fn engine_loop() -> Counts {
     for fact in parse_program(&host_base_facts()).unwrap().facts {
         engine.assert_fact(fact);
     }
+    let mut kept = Kept {
+        violation: Template::named("violation"),
+        pid: Value::str("h0:p7"),
+        calls: Invocations::default(),
+    };
     for i in 0..WARMUP {
-        violation(&mut engine, i);
+        violation(&mut engine, &mut kept, i);
     }
     // The retained trace is a bounded ring; drain it so the window below
     // starts and ends with it in the same state.
@@ -173,7 +188,7 @@ fn engine_loop() -> Counts {
     let bytes_before = live_bytes();
     let (mut fired, mut join_work) = (0, 0);
     for i in 0..MEASURED {
-        let (run, invocations) = violation(&mut engine, WARMUP + i);
+        let (run, invocations) = violation(&mut engine, &mut kept, WARMUP + i);
         fired += run.fired;
         join_work += run.activations;
         assert_eq!(invocations, 1);
@@ -563,11 +578,13 @@ fn violation_path_stays_within_its_allocation_budget_and_leaks_nothing() {
         (
             "engine loop",
             engine_loop(),
-            // The fact's row and its pid string (2), the invocation's
-            // command, argument vector and pid (3), the drained outbox
-            // (1). No name is allocated, hashed or compared.
+            // Nothing: the fact's row is the one the rule's retract gave
+            // back, the pid is the registered name shared, the command
+            // is the rule's name shared, and the arguments and the
+            // drained commands land in buffers both sides keep. No name
+            // is allocated, hashed or compared.
             Counts {
-                allocs: 6,
+                allocs: 0,
                 join_work: 7,
                 fired: 1,
                 live_facts: 1,
@@ -577,12 +594,13 @@ fn violation_path_stays_within_its_allocation_budget_and_leaks_nothing() {
         (
             "HostCore::step",
             host_core_loop(),
-            // The engine loop's six and the `attr` symbol. The process
-            // sits at its boost cap, so no command lands; no fact is
-            // asserted for a template no loaded rule reads (`alloc`), and
-            // no label is formatted or counter looked up.
+            // Nothing, as the engine loop, and the `attr` symbol is the
+            // one kept from the first report. The process sits at its
+            // boost cap, so no command lands; no fact is asserted for a
+            // template no loaded rule reads (`alloc`), and no label is
+            // formatted or counter looked up.
             Counts {
-                allocs: 7,
+                allocs: 0,
                 join_work: 7,
                 fired: 1,
                 live_facts: 1,
@@ -673,23 +691,25 @@ fn violation_path_stays_within_its_allocation_budget_and_leaks_nothing() {
         per(got.events),
         got.violations
     );
-    // Per violation: the reporter's owned `ViolationMsg` (6: two names,
-    // the readings list and its two names, the bounds name), its frame's
-    // one allocation, the box the simulator carries it in and the
-    // simulator's own bookkeeping (≈ 2), and `HostCore::step` (7, above).
-    // The Detect and Diagnose events, the pid string and the manager's
-    // decode allocate nothing, and no buffer grows (the 16 reallocations
-    // are the simulator's queues settling). 17.10 / 0.05 / 6.03 per
-    // violation at the benchmark's 100 hosts × 100 reporters (EXPERIMENTS
-    // E22; 35.10 / 5.93 / 6.03 before); here discovery leases and
-    // liveness sweeps are shared by 16 reporters only, hence 18.97 (37.04
-    // / 5.21 / 6.49 before).
+    // Per violation: the reporter's frame (1) and the box the simulator
+    // carries it in (1), and ≈ 1.9 of discovery leases, liveness sweeps
+    // and the simulator's own bookkeeping, shared by 16 reporters here.
+    // The reporter encodes from borrowed fields, each callback's syscall
+    // list is the world's kept buffer, and `HostCore::step` allocates
+    // nothing (above). The Detect and Diagnose events, the pid string
+    // and the manager's decode allocate nothing. The reallocations are
+    // the event queue's: an instant's FIFO that grew past the 16 events
+    // it keeps (the round's timers share one) is freed, and the next
+    // such instant grows its own. At the benchmark's 100 hosts × 100
+    // reporters: 2.11 / 0.10 / 6.03 per violation (EXPERIMENTS E26;
+    // 17.10 / 0.05 before, 35.10 / 5.93 before E22); here 3.94 / 0.080
+    // (18.97 / 0.005 before).
     assert_eq!(
         got,
         SimRounds {
             violations: SIM_ROUNDS * 16,
-            allocs: 60_699,
-            reallocs: 16,
+            allocs: 12_593,
+            reallocs: 256,
             events: 20_759,
         }
     );

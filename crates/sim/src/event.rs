@@ -1,13 +1,15 @@
 //! The global event queue and message types.
 //!
-//! A single binary heap orders all pending events by `(time, sequence)`.
-//! The monotonically increasing sequence number makes ordering of
-//! simultaneous events deterministic (FIFO in scheduling order), which is
-//! what makes whole-system runs reproducible from a seed.
+//! Pending events wait in one FIFO per timestamp, the timestamps kept in
+//! order: the earliest instant's oldest event pops first. Simultaneous
+//! events therefore run in the order they were scheduled, which is what
+//! makes whole-system runs reproducible from a seed. It is a calendar
+//! queue (Brown, CACM 1988) whose buckets are exact instants — and
+//! instants are shared at scale: every reporter's round timer of a
+//! federation falls due at once.
 
 use std::any::Any;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::ids::{Endpoint, HostId, Pid};
@@ -136,62 +138,65 @@ pub(crate) enum Event {
     FaultKill { pid: Pid },
 }
 
-pub(crate) struct Queued {
-    pub time: SimTime,
-    pub seq: u64,
-    pub event: Event,
-}
+/// The largest FIFO, in events, an emptied instant hands on to a new
+/// one. Most instants hold a few events; one that held thousands (a
+/// federation round's timers) is freed instead, or passed from instant
+/// to instant it would leave every kept FIFO that large.
+const SPARE_CAPACITY: usize = 16;
 
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Queued {}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// Deterministic time-ordered event queue.
+/// Deterministic time-ordered event queue: one FIFO per pending
+/// timestamp. Within a timestamp, push order is pop order, so events pop
+/// in `(time, scheduling order)` without a sequence number to compare.
 pub(crate) struct EventQueue {
-    heap: BinaryHeap<Queued>,
-    next_seq: u64,
+    /// Pending events by instant, each instant's in push order. No FIFO
+    /// in the map is empty.
+    by_time: BTreeMap<SimTime, VecDeque<Event>>,
+    /// Emptied FIFOs of at most [`SPARE_CAPACITY`], kept for the next
+    /// new instant.
+    spare: Vec<VecDeque<Event>>,
+    /// Events queued, over every instant.
+    len: usize,
 }
 
 impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
+            by_time: BTreeMap::new(),
+            spare: Vec::new(),
+            len: 0,
         }
     }
 
     pub fn push(&mut self, time: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Queued { time, seq, event });
+        self.by_time
+            .entry(time)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+            .push_back(event);
+        self.len += 1;
     }
 
-    pub fn pop(&mut self) -> Option<Queued> {
-        self.heap.pop()
+    /// The oldest event due at `time`, if `time` is the earliest
+    /// pending instant.
+    pub fn pop_at(&mut self, time: SimTime) -> Option<Event> {
+        let mut front = self.by_time.first_entry().filter(|f| *f.key() == time)?;
+        let event = front.get_mut().pop_front()?;
+        if front.get().is_empty() {
+            let fifo = front.remove();
+            if fifo.capacity() <= SPARE_CAPACITY {
+                self.spare.push(fifo);
+            }
+        }
+        self.len -= 1;
+        Some(event)
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|q| q.time)
+        self.by_time.first_key_value().map(|(&time, _)| time)
     }
 
     /// Number of events currently queued.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 }
 
@@ -199,6 +204,12 @@ impl EventQueue {
 mod tests {
     use super::*;
     use crate::time::Dur;
+
+    /// The earliest instant's oldest event, with its instant.
+    fn pop(q: &mut EventQueue) -> Option<(SimTime, Event)> {
+        let time = q.peek_time()?;
+        q.pop_at(time).map(|e| (time, e))
+    }
 
     fn tick(host: u32) -> Event {
         Event::CpuTick {
@@ -214,8 +225,8 @@ mod tests {
         q.push(t0 + Dur::from_micros(30), tick(3));
         q.push(t0 + Dur::from_micros(10), tick(1));
         q.push(t0 + Dur::from_micros(20), tick(2));
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.event {
+        let order: Vec<u32> = std::iter::from_fn(|| pop(&mut q))
+            .map(|(_, e)| match e {
                 Event::CpuTick { host, .. } => host.0,
                 _ => unreachable!(),
             })
@@ -230,13 +241,83 @@ mod tests {
         for i in 0..10 {
             q.push(t, tick(i));
         }
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.event {
+        let order: Vec<u32> = std::iter::from_fn(|| pop(&mut q))
+            .map(|(_, e)| match e {
                 Event::CpuTick { host, .. } => host.0,
                 _ => unreachable!(),
             })
             .collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    /// The queue against the order it replaced, a binary heap of
+    /// `(time, sequence)`: seeded scripts of pushes and pops — pushes at
+    /// near and far instants, and at the instant being drained, as a
+    /// handler pushes mid-batch; pops at the instant being drained, and
+    /// at the next one once it is empty — must pop the same events in the
+    /// same order, with the same length after every step.
+    #[test]
+    fn pops_as_a_time_then_sequence_heap_does() {
+        use crate::ids::Pid;
+        use crate::rng::Rng;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let timer = |tag: u64| Event::Timer {
+            pid: Pid {
+                host: HostId(0),
+                local: 0,
+            },
+            tag,
+        };
+        let tag = |e: Event| match e {
+            Event::Timer { tag, .. } => tag,
+            _ => unreachable!(),
+        };
+        for seed in 0..200 {
+            let mut rng = Rng::new(seed);
+            // From mostly pushing (a deep queue) to mostly popping.
+            let pop_share = 0.2 + 0.6 * (seed % 4) as f64 / 3.0;
+            let mut q = EventQueue::new();
+            let mut heap = BinaryHeap::new();
+            let mut now = SimTime::ZERO;
+            let mut seq = 0u64;
+            for _ in 0..2_000 {
+                if rng.chance(pop_share) {
+                    // As the world drains: the instant being drained
+                    // until it has nothing left, then the next one.
+                    let got = match q.pop_at(now) {
+                        Some(e) => Some((now, tag(e))),
+                        None => pop(&mut q).map(|(t, e)| (t, tag(e))),
+                    };
+                    let want = heap.pop().map(|Reverse(pair)| pair);
+                    assert_eq!(got, want, "seed {seed}, after {seq} pushes");
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
+                } else {
+                    let at = match rng.below(4) {
+                        0 => now,
+                        1 | 2 => now + Dur::from_micros(rng.below(8)),
+                        _ => now + Dur::from_micros(rng.below(10_000)),
+                    };
+                    q.push(at, timer(seq));
+                    heap.push(Reverse((at, seq)));
+                    seq += 1;
+                }
+                assert_eq!(q.len(), heap.len(), "seed {seed}");
+                assert_eq!(
+                    q.peek_time(),
+                    heap.peek().map(|Reverse((t, _))| *t),
+                    "seed {seed}"
+                );
+            }
+            while let Some(Reverse(want)) = heap.pop() {
+                assert_eq!(pop(&mut q).map(|(t, e)| (t, tag(e))), Some(want));
+            }
+            assert!(pop(&mut q).is_none());
+            assert_eq!(q.len(), 0);
+        }
     }
 
     #[test]

@@ -1,9 +1,15 @@
 //! The simulation world: hosts + network + the global event loop.
 //!
-//! `World` owns everything and processes events in deterministic
-//! `(time, sequence)` order. All scheduling transitions (dispatch,
+//! `World` owns everything and processes events in deterministic order:
+//! by time, and simultaneous events in the order they were scheduled
+//! (see [`crate::event`]). All scheduling transitions (dispatch,
 //! preemption, quantum expiry, starvation boost) happen here, against the
 //! state stored in [`crate::host::Host`].
+//!
+//! A process callback runs against a [`Ctx`] that records its syscalls;
+//! the world carries them out once the callback returns. The syscall
+//! list is a buffer the world keeps and lends to each callback, so
+//! running a process allocates nothing of the world's own.
 
 use crate::event::{Event, EventQueue, Message, ProcEvent};
 use crate::fault::{FaultInjector, FaultPlan, FaultStats};
@@ -35,6 +41,9 @@ pub struct World {
     /// (it is one logical stretch of computation), instead of leaking a
     /// full quantum to a competitor through a zero-width gap.
     need_dispatch: Vec<u32>,
+    /// The syscall list lent to each process callback's [`Ctx`], empty
+    /// between callbacks.
+    syscalls: Vec<Syscall>,
     /// Optional bounded event trace filled by [`Ctx::log`]; `None` keeps
     /// logging free.
     trace: Option<Trace>,
@@ -111,6 +120,7 @@ impl World {
             rng,
             events_processed: 0,
             need_dispatch: Vec::new(),
+            syscalls: Vec::new(),
             trace: None,
             fault: None,
             probes: None,
@@ -308,10 +318,9 @@ impl World {
             loop {
                 // Drain every event at this timestamp (handlers may add
                 // more at the same instant).
-                while self.queue.peek_time() == Some(batch_time) {
-                    let q = self.queue.pop().expect("peeked event vanished");
+                while let Some(event) = self.queue.pop_at(batch_time) {
                     self.events_processed += 1;
-                    self.handle(q.event);
+                    self.handle(event);
                 }
                 // Dispatch pass; it can complete bursts at this instant,
                 // which queues more events — loop until quiescent.
@@ -733,7 +742,7 @@ impl World {
             pid,
             host,
             rng: &mut rng,
-            syscalls: Vec::new(),
+            syscalls: std::mem::take(&mut self.syscalls),
             blocking_issued: false,
             log_lines: Vec::new(),
             logging: self.trace.is_some(),
@@ -755,8 +764,10 @@ impl World {
         self.apply_syscalls(pid, syscalls);
     }
 
-    fn apply_syscalls(&mut self, pid: Pid, syscalls: Vec<Syscall>) {
-        for sc in syscalls {
+    /// Carry out one callback's syscalls, then keep the emptied list for
+    /// the next callback.
+    fn apply_syscalls(&mut self, pid: Pid, mut syscalls: Vec<Syscall>) {
+        for sc in syscalls.drain(..) {
             match sc {
                 Syscall::Run(d) => {
                     let hid = pid.host.0 as usize;
@@ -846,6 +857,7 @@ impl World {
                 Syscall::Kill(target) => self.kill_proc(target),
             }
         }
+        self.syscalls = syscalls;
     }
 
     fn do_priocntl(&mut self, target: Pid, cmd: PriocntlCmd) {

@@ -34,15 +34,16 @@
 use qos_sim::Pid;
 
 use crate::batch::BatchRef;
-use crate::codec::WireReader;
+use crate::codec::{Wire, WireReader, WireWriter};
 use crate::error::WireError;
 use crate::frame::{split_frame, HEADER_LEN};
 use crate::messages::{BatchMsg, LiveViolationMsg, Upstream, ViolationMsg, WireMsg, KIND_BATCH};
 
 /// A borrowed `(name, value)` readings list: the encoded span of a
-/// frame, validated at decode time and walked lazily, or the list of an
-/// owned message. Iterating allocates nothing; [`ReadingsRef::to_vec`]
-/// materializes the owned form.
+/// frame, validated at decode time and walked lazily, the list of an
+/// owned message, or a list of borrowed pairs (what a sender encodes
+/// from without building the owned message). Iterating allocates
+/// nothing; [`ReadingsRef::to_vec`] materializes the owned form.
 #[derive(Debug, Clone, Copy)]
 pub struct ReadingsRef<'a>(Readings<'a>);
 
@@ -54,6 +55,7 @@ enum Readings<'a> {
         items: &'a [u8],
     },
     Owned(&'a [(String, f64)]),
+    Pairs(&'a [(&'a str, f64)]),
 }
 
 impl<'a> ReadingsRef<'a> {
@@ -76,6 +78,7 @@ impl<'a> ReadingsRef<'a> {
         match self.0 {
             Readings::Encoded { count, .. } => count as usize,
             Readings::Owned(list) => list.len(),
+            Readings::Pairs(list) => list.len(),
         }
     }
 
@@ -92,7 +95,18 @@ impl<'a> ReadingsRef<'a> {
                 left: count,
             },
             Readings::Owned(list) => ReadingsWalk::Owned(list.iter()),
+            Readings::Pairs(list) => ReadingsWalk::Pairs(list.iter()),
         })
+    }
+
+    /// Encode as the owned list encodes: a `u32` count, then each name
+    /// and value.
+    pub(crate) fn encode(&self, w: &mut WireWriter) {
+        w.put_u32(self.len() as u32);
+        for (name, value) in self {
+            w.put_str(name);
+            w.put_f64(value);
+        }
     }
 
     /// Materialize the owned form.
@@ -104,6 +118,12 @@ impl<'a> ReadingsRef<'a> {
 impl<'a> From<&'a [(String, f64)]> for ReadingsRef<'a> {
     fn from(list: &'a [(String, f64)]) -> Self {
         ReadingsRef(Readings::Owned(list))
+    }
+}
+
+impl<'a> From<&'a [(&'a str, f64)]> for ReadingsRef<'a> {
+    fn from(list: &'a [(&'a str, f64)]) -> Self {
+        ReadingsRef(Readings::Pairs(list))
     }
 }
 
@@ -121,6 +141,7 @@ pub struct ReadingsIter<'a>(ReadingsWalk<'a>);
 enum ReadingsWalk<'a> {
     Encoded { cur: Cur<'a>, left: u32 },
     Owned(std::slice::Iter<'a, (String, f64)>),
+    Pairs(std::slice::Iter<'a, (&'a str, f64)>),
 }
 
 impl<'a> Iterator for ReadingsIter<'a> {
@@ -137,12 +158,14 @@ impl<'a> Iterator for ReadingsIter<'a> {
                 Some((s, v))
             }
             ReadingsWalk::Owned(it) => it.next().map(|(s, v)| (s.as_str(), *v)),
+            ReadingsWalk::Pairs(it) => it.next().copied(),
         }
     }
     fn size_hint(&self) -> (usize, Option<usize>) {
         let left = match &self.0 {
             ReadingsWalk::Encoded { left, .. } => *left as usize,
             ReadingsWalk::Owned(it) => it.len(),
+            ReadingsWalk::Pairs(it) => it.len(),
         };
         (left, Some(left))
     }
@@ -268,6 +291,27 @@ impl<'a> ViolationMsgRef<'a> {
             },
             upstream: r.get()?,
         })
+    }
+
+    /// Encode the message body, byte for byte as the owned message's:
+    /// what a sender that holds the fields but not a [`ViolationMsg`]
+    /// writes (see [`crate::WireBytes::encode_violation`]).
+    pub(crate) fn encode(&self, w: &mut WireWriter) {
+        self.pid.encode(w);
+        w.put_str(self.proc_name);
+        w.put_str(self.policy);
+        w.put_u64(self.corr);
+        self.readings.encode(w);
+        match self.bounds {
+            None => w.put_u8(0),
+            Some((attr, lo, hi)) => {
+                w.put_u8(1);
+                w.put_str(attr);
+                w.put_f64(lo);
+                w.put_f64(hi);
+            }
+        }
+        self.upstream.encode(w);
     }
 
     /// Materialize the owned message.

@@ -19,10 +19,10 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use crate::borrowed::WireMsgRef;
+use crate::borrowed::{ViolationMsgRef, WireMsgRef};
 use crate::codec::{WireReader, WireWriter};
 use crate::error::WireError;
-use crate::messages::WireMsg;
+use crate::messages::{WireMsg, KIND_VIOLATION};
 
 /// First two bytes of every frame.
 pub const MAGIC: [u8; 2] = [0x51, 0x57];
@@ -54,15 +54,7 @@ impl WireMsg {
 
     /// Append this message to `w` as a complete frame.
     fn encode_frame_into(&self, w: &mut WireWriter) {
-        let start = w.len();
-        w.put_raw(&MAGIC);
-        w.put_u8(VERSION);
-        w.put_u8(self.kind());
-        w.put_u32(0); // length, patched below
-        let body_start = w.len();
-        self.encode_body(w);
-        let body_len = (w.len() - body_start) as u32;
-        w.patch_u32(start + 4, body_len);
+        put_frame(w, self.kind(), |w| self.encode_body(w));
     }
 
     /// Decode one complete frame. Rejects bad magic, unknown versions and
@@ -80,6 +72,33 @@ impl WireMsg {
         r.finish()?;
         Ok(msg)
     }
+}
+
+/// Append a frame of `kind` to `w`, its body written by `body`.
+fn put_frame(w: &mut WireWriter, kind: u8, body: impl FnOnce(&mut WireWriter)) {
+    let start = w.len();
+    w.put_raw(&MAGIC);
+    w.put_u8(VERSION);
+    w.put_u8(kind);
+    w.put_u32(0); // length, patched below
+    let body_start = w.len();
+    body(w);
+    let body_len = (w.len() - body_start) as u32;
+    w.patch_u32(start + 4, body_len);
+}
+
+/// Write a frame through a buffer this thread keeps, then copy it once
+/// into its shared allocation — the frame's only one.
+fn shared_frame(write: impl FnOnce(&mut WireWriter)) -> WireBytes {
+    thread_local! {
+        static SCRATCH: RefCell<WireWriter> =
+            RefCell::new(WireWriter::with_capacity(FRAME_CAPACITY));
+    }
+    SCRATCH.with_borrow_mut(|w| {
+        w.clear();
+        write(w);
+        WireBytes(w.as_slice().into())
+    })
 }
 
 /// Validate the header of `buf` and return `(kind, payload)` for the
@@ -129,15 +148,14 @@ impl WireBytes {
     /// this thread keeps, then copied once into its shared allocation —
     /// the frame's only one.
     pub fn encode(msg: &WireMsg) -> Self {
-        thread_local! {
-            static SCRATCH: RefCell<WireWriter> =
-                RefCell::new(WireWriter::with_capacity(FRAME_CAPACITY));
-        }
-        SCRATCH.with_borrow_mut(|w| {
-            w.clear();
-            msg.encode_frame_into(w);
-            WireBytes(w.as_slice().into())
-        })
+        shared_frame(|w| msg.encode_frame_into(w))
+    }
+
+    /// Encode a violation from borrowed fields, the same way: the frame
+    /// is byte for byte the one [`WireBytes::encode`] makes of
+    /// `WireMsg::Violation(v.to_owned())`, without the owned message.
+    pub fn encode_violation(v: &ViolationMsgRef<'_>) -> Self {
+        shared_frame(|w| put_frame(w, KIND_VIOLATION, |w| v.encode(w)))
     }
 
     /// Decode the frame back into a message.
@@ -314,6 +332,48 @@ mod tests {
             command: "set-quality".into(),
             value: 0.65,
         })
+    }
+
+    /// A violation encoded from borrowed fields is the owned message's
+    /// frame, whichever form its readings list takes: an owned list, a
+    /// frame's encoded span, or borrowed pairs.
+    #[test]
+    fn violation_from_borrowed_fields_is_the_owned_frame() {
+        use crate::messages::{Upstream, ViolationMsg};
+        use qos_sim::{HostId, Pid};
+        let pid = Pid {
+            host: HostId(3),
+            local: 41,
+        };
+        for upstream in [
+            None,
+            Some(Upstream {
+                host: HostId(7),
+                pid,
+            }),
+        ] {
+            let owned = ViolationMsg {
+                pid,
+                proc_name: "FedReporter".into(),
+                policy: "fed-report".into(),
+                corr: 1 << 33 | 9,
+                readings: vec![("frame_rate".into(), 15.0), ("buffer_size".into(), 100.0)],
+                bounds: Some(("frame_rate".into(), 23.0, 27.0)),
+                upstream,
+            };
+            let frame = WireMsg::Violation(owned.clone()).encode_frame();
+            let pairs = [("frame_rate", 15.0), ("buffer_size", 100.0)];
+            let borrowed = ViolationMsgRef {
+                readings: pairs.as_slice().into(),
+                ..owned.as_view()
+            };
+            let Ok(WireMsgRef::Violation(decoded)) = WireMsgRef::decode_frame(&frame) else {
+                panic!("a violation frame decodes as a violation view");
+            };
+            for view in [owned.as_view(), borrowed, decoded] {
+                assert_eq!(WireBytes::encode_violation(&view).as_slice(), &frame[..]);
+            }
+        }
     }
 
     #[test]

@@ -388,6 +388,9 @@ pub struct BatchMsg {
 /// Frame-header kind byte of [`BatchMsg`] / [`WireMsg::Batch`].
 pub const KIND_BATCH: u8 = 18;
 
+/// Frame-header kind byte of [`ViolationMsg`] / [`WireMsg::Violation`].
+pub(crate) const KIND_VIOLATION: u8 = 1;
+
 /// The closed union of management-plane messages. The frame header's
 /// kind byte selects the variant; unknown kinds are rejected with
 /// [`WireError::UnknownKind`] so an old build fails loudly instead of
@@ -457,7 +460,7 @@ impl WireMsg {
     /// The frame-header kind byte of this message.
     pub fn kind(&self) -> u8 {
         match self {
-            WireMsg::Violation(_) => 1,
+            WireMsg::Violation(_) => KIND_VIOLATION,
             WireMsg::Register(_) => 2,
             WireMsg::AgentRequest(_) => 3,
             WireMsg::AgentReply(_) => 4,
@@ -517,7 +520,7 @@ impl WireMsg {
     /// (frame layer) checks that `r` is consumed exactly.
     pub fn decode_body(kind: u8, r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(match kind {
-            1 => WireMsg::Violation(r.get()?),
+            KIND_VIOLATION => WireMsg::Violation(r.get()?),
             2 => WireMsg::Register(r.get()?),
             3 => WireMsg::AgentRequest(r.get()?),
             4 => WireMsg::AgentReply(r.get()?),
@@ -954,13 +957,7 @@ impl Wire for Upstream {
 
 impl Wire for ViolationMsg {
     fn encode(&self, w: &mut WireWriter) {
-        self.pid.encode(w);
-        w.put_str(&self.proc_name);
-        w.put_str(&self.policy);
-        w.put_u64(self.corr);
-        self.readings.encode(w);
-        self.bounds.encode(w);
-        self.upstream.encode(w);
+        self.as_view().encode(w);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(ViolationMsgRef::decode(r)?.to_owned())

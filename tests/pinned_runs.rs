@@ -4,10 +4,12 @@
 //! manager's full [`HostMgrStats`], every domain manager's
 //! [`DomainStats`], and a hash of every host manager's rule-firing
 //! trace. Then one test per simulated table of the paper's evaluation
-//! (E1, E4, E5, E6, E9, E10), each at the seed EXPERIMENTS.md quotes,
-//! and one for how the matcher and the discovery registry scale. A
-//! refactor of either manager passes unchanged; a change that moves a
-//! number edits it here and says why.
+//! (E1, E4, E5, E6, E9, E10), each at the seed EXPERIMENTS.md quotes;
+//! one each for two policy bounds those tables never reach (Example 1's
+//! `jitter_rate < 1.25` and the proactive policy's `buffer_size <
+//! 36000`); and three for how the matcher and the discovery registry
+//! scale. A refactor of either manager passes unchanged; a change that
+//! moves a number edits it here and says why.
 
 use qos_core::prelude::*;
 
@@ -640,35 +642,189 @@ fn federated(domains: u32) -> (u64, u64, u64) {
     (violations.sum(), st.route_pushes, st.pushed_host_entries)
 }
 
-/// The matcher and the registry as they scale. Counts, not times: the
-/// naive matcher fires exactly the incremental one's sequence at every
-/// size while its join work grows with working memory; the incremental
-/// matcher's stays 10 per violation, flat. A sharded registry pushes
-/// each leaf its own shard, so entries per push grow sub-linearly in
-/// total hosts. Skipped where telemetry is compiled out: every report
-/// then carries correlation id 0 and the duplicate window folds the
-/// storm.
+/// Example 1's jitter leg, `jitter_rate < 1.25` in `EXAMPLE1_SOURCE`:
+/// 25 fps delivered in pairs every 80 ms to a client that decodes a frame
+/// in 28 ms, so display gaps alternate near 28 and 52 ms and the jitter
+/// wanders across 1.25 while the frame rate stays in band. Unmanaged,
+/// seed 91: every fifth second's frame rate, jitter and verdict, then
+/// the violations reported and the seconds the policy stood violated.
 #[test]
-fn storms_and_federations_are_pinned_across_commits() {
+fn bursty_jitter_is_pinned_across_commits() {
+    use qos_core::apps::video::{
+        VideoClient, VideoClientConfig, VideoServer, VideoServerConfig, VIDEO_PORT,
+    };
+    let policy = qos_policy::parser::parse_policy(EXAMPLE1_SOURCE).expect("Example 1 parses");
+    let policy = qos_policy::compile::compile(&policy).expect("Example 1 compiles");
+    let mut world = World::new(91);
+    let ch = world.add_host("client", 1 << 16);
+    let sh = world.add_host("server", 1 << 16);
+    let hop = world
+        .net_mut()
+        .add_hop(10_000_000.0, Dur::from_millis(1), Dur::from_secs(1));
+    world.net_mut().set_route_symmetric(ch, sh, vec![hop]);
+    let client = world.spawn(
+        ch,
+        ProcConfig::new("VideoApplication").port(VIDEO_PORT, 1 << 20),
+        VideoClient::new(
+            VideoClientConfig {
+                decode_cost: Dur::from_micros(28_000),
+                ..VideoClientConfig::default()
+            },
+            vec![policy],
+        ),
+    );
+    world.spawn(
+        sh,
+        ProcConfig::new("VideoServer"),
+        VideoServer::new(VideoServerConfig {
+            client: Endpoint::new(ch, VIDEO_PORT),
+            fps: 25.0,
+            burst: 2,
+            ..VideoServerConfig::default()
+        }),
+    );
+    let mut got = Vec::new();
+    let mut secs_violated = 0;
+    for t in 1..=30 {
+        world.run_for(Dur::from_secs(1));
+        let c: &VideoClient = world.logic(client).expect("client");
+        let violated = c.coordinator().is_violated(0);
+        secs_violated += u32::from(violated);
+        if t % 5 == 0 {
+            let read = |attr| c.sensors().read_attr(attr).expect("Example 1 sensor");
+            got.push(format!(
+                "t {t}: fps {:.2} jitter {:.2} violated {violated}",
+                read("frame_rate"),
+                read("jitter_rate")
+            ));
+        }
+    }
+    let c: &VideoClient = world.logic(client).expect("client");
+    got.push(format!(
+        "{} violations, violated in {secs_violated} of 30 s",
+        c.coordinator().violation_count(0)
+    ));
+    assert_rows(
+        got,
+        &[
+            "t 5: fps 25.00 jitter 1.20 violated false",
+            "t 10: fps 25.33 jitter 1.19 violated false",
+            "t 15: fps 25.00 jitter 1.28 violated true",
+            "t 20: fps 25.33 jitter 1.16 violated false",
+            "t 25: fps 25.00 jitter 1.22 violated false",
+            "t 30: fps 25.33 jitter 1.21 violated false",
+            "12 violations, violated in 9 of 30 s",
+        ],
+    );
+}
+
+/// The proactive policy's bound, `buffer_size < 36000` in
+/// `PROACTIVE_SOURCE`: E9's proactive testbed (seed 20260704) settles for
+/// 30 s, then three CPU hogs start. Stepped in 10 ms for 30 s: each time
+/// the policy comes to stand violated, with the buffer and frame rate the
+/// client read then; how long it stood violated in all; and the manager's
+/// nudges and boosts.
+#[test]
+fn buffer_pressure_is_pinned_across_commits() {
+    let mut tb = Testbed::build(&TestbedConfig {
+        seed: 20260704,
+        managed: true,
+        proactive: true,
+        ..TestbedConfig::default()
+    });
+    tb.world.run_for(Dur::from_secs(30));
+    spawn_mix(
+        &mut tb.world,
+        tb.client_host,
+        LoadMix {
+            hogs: 3,
+            fraction: 0.0,
+        },
+    );
+    let coordinator = tb.client(0).coordinator();
+    let ix = (0..coordinator.policy_count())
+        .find(|&i| coordinator.policy(i).name == "ProactiveBufferPressure")
+        .expect("the proactive policy is distributed");
+    let mut got = Vec::new();
+    let (mut was_violated, mut violated_ms) = (false, 0);
+    for ms in (10..=30_000).step_by(10) {
+        tb.world.run_for(Dur::from_millis(10));
+        let c = tb.client(0);
+        let violated = c.coordinator().is_violated(ix);
+        if violated {
+            violated_ms += 10;
+        }
+        if violated && !was_violated {
+            let read = |attr| c.sensors().read_attr(attr).expect("standard sensor");
+            got.push(format!(
+                "violated {ms} ms after the hogs: buffer {:.0} fps {:.2}",
+                read("buffer_size"),
+                read("frame_rate")
+            ));
+        }
+        was_violated = violated;
+    }
+    let hm = tb.client_hm_stats().expect("managed testbed");
+    got.push(format!(
+        "violated for {violated_ms} ms; nudges {}, boosts {}",
+        hm.nudges, hm.cpu_boosts
+    ));
+    assert_rows(
+        got,
+        &[
+            "violated 16950 ms after the hogs: buffer 36000 fps 29.33",
+            "violated for 70 ms; nudges 1, boosts 0",
+        ],
+    );
+}
+
+/// A storm of `hosts` × `procs` reporters under both matchers. Counts,
+/// not times: the naive matcher fires exactly the incremental one's
+/// sequence while its join work grows with working memory; the
+/// incremental matcher's stays 10 per violation, flat. `pinned` is
+/// violations, naive join work and incremental join work.
+fn assert_storm(hosts: usize, procs: usize, pinned: (u64, u64, u64)) {
+    let (violations, naive_work, naive) = storm(hosts, procs, true);
+    let (rete_violations, rete_work, rete) = storm(hosts, procs, false);
+    // Not `assert_eq!`: a failure would print every firing.
+    assert!(naive == rete, "matchers diverged at {hosts}x{procs}");
+    assert_eq!(violations, rete_violations);
+    let got = (violations, naive_work, rete_work);
+    assert_eq!(got, pinned, "{hosts}x{procs}: violations, join work");
+    assert_eq!(rete_work, 10 * violations);
+}
+
+// The storm and federation tests are skipped where telemetry is
+// compiled out: every report then carries correlation id 0 and the
+// duplicate window folds the storm.
+
+/// The matcher at the largest storm, 8 hosts × 64 reporters: the
+/// longest test in this file, named to sort — and so to start — first.
+#[test]
+fn big_storm_is_pinned_across_commits() {
     if !Telemetry::enabled().is_enabled() {
         return;
     }
-    // (hosts, procs per host) → violations, naive join work, incremental.
-    let matcher = [
-        ((1, 8), (80, 13_256, 800)),
-        ((2, 16), (320, 96_800, 3_200)),
-        ((4, 32), (1_280, 737_408, 12_800)),
-        ((8, 64), (5_120, 5_751_296, 51_200)),
-    ];
-    for ((hosts, procs), pinned) in matcher {
-        let (violations, naive_work, naive) = storm(hosts, procs, true);
-        let (rete_violations, rete_work, rete) = storm(hosts, procs, false);
-        // Not `assert_eq!`: a failure would print every firing.
-        assert!(naive == rete, "matchers diverged at {hosts}x{procs}");
-        assert_eq!(violations, rete_violations);
-        let got = (violations, naive_work, rete_work);
-        assert_eq!(got, pinned, "{hosts}x{procs}: violations, join work");
-        assert_eq!(rete_work, 10 * violations);
+    assert_storm(8, 64, (5_120, 5_751_296, 51_200));
+}
+
+/// The matcher at the smaller storms: (hosts, procs per host).
+#[test]
+fn small_storms_are_pinned_across_commits() {
+    if !Telemetry::enabled().is_enabled() {
+        return;
+    }
+    assert_storm(1, 8, (80, 13_256, 800));
+    assert_storm(2, 16, (320, 96_800, 3_200));
+    assert_storm(4, 32, (1_280, 737_408, 12_800));
+}
+
+/// The registry as it scales: a sharded registry pushes each leaf its
+/// own shard, so entries per push grow sub-linearly in total hosts.
+#[test]
+fn federations_are_pinned_across_commits() {
+    if !Telemetry::enabled().is_enabled() {
+        return;
     }
     // Domains of 4 hosts → violations, route pushes, host entries pushed.
     let registry = [(1, (32, 15, 36)), (2, (64, 36, 104)), (4, (128, 105, 336))];
