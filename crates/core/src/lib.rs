@@ -46,6 +46,12 @@ pub mod federation;
 pub mod report;
 pub mod system;
 
+/// The README's Rust blocks, compiled and run as doctests so the
+/// examples there cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;
+
 pub use qos_apps as apps;
 pub use qos_discovery as discovery;
 pub use qos_inference as inference;

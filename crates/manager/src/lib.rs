@@ -56,7 +56,7 @@ pub mod prelude {
     };
     pub use crate::lifecycle::GRACE_PERIODS;
     pub use crate::live::{
-        standard_live_repo, Driver, ListenSpec, LiveBuilder, LiveClock, LiveError, LiveHostManager,
+        standard_live_repo, ListenSpec, LiveBuilder, LiveClock, LiveError, LiveHostManager,
         LiveManagerStats, LiveProcess, ReportBatchPolicy, SUBSCRIBER_QUEUE_CAPACITY,
         TELEMETRY_METRICS_INTERVAL, TELEMETRY_PUBLISH_INTERVAL,
     };

@@ -14,21 +14,21 @@
 //! ([`LiveManagerStats::decode_errors`], mirrored to telemetry as
 //! `live.decode_errors`), never a panic.
 //!
-//! Socket peers are served by one of two interchangeable [`Driver`]s
-//! over the same `qos-net` protocol machines: [`Driver::Threads`] (one
-//! blocking reader thread per peer — portable, the pre-reactor shape)
-//! or [`Driver::Reactor`] (the hand-rolled epoll reactor: every peer
-//! multiplexed onto a small worker pool, the C10k configuration; Linux
-//! only). Both feed the identical [`ManagerCore`](self) inbound queue,
-//! so rule firing traces are driver-independent. Construction goes
-//! through [`LiveHostManager::builder`]:
+//! Socket peers are served by `qos-net`'s hand-rolled epoll reactor:
+//! every peer multiplexed onto a small worker pool, each with a bounded
+//! write queue whose telemetry lane drops its oldest batch rather than
+//! block the manager. The reactor is Linux only; elsewhere a
+//! [`ListenSpec::Sock`] manager fails to spawn with
+//! [`LiveError::ReactorUnsupported`], and in-proc peers still work.
+//! In-proc and socket peers feed the same [`ManagerCore`](self) inbound
+//! queue, so rule firing traces do not depend on the carrier.
+//! Construction goes through [`LiveHostManager::builder`]:
 //!
 //! ```no_run
-//! use qos_manager::live::{Driver, ListenSpec, LiveHostManager};
+//! use qos_manager::live::{ListenSpec, LiveHostManager};
 //! use qos_manager::SockAddr;
 //! let mgr = LiveHostManager::builder()
 //!     .listen(ListenSpec::Sock(SockAddr::Tcp("127.0.0.1:0".into())))
-//!     .driver(Driver::Reactor)
 //!     .workers(4)
 //!     .spawn()
 //!     .expect("spawn manager");
@@ -36,15 +36,13 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
-use std::io::Read;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use qos_inference::prelude::*;
 use qos_instrument::prelude::*;
-use qos_net::PeerReader;
 #[cfg(target_os = "linux")]
 use qos_net::{EventSink, NetStats, PeerSender, ReactorConfig, ReactorHandle};
 use qos_repository::prelude::*;
@@ -53,18 +51,16 @@ use qos_wire::messages::{LiveRegisterMsg, TelemetryBatchMsg, TelemetrySubscribeM
 use qos_wire::{BatchBuilder, WireMsg, WireMsgRef};
 
 use crate::rules::{host_base_facts, host_rules_fair, HostVocabulary};
-use crate::transport::{
-    ChannelTransport, Inbound, ReplySink, SinkSend, SockAddr, SockListener, WireTransport,
-};
+use crate::transport::{ChannelTransport, Inbound, ReplySink, SinkSend, SockAddr, WireTransport};
 
 /// Capacity of the manager's message queue, in messages. Bounded so a
 /// violation storm back-pressures into [`LiveProcess::reports_dropped`]
 /// instead of growing the queue (and the manager's lag) without limit.
-/// A message is a run of frames: one frame from an in-proc peer, what
-/// one read took (≤ 4 KiB) from a thread-driver peer, what one turn
-/// took (≤ the reactor's 64 KiB read budget) from a reactor peer — each
-/// plus at most the one frame a previous read left partial. So the
-/// queue holds at most 1024 × (64 KiB + one frame) of frames.
+/// A message is a run of frames: one frame from an in-proc peer, or what
+/// one reactor turn took from a socket peer (≤ the reactor's 64 KiB
+/// read budget, plus at most the one frame a previous turn left
+/// partial). So the queue holds at most 1024 × (64 KiB + one frame) of
+/// frames.
 pub const LIVE_QUEUE_CAPACITY: usize = 1024;
 
 /// How long [`LiveHostManager::sync`] and transport syncs wait for the
@@ -105,8 +101,9 @@ pub enum LiveError {
     ThreadSpawn(std::io::Error),
     /// The OS refused the listening socket.
     Listen(std::io::Error),
-    /// [`Driver::Reactor`] was requested on a platform without epoll
-    /// (the reactor is Linux-only; use [`Driver::Threads`] elsewhere).
+    /// A [`ListenSpec::Sock`] manager was requested on a platform
+    /// without epoll: socket peers are served only by the reactor, which
+    /// is Linux only. In-proc managers spawn everywhere.
     ReactorUnsupported,
 }
 
@@ -118,7 +115,7 @@ impl fmt::Display for LiveError {
             LiveError::ThreadSpawn(e) => write!(f, "could not spawn manager thread: {e}"),
             LiveError::Listen(e) => write!(f, "could not bind manager socket: {e}"),
             LiveError::ReactorUnsupported => {
-                write!(f, "the epoll reactor driver is only available on Linux")
+                write!(f, "socket peers need the epoll reactor (Linux only)")
             }
         }
     }
@@ -166,7 +163,7 @@ pub struct ReportBatchPolicy {
     /// Flush once the oldest coalesced report has waited this long. The
     /// deadline is checked on the next report or instrumentation pass
     /// (the process owns no timer thread); callers with long send lulls
-    /// use [`LiveProcess::poll_flush`].
+    /// flush with [`LiveProcess::flush_reports`].
     pub max_delay: Duration,
 }
 
@@ -338,10 +335,9 @@ impl LiveProcess {
         self.flush_inner(false);
     }
 
-    /// Flush coalesced reports whose deadline has passed — for callers
-    /// with their own tick loop and long send lulls (the instrumentation
-    /// passes and [`LiveProcess::sync`] already check).
-    pub fn poll_flush(&mut self) {
+    /// Flush coalesced reports whose deadline has passed (the
+    /// instrumentation passes call this after every pass).
+    fn poll_flush(&mut self) {
         let due = self.batch.as_ref().is_some_and(|b| {
             !b.builder.is_empty() && b.oldest.is_some_and(|t| t.elapsed() >= b.policy.max_delay)
         });
@@ -374,17 +370,6 @@ impl LiveProcess {
             self.reports_dropped += n;
             self.dropped_counter.add(n);
         }
-    }
-
-    /// Reports coalesced but not yet flushed (zero with batching off).
-    pub fn pending_reports(&self) -> usize {
-        self.batch.as_ref().map_or(0, |b| b.builder.len())
-    }
-
-    /// Batch flushes forced by the deadline trigger rather than the
-    /// size one (mirrored as `live.flush.deadline_hits`).
-    pub fn flush_deadline_hits(&self) -> u64 {
-        self.flush_deadline_hits
     }
 
     /// One pass through the instrumentation after a frame is displayed
@@ -503,8 +488,14 @@ pub struct LiveManagerStats {
     pub subscribers: AtomicU64,
     /// Telemetry batches queued to subscribers.
     pub telemetry_batches: AtomicU64,
-    /// Telemetry batches lost to backpressure (drop-oldest on a slow
-    /// subscriber) or chaos. Mirrored as `live.telemetry_dropped`.
+    /// Telemetry batches lost in the manager's own per-subscriber queue
+    /// (drop-oldest on an in-proc subscriber that stops draining) or to
+    /// chaos. Mirrored as `live.telemetry_dropped`. A socket
+    /// subscriber's batches leave that queue at once; the ones its
+    /// reactor telemetry lane evicts are counted in
+    /// [`NetStats::telemetry_dropped`](qos_net::NetStats::telemetry_dropped)
+    /// (`net.telemetry_dropped`), read through
+    /// [`LiveHostManager::net_stats`].
     pub telemetry_dropped: AtomicU64,
     /// Publish ticks that were skipped outright because no subscriber
     /// was attached — the manager encoded nothing and allocated nothing.
@@ -523,30 +514,24 @@ pub enum ListenSpec {
     Sock(SockAddr),
 }
 
-/// Which machinery serves socket peers of a [`LiveHostManager`]. Both
-/// drivers run the same `qos-net` protocol machines and feed the same
-/// manager queue, so rule firing is driver-independent; they differ only
-/// in how peer I/O is multiplexed onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// What serves the socket peers of a [`LiveHostManager`]: the epoll
+/// reactor, the only driver there is. Goes, with
+/// [`LiveBuilder::driver`], once `benchmark/src/live.rs` stops naming it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
-    /// One blocking reader thread per accepted peer. Portable, simple,
-    /// and fine up to a few hundred peers; the pre-reactor shape.
-    #[default]
-    Threads,
     /// The hand-rolled epoll reactor: every peer multiplexed onto a
     /// small worker pool with bounded per-peer write queues. Holds
-    /// thousands of peers on ≤ 4 threads. Linux only — spawning with
-    /// this driver elsewhere fails with [`LiveError::ReactorUnsupported`].
+    /// thousands of peers on ≤ 4 threads.
     Reactor,
 }
 
 /// Builder for a [`LiveHostManager`] — the one construction path for
-/// every live-mode configuration (in-proc, thread-per-peer sockets, or
-/// the epoll reactor). Obtained from [`LiveHostManager::builder`].
+/// every live-mode configuration (in-proc only, or socket peers served
+/// by the epoll reactor as well). Obtained from
+/// [`LiveHostManager::builder`].
 #[derive(Debug, Clone, Default)]
 pub struct LiveBuilder {
     listen: ListenSpec,
-    driver: Driver,
     workers: usize,
     telemetry: Option<Telemetry>,
 }
@@ -558,16 +543,14 @@ impl LiveBuilder {
         self
     }
 
-    /// How socket peers are served (default: [`Driver::Threads`]).
-    /// Ignored for [`ListenSpec::InProc`], where there is no socket I/O
-    /// to drive.
-    pub fn driver(mut self, driver: Driver) -> Self {
-        self.driver = driver;
+    /// Does nothing: the reactor is the one driver. Goes, with
+    /// [`Driver`], once `benchmark/src/live.rs` stops calling it.
+    pub fn driver(self, _driver: Driver) -> Self {
         self
     }
 
-    /// Worker threads for [`Driver::Reactor`] (default 4, the C10k
-    /// budget; clamped to ≥ 1). Meaningless for the threads driver.
+    /// Reactor worker threads for socket peers (default 4, the C10k
+    /// budget; clamped to ≥ 1). Meaningless for [`ListenSpec::InProc`].
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n;
         self
@@ -576,7 +559,7 @@ impl LiveBuilder {
     /// Telemetry registry for the manager's own counters (mirrors
     /// `live.frames` / `live.wire_bytes` / `live.decode_errors` /
     /// `live.telemetry_dropped`, labelled `host-manager`, plus the
-    /// reactor's `net.*` series under [`Driver::Reactor`]; lifecycle
+    /// reactor's `net.*` series for socket peers; lifecycle
     /// events land in the registry's event buffer and any attached
     /// flight recorder).
     pub fn telemetry(mut self, t: &Telemetry) -> Self {
@@ -584,7 +567,7 @@ impl LiveBuilder {
         self
     }
 
-    /// Spawn the manager thread (and acceptor or reactor, if listening).
+    /// Spawn the manager thread (and the reactor, if listening).
     /// The rule base is parsed before any thread starts, so a bad build
     /// fails here, in the caller, rather than panicking a detached
     /// thread.
@@ -609,50 +592,34 @@ impl LiveBuilder {
             })
             .map_err(LiveError::ThreadSpawn)?;
 
-        let stop_accept = Arc::new(AtomicBool::new(false));
         #[cfg(target_os = "linux")]
         let mut reactor = None;
-        let (acceptor, bound) = match self.listen {
-            ListenSpec::InProc => (None, None),
+        let bound = match self.listen {
+            ListenSpec::InProc => None,
+            #[cfg(target_os = "linux")]
             ListenSpec::Sock(addr) => {
-                let listener = SockListener::bind(&addr).map_err(LiveError::Listen)?;
+                let listener =
+                    crate::transport::SockListener::bind(&addr).map_err(LiveError::Listen)?;
                 let bound = listener.local_addr().map_err(LiveError::Listen)?;
                 listener.set_nonblocking(true).map_err(LiveError::Listen)?;
-                match self.driver {
-                    Driver::Threads => {
-                        let tx2 = tx.clone();
-                        let stop2 = Arc::clone(&stop_accept);
-                        let acceptor = std::thread::Builder::new()
-                            .name("qos-hm-accept".into())
-                            .spawn(move || accept_loop(listener, tx2, stop2))
-                            .map_err(LiveError::ThreadSpawn)?;
-                        (Some(acceptor), Some(bound))
-                    }
-                    #[cfg(target_os = "linux")]
-                    Driver::Reactor => {
-                        let cfg = ReactorConfig {
-                            workers: self.workers.max(1),
-                            telemetry: self.telemetry.clone(),
-                            ..ReactorConfig::default()
-                        };
-                        let sink = Arc::new(MgrSink { tx: tx.clone() });
-                        let r =
-                            ReactorHandle::spawn(listener, sink, cfg).map_err(LiveError::Listen)?;
-                        reactor = Some(r);
-                        (None, Some(bound))
-                    }
-                    #[cfg(not(target_os = "linux"))]
-                    Driver::Reactor => return Err(LiveError::ReactorUnsupported),
-                }
+                let cfg = ReactorConfig {
+                    workers: self.workers.max(1),
+                    telemetry: self.telemetry.clone(),
+                    ..ReactorConfig::default()
+                };
+                let sink = Arc::new(MgrSink { tx: tx.clone() });
+                let r = ReactorHandle::spawn(listener, sink, cfg).map_err(LiveError::Listen)?;
+                reactor = Some(r);
+                Some(bound)
             }
+            #[cfg(not(target_os = "linux"))]
+            ListenSpec::Sock(_) => return Err(LiveError::ReactorUnsupported),
         };
 
         Ok(LiveHostManager {
             stats,
             handle: Some(handle),
             tx,
-            acceptor,
-            stop_accept,
             bound,
             #[cfg(target_os = "linux")]
             reactor,
@@ -663,23 +630,21 @@ impl LiveBuilder {
 /// A QoS Host Manager on its own thread, fed by an inbound frame queue.
 /// Peers attach over the in-proc channel ([`LiveHostManager::connect`])
 /// or, when built with [`ListenSpec::Sock`], over a real socket from
-/// another OS process — served by whichever [`Driver`] the builder
-/// picked.
+/// another OS process — served by the epoll reactor.
 pub struct LiveHostManager {
     /// Shared counters.
     pub stats: Arc<LiveManagerStats>,
     handle: Option<std::thread::JoinHandle<()>>,
     tx: Sender<Inbound>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    stop_accept: Arc<AtomicBool>,
     bound: Option<SockAddr>,
     #[cfg(target_os = "linux")]
     reactor: Option<ReactorHandle>,
 }
 
 impl LiveHostManager {
-    /// Start building a manager: pick a listen spec, a [`Driver`], and
-    /// an optional telemetry registry, then [`LiveBuilder::spawn`].
+    /// Start building a manager: pick a listen spec, the reactor's
+    /// worker count and an optional telemetry registry, then
+    /// [`LiveBuilder::spawn`].
     pub fn builder() -> LiveBuilder {
         LiveBuilder {
             workers: 4,
@@ -687,9 +652,8 @@ impl LiveHostManager {
         }
     }
 
-    /// The reactor's shared `net.*` counters, when this manager runs
-    /// [`Driver::Reactor`] (`None` for in-proc or thread-driver
-    /// managers).
+    /// The reactor's shared `net.*` counters, when this manager serves
+    /// socket peers (`None` for an in-proc manager).
     #[cfg(target_os = "linux")]
     pub fn net_stats(&self) -> Option<Arc<NetStats>> {
         self.reactor.as_ref().map(|r| r.stats())
@@ -744,10 +708,6 @@ impl LiveHostManager {
     /// repeat (including the Drop after an explicit `shutdown`) is a
     /// no-op because the handle is already gone.
     fn stop(&mut self) {
-        self.stop_accept.store(true, Ordering::Relaxed);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
         // The reactor goes down before the manager thread: a worker
         // blocked on the manager's full inbound queue only drains while
         // the manager still consumes.
@@ -1110,13 +1070,6 @@ impl ManagerCore {
                     fields: Fields::new(),
                 });
             }
-            // Normally handled as a view in `handle_view`; an owned one
-            // (unpacked from a nested batch) takes the same path.
-            WireMsg::LiveViolation(v) => {
-                self.handle_violation(&v.policy, &v.process, v.corr, || {
-                    v.readings.iter().map(|(a, x)| (a.as_str(), *x))
-                });
-            }
             WireMsg::TelemetrySubscribe(sub) => {
                 // A subscription needs a way back to the peer; the
                 // chaos-duplicated redelivery arrives with no sink and
@@ -1157,14 +1110,6 @@ impl ManagerCore {
                     let ack = WireMsg::SyncAck { token }.encode_frame();
                     let busy = self.busy();
                     let _ = sink.send(&ack, busy);
-                }
-            }
-            // Batches are normally unpacked (and counted) in
-            // handle_frame; one arriving here is still unpacked so the
-            // coalesced messages are never silently lost.
-            WireMsg::Batch(b) => {
-                for m in b.msgs {
-                    self.handle_msg(m, reply.clone());
                 }
             }
             // A polite goodbye needs no action; anything else the sim
@@ -1313,81 +1258,6 @@ impl EventSink for MgrSink {
     }
 }
 
-/// Accept loop for socket mode: non-blocking accept + stop-flag poll, so
-/// shutdown never hangs in `accept(2)`. Each connection gets a reader
-/// thread that reframes the byte stream and forwards runs of raw frames
-/// to the manager queue; replies (sync acks) go back over the same
-/// connection.
-fn accept_loop(listener: SockListener, tx: Sender<Inbound>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok(stream) => {
-                let tx = tx.clone();
-                let conn = std::thread::Builder::new()
-                    .name("qos-hm-conn".into())
-                    .spawn(move || {
-                        conn_loop(stream, tx);
-                    });
-                // A failed thread spawn drops the connection; the peer's
-                // reconnect machinery will try again.
-                drop(conn);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-/// Per-connection reader: split the stream into header-validated raw
-/// frames (no payload decode here — that is the manager thread's job, so
-/// decode errors are counted in one place) and hand the manager one run
-/// per read. Exits when the peer closes, the stream corrupts, or the
-/// manager is gone.
-fn conn_loop(stream: crate::transport::SockStream, tx: Sender<Inbound>) {
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(parking_lot::Mutex::new(w)),
-        Err(_) => return,
-    };
-    let mut reader = stream;
-    // The same sans-io reassembly machine the reactor driver runs — the
-    // thread driver is just a different pump around it.
-    let mut pr = PeerReader::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match reader.read(&mut chunk) {
-            Ok(0) | Err(_) => return, // peer gone
-            Ok(n) => pr.on_bytes(&chunk[..n]),
-        }
-        let mut run = Vec::new();
-        let corrupt = loop {
-            match pr.next_frames(&mut run) {
-                Ok(0) => break false,
-                Ok(_) => {}
-                Err(_) => break true,
-            }
-        };
-        if !run.is_empty() {
-            let reply = Some(ReplySink::Sock(Arc::clone(&writer)));
-            if tx.send(Inbound::Frames { run, reply }).is_err() {
-                return; // manager gone
-            }
-        }
-        if corrupt {
-            // Unreframeable stream: there is no way to find the next
-            // frame boundary after a corrupt header. Count and drop the
-            // connection; the peer reconnects.
-            let _ = tx.send(Inbound::StreamCorrupt);
-            reader.shutdown();
-            return;
-        }
-    }
-}
-
 /// Build the standard video repository + agent used by live tests and the
 /// overhead benchmarks: the information model plus the paper's Example 1
 /// policy.
@@ -1424,7 +1294,6 @@ pub fn standard_live_repo() -> (Repository, PolicyAgent) {
 /// use qos_manager::live::prelude::*;
 /// let mgr = LiveHostManager::builder()
 ///     .listen(ListenSpec::Sock(SockAddr::Tcp("127.0.0.1:0".into())))
-///     .driver(Driver::Reactor)
 ///     .spawn()
 ///     .expect("spawn manager");
 /// let transport = SocketTransport::builder(mgr.local_addr().unwrap())
@@ -1436,7 +1305,7 @@ pub fn standard_live_repo() -> (Repository, PolicyAgent) {
 /// ```
 pub mod prelude {
     pub use super::{
-        standard_live_repo, Driver, ListenSpec, LiveBuilder, LiveClock, LiveError, LiveHostManager,
+        standard_live_repo, ListenSpec, LiveBuilder, LiveClock, LiveError, LiveHostManager,
         LiveManagerStats, LiveProcess, ReportBatchPolicy, SUBSCRIBER_QUEUE_CAPACITY, SYNC_TIMEOUT,
         TELEMETRY_METRICS_INTERVAL, TELEMETRY_PUBLISH_INTERVAL,
     };
@@ -1480,6 +1349,11 @@ mod tests {
             }
         }
         generated
+    }
+
+    /// Reports coalesced but not yet flushed.
+    fn pending_reports(p: &LiveProcess) -> u64 {
+        p.batch.as_ref().map_or(0, |b| b.builder.len() as u64)
     }
 
     /// A tap's subscription and a process's reports travel on separate
@@ -1587,14 +1461,14 @@ mod tests {
         let generated = force_violation_reports(&mut p) as u64;
         assert!(generated >= 1);
         assert_eq!(
-            p.pending_reports() as u64,
+            pending_reports(&p),
             generated,
             "reports must coalesce, not send eagerly"
         );
         assert_eq!(p.reports_sent(), 0);
         // sync() flushes the coalesced batch before the barrier.
         assert!(p.sync());
-        assert_eq!(p.pending_reports(), 0);
+        assert_eq!(pending_reports(&p), 0);
         assert_eq!(p.reports_sent(), generated);
         assert_eq!(mgr.stats.violations.load(Ordering::Relaxed), generated);
         assert_eq!(mgr.stats.batch_frames.load(Ordering::Relaxed), 1);
@@ -1622,8 +1496,8 @@ mod tests {
         assert!(generated >= 1);
         std::thread::sleep(Duration::from_millis(5));
         p.poll_flush();
-        assert_eq!(p.pending_reports(), 0, "deadline must flush");
-        assert_eq!(p.flush_deadline_hits(), 1);
+        assert_eq!(pending_reports(&p), 0, "deadline must flush");
+        assert_eq!(p.flush_deadline_hits, 1);
         assert_eq!(p.reports_sent(), generated);
         if t.is_enabled() {
             assert_eq!(t.counter_value("live.flush.deadline_hits", "live:p1"), 1);
@@ -2067,7 +1941,6 @@ mod tests {
         let path = temp_sock("reactor-rt");
         let mgr = LiveHostManager::builder()
             .listen(ListenSpec::Sock(SockAddr::Uds(path.clone())))
-            .driver(Driver::Reactor)
             .workers(2)
             .spawn()
             .expect("spawn reactor manager");
@@ -2090,14 +1963,12 @@ mod tests {
         assert!(!path.exists(), "socket file cleaned up on shutdown");
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn reactor_serves_telemetry_tap() {
         let path = temp_sock("reactor-tap");
         let t = Telemetry::enabled();
         let mgr = LiveHostManager::builder()
             .listen(ListenSpec::Sock(SockAddr::Uds(path.clone())))
-            .driver(Driver::Reactor)
             .workers(2)
             .telemetry(&t)
             .spawn()
@@ -2128,14 +1999,12 @@ mod tests {
         mgr.shutdown();
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn reactor_counts_corrupt_streams() {
         use std::io::Write;
         let path = temp_sock("reactor-garbage");
         let mgr = LiveHostManager::builder()
             .listen(ListenSpec::Sock(SockAddr::Uds(path.clone())))
-            .driver(Driver::Reactor)
             .spawn()
             .expect("spawn reactor manager");
         let addr = mgr.local_addr().expect("bound");

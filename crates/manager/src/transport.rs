@@ -11,7 +11,7 @@
 //! * **Real sockets** — [`SocketTransport`] speaks the same frames over
 //!   TCP or a Unix-domain socket, so the manager and its instrumented
 //!   processes can be separate OS processes. It survives peer death with
-//!   the PR-1 handshake/backoff idiom: doubling reconnect backoff, and a
+//!   a handshake/backoff idiom: doubling reconnect backoff, and a
 //!   stored greeting (the registration frame) replayed after every
 //!   reconnect so a restarted manager re-learns the process.
 //!
@@ -21,15 +21,13 @@
 //! is the blocking driver around it. The socket primitives
 //! ([`SockAddr`], [`SockStream`], [`SockListener`]), the jittered
 //! [`Backoff`] envelope, and the [`FlushPolicy`]/[`ReconnectPolicy`]
-//! knobs are re-exported from `qos-net`, where the epoll reactor driver
-//! shares them.
+//! knobs are re-exported from `qos-net`, where the epoll reactor that
+//! serves the manager's socket peers shares them.
 
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Sender, TrySendError};
-use parking_lot::Mutex;
 use qos_net::ClientConn;
 use qos_sim::{Ctx, Endpoint, Message, Port};
 use qos_wire::messages::{TelemetryBatchMsg, TelemetrySubscribeMsg};
@@ -85,17 +83,14 @@ pub fn decode_ctrl_ref(msg: &Message) -> Result<Option<WireMsgRef<'_>>, WireErro
 
 /// Where a live manager writes reply frames (sync acks) for a peer.
 #[derive(Clone)]
-pub enum ReplySink {
+pub(crate) enum ReplySink {
     /// In-proc peer: a bounded channel.
     Chan(Sender<Vec<u8>>),
-    /// Socket peer (thread-per-peer driver): the connection's write
-    /// half, shared with the acceptor's bookkeeping.
-    Sock(Arc<Mutex<SockStream>>),
-    /// Socket peer (epoll reactor driver): the sending thread writes the
-    /// frame itself when the peer's bounded, classed outbound queue is
-    /// empty, no reactor turn holds the socket and the sender is not
-    /// busy; otherwise the frame queues and the peer's next turn writes
-    /// it on readiness.
+    /// Socket peer, served by the epoll reactor: the sending thread
+    /// writes the frame itself when the peer's bounded, classed outbound
+    /// queue is empty, no reactor turn holds the socket and the sender
+    /// is not busy; otherwise the frame queues and the peer's next turn
+    /// writes it on readiness.
     #[cfg(target_os = "linux")]
     Net(qos_net::PeerSender),
 }
@@ -104,7 +99,7 @@ pub enum ReplySink {
 /// `Full` and `Gone` are different decisions for the sender: retry the
 /// same frame later versus forget the peer entirely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SinkSend {
+pub(crate) enum SinkSend {
     /// Delivered (or handed to the OS send buffer).
     Sent,
     /// The peer's queue has no room right now; keep the frame and retry.
@@ -117,12 +112,11 @@ impl ReplySink {
     /// Best-effort frame delivery; a dead peer is the peer's problem.
     /// `busy`: more work already waits for the calling thread, so a
     /// reactor peer's frame is left for a reactor turn to write
-    /// ([`qos_net::PeerSender::queue_control`]); the other carriers
-    /// deliver the same way either way.
-    pub fn send(&self, frame: &[u8], busy: bool) -> bool {
+    /// ([`qos_net::PeerSender::queue_control`]); a channel delivers the
+    /// same way either way.
+    pub(crate) fn send(&self, frame: &[u8], busy: bool) -> bool {
         match self {
             ReplySink::Chan(tx) => tx.try_send(frame.to_vec()).is_ok(),
-            ReplySink::Sock(s) => s.lock().write_all(frame).is_ok(),
             // Control lane: a full queue is a drop here (sync acks are
             // re-requested by the peer's next barrier, never queued
             // indefinitely by the manager).
@@ -139,23 +133,16 @@ impl ReplySink {
     }
 
     /// Non-blocking delivery with a typed outcome, for senders that keep
-    /// per-peer queues (the manager's telemetry publisher). A blocking
-    /// socket write never reports `Full` — the OS buffer absorbs it or
-    /// the connection is dead.
-    pub fn try_send_frame(&self, frame: &[u8]) -> SinkSend {
+    /// per-peer queues (the manager's telemetry publisher). A reactor
+    /// peer never blocks the sender: its telemetry lane evicts its
+    /// oldest batch instead.
+    pub(crate) fn try_send_frame(&self, frame: &[u8]) -> SinkSend {
         match self {
             ReplySink::Chan(tx) => match tx.try_send(frame.to_vec()) {
                 Ok(()) => SinkSend::Sent,
                 Err(TrySendError::Full(_)) => SinkSend::Full,
                 Err(TrySendError::Disconnected(_)) => SinkSend::Gone,
             },
-            ReplySink::Sock(s) => {
-                if s.lock().write_all(frame).is_ok() {
-                    SinkSend::Sent
-                } else {
-                    SinkSend::Gone
-                }
-            }
             // Telemetry lane: the reactor's bounded queue absorbs the
             // batch (evicting oldest under pressure — lossy by the
             // same contract as the manager's subscriber queues).
@@ -169,15 +156,16 @@ impl ReplySink {
     }
 }
 
-/// What arrives on a live manager's inbound queue. Reader threads split
-/// the byte stream into raw frames; the *decode* happens centrally in the
-/// manager thread so malformed frames are counted in one place.
-pub enum Inbound {
+/// What arrives on a live manager's inbound queue. Reactor turns split
+/// a socket peer's byte stream into raw frames; the *decode* happens
+/// centrally in the manager thread so malformed frames are counted in
+/// one place.
+pub(crate) enum Inbound {
     /// A run of one or more complete frames laid end to end (headers
-    /// validated by socket readers, payloads not yet decoded): what one
-    /// read or reactor turn produced, handed over in one message. An
-    /// in-proc peer's run is the one frame it sent; where a header does
-    /// not split, the rest of the run counts as one malformed frame.
+    /// validated by the reactor, payloads not yet decoded): what one
+    /// reactor turn produced, handed over in one message. An in-proc
+    /// peer's run is the one frame it sent; where a header does not
+    /// split, the rest of the run counts as one malformed frame.
     Frames {
         /// The raw frame bytes.
         run: Vec<u8>,
@@ -234,7 +222,7 @@ pub struct ChannelTransport {
 
 impl ChannelTransport {
     /// Wrap a manager inbound queue.
-    pub fn new(tx: Sender<Inbound>) -> Self {
+    pub(crate) fn new(tx: Sender<Inbound>) -> Self {
         ChannelTransport { tx, next_token: 1 }
     }
 }
@@ -389,81 +377,6 @@ impl SocketTransport {
         SocketTransport::builder(addr).connect_retry(deadline)
     }
 
-    /// The peer address.
-    pub fn addr(&self) -> &SockAddr {
-        &self.addr
-    }
-
-    /// Whether a connection is currently up.
-    pub fn is_connected(&self) -> bool {
-        self.stream.is_some()
-    }
-
-    /// Successful reconnects after a lost connection (the initial
-    /// connect does not count).
-    pub fn reconnect_count(&self) -> u64 {
-        self.conn.reconnects()
-    }
-
-    /// Frames currently sitting in the write buffer.
-    pub fn buffered_frames(&self) -> u64 {
-        self.conn.buffered_frames()
-    }
-
-    /// Completed flushes (buffered mode only).
-    pub fn flush_count(&self) -> u64 {
-        self.conn.flushes()
-    }
-
-    /// Flushes forced by the deadline trigger rather than the size one.
-    pub fn deadline_flushes(&self) -> u64 {
-        self.conn.deadline_flushes()
-    }
-
-    /// Frames dropped because a flush failed (connection down and the
-    /// buffer discarded).
-    pub fn dropped_frames(&self) -> u64 {
-        self.conn.dropped_frames()
-    }
-
-    /// Whether the deadline trigger has fired for the oldest buffered
-    /// frame — callers with their own tick loop use this to decide when
-    /// to [`SocketTransport::flush`] during send lulls.
-    pub fn flush_due(&self) -> bool {
-        self.conn.flush_due(Instant::now())
-    }
-
-    /// Write all buffered frames now. Returns `false` if they had to be
-    /// dropped (the connection was down and stayed down); the buffer is
-    /// empty afterwards either way, so a dead manager costs the reports,
-    /// never the sensor loop.
-    pub fn flush(&mut self) -> bool {
-        if !self.conn.has_buffered() {
-            return true;
-        }
-        if !self.ensure_connected() {
-            self.conn.drop_buffered();
-            return false;
-        }
-        let Some(batch) = self.conn.begin_flush(Instant::now()) else {
-            return true;
-        };
-        let buf = batch.bytes();
-        let ok = if buf.len() > 1 && qos_buggify::buggify!("sock.write.split_batch") {
-            // Chaos: the kernel (or a preemption) splits the coalesced
-            // write in two. Frames must survive — the peer's
-            // FrameBuffer reassembles across write boundaries.
-            let mid = buf.len() / 2;
-            let (lo, hi) = (buf[..mid].to_vec(), buf[mid..].to_vec());
-            self.write_frame(&lo) && self.write_frame(&hi)
-        } else {
-            let whole = buf.to_vec();
-            self.write_frame(&whole)
-        };
-        self.conn.finish_flush(batch, ok);
-        ok
-    }
-
     fn disconnect(&mut self) {
         if let Some(s) = self.stream.take() {
             s.shutdown();
@@ -540,14 +453,41 @@ impl WireTransport for SocketTransport {
         true
     }
 
+    /// Write all buffered frames now. Returns `false` if they had to be
+    /// dropped (the connection was down and stayed down); the buffer is
+    /// empty afterwards either way, so a dead manager costs the reports,
+    /// never the sensor loop.
     fn flush(&mut self) -> bool {
-        SocketTransport::flush(self)
+        if !self.conn.has_buffered() {
+            return true;
+        }
+        if !self.ensure_connected() {
+            self.conn.drop_buffered();
+            return false;
+        }
+        let Some(batch) = self.conn.begin_flush(Instant::now()) else {
+            return true;
+        };
+        let buf = batch.bytes();
+        let ok = if buf.len() > 1 && qos_buggify::buggify!("sock.write.split_batch") {
+            // Chaos: the kernel (or a preemption) splits the coalesced
+            // write in two. Frames must survive — the peer's
+            // FrameBuffer reassembles across write boundaries.
+            let mid = buf.len() / 2;
+            let (lo, hi) = (buf[..mid].to_vec(), buf[mid..].to_vec());
+            self.write_frame(&lo) && self.write_frame(&hi)
+        } else {
+            let whole = buf.to_vec();
+            self.write_frame(&whole)
+        };
+        self.conn.finish_flush(batch, ok);
+        ok
     }
 
     fn sync(&mut self, timeout: Duration) -> bool {
         // A barrier covers everything sent before it: push buffered
         // frames out first so the ack really means "processed".
-        SocketTransport::flush(self);
+        self.flush();
         if !self.ensure_connected() {
             return false;
         }
@@ -872,11 +812,15 @@ mod tests {
         for token in 0..4 {
             assert!(t.try_send(&WireMsg::SyncReq { token }.encode_frame()));
         }
-        assert_eq!(t.buffered_frames(), 4, "frames must coalesce, not write");
-        assert!(SocketTransport::flush(&mut t));
-        assert_eq!(t.buffered_frames(), 0);
-        assert_eq!(t.flush_count(), 1);
-        assert_eq!(t.dropped_frames(), 0);
+        assert_eq!(
+            t.conn.buffered_frames(),
+            4,
+            "frames must coalesce, not write"
+        );
+        assert!(t.flush());
+        assert_eq!(t.conn.buffered_frames(), 0);
+        assert_eq!(t.conn.flushes(), 1);
+        assert_eq!(t.conn.dropped_frames(), 0);
 
         let mut fb = FrameBuffer::new();
         let mut got = Vec::new();
@@ -929,15 +873,15 @@ mod tests {
         // keep flushing fresh frames until the failure is observed.
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut token = 3;
-        while t.dropped_frames() == 0 {
+        while t.conn.dropped_frames() == 0 {
             assert!(Instant::now() < deadline, "drop never observed");
-            let _ = SocketTransport::flush(&mut t);
-            assert!(t.buffered_frames() == 0, "flush must empty the buffer");
+            let _ = t.flush();
+            assert!(t.conn.buffered_frames() == 0, "flush must empty the buffer");
             t.try_send(&WireMsg::SyncReq { token }.encode_frame());
             token += 1;
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert!(t.dropped_frames() > 0);
+        assert!(t.conn.dropped_frames() > 0);
     }
 
     #[test]
@@ -968,10 +912,10 @@ mod tests {
         // Two failed sends: the first discovers the dead stream and arms
         // the seeded backoff window; inside the window no dial happens.
         let frame = WireMsg::Bye.encode_frame();
-        while t.is_connected() {
+        while t.stream.is_some() {
             let _ = t.try_send(&frame);
         }
         assert!(!t.try_send(&frame), "listener is gone; dial must fail");
-        assert_eq!(t.reconnect_count(), 0);
+        assert_eq!(t.reconnects(), 0);
     }
 }

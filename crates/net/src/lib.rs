@@ -7,12 +7,13 @@
 //! The machines are pure — bytes in, bytes out, explicit `Instant`s for
 //! every timer decision, no syscalls — so the same logic runs under:
 //!
-//! * the blocking **thread-per-peer** driver (kept for sim parity and
-//!   non-Linux hosts) in `qos-manager`,
-//! * the hand-rolled **epoll reactor** ([`reactor`], Linux only): all
+//! * the hand-rolled **epoll reactor** ([`reactor`], Linux only), which
+//!   serves every socket peer of `qos-manager`'s live host manager: all
 //!   accepted peers on a small worker pool, per-peer bounded write
 //!   queues with drop-oldest telemetry backpressure, EPOLLOUT-driven
 //!   flush, fair ready-list scheduling and deterministic shutdown,
+//! * the blocking dialing side, `qos-manager`'s `SocketTransport`,
+//!   around [`ClientConn`],
 //! * unit tests, which drive the machines with plain byte slices and
 //!   fabricated clocks.
 //!

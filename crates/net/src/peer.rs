@@ -12,10 +12,8 @@
 //!   bound — the reactor twin of the manager's per-subscriber
 //!   drop-oldest queue.
 //!
-//! Neither type performs IO: the thread-per-peer driver wraps
-//! [`PeerReader`] around blocking reads, the epoll reactor wraps both
-//! around non-blocking reads/writes, and tests drive them with plain
-//! slices.
+//! Neither type performs IO: the epoll reactor wraps both around
+//! non-blocking reads/writes, and tests drive them with plain slices.
 
 use std::collections::VecDeque;
 

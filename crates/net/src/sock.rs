@@ -63,8 +63,7 @@ impl SockStream {
     }
 
     /// Toggle non-blocking mode (the reactor drives every peer
-    /// non-blocking; the thread-per-peer driver leaves streams
-    /// blocking).
+    /// non-blocking; the dialing side stays blocking).
     pub fn set_nonblocking(&self, on: bool) -> io::Result<()> {
         match self {
             SockStream::Tcp(s) => s.set_nonblocking(on),

@@ -1,23 +1,25 @@
-//! C10k soak of the live plane's epoll reactor driver: a four-digit
-//! peer count the thread-per-peer driver cannot hold, served on a
-//! ≤ 4-thread worker pool, with an *exact* message ledger (everything a
-//! peer sent or knowingly dropped is accounted for — nothing vanishes
-//! untracked), fps-violation recovery under a buggify chaos schedule,
-//! and a threads-vs-reactor rule-firing trace-equality gate at a
-//! smaller peer count.
+//! The live plane's epoll reactor at its edges: a four-digit peer count
+//! served on a ≤ 4-thread worker pool, with an *exact* message ledger
+//! (everything a peer sent or knowingly dropped is accounted for —
+//! nothing vanishes untracked); fps-violation recovery under a buggify
+//! chaos schedule; a subscriber that never reads, which costs counted
+//! telemetry and nothing else; and an in-proc-vs-socket rule-firing
+//! trace-equality gate at a smaller peer count.
 //!
-//! Linux-only: the reactor is raw epoll. The same protocol machines run
-//! under the thread driver on other platforms (`tests/socket_live.rs`).
+//! Linux-only: the reactor is raw epoll, and it is what serves every
+//! socket peer of a live manager.
 #![cfg(target_os = "linux")]
 
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use qos_core::manager::transport::SockStream;
 use qos_core::prelude::*;
 use qos_core::repository::agent::Registration;
 use qos_telemetry::{Stage, Telemetry};
-use qos_wire::messages::{LiveRegisterMsg, LiveViolationMsg};
+use qos_wire::messages::{LiveRegisterMsg, LiveViolationMsg, TelemetrySubscribeMsg};
 use qos_wire::WireMsg;
 
 /// Concurrent reactor peers in the soak (the acceptance floor is 1000).
@@ -78,7 +80,6 @@ fn reactor_holds_1024_uds_peers_with_an_exact_ledger() {
     let _ = std::fs::remove_file(&path);
     let mgr = LiveHostManager::builder()
         .listen(ListenSpec::Sock(SockAddr::Uds(path.clone())))
-        .driver(Driver::Reactor)
         .workers(4)
         .spawn()
         .expect("spawn reactor manager");
@@ -199,7 +200,6 @@ fn fps_reporting_recovers_under_a_reactor_chaos_schedule() {
     let _ = std::fs::remove_file(&path);
     let mgr = LiveHostManager::builder()
         .listen(ListenSpec::Sock(SockAddr::Uds(path.clone())))
-        .driver(Driver::Reactor)
         .workers(2)
         .telemetry(&t)
         .spawn()
@@ -308,37 +308,138 @@ fn fps_reporting_recovers_under_a_reactor_chaos_schedule() {
     mgr.shutdown();
 }
 
-/// Run `peers` raw reactor/thread peers through an identical serialized
-/// workload and capture the rule-firing trace: (violations, rules
-/// fired, sorted per-correlation lifecycle stage chains).
-fn run_trace(driver: Driver, peers: usize) -> (u64, u64, Vec<(String, Vec<Stage>)>) {
-    let t = Telemetry::enabled();
-    let path = temp_sock(match driver {
-        Driver::Threads => "trace-threads",
-        Driver::Reactor => "trace-reactor",
-    });
+/// Violation reports per round of the stalled-subscriber test, each
+/// round closed by a sync.
+const STALL_ROUND: usize = 256;
+/// Rounds within which the stalled subscriber's telemetry lane must
+/// have evicted a batch. The manager publishes once 256 events (64
+/// violations' worth) are staged, so a round publishes several batches;
+/// the lane holds 64 on top of what the socket buffer takes.
+const STALL_MAX_ROUNDS: u64 = 64;
+/// Rounds run after the first eviction is counted: the manager must
+/// keep pace with the lane saturated.
+const STALL_ROUNDS_AFTER_LOSS: u64 = 8;
+
+/// A telemetry subscriber that subscribes and never reads costs
+/// counted telemetry and nothing else. The reactor's drop-oldest
+/// telemetry lane evicts its oldest batches
+/// (`NetStats::telemetry_dropped`) while a peer on the same manager
+/// keeps reporting and every round's sync acks. The test's length is
+/// bounded by those syncs' timeouts.
+#[test]
+fn a_subscriber_that_never_reads_cannot_stop_the_manager() {
+    let path = temp_sock("stall");
     let _ = std::fs::remove_file(&path);
     let mgr = LiveHostManager::builder()
         .listen(ListenSpec::Sock(SockAddr::Uds(path.clone())))
-        .driver(driver)
+        .spawn()
+        .expect("spawn socket manager");
+    let addr = mgr.local_addr().expect("bound");
+    let evicted = || {
+        mgr.net_stats()
+            .map_or(0, |n| n.telemetry_dropped.load(Ordering::Relaxed))
+    };
+    // Declared after the manager, so a failing assertion closes it
+    // first and a manager blocked writing to it can shut down.
+    let mut stalled = SockStream::connect(&addr).expect("subscriber dials");
+    let subscribe = WireMsg::TelemetrySubscribe(TelemetrySubscribeMsg {
+        subscriber: "stalled".into(),
+        want_events: true,
+        want_metrics: true,
+    });
+    stalled
+        .write_all(&subscribe.encode_frame())
+        .expect("subscription written");
+
+    let mut peer = SocketTransport::connect_retry(addr, Duration::from_secs(10))
+        .expect("manager accepts the peer");
+    assert!(peer.try_send(&register_frame("stall:peer")));
+    let mut rounds = 0u64;
+    let mut rounds_after_loss = 0u64;
+    while rounds_after_loss < STALL_ROUNDS_AFTER_LOSS {
+        assert!(
+            rounds < STALL_MAX_ROUNDS,
+            "no telemetry batch was evicted in {rounds} rounds"
+        );
+        for _ in 0..STALL_ROUND {
+            assert!(peer.try_send(&violation_frame("stall:peer", 0)));
+        }
+        assert!(
+            peer.sync(Duration::from_secs(10)),
+            "round {rounds}: the manager stopped acking"
+        );
+        rounds += 1;
+        if evicted() > 0 {
+            rounds_after_loss += 1;
+        }
+    }
+    assert_eq!(
+        mgr.stats.violations.load(Ordering::Relaxed),
+        rounds * STALL_ROUND as u64,
+        "every report was handled"
+    );
+    assert_eq!(
+        mgr.stats.subscribers.load(Ordering::Relaxed),
+        1,
+        "the stalled subscriber stays attached"
+    );
+    assert!(evicted() > 0, "the reactor counts what it evicted");
+    assert_eq!(
+        mgr.stats.telemetry_dropped.load(Ordering::Relaxed),
+        0,
+        "a socket subscriber's loss is the reactor's to count"
+    );
+    drop(stalled);
+    mgr.shutdown();
+}
+
+/// How the trace workload's peers reach the manager.
+#[derive(Clone, Copy)]
+enum Carrier {
+    /// `LiveHostManager::connect`: frames on the manager's queue.
+    InProc,
+    /// `SocketTransport` over UDS, through the reactor.
+    Socket,
+}
+
+/// Run `peers` peers over `carrier` through an identical serialized
+/// workload and capture the rule-firing trace: (violations, rules
+/// fired, sorted per-correlation lifecycle stage chains).
+fn run_trace(carrier: Carrier, peers: usize) -> (u64, u64, Vec<(String, Vec<Stage>)>) {
+    let t = Telemetry::enabled();
+    let path = temp_sock("trace");
+    let _ = std::fs::remove_file(&path);
+    let listen = match carrier {
+        Carrier::InProc => ListenSpec::InProc,
+        Carrier::Socket => ListenSpec::Sock(SockAddr::Uds(path.clone())),
+    };
+    let mgr = LiveHostManager::builder()
+        .listen(listen)
         .workers(2)
         .telemetry(&t)
         .spawn()
         .expect("spawn manager");
-    let addr = mgr.local_addr().expect("bound");
 
-    let mut conns: Vec<(String, SocketTransport)> = (0..peers)
+    let mut conns: Vec<(String, Box<dyn WireTransport>)> = (0..peers)
         .map(|i| {
             let name = format!("trace:{i}");
-            let mut tr = SocketTransport::connect_retry(addr.clone(), Duration::from_secs(10))
-                .expect("manager accepts the peer");
+            let mut tr: Box<dyn WireTransport> = match carrier {
+                Carrier::InProc => mgr.connect(),
+                Carrier::Socket => Box::new(
+                    SocketTransport::connect_retry(
+                        mgr.local_addr().expect("bound"),
+                        Duration::from_secs(10),
+                    )
+                    .expect("manager accepts the peer"),
+                ),
+            };
             assert!(tr.try_send(&register_frame(&name)));
             (name, tr)
         })
         .collect();
     // Serialize the workload peer-by-peer (sync between peers), so both
-    // drivers present the manager the exact same total order — the
-    // equality gate is about the *drivers*, not about scheduling luck.
+    // carriers present the manager the exact same total order — the
+    // equality gate is about the *carriers*, not about scheduling luck.
     for (i, (name, tr)) in conns.iter_mut().enumerate() {
         for k in 0..3u64 {
             let corr = (i as u64) * 8 + k + 1;
@@ -364,17 +465,17 @@ fn run_trace(driver: Driver, peers: usize) -> (u64, u64, Vec<(String, Vec<Stage>
     (violations, fired, chains)
 }
 
-/// The drivers are interchangeable by construction — same sans-io
-/// machines, same manager core — so at equal workloads they must
-/// produce identical traces, stage for stage.
+/// The socket pump changes how frames reach the manager, not what the
+/// manager decides: at equal workloads the in-proc channel and the
+/// reactor-served socket produce identical traces, stage for stage.
 #[test]
-fn threads_and_reactor_drivers_produce_identical_traces() {
-    let threads = run_trace(Driver::Threads, 16);
-    let reactor = run_trace(Driver::Reactor, 16);
-    assert_eq!(threads.0, reactor.0, "violation counts diverged");
-    assert_eq!(threads.1, reactor.1, "rule firings diverged");
-    assert_eq!(threads.2, reactor.2, "lifecycle chains diverged");
+fn in_proc_and_socket_carriers_produce_identical_traces() {
+    let in_proc = run_trace(Carrier::InProc, 16);
+    let socket = run_trace(Carrier::Socket, 16);
+    assert_eq!(in_proc.0, socket.0, "violation counts diverged");
+    assert_eq!(in_proc.1, socket.1, "rule firings diverged");
+    assert_eq!(in_proc.2, socket.2, "lifecycle chains diverged");
     if Telemetry::enabled().is_enabled() {
-        assert!(!reactor.2.is_empty(), "lifecycles must be observed");
+        assert!(!socket.2.is_empty(), "lifecycles must be observed");
     }
 }

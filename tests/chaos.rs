@@ -371,7 +371,7 @@ fn socket_chaos_torn_frames_reconnect_and_recover() {
         "a clean violation must reach the manager after recovery"
     );
     if t.is_enabled() {
-        // Let straggler connection-reader threads finish reporting
+        // Let reactor turns still reading torn streams finish reporting
         // before comparing the registry mirror to the raw stat.
         std::thread::sleep(StdDur::from_millis(100));
         assert!(mgr.sync());

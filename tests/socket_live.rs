@@ -194,7 +194,7 @@ fn overhead_shape_reproduces_across_os_processes() {
     let sent = vals["sent"] as u64;
 
     // The child synced before exiting, so the manager has seen
-    // everything; registrations may still need the last conn thread to
+    // everything; registrations may still need the last reactor turn to
     // drain, hence the short poll.
     assert!(
         wait_until(Duration::from_secs(5), || {
@@ -256,7 +256,7 @@ fn manager_death_and_restart_is_survived_across_os_processes() {
     );
     assert_eq!(mgr1.stats.registrations.load(Ordering::Relaxed), 1);
 
-    // Kill the manager process-side: listener, conn threads and manager
+    // Kill the manager process-side: listener, reactor and manager
     // thread all go away; the UDS file is removed.
     mgr1.shutdown();
     std::thread::sleep(Duration::from_millis(300));
