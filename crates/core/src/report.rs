@@ -64,9 +64,12 @@ pub fn f(x: f64, decimals: usize) -> String {
 }
 
 /// Headline counter families surfaced in [`telemetry_summary`]: the
-/// write-only stats the fault layer and the managers keep are mirrored
-/// into the registry under these names.
-const HEADLINE_COUNTERS: [&str; 13] = [
+/// write-only stats the fault layer, the managers and the reactor keep
+/// are mirrored into the registry under these names. Telemetry a
+/// subscriber loses is counted where it is dropped: the manager's own
+/// queue (`live.telemetry_dropped`, an in-proc subscriber) or the
+/// reactor's telemetry lane (`net.telemetry_dropped`, a socket one).
+const HEADLINE_COUNTERS: [&str; 14] = [
     "sim.fault.msgs_dropped",
     "sim.fault.msgs_duplicated",
     "sim.fault.msgs_delayed",
@@ -75,6 +78,7 @@ const HEADLINE_COUNTERS: [&str; 13] = [
     "live.reconnects",
     "live.decode_errors",
     "live.telemetry_dropped",
+    "net.telemetry_dropped",
     "live.flush.deadline_hits",
     "wire.batch.frames",
     "dm.late_replies",
@@ -260,6 +264,7 @@ mod tests {
         }
         t.counter("live.reconnects", "live:p1").add(3);
         t.counter("live.telemetry_dropped", "host-manager").add(2);
+        t.counter("net.telemetry_dropped", "reactor").add(4);
         t.counter("live.decode_errors", "host-manager").inc();
         if qos_buggify::compiled_in() {
             // Probability 0: the point is *seen* but never fires.
@@ -269,6 +274,7 @@ mod tests {
         let s = telemetry_summary(&t);
         assert!(s.contains("live.reconnects"));
         assert!(s.contains("live.telemetry_dropped"));
+        assert!(s.contains("net.telemetry_dropped"));
         assert!(s.contains("live.decode_errors"));
         if qos_buggify::compiled_in() {
             assert!(s.contains("buggify coverage"));

@@ -72,8 +72,8 @@ pub mod prelude {
         host_rules_fair, overload_rules, proactive_rules, BUFFER_CUTOFF,
     };
     pub use crate::transport::{
-        decode_ctrl, send_ctrl, send_frame, ChannelTransport, FlushPolicy, ReconnectPolicy,
-        SockAddr, SocketTransport, SocketTransportBuilder, TelemetryTap, WireTransport,
+        decode_ctrl, send_ctrl, send_frame, ChannelTransport, ReconnectPolicy, SockAddr,
+        SocketTransport, SocketTransportBuilder, TelemetryTap, WireTransport,
     };
 }
 

@@ -1287,8 +1287,8 @@ pub fn standard_live_repo() -> (Repository, PolicyAgent) {
 
 /// Everything a live-mode embedder needs, in one import: the manager
 /// builder and its knobs, the process-side instrumentation entry point,
-/// the transport surface (socket, channel, tap), and the wire-level
-/// policies that shape batching, flushing, and reconnects.
+/// the transport surface (socket, channel, tap), and the policies that
+/// shape report batching and reconnects.
 ///
 /// ```no_run
 /// use qos_manager::live::prelude::*;
@@ -1297,7 +1297,6 @@ pub fn standard_live_repo() -> (Repository, PolicyAgent) {
 ///     .spawn()
 ///     .expect("spawn manager");
 /// let transport = SocketTransport::builder(mgr.local_addr().unwrap())
-///     .flush(FlushPolicy::default())
 ///     .reconnect(ReconnectPolicy::default())
 ///     .connect()
 ///     .expect("dial manager");
@@ -1310,8 +1309,8 @@ pub mod prelude {
         TELEMETRY_METRICS_INTERVAL, TELEMETRY_PUBLISH_INTERVAL,
     };
     pub use crate::transport::{
-        ChannelTransport, FlushPolicy, ReconnectPolicy, SockAddr, SocketTransport,
-        SocketTransportBuilder, TelemetryTap, WireTransport,
+        ChannelTransport, ReconnectPolicy, SockAddr, SocketTransport, SocketTransportBuilder,
+        TelemetryTap, WireTransport,
     };
 }
 
@@ -2005,6 +2004,7 @@ mod tests {
         let path = temp_sock("reactor-garbage");
         let mgr = LiveHostManager::builder()
             .listen(ListenSpec::Sock(SockAddr::Uds(path.clone())))
+            .workers(2)
             .spawn()
             .expect("spawn reactor manager");
         let addr = mgr.local_addr().expect("bound");

@@ -16,13 +16,13 @@
 //!   reconnect so a restarted manager re-learns the process.
 //!
 //! The protocol logic behind the socket carrier — *when* to redial,
-//! *what* to replay, *when* to flush, *what* to count — lives in the
-//! sans-io [`qos_net::ClientConn`] state machine; [`SocketTransport`]
-//! is the blocking driver around it. The socket primitives
-//! ([`SockAddr`], [`SockStream`], [`SockListener`]), the jittered
-//! [`Backoff`] envelope, and the [`FlushPolicy`]/[`ReconnectPolicy`]
-//! knobs are re-exported from `qos-net`, where the epoll reactor that
-//! serves the manager's socket peers shares them.
+//! *what* to replay, *what* to count — lives in the sans-io
+//! [`qos_net::ClientConn`] state machine; [`SocketTransport`] is the
+//! blocking driver around it. The socket primitives ([`SockAddr`],
+//! [`SockStream`], [`SockListener`]), the jittered [`Backoff`] envelope
+//! and the [`ReconnectPolicy`] seed are re-exported from `qos-net`,
+//! where the epoll reactor that serves the manager's socket peers
+//! shares them.
 
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
@@ -33,7 +33,7 @@ use qos_sim::{Ctx, Endpoint, Message, Port};
 use qos_wire::messages::{TelemetryBatchMsg, TelemetrySubscribeMsg};
 use qos_wire::{FrameBuffer, WireBytes, WireError, WireMsg, WireMsgRef};
 
-pub use qos_net::{Backoff, FlushPolicy, ReconnectPolicy, SockAddr, SockListener, SockStream};
+pub use qos_net::{Backoff, ReconnectPolicy, SockAddr, SockListener, SockStream};
 
 // ---------------------------------------------------------------------
 // Simulator backend
@@ -193,13 +193,6 @@ pub trait WireTransport: Send {
     /// has been processed by the manager.
     fn sync(&mut self, timeout: Duration) -> bool;
 
-    /// Push any buffered frames to the carrier now. Unbuffered carriers
-    /// (the default) have nothing to do; a buffering carrier reports
-    /// `false` if the buffered bytes had to be dropped.
-    fn flush(&mut self) -> bool {
-        true
-    }
-
     /// Install the frame to replay after a reconnect (the registration
     /// greeting). Carriers without reconnect ignore it.
     fn set_greeting(&mut self, frame: Vec<u8>) {
@@ -267,7 +260,7 @@ impl WireTransport for ChannelTransport {
 // ---------------------------------------------------------------------
 
 /// Builds a [`SocketTransport`]: the dial address plus the
-/// [`ReconnectPolicy`] and optional [`FlushPolicy`] in one place.
+/// [`ReconnectPolicy`] jitter seed, the one setting.
 ///
 /// ```no_run
 /// use qos_manager::transport::{ReconnectPolicy, SocketTransport};
@@ -280,32 +273,22 @@ impl WireTransport for ChannelTransport {
 pub struct SocketTransportBuilder {
     addr: SockAddr,
     reconnect: ReconnectPolicy,
-    flush: Option<FlushPolicy>,
 }
 
 impl SocketTransportBuilder {
-    /// Replace the reconnect/backoff configuration (default: 50 ms → 2 s
-    /// doubling envelope, jitter seeded per process).
+    /// Replace the reconnect jitter seed (default: seeded per process
+    /// and transport; the envelope is always 50 ms doubling to 2 s).
     pub fn reconnect(mut self, policy: ReconnectPolicy) -> Self {
         self.reconnect = policy;
         self
     }
 
-    /// Buffer writes and flush on the given size/deadline policy instead
-    /// of one syscall per frame.
-    pub fn flush(mut self, policy: FlushPolicy) -> Self {
-        self.flush = Some(policy);
-        self
-    }
-
     fn build(self, stream: SockStream) -> SocketTransport {
-        let mut conn = ClientConn::connected(&self.reconnect);
-        conn.set_flush_policy(self.flush);
         SocketTransport {
             addr: self.addr,
             stream: Some(stream),
             fb: FrameBuffer::new(),
-            conn,
+            conn: ClientConn::connected(&self.reconnect),
         }
     }
 
@@ -335,13 +318,14 @@ impl SocketTransportBuilder {
 /// a restarted manager re-learns this process — the same
 /// handshake/backoff shape the robustness PR gave in-sim registration.
 ///
-/// With a [`FlushPolicy`] installed the transport buffers frames and
-/// writes them in one syscall when the size or deadline trigger fires —
-/// the socket-side twin of [`BatchBuilder`](qos_wire::BatchBuilder)
-/// coalescing. Frames are only reported dropped at flush time (the
-/// buffer itself never refuses a frame).
+/// Every frame is written in the `try_send` call that hands it over:
+/// the transport buffers nothing, so `true` means the frame reached the
+/// socket and `false` means it was dropped. Coalescing happens above the
+/// carrier: report batching
+/// ([`LiveProcess::enable_report_batching`](crate::live::LiveProcess::enable_report_batching))
+/// packs reports into one [`BatchBuilder`](qos_wire::BatchBuilder) frame.
 ///
-/// All of those decisions live in the sans-io [`ClientConn`] machine;
+/// The reconnect decisions live in the sans-io [`ClientConn`] machine;
 /// this type is the blocking driver: it owns the socket, performs the
 /// writes the machine asks for, and reports outcomes back.
 pub struct SocketTransport {
@@ -355,13 +339,12 @@ pub struct SocketTransport {
 }
 
 impl SocketTransport {
-    /// Start building a transport for `addr` (reconnect and flush
-    /// policies default as documented on [`SocketTransportBuilder`]).
+    /// Start building a transport for `addr` (the reconnect seed
+    /// defaults as documented on [`SocketTransportBuilder`]).
     pub fn builder(addr: SockAddr) -> SocketTransportBuilder {
         SocketTransportBuilder {
             addr,
             reconnect: ReconnectPolicy::default(),
-            flush: None,
         }
     }
 
@@ -431,7 +414,16 @@ impl SocketTransport {
             let _ = stream.write_all(&bad);
             return true;
         }
-        if stream.write_all(frame).is_ok() {
+        let written = if frame.len() > 1 && qos_buggify::buggify!("sock.write.split_batch") {
+            // Chaos: the kernel (or a preemption) splits the write in
+            // two. Frames must survive — the peer's FrameBuffer
+            // reassembles across write boundaries.
+            let (lo, hi) = frame.split_at(frame.len() / 2);
+            stream.write_all(lo).and_then(|()| stream.write_all(hi))
+        } else {
+            stream.write_all(frame)
+        };
+        if written.is_ok() {
             true
         } else {
             self.disconnect();
@@ -442,52 +434,10 @@ impl SocketTransport {
 
 impl WireTransport for SocketTransport {
     fn try_send(&mut self, frame: &[u8]) -> bool {
-        if self.conn.flush_policy().is_none() {
-            return self.ensure_connected() && self.write_frame(frame);
-        }
-        // Buffered mode: accepting into the buffer always succeeds;
-        // drops are only discovered (and counted) at flush time.
-        if self.conn.buffer_frame(frame, Instant::now()) {
-            self.flush();
-        }
-        true
-    }
-
-    /// Write all buffered frames now. Returns `false` if they had to be
-    /// dropped (the connection was down and stayed down); the buffer is
-    /// empty afterwards either way, so a dead manager costs the reports,
-    /// never the sensor loop.
-    fn flush(&mut self) -> bool {
-        if !self.conn.has_buffered() {
-            return true;
-        }
-        if !self.ensure_connected() {
-            self.conn.drop_buffered();
-            return false;
-        }
-        let Some(batch) = self.conn.begin_flush(Instant::now()) else {
-            return true;
-        };
-        let buf = batch.bytes();
-        let ok = if buf.len() > 1 && qos_buggify::buggify!("sock.write.split_batch") {
-            // Chaos: the kernel (or a preemption) splits the coalesced
-            // write in two. Frames must survive — the peer's
-            // FrameBuffer reassembles across write boundaries.
-            let mid = buf.len() / 2;
-            let (lo, hi) = (buf[..mid].to_vec(), buf[mid..].to_vec());
-            self.write_frame(&lo) && self.write_frame(&hi)
-        } else {
-            let whole = buf.to_vec();
-            self.write_frame(&whole)
-        };
-        self.conn.finish_flush(batch, ok);
-        ok
+        self.ensure_connected() && self.write_frame(frame)
     }
 
     fn sync(&mut self, timeout: Duration) -> bool {
-        // A barrier covers everything sent before it: push buffered
-        // frames out first so the ack really means "processed".
-        self.flush();
         if !self.ensure_connected() {
             return false;
         }
@@ -789,99 +739,6 @@ mod tests {
             "greeting must be replayed first after reconnect, got {got_greeting:?}"
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn buffered_transport_coalesces_and_flushes() {
-        let dir = std::env::temp_dir().join(format!("qos-sock-{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("buffered.sock");
-        let addr = SockAddr::Uds(path.clone());
-
-        let listener = SockListener::bind(&addr).unwrap();
-        let mut t = SocketTransport::builder(addr)
-            .flush(FlushPolicy {
-                max_bytes: 1 << 20, // size trigger never fires here
-                max_delay: Duration::from_secs(60),
-            })
-            .connect()
-            .unwrap();
-        let mut peer = listener.accept().unwrap();
-        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-
-        for token in 0..4 {
-            assert!(t.try_send(&WireMsg::SyncReq { token }.encode_frame()));
-        }
-        assert_eq!(
-            t.conn.buffered_frames(),
-            4,
-            "frames must coalesce, not write"
-        );
-        assert!(t.flush());
-        assert_eq!(t.conn.buffered_frames(), 0);
-        assert_eq!(t.conn.flushes(), 1);
-        assert_eq!(t.conn.dropped_frames(), 0);
-
-        let mut fb = FrameBuffer::new();
-        let mut got = Vec::new();
-        let mut chunk = [0u8; 4096];
-        while got.len() < 4 {
-            let n = peer.read(&mut chunk).unwrap();
-            assert!(n > 0, "peer closed early");
-            fb.extend(&chunk[..n]);
-            while let Some(msg) = fb.next().unwrap() {
-                got.push(msg);
-            }
-        }
-        let tokens: Vec<u64> = got
-            .iter()
-            .map(|m| match m {
-                WireMsg::SyncReq { token } => *token,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(tokens, vec![0, 1, 2, 3], "order must be preserved");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn buffered_flush_counts_drops_when_manager_gone() {
-        let dir = std::env::temp_dir().join(format!("qos-sock-{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("buffered-drop.sock");
-        let addr = SockAddr::Uds(path.clone());
-
-        let listener = SockListener::bind(&addr).unwrap();
-        let mut t = SocketTransport::builder(addr)
-            .flush(FlushPolicy {
-                max_bytes: 1 << 20,
-                max_delay: Duration::from_secs(60),
-            })
-            .connect()
-            .unwrap();
-        let first = listener.accept().unwrap();
-        first.shutdown();
-        drop(first);
-        drop(listener);
-        let _ = std::fs::remove_file(&path);
-
-        // Buffer still accepts; the loss is discovered at flush time.
-        for token in 0..3 {
-            assert!(t.try_send(&WireMsg::SyncReq { token }.encode_frame()));
-        }
-        // First flush may still slip into the dead socket's send buffer;
-        // keep flushing fresh frames until the failure is observed.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut token = 3;
-        while t.conn.dropped_frames() == 0 {
-            assert!(Instant::now() < deadline, "drop never observed");
-            let _ = t.flush();
-            assert!(t.conn.buffered_frames() == 0, "flush must empty the buffer");
-            t.try_send(&WireMsg::SyncReq { token }.encode_frame());
-            token += 1;
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(t.conn.dropped_frames() > 0);
     }
 
     #[test]

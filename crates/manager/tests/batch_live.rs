@@ -1,7 +1,12 @@
-//! Batching under faults: coalesced report frames must survive split
+//! Batching under faults: report batch frames must survive split
 //! writes, torn streams, and manager restarts without losing or
 //! double-counting violations — and a batched run must produce exactly
 //! the lifecycle chains an unbatched run does.
+//!
+//! Report batching (`ReportBatchPolicy`) is the client's one coalescing
+//! layer: the socket transport writes each batch frame in the
+//! `try_send` call that hands it over, so a batch lost to a dead
+//! manager is counted as dropped, never as sent.
 //!
 //! These drive the real `LiveProcess` / `LiveHostManager` pair (threads
 //! and sockets, no simulator) with the transport-layer chaos points
@@ -68,9 +73,9 @@ fn temp_sock(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("qos-batch-{}-{name}.sock", std::process::id()))
 }
 
-/// Every coalesced flush split in two by chaos: the peer's FrameBuffer
-/// must reassemble across the write boundary, so nothing is lost and
-/// nothing is counted twice.
+/// Every socket write split in two by chaos, the report batch frame
+/// included: the peer's FrameBuffer must reassemble across the write
+/// boundary, so nothing is lost and nothing is counted twice.
 #[test]
 fn split_writes_deliver_every_batched_report_exactly_once() {
     if !qos_buggify::compiled_in() {
@@ -85,10 +90,6 @@ fn split_writes_deliver_every_batched_report_exactly_once() {
 
     let (repo, mut agent) = standard_live_repo();
     let sock = SocketTransport::builder(addr)
-        .flush(FlushPolicy {
-            max_bytes: 1 << 20, // flush only at the sync barrier
-            max_delay: Duration::from_secs(60),
-        })
         .connect_retry(Duration::from_secs(5))
         .unwrap();
     let mut p = LiveProcess::start(&registration("live:p1"), &repo, &mut agent, Box::new(sock))
@@ -132,10 +133,6 @@ fn torn_batch_write_recovers_without_double_counting() {
     let (repo, mut agent) = standard_live_repo();
     let sock = SocketTransport::builder(addr)
         .reconnect(ReconnectPolicy::seeded(7))
-        .flush(FlushPolicy {
-            max_bytes: 1 << 20,
-            max_delay: Duration::from_secs(60),
-        })
         .connect_retry(Duration::from_secs(5))
         .unwrap();
     let mut p = LiveProcess::start(&registration("live:p1"), &repo, &mut agent, Box::new(sock))
@@ -145,8 +142,8 @@ fn torn_batch_write_recovers_without_double_counting() {
         max_delay: Duration::from_secs(60),
     });
 
-    // Exactly one torn write: the next coalesced flush loses its tail,
-    // leaving a partial frame on the manager's stream. The flush
+    // Exactly one torn write: the next batch frame loses its tail,
+    // leaving a partial frame on the manager's stream. The write
     // "succeeds" client-side (the tear models a crash the sender never
     // observes); the corruption only becomes visible to the manager once
     // later bytes land behind the torn frame and misalign the stream.
@@ -188,7 +185,7 @@ fn torn_batch_write_recovers_without_double_counting() {
 }
 
 /// Kill the manager mid-stream and restart it on the same socket path:
-/// the buffered, batching process must reconnect, re-register once, and
+/// the batching process must reconnect, re-register once, and
 /// the combined ledger (old manager + new manager + dropped) must cover
 /// every generated report with none counted twice.
 #[test]
@@ -203,10 +200,6 @@ fn manager_restart_preserves_the_batched_report_ledger() {
     let (repo, mut agent) = standard_live_repo();
     let sock = SocketTransport::builder(addr.clone())
         .reconnect(ReconnectPolicy::seeded(11))
-        .flush(FlushPolicy {
-            max_bytes: 1 << 20,
-            max_delay: Duration::from_secs(60),
-        })
         .connect_retry(Duration::from_secs(5))
         .unwrap();
     let mut p = LiveProcess::start(&registration("live:p1"), &repo, &mut agent, Box::new(sock))
@@ -222,10 +215,21 @@ fn manager_restart_preserves_the_batched_report_ledger() {
     assert_eq!(mgr1_violations, generated);
     mgr1.shutdown();
 
-    // Manager gone: the next flushes fail and count drops, not hangs.
+    // Manager gone: the round's batch frame fails to write and its
+    // reports count as dropped, not as sent, and nothing hangs.
+    let sent_before_outage = p.reports_sent();
     let mut now_us = 4_000_000u64;
     generated += renotify_round(&mut p, &mut now_us) as u64;
     let _ = p.sync();
+    assert!(
+        p.reports_dropped() >= 1,
+        "a batch lost to a dead manager must count as dropped"
+    );
+    assert_eq!(
+        p.reports_sent(),
+        sent_before_outage,
+        "a batch lost to a dead manager must not count as sent"
+    );
 
     let mgr2 = LiveHostManager::builder()
         .listen(ListenSpec::Sock(SockAddr::Uds(path)))

@@ -1,41 +1,20 @@
 //! The dialing half of the protocol: [`ClientConn`], a pure state
-//! machine owning every decision a reconnecting, write-coalescing
-//! client has to make — *when* to redial (jittered doubling backoff),
-//! *what* to replay after a reconnect (the registration greeting),
-//! *when* to flush the write buffer ([`FlushPolicy`] size/deadline
-//! triggers) and *what* to count (flushes, deadline flushes, dropped
-//! frames, reconnects).
+//! machine owning every decision a reconnecting client has to make —
+//! *when* to redial (jittered doubling backoff), *what* to replay after
+//! a reconnect (the registration greeting), which sync token comes next
+//! and *what* to count (reconnects).
 //!
 //! The machine performs no IO: the blocking `SocketTransport` driver in
-//! `qos-manager` asks it questions (`connect_due`?, `flush due`?) and
-//! reports outcomes (`on_connected`, `finish_flush`), and tests drive
-//! it with fabricated clocks.
+//! `qos-manager` asks it questions (`connect_due`?) and reports
+//! outcomes (`on_connected`, `on_disconnect`), and tests drive it with
+//! fabricated clocks. It buffers nothing: every frame the driver is
+//! handed goes to the socket in the same call, so a send that fails is
+//! a frame the caller counts as dropped.
 
 use std::time::Instant;
 
-use crate::policy::{FlushPolicy, ReconnectPolicy};
+use crate::policy::ReconnectPolicy;
 use crate::Backoff;
-
-/// A batch of buffered frames handed to the driver for one coalesced
-/// write. Return it to [`ClientConn::finish_flush`] with the outcome so
-/// the machine can count (and recycle the allocation).
-pub struct FlushBatch {
-    bytes: Vec<u8>,
-    frames: u64,
-    deadline_hit: bool,
-}
-
-impl FlushBatch {
-    /// The coalesced frame bytes to write.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Frames in the batch.
-    pub fn frames(&self) -> u64 {
-        self.frames
-    }
-}
 
 /// Client-side connection state machine (sans-io).
 pub struct ClientConn {
@@ -45,13 +24,6 @@ pub struct ClientConn {
     retry_at: Option<Instant>,
     reconnects: u64,
     next_token: u64,
-    policy: Option<FlushPolicy>,
-    wbuf: Vec<u8>,
-    wbuf_frames: u64,
-    oldest_buffered: Option<Instant>,
-    flushes: u64,
-    deadline_flushes: u64,
-    dropped_frames: u64,
 }
 
 impl ClientConn {
@@ -65,35 +37,13 @@ impl ClientConn {
             retry_at: None,
             reconnects: 0,
             next_token: 1,
-            policy: None,
-            wbuf: Vec::new(),
-            wbuf_frames: 0,
-            oldest_buffered: None,
-            flushes: 0,
-            deadline_flushes: 0,
-            dropped_frames: 0,
         }
-    }
-
-    /// Install (or clear) the write-coalescing policy.
-    pub fn set_flush_policy(&mut self, policy: Option<FlushPolicy>) {
-        self.policy = policy;
-    }
-
-    /// The installed write-coalescing policy, if any.
-    pub fn flush_policy(&self) -> Option<FlushPolicy> {
-        self.policy
     }
 
     /// Install the frame to replay after every reconnect (the
     /// registration greeting).
     pub fn set_greeting(&mut self, frame: Vec<u8>) {
         self.greeting = Some(frame);
-    }
-
-    /// Whether the machine believes the connection is up.
-    pub fn is_connected(&self) -> bool {
-        self.connected
     }
 
     /// The driver lost the connection: arm the next retry time.
@@ -142,122 +92,12 @@ impl ClientConn {
         self.next_token += 1;
         t
     }
-
-    // --- write coalescing -------------------------------------------
-
-    /// Buffer a frame (buffered mode only — callers without a policy
-    /// write frames directly). Returns `true` if a flush trigger fired:
-    /// the driver should [`ClientConn::begin_flush`] now.
-    pub fn buffer_frame(&mut self, frame: &[u8], now: Instant) -> bool {
-        let Some(policy) = self.policy else {
-            debug_assert!(false, "buffer_frame without a FlushPolicy");
-            return false;
-        };
-        if self.wbuf.is_empty() {
-            self.oldest_buffered = Some(now);
-        }
-        self.wbuf.extend_from_slice(frame);
-        self.wbuf_frames += 1;
-        self.wbuf.len() >= policy.max_bytes || self.flush_due(now)
-    }
-
-    /// Whether the deadline trigger has fired for the oldest buffered
-    /// frame — callers with their own tick loop use this to decide when
-    /// to flush during send lulls.
-    pub fn flush_due(&self, now: Instant) -> bool {
-        match (self.policy, self.oldest_buffered) {
-            (Some(p), Some(t)) => now.duration_since(t) >= p.max_delay,
-            _ => false,
-        }
-    }
-
-    /// Anything buffered and unflushed?
-    pub fn has_buffered(&self) -> bool {
-        !self.wbuf.is_empty()
-    }
-
-    /// Frames currently sitting in the write buffer.
-    pub fn buffered_frames(&self) -> u64 {
-        self.wbuf_frames
-    }
-
-    /// Take the buffered frames for one coalesced write. `None` if the
-    /// buffer is empty. The buffer is empty afterwards; report the
-    /// write's outcome via [`ClientConn::finish_flush`].
-    pub fn begin_flush(&mut self, now: Instant) -> Option<FlushBatch> {
-        if self.wbuf.is_empty() {
-            return None;
-        }
-        let deadline_hit = self.flush_due(now);
-        let bytes = std::mem::take(&mut self.wbuf);
-        let frames = self.wbuf_frames;
-        self.wbuf_frames = 0;
-        self.oldest_buffered = None;
-        Some(FlushBatch {
-            bytes,
-            frames,
-            deadline_hit,
-        })
-    }
-
-    /// Count the outcome of a flush write and recycle the batch's
-    /// allocation as the next write buffer.
-    pub fn finish_flush(&mut self, batch: FlushBatch, ok: bool) {
-        if ok {
-            self.flushes += 1;
-            if batch.deadline_hit {
-                self.deadline_flushes += 1;
-            }
-        } else {
-            self.dropped_frames += batch.frames;
-        }
-        if self.wbuf.is_empty() {
-            let mut bytes = batch.bytes;
-            bytes.clear();
-            self.wbuf = bytes;
-        }
-    }
-
-    /// The connection is down and staying down: discard the buffer,
-    /// counting the loss (a dead manager costs the reports, never the
-    /// sensor loop).
-    pub fn drop_buffered(&mut self) -> u64 {
-        let n = self.wbuf_frames;
-        self.dropped_frames += n;
-        self.wbuf.clear();
-        self.wbuf_frames = 0;
-        self.oldest_buffered = None;
-        n
-    }
-
-    /// Completed flushes (buffered mode only).
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Flushes forced by the deadline trigger rather than the size one.
-    pub fn deadline_flushes(&self) -> u64 {
-        self.deadline_flushes
-    }
-
-    /// Frames dropped because a flush failed or the buffer was
-    /// discarded while disconnected.
-    pub fn dropped_frames(&self) -> u64 {
-        self.dropped_frames
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    fn policy(max_bytes: usize, max_delay: Duration) -> FlushPolicy {
-        FlushPolicy {
-            max_bytes,
-            max_delay,
-        }
-    }
+    use crate::policy::{BACKOFF_INITIAL, BACKOFF_MAX};
 
     #[test]
     fn greeting_replays_on_every_reconnect() {
@@ -266,7 +106,7 @@ mod tests {
         assert_eq!(c.on_connected(now), None, "no greeting installed yet");
         c.set_greeting(vec![1, 2, 3]);
         c.on_disconnect(now);
-        assert!(!c.is_connected());
+        assert!(c.connect_due(now + BACKOFF_MAX), "redial armed");
         assert_eq!(c.on_connected(now), Some(vec![1, 2, 3]));
         c.on_disconnect(now);
         assert_eq!(c.on_connected(now), Some(vec![1, 2, 3]));
@@ -281,56 +121,10 @@ mod tests {
         assert!(!c.connect_due(t0), "must wait out the backoff delay");
         // The first delay is drawn from [base/2, base); base/1ms later
         // it must certainly be due.
-        let base = ReconnectPolicy::default().base;
+        let base = BACKOFF_INITIAL;
         assert!(c.connect_due(t0 + base));
         c.on_connect_failed(t0 + base);
         assert!(!c.connect_due(t0 + base), "failed dial re-arms the window");
-    }
-
-    #[test]
-    fn size_trigger_fires_flush() {
-        let mut c = ClientConn::connected(&ReconnectPolicy::seeded(1));
-        c.set_flush_policy(Some(policy(8, Duration::from_secs(60))));
-        let now = Instant::now();
-        assert!(!c.buffer_frame(&[0u8; 4], now));
-        assert!(c.buffer_frame(&[0u8; 4], now), "8 bytes reaches max_bytes");
-        let batch = c.begin_flush(now).unwrap();
-        assert_eq!(batch.frames(), 2);
-        assert_eq!(batch.bytes().len(), 8);
-        c.finish_flush(batch, true);
-        assert_eq!(c.flushes(), 1);
-        assert_eq!(c.deadline_flushes(), 0);
-        assert_eq!(c.buffered_frames(), 0);
-    }
-
-    #[test]
-    fn deadline_trigger_counts_separately() {
-        let mut c = ClientConn::connected(&ReconnectPolicy::seeded(1));
-        c.set_flush_policy(Some(policy(1 << 20, Duration::from_millis(5))));
-        let t0 = Instant::now();
-        assert!(!c.buffer_frame(&[1, 2], t0));
-        assert!(!c.flush_due(t0));
-        let later = t0 + Duration::from_millis(6);
-        assert!(c.flush_due(later));
-        let batch = c.begin_flush(later).unwrap();
-        c.finish_flush(batch, true);
-        assert_eq!(c.deadline_flushes(), 1);
-    }
-
-    #[test]
-    fn failed_flush_and_drop_buffered_count_frames() {
-        let mut c = ClientConn::connected(&ReconnectPolicy::seeded(1));
-        c.set_flush_policy(Some(policy(1 << 20, Duration::from_secs(60))));
-        let now = Instant::now();
-        c.buffer_frame(&[1], now);
-        c.buffer_frame(&[2], now);
-        let batch = c.begin_flush(now).unwrap();
-        c.finish_flush(batch, false);
-        assert_eq!(c.dropped_frames(), 2);
-        c.buffer_frame(&[3], now);
-        assert_eq!(c.drop_buffered(), 1);
-        assert_eq!(c.dropped_frames(), 3);
-        assert!(!c.has_buffered());
     }
 
     #[test]

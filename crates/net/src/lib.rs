@@ -21,12 +21,14 @@
 //!
 //! * [`sock`] — `SockAddr` / `SockStream` / `SockListener`, the TCP/UDS
 //!   primitives (moved here from `qos-manager::transport`);
-//! * [`policy`] — [`FlushPolicy`], [`ReconnectPolicy`] and the jittered
-//!   doubling [`Backoff`] envelope;
+//! * [`policy`] — [`ReconnectPolicy`] (the jitter seed) and the
+//!   jittered doubling [`Backoff`] envelope;
 //! * [`peer`] — the accepted-peer half: [`PeerReader`] (frame
 //!   reassembly) and [`PeerOutQueue`] (classed, bounded outbound queue);
 //! * [`client`] — [`ClientConn`], the dialing half: greeting replay,
-//!   backoff reconnect scheduling, and `FlushPolicy` write coalescing;
+//!   backoff reconnect scheduling and sync tokens. It buffers no
+//!   writes: the client's one coalescing layer is `qos-manager`'s report
+//!   batching, which packs reports into one frame before the carrier;
 //! * [`sys`] — a thin raw-FFI epoll surface (Linux only, no `libc`
 //!   crate — the workspace is hermetic);
 //! * [`reactor`] — the epoll driver itself (Linux only).
@@ -44,9 +46,9 @@ pub mod sys;
 #[cfg(target_os = "linux")]
 pub mod reactor;
 
-pub use client::{ClientConn, FlushBatch};
+pub use client::ClientConn;
 pub use peer::{Enqueue, OutQueueConfig, PeerOutQueue, PeerReader, SendClass};
-pub use policy::{Backoff, FlushPolicy, ReconnectPolicy};
+pub use policy::{Backoff, ReconnectPolicy};
 pub use sock::{SockAddr, SockListener, SockStream};
 
 #[cfg(target_os = "linux")]

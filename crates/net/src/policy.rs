@@ -1,6 +1,6 @@
-//! Timing policies shared by the protocol machines: write-coalescing
-//! ([`FlushPolicy`]), reconnect scheduling ([`ReconnectPolicy`]) and
-//! the jittered doubling [`Backoff`] envelope behind it.
+//! Reconnect timing for the dialing client: [`ReconnectPolicy`] (its
+//! jitter seed) and the jittered doubling [`Backoff`] envelope behind
+//! it.
 
 use std::time::Duration;
 
@@ -36,11 +36,6 @@ impl Backoff {
         }
     }
 
-    /// The configured ceiling.
-    pub fn cap(&self) -> Duration {
-        self.cap
-    }
-
     /// SplitMix64 step — hermetic, deterministic per seed.
     fn next_u64(&mut self) -> u64 {
         self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -52,7 +47,7 @@ impl Backoff {
 
     /// Draw the next delay and advance the envelope. The returned delay
     /// is strictly below the current envelope value, which is itself
-    /// capped — so no delay ever exceeds [`Backoff::cap`].
+    /// capped — so no delay ever exceeds the cap.
     pub fn next_delay(&mut self) -> Duration {
         let u = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         let d = self.cur.mul_f64(0.5 + 0.5 * u);
@@ -66,40 +61,23 @@ impl Backoff {
     }
 }
 
-/// Reconnect/backoff configuration for a dialing transport — one plain
-/// struct on the builder instead of scattered `with_*` setters.
+/// Reconnect configuration for a dialing transport. The envelope is
+/// fixed — [`BACKOFF_INITIAL`] doubling to [`BACKOFF_MAX`] — and the
+/// one setting is its jitter seed.
 ///
 /// `seed: None` (the default) decorrelates co-hosted processes and
 /// transports without coordination (pid ⊕ a per-process counter); pin a
 /// seed for deterministic tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReconnectPolicy {
-    /// First retry delay after a lost connection.
-    pub base: Duration,
-    /// Backoff ceiling — no retry delay ever exceeds this.
-    pub cap: Duration,
     /// Jitter seed; `None` derives a per-process, per-transport seed.
     pub seed: Option<u64>,
 }
 
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            base: BACKOFF_INITIAL,
-            cap: BACKOFF_MAX,
-            seed: None,
-        }
-    }
-}
-
 impl ReconnectPolicy {
-    /// The default envelope with a pinned jitter seed (deterministic
-    /// tests).
+    /// The envelope with a pinned jitter seed (deterministic tests).
     pub fn seeded(seed: u64) -> Self {
-        ReconnectPolicy {
-            seed: Some(seed),
-            ..ReconnectPolicy::default()
-        }
+        ReconnectPolicy { seed: Some(seed) }
     }
 
     /// Materialize the backoff envelope, deriving a decorrelated seed
@@ -110,29 +88,7 @@ impl ReconnectPolicy {
             u64::from(std::process::id()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         });
-        Backoff::new(self.base, self.cap, seed)
-    }
-}
-
-/// When a buffering client transport pushes its write buffer to the
-/// OS: whichever of the two triggers fires first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushPolicy {
-    /// Flush once the buffer holds at least this many bytes.
-    pub max_bytes: usize,
-    /// Flush once the oldest buffered frame has waited this long. The
-    /// deadline is checked on the next send or explicit flush — the
-    /// machine owns no timer thread, so a caller that stops sending
-    /// must flush (or sync) to bound latency.
-    pub max_delay: Duration,
-}
-
-impl Default for FlushPolicy {
-    fn default() -> Self {
-        FlushPolicy {
-            max_bytes: 16 * 1024,
-            max_delay: Duration::from_millis(5),
-        }
+        Backoff::new(BACKOFF_INITIAL, BACKOFF_MAX, seed)
     }
 }
 

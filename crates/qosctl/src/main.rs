@@ -3,7 +3,9 @@
 //! A small operator CLI over the live management plane and the flight
 //! recorder:
 //!
-//! * `hosts` — the processes a live manager has registered;
+//! * `hosts` — the processes a live manager has registered, with the
+//!   manager's `live.*` and its socket reactor's `net.*` counters (a
+//!   socket subscriber's lost telemetry is `net.telemetry_dropped`);
 //! * `metrics` — one metrics snapshot pulled from the live stream;
 //! * `tail` — follow violation-lifecycle events as the manager handles
 //!   them;
@@ -35,7 +37,7 @@ qosctl — softqos cockpit
 usage: qosctl <command> [flags]
 
 commands:
-  hosts    --addr <a>                      registered processes + manager counters
+  hosts    --addr <a>                      registered processes + manager and reactor counters
   metrics  --addr <a> [--json]             one metrics snapshot from the live stream
   tail     --addr <a> [--for-ms N] [--jsonl]
                                            follow lifecycle events as they happen
@@ -200,14 +202,19 @@ fn cmd_hosts(args: &[String]) -> Result<(), String> {
     } else {
         print!("{}", hosts.render());
     }
-    let live: Vec<&MetricSnapshot> = snapshot
+    // The reactor's `net.*` families sit beside the manager's own: a
+    // socket subscriber's evicted telemetry is counted only there.
+    let counters: Vec<&MetricSnapshot> = snapshot
         .iter()
-        .filter(|m| m.family.starts_with("live.") && m.family != "live.registered")
+        .filter(|m| {
+            (m.family.starts_with("live.") && m.family != "live.registered")
+                || m.family.starts_with("net.")
+        })
         .collect();
-    if !live.is_empty() {
-        println!("\nmanager counters:");
+    if !counters.is_empty() {
+        println!("\nmanager and reactor counters:");
         let mut t = Table::new(&["counter", "label", "value"]);
-        for m in live {
+        for m in counters {
             t.row(&[
                 m.family.clone(),
                 m.label.clone(),

@@ -280,3 +280,54 @@ fn domains_renders_federation_tree_from_discovery_gauges() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn hosts_lists_reactor_counters_beside_manager_counters() {
+    if !Telemetry::enabled().is_enabled() {
+        return; // probe-free build: no counters to list
+    }
+    let dir = scratch_dir("hosts");
+    let sock = dir.join("mgr.sock");
+    let addr_arg = format!("uds:{}", sock.display());
+
+    let t = Telemetry::enabled();
+    let mgr = LiveHostManager::builder()
+        .listen(ListenSpec::Sock(SockAddr::Uds(sock.clone())))
+        .telemetry(&t)
+        .spawn()
+        .expect("spawn UDS manager");
+    let (repo, mut agent) = standard_live_repo();
+    let transport =
+        SocketTransport::connect_retry(SockAddr::Uds(sock.clone()), Duration::from_secs(5))
+            .expect("connect managed process");
+    let registration = Registration {
+        process: "smoke:hosts".into(),
+        executable: "VideoApplication".into(),
+        application: "VideoPlayback".into(),
+        role: "*".into(),
+    };
+    let mut p = LiveProcess::start(&registration, &repo, &mut agent, Box::new(transport))
+        .expect("manager reachable over UDS");
+    assert!(p.sync(), "registration processed");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_qosctl"))
+        .args(["hosts", "--addr", &addr_arg])
+        .output()
+        .expect("run qosctl hosts");
+    drop(p);
+    mgr.shutdown();
+    assert!(
+        out.status.success(),
+        "qosctl hosts failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("smoke:hosts"), "process listed:\n{text}");
+    // A socket subscriber's evictions are counted only by the reactor.
+    assert!(
+        text.contains("net.telemetry_dropped"),
+        "reactor counters listed:\n{text}"
+    );
+    assert!(text.contains("live."), "manager counters listed:\n{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
