@@ -9,9 +9,10 @@
 //!
 //! * the hand-rolled **epoll reactor** ([`reactor`], Linux only), which
 //!   serves every socket peer of `qos-manager`'s live host manager: all
-//!   accepted peers on a small worker pool, per-peer bounded write
-//!   queues with drop-oldest telemetry backpressure, EPOLLOUT-driven
-//!   flush, fair ready-list scheduling and deterministic shutdown,
+//!   accepted peers on one thread that waits on the epoll set itself,
+//!   per-peer bounded write queues with drop-oldest telemetry
+//!   backpressure, EPOLLOUT-driven flush, one-shot re-arming that puts
+//!   a firehose peer behind the ready ones, and deterministic shutdown,
 //! * the blocking dialing side, `qos-manager`'s `SocketTransport`,
 //!   around [`ClientConn`],
 //! * unit tests, which drive the machines with plain byte slices and
@@ -29,6 +30,9 @@
 //!   backoff reconnect scheduling and sync tokens. It buffers no
 //!   writes: the client's one coalescing layer is `qos-manager`'s report
 //!   batching, which packs reports into one frame before the carrier;
+//! * [`handoff`] — the arming hand-off between a peer's senders and the
+//!   reactor thread, as pure transitions (model-checked), and the one
+//!   write loop both run;
 //! * [`sys`] — a thin raw-FFI epoll surface (Linux only, no `libc`
 //!   crate — the workspace is hermetic);
 //! * [`reactor`] — the epoll driver itself (Linux only).
@@ -36,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod handoff;
 pub mod peer;
 pub mod policy;
 pub mod sock;

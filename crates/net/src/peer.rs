@@ -71,7 +71,7 @@ impl PeerReader {
 
 /// Which outbound lane a frame travels in — the queue's backpressure
 /// decision differs per class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SendClass {
     /// Protocol replies (sync acks): never silently dropped; the queue
     /// reports `Full` and the sender retries.
@@ -83,7 +83,7 @@ pub enum SendClass {
 }
 
 /// Bounds for one peer's outbound queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OutQueueConfig {
     /// Total queued bytes across both classes before control sends
     /// report `Full` (and telemetry sends are dropped).
@@ -118,6 +118,8 @@ pub enum Enqueue {
 }
 
 /// One peer's bounded outbound queue with partial-write tracking.
+/// Comparable and hashable, so a model checker can hold it in a state.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PeerOutQueue {
     cfg: OutQueueConfig,
     q: VecDeque<(SendClass, Vec<u8>)>,

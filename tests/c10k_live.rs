@@ -1,5 +1,5 @@
 //! The live plane's epoll reactor at its edges: a four-digit peer count
-//! served on a ≤ 4-thread worker pool, with an *exact* message ledger
+//! served by one reactor thread, with an *exact* message ledger
 //! (everything a peer sent or knowingly dropped is accounted for —
 //! nothing vanishes untracked); fps-violation recovery under a buggify
 //! chaos schedule; a subscriber that never reads, which costs counted
@@ -70,7 +70,7 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 /// The tentpole gate: 1024 simultaneously-connected UDS peers against
-/// one reactor-driven manager on a 4-thread worker pool, every peer
+/// one reactor-driven manager on one reactor thread, every peer
 /// registering and reporting, and the ledger closing exactly —
 /// `Σ sent == violations counted`, `Σ sent + Σ dropped == generated`,
 /// zero decode errors.
@@ -80,7 +80,6 @@ fn reactor_holds_1024_uds_peers_with_an_exact_ledger() {
     let _ = std::fs::remove_file(&path);
     let mgr = LiveHostManager::builder()
         .listen(ListenSpec::Sock(SockAddr::Uds(path.clone())))
-        .workers(4)
         .spawn()
         .expect("spawn reactor manager");
     let addr = mgr.local_addr().expect("bound");
@@ -139,7 +138,7 @@ fn reactor_holds_1024_uds_peers_with_an_exact_ledger() {
 
         connected.wait();
         // Every peer is connected right now — the reactor must report
-        // all of them live on its ≤ 4 workers.
+        // all of them live on its one thread.
         assert!(
             wait_until(Duration::from_secs(30), || {
                 net.peers.load(Ordering::Relaxed) >= PEERS as u64
@@ -190,17 +189,16 @@ fn fps_reporting_recovers_under_a_reactor_chaos_schedule() {
     if !qos_buggify::compiled_in() {
         return; // release / buggify-off build: nothing to arm
     }
-    // Armed before spawn so the manager thread and the reactor's poller
-    // and worker threads all adopt the schedule. The reactor points are
-    // lossless perf-chaos, so leaving them armed for the whole test
-    // must not cost a single frame.
+    // Armed before spawn so the manager thread and the reactor thread
+    // both adopt the schedule. The reactor points are lossless
+    // perf-chaos, so leaving them armed for the whole test must not cost
+    // a single frame.
     qos_buggify::enable_with(0xC10C, 0.2);
     let t = Telemetry::enabled();
     let path = temp_sock("chaos");
     let _ = std::fs::remove_file(&path);
     let mgr = LiveHostManager::builder()
         .listen(ListenSpec::Sock(SockAddr::Uds(path.clone())))
-        .workers(2)
         .telemetry(&t)
         .spawn()
         .expect("spawn reactor manager");
@@ -305,6 +303,17 @@ fn fps_reporting_recovers_under_a_reactor_chaos_schedule() {
     );
     let sent: u64 = procs.iter().map(|p| p.reports_sent()).sum();
     assert!(sent >= 1, "chaos must not have silenced every report");
+    // Two of the reactor's three chaos points fired on this schedule
+    // (`net.accept.burst` has its own test in `qos-net`'s reactor).
+    let net = mgr.net_stats().expect("reactor manager exposes net stats");
+    assert!(
+        net.spurious.load(Ordering::Relaxed) > 0,
+        "net.epoll.spurious never fired"
+    );
+    assert!(
+        net.backpressure_stalls.load(Ordering::Relaxed) > 0,
+        "net.write.wouldblock never fired"
+    );
     mgr.shutdown();
 }
 
@@ -415,7 +424,6 @@ fn run_trace(carrier: Carrier, peers: usize) -> (u64, u64, Vec<(String, Vec<Stag
     };
     let mgr = LiveHostManager::builder()
         .listen(listen)
-        .workers(2)
         .telemetry(&t)
         .spawn()
         .expect("spawn manager");
