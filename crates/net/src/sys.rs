@@ -11,13 +11,9 @@ use std::os::raw::c_int;
 pub const EPOLLIN: u32 = 0x001;
 /// Writable readiness.
 pub const EPOLLOUT: u32 = 0x004;
-/// Error condition (always reported, never requested).
-pub const EPOLLERR: u32 = 0x008;
-/// Peer hung up (always reported, never requested).
-pub const EPOLLHUP: u32 = 0x010;
 /// Disarm the fd after delivering one event; re-arm with
-/// [`Epoll::modify`]. The reactor uses this so a peer whose turn is
-/// still queued generates no further wakeups.
+/// [`Epoll::modify`]. The reactor uses this so a peer's fd reports
+/// nothing between an event and the end of the turn it starts.
 pub const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CTL_ADD: c_int = 1;
